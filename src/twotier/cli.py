@@ -178,7 +178,7 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _read_packets(path, ambient_len: int):
+def _read_packets(path, ambient_len: int, p: int):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
@@ -190,13 +190,15 @@ def _read_packets(path, ambient_len: int):
     for pkt in packets:
         if len(pkt) != ambient_len:
             raise ConfigError(f"packet length {len(pkt)} does not match ambient {ambient_len}")
+        if max(pkt) >= p:
+            raise ConfigError(f"packet {''.join(map(str, pkt))} has a digit outside [0, {p})")
     return packets
 
 
 def cmd_decode(args) -> int:
     cfg = _load(args)
     _, spec, codebook, uni = cfg.build_all()
-    packets = _read_packets(args.packets, uni.ambient_len)
+    packets = _read_packets(args.packets, uni.ambient_len, uni.p)
     outcome = two_tier_decode(packets, uni, codebook, cfg.decode_options())
     chosen = outcome.result.chosen
     report = {

@@ -5,8 +5,11 @@ combinations of its generator rows; this module produces those rows, packed
 into base-field coordinate vectors according to an explicit block layout.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from . import linalg
 from .errors import BudgetError
@@ -81,6 +84,31 @@ class Codeword:
     rows: tuple                    # packed generator rows over GF(q)
     symbols: tuple | None = None   # Gabidulin symbol sequence over GF(q^m)
     subspace: Subspace | None = None
+
+
+class Codebook(tuple):
+    """The codewords of one code in message order, as an immutable sequence.
+
+    Tier-2 decoding reads every codeword's rows at once from :attr:`stack`,
+    which is built on first use and kept with the codebook.
+    """
+
+    @functools.cached_property
+    def kind(self) -> str | None:
+        """The kind every codeword shares; None for an empty or mixed codebook."""
+        kinds = {cw.kind for cw in self}
+        return kinds.pop() if len(kinds) == 1 else None
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """(N, rows, width) int8 array of the codewords' packed rows.
+
+        Subspace codewords must have independent rows, so that each one's
+        dimension is the row count.
+        """
+        if any(cw.subspace is not None and cw.subspace.dim != len(cw.rows) for cw in self):
+            raise ValueError("codeword rows are linearly dependent")
+        return np.array([cw.rows for cw in self], dtype=np.int8)
 
 
 def component_matrix(codeword: Codeword) -> tuple:
@@ -340,7 +368,7 @@ def encode_message_digits(spec, digits) -> Codeword:
     return kk_encode(spec, u)
 
 
-def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET):
+def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:
     """One codeword per message, in deterministic message order."""
     count = spec.message_count()
     if count > budget:
@@ -357,7 +385,7 @@ def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET):
                 raise ValueError(f"messages {prev} and {digits} map to the same subspace")
             seen_subspaces[cw.subspace.basis] = digits
         codebook.append(cw)
-    return codebook
+    return Codebook(codebook)
 
 
 def codebook_csv_rows(codebook):

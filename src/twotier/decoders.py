@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codes import GABIDULIN, SUBSPACE
-from .metrics import Subspace, injection_distance, rank_distance, subspace_distance
+from . import linalg
+from .codes import GABIDULIN, SUBSPACE, Codebook
 from .union import UnionCode
 
 VALID = "valid"
@@ -29,7 +29,7 @@ CORRECT = "correct"
 CORRECT_OR_ERASE = "correct-or-erase"
 TIER1_MODES = (DETECT_ONLY, CORRECT, CORRECT_OR_ERASE)
 
-METRICS = {"injection": injection_distance, "subspace": subspace_distance}
+METRICS = ("injection", "subspace")
 
 
 @dataclass(frozen=True)
@@ -109,48 +109,82 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 
 
 # ---------------------------------------------------------------- tier 2
+#
+# Both lanes compute every codeword's distance in one linalg.batched_rank
+# call over the codebook's row stack.
+
+def _codebook(codebook, kind: str) -> Codebook:
+    """The codebook as a Codebook, whose row stack is then built only once."""
+    if not isinstance(codebook, Codebook):
+        codebook = Codebook(codebook)
+    if codebook.kind != kind:
+        raise ValueError(f"codebook is not a {kind} codebook")
+    return codebook
+
+
+def _check_packets(rows, p: int, width: int):
+    """ValueError on a packet of the wrong length or with a digit outside [0, p)."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"packet length {len(row)} != ambient {width}")
+        if min(row) < 0 or max(row) >= p:
+            raise ValueError(f"packet digits must lie in [0, {p}), got {tuple(row)}")
+
 
 def _subspace_distances(packets, codebook, metric: str):
     if not packets:
         raise ValueError("tier-2 decoding needs at least one packet")
-    if any(cw.kind != SUBSPACE for cw in codebook):
-        raise ValueError("codebook is not a subspace codebook")
-    fn = METRICS.get(metric)
-    if fn is None:
+    codebook = _codebook(codebook, SUBSPACE)
+    if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
     p = codebook[0].subspace.p
-    ambient = codebook[0].subspace.ambient_len
-    received = Subspace.from_rows(packets, p, ambient)
-    return [fn(received, cw.subspace) for cw in codebook]
+    _check_packets(packets, p, codebook[0].subspace.ambient_len)
+    received = linalg.rref(packets, p)
+    # With r the rank of the codeword rows reduced against the received
+    # RREF (rank a) and b the codeword dimension, dim(U+V) = a + r and
+    # dim(U∩V) = a + b - dim(U+V) = b - r.
+    a = len(received[1])
+    b = codebook.stack.shape[1]
+    r = linalg.batched_rank(codebook.stack, p, basis=received)
+    if metric == "injection":
+        return r + (max(a, b) - b)      # max(a, b) - dim(U∩V)
+    return 2 * r + (a - b)              # dim(U+V) - dim(U∩V)
 
 
-def _pick(dists) -> DecodeResult:
-    best = min(dists)
-    hits = [i for i, d in enumerate(dists) if d == best]
-    return DecodeResult(chosen=hits[0], metric_value=best, tie=len(hits) > 1)
+def _select(dists, list_radius) -> DecodeResult:
+    """Nearest codeword, or with a list radius every codeword within it.
+
+    Candidates run in ascending distance, then index; the first is chosen,
+    and a tie means the runner-up is as near.
+    """
+    if list_radius is None:
+        order = np.flatnonzero(dists == dists.min())
+    elif list_radius < 0:
+        raise ValueError("list radius must be nonnegative")
+    else:
+        order = np.flatnonzero(dists <= list_radius)
+        order = order[np.argsort(dists[order], kind="stable")]
+    order = order.tolist()
+    lst = None if list_radius is None else tuple(order)
+    if not order:
+        return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
+    best = int(dists[order[0]])
+    tie = len(order) > 1 and int(dists[order[1]]) == best
+    return DecodeResult(chosen=order[0], metric_value=best, tie=tie, list=lst)
 
 
 def tier2_subspace_decode(packets, codebook, metric: str = "injection") -> DecodeResult:
     """Nearest codeword to the row space of the packets; ties pick the lowest index."""
-    return _pick(_subspace_distances(packets, codebook, metric))
+    return _select(_subspace_distances(packets, codebook, metric), None)
 
 
 def tier2_list_decode(packets, codebook, radius: int, metric: str = "injection") -> DecodeResult:
     """All codewords within the metric radius, ascending distance then index."""
-    if radius < 0:
-        raise ValueError("list radius must be nonnegative")
-    dists = _subspace_distances(packets, codebook, metric)
-    hits = sorted((d, i) for i, d in enumerate(dists) if d <= radius)
-    lst = tuple(i for _, i in hits)
-    if not lst:
-        return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
-    tie = len(hits) > 1 and hits[0][0] == hits[1][0]
-    return DecodeResult(chosen=lst[0], metric_value=hits[0][0], tie=tie, list=lst)
+    return _select(_subspace_distances(packets, codebook, metric), radius)
 
 
 def _rank_distances(word, codebook, positions):
-    if any(cw.kind != GABIDULIN for cw in codebook):
-        raise ValueError("codebook is not a rank-metric codebook")
+    codebook = _codebook(codebook, GABIDULIN)
     n = len(codebook[0].symbols)
     word = list(word)
     if len(word) != n:
@@ -160,21 +194,19 @@ def _rank_distances(word, codebook, positions):
     positions = sorted(positions)
     if not positions:
         raise ValueError("tier-2 rank decoding needs at least one surviving position")
-    return [rank_distance([word[i] for i in positions],
-                          [cw.symbols[i] for i in positions]) for cw in codebook]
+    ctx = codebook[0].symbols[0].ctx
+    if any(s.ctx != ctx for s in word):
+        raise ValueError("word symbols from a different field context")
+    # to_vector is GF(p)-linear, so the coordinate rows of word - codeword
+    # are the differences of the coordinate rows, in any basis
+    received = [word[i].to_vector() for i in positions]
+    _check_packets(received, ctx.p, ctx.n)
+    return linalg.batched_rank(codebook.stack[:, positions, :], ctx.p, offset=received)
 
 
 def tier2_rank_decode(word, codebook, positions=None, list_radius: int | None = None) -> DecodeResult:
     """Minimum rank-distance decoding; erased positions are excluded via `positions`."""
-    dists = _rank_distances(word, codebook, positions)
-    if list_radius is None:
-        return _pick(dists)
-    hits = sorted((d, i) for i, d in enumerate(dists) if d <= list_radius)
-    lst = tuple(i for _, i in hits)
-    if not lst:
-        return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
-    tie = len(hits) > 1 and hits[0][0] == hits[1][0]
-    return DecodeResult(chosen=lst[0], metric_value=hits[0][0], tie=tie, list=lst)
+    return _select(_rank_distances(word, codebook, positions), list_radius)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -208,7 +240,7 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
     packets = [tuple(p) for p in packets]
     if not packets:
         raise ValueError("no packets to decode")
-    kind = codebook[0].kind
+    _check_packets(packets, union.p, union.ambient_len)
     audit = {"tier1_enabled": options.tier1_enabled, "packets": len(packets)}
 
     if options.tier1_enabled:
@@ -225,23 +257,26 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
         first = FAILURE
 
     final = first
+    audit["feedback"] = None
     if options.feedback and first.list:
         restricted = union.restrict(set(first.list))
-        fb_options = DecodeOptions(
-            tier1_enabled=True, mode=options.mode, radius=options.radius,
-            metric=options.metric, allow_radius_override=options.allow_radius_override)
-        verdicts, radius = _run_tier1(packets, restricted, fb_options)
-        second = _tier2_pass(packets, verdicts, codebook, fb_options, list_radius=None)
-        audit["feedback"] = {
-            "list": list(first.list),
-            "restricted_cardinality": restricted.cardinality,
-            "restricted_min_distance": restricted.min_distance(),
-            "tier1_radius": radius,
-            "second_pass": asdict(second) if second is not None else None,
-        }
-        final = second if second is not None else FAILURE
-    else:
-        audit["feedback"] = None
+        feedback = {"list": list(first.list),
+                    "restricted_cardinality": restricted.cardinality}
+        if restricted.cardinality < 2:
+            # a one-vector union has no minimum distance to set a tier-1
+            # radius from, so the first pass stands
+            feedback["skipped"] = "restricted union has fewer than two vectors"
+        else:
+            fb_options = DecodeOptions(
+                tier1_enabled=True, mode=options.mode, radius=options.radius,
+                metric=options.metric, allow_radius_override=options.allow_radius_override)
+            verdicts, radius = _run_tier1(packets, restricted, fb_options)
+            second = _tier2_pass(packets, verdicts, codebook, fb_options, list_radius=None)
+            feedback["restricted_min_distance"] = restricted.min_distance()
+            feedback["tier1_radius"] = radius
+            feedback["second_pass"] = asdict(second) if second is not None else None
+            final = second if second is not None else FAILURE
+        audit["feedback"] = feedback
 
     audit["final"] = asdict(final)
     return TwoTierResult(result=final, verdicts=verdicts, audit=audit)

@@ -7,6 +7,10 @@ reproducible across runs.
 
 import numpy as np
 
+# Matrices per elimination block in batched_rank. It bounds the kernel's
+# temporaries to a few int16 copies of one block, whatever the stack size.
+RANK_CHUNK = 4096
+
 
 def as_array(rows, p: int) -> np.ndarray:
     mat = np.array(rows, dtype=np.int64)
@@ -49,6 +53,64 @@ def rank(rows, p: int) -> int:
         return 0
     _, pivots = rref(mat, p)
     return len(pivots)
+
+
+def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
+    """Rank over GF(p) of every matrix in an (N, rows, width) stack of digits in [0, p).
+
+    Each matrix M is first replaced by ``offset - M`` when an offset matrix
+    is given, and then reduced against ``basis``, an ``rref`` result
+    (matrix, pivots) of rank a, so that the rank returned is
+    ``rank([basis; M]) - a``. Returns an int64 array of N ranks.
+    """
+    stack = np.asarray(stack)
+    ranks = np.empty(len(stack), dtype=np.int64)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
+    if offset is not None:
+        offset = np.asarray(offset, dtype=np.int16)[:, None, :]
+    red, pivots = ((), ()) if basis is None else basis
+    red = np.asarray(red, dtype=np.int16)
+    for start in range(0, len(stack), RANK_CHUNK):
+        # (rows, n, width): each row of the n matrices is one contiguous slab
+        block = stack[start:start + RANK_CHUNK].transpose(1, 0, 2).astype(np.int16, order="C")
+        if offset is not None:
+            block = _mod(offset - block, p)
+        # M - M[:, P] @ R, one pivot at a time: row k of the RREF is zero in
+        # every other pivot column, so each step clears its own column only
+        for k, col in enumerate(pivots):
+            block = _mod(block - block[:, :, col, None] * red[k], p)
+        ranks[start:start + block.shape[1]] = _eliminate(block, p, inverse)
+    return ranks
+
+
+def _eliminate(block, p: int, inverse) -> np.ndarray:
+    """Ranks of a (rows, n, width) int16 block of n matrices; overwrites the block.
+
+    Row i is reduced against the rows before it, each of which is stored
+    normalised (leading digit 1) and reduced against its own predecessors,
+    so one pass in row order clears every earlier pivot column. A dependent
+    row becomes zero and clears nothing. The last row is only tested.
+    """
+    rows, n, _ = block.shape
+    at = np.arange(n)
+    lead = np.zeros((rows, n), dtype=np.intp)
+    rank = np.zeros(n, dtype=np.int64)
+    for i in range(rows):
+        x = block[i]
+        for j in range(i):
+            x = _mod(x - x[at, lead[j]][:, None] * block[j], p)
+        nonzero = x != 0
+        rank += nonzero.any(axis=1)
+        if i + 1 < rows:
+            lead[i] = nonzero.argmax(axis=1)
+            block[i] = _mod(x * inverse[x[at, lead[i]]][:, None], p)
+    return rank
+
+
+def _mod(x, p: int):
+    """x mod p for an integer array; numpy divides a small-int array by a
+    scalar many times faster than it takes the remainder."""
+    return x - p * (x // p)
 
 
 def basis_rows(rows, p: int):

@@ -144,6 +144,16 @@ def test_decode_wrong_packet_length(tmp_path):
                  "--packets", str(packets)]) == 2
 
 
+def test_decode_digit_outside_base_field(tmp_path, capsys):
+    packets = tmp_path / "packets.txt"
+    packets.write_text("100100\n900100\n")  # 9 is not a GF(2) digit
+    assert main(["decode", "--config", str(CONFIGS / "kk_example.json"),
+                 "--packets", str(packets)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "900100" in err and "[0, 2)" in err
+
+
 def test_encode_all_exports_codebook(capsys):
     assert main(["encode", "--config", str(CONFIGS / "kk_example.json"), "--all"]) == 0
     lines = capsys.readouterr().out.splitlines()

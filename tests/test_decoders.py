@@ -1,18 +1,22 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
+from twotier.config import load_config
 from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY,
                               DecodeOptions, DecodeResult, default_radius,
                               tier1_decode, tier2_list_decode, tier2_rank_decode,
                               tier2_subspace_decode, two_tier_decode)
-from twotier.fields import FieldContext
+from twotier.fields import FieldContext, FieldElement
 from twotier.metrics import hamming_distance
 from twotier.union import build_union
 
 import oracles
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gf8():
@@ -357,3 +361,48 @@ def test_restriction_never_decreases_radius():
         r = uni.restrict(subset)
         if r.cardinality >= 2:
             assert r.min_distance() >= d
+
+
+def test_feedback_on_one_vector_restricted_union_keeps_first_pass():
+    # the zero Gabidulin codeword lists only itself, and its component is
+    # {0}: a restricted union without a minimum distance
+    cfg = load_config(CONFIGS / "gabidulin_gf8.json")
+    _, _, cb, uni = cfg.build_all()
+    zero = cb[0]
+    assert not any(map(any, zero.rows))
+    options = DecodeOptions(list_radius=0, feedback=True)
+    outcome = two_tier_decode(zero.rows, uni, cb, options)
+    assert outcome.result == DecodeResult(chosen=0, metric_value=0, tie=False, list=(0,))
+    assert outcome.audit["feedback"] == {
+        "list": [0], "restricted_cardinality": 1,
+        "skipped": "restricted union has fewer than two vectors"}
+    assert outcome.audit["final"] == outcome.audit["first_pass"]
+    assert [v.outcome for v in outcome.verdicts] == ["valid", "valid"]
+
+
+# ---------------------------------------------------------------- input digits
+
+def test_digits_outside_base_field_are_rejected():
+    _, cb, uni = kk()
+    bad = (9, 0, 0, 1, 0, 0)  # 9 is not a GF(2) digit
+    good = cb[1].rows[0]
+    for tier1 in (True, False):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            two_tier_decode([good, bad], uni, cb, DecodeOptions(tier1_enabled=tier1))
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        two_tier_decode([good, (0, 0, 0, -1, 0, 0)], uni, cb)
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        tier2_subspace_decode([good, bad], cb)
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        tier2_list_decode([bad], cb, radius=1)
+
+
+def test_rank_decode_rejects_symbol_digits_outside_base_field():
+    ctx = gf8()
+    _, cb, _ = gab()
+    word = list(cb[3].symbols)
+    word[1] = FieldElement(ctx, (2, 0, 0))  # built around the digit check of ctx.element
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        tier2_rank_decode(word, cb)
+    # an erased position is not read
+    assert tier2_rank_decode(word, cb, positions=[0, 2]).chosen == 3

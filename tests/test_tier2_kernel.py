@@ -1,0 +1,194 @@
+"""The batched tier-2 kernel against per-codeword reference scans.
+
+Tier 2 computes every codeword's distance in one ``linalg.batched_rank``
+call. These properties rebuild each distance one codeword at a time with
+``metrics.injection_distance``, ``subspace_distance`` and ``rank_distance``,
+pick from them as a plain sorted scan would, and require the same
+``DecodeResult`` on every shipped fixture, with the kernel's chunk size at
+its default and small enough to split each codebook.
+"""
+
+import functools
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from twotier import linalg
+from twotier.codes import Codebook, GabidulinSpec, build_codebook
+from twotier.config import load_config
+from twotier.decoders import (DecodeResult, tier2_list_decode, tier2_rank_decode,
+                              tier2_subspace_decode)
+from twotier.fields import FieldContext
+from twotier.metrics import Subspace, injection_distance, rank_distance, subspace_distance
+
+import oracles
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUBSPACE_FIXTURES = ("kk_example", "mv1", "mv2_uncompressed", "mv2_compressed")
+CHUNKS = (linalg.RANK_CHUNK, 1, 3)
+REFERENCE = {"injection": injection_distance, "subspace": subspace_distance}
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.cache
+def fixture_codebook(name):
+    _, _, codebook, _ = load_config(CONFIGS / f"{name}.json").build_all()
+    return codebook
+
+
+@functools.cache
+def rank_codebooks():
+    """The shipped Gabidulin fixture, one with a non-polynomial packet basis
+    (coordinates are still GF(p)-linear) and one over GF(3)."""
+    books = [fixture_codebook("gabidulin_gf8")]
+    skew = FieldContext(2, 3, basis=[[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    books.append(build_codebook(GabidulinSpec(field=skew, n=3, k=1,
+                                              generators=[skew.one, skew.gamma,
+                                                          skew.gamma_pow(2)])))
+    gf729 = FieldContext(3, 6)
+    books.append(build_codebook(GabidulinSpec(field=gf729, n=2, k=1,
+                                              generators=[gf729.one, gf729.gamma])))
+    return books
+
+
+def reference_select(dists, list_radius):
+    """Selection as a scan: nearest first, ties to the lowest index."""
+    if list_radius is None:
+        best = min(dists)
+        hits = [i for i, d in enumerate(dists) if d == best]
+        return DecodeResult(chosen=hits[0], metric_value=best, tie=len(hits) > 1)
+    hits = sorted((d, i) for i, d in enumerate(dists) if d <= list_radius)
+    lst = tuple(i for _, i in hits)
+    if not lst:
+        return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
+    tie = len(hits) > 1 and hits[0][0] == hits[1][0]
+    return DecodeResult(chosen=lst[0], metric_value=hits[0][0], tie=tie, list=lst)
+
+
+def assert_plain(result):
+    """Fields are Python ints and bools, so reports serialise as before."""
+    for value in (result.chosen, result.metric_value):
+        assert value is None or type(value) is int
+    assert type(result.tie) is bool
+    assert result.list is None or all(type(i) is int for i in result.list)
+
+
+@st.composite
+def subspace_requests(draw):
+    name = draw(st.sampled_from(SUBSPACE_FIXTURES))
+    codebook = fixture_codebook(name)
+    p = codebook[0].subspace.p
+    width = codebook[0].subspace.ambient_len
+    rows = codebook[draw(st.integers(0, len(codebook) - 1))].rows
+    digit = st.integers(0, p - 1)
+    packets = []
+    # up to three more packets than rows: zero, in the sent span, or anywhere
+    for _ in range(draw(st.integers(1, len(rows) + 3))):
+        kind = draw(st.sampled_from(("zero", "span", "random")))
+        if kind == "zero":
+            packets.append((0,) * width)
+        elif kind == "span":
+            coeffs = draw(st.lists(digit, min_size=len(rows), max_size=len(rows)))
+            packets.append(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p
+                                 for i in range(width)))
+        else:
+            packets.append(tuple(draw(st.lists(digit, min_size=width, max_size=width))))
+    metric = draw(st.sampled_from(("injection", "subspace")))
+    list_radius = draw(st.sampled_from((None, 0, 1, 2)))
+    return codebook, packets, metric, list_radius
+
+
+@st.composite
+def rank_requests(draw):
+    codebook = draw(st.sampled_from(rank_codebooks()))
+    ctx = codebook[0].symbols[0].ctx
+    n = len(codebook[0].symbols)
+    sent = codebook[draw(st.integers(0, len(codebook) - 1))].symbols
+    error = ctx.from_int(draw(st.integers(0, ctx.size - 1)))
+    mask = draw(st.lists(st.integers(0, ctx.p - 1), min_size=n, max_size=n))
+    word = [s + ctx.from_int(m) * error for s, m in zip(sent, mask)]
+    positions = draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1), min_size=1)))
+    list_radius = draw(st.sampled_from((None, 0, 1, 2)))
+    return codebook, word, positions, list_radius
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@SETTINGS
+@given(request=subspace_requests())
+def test_subspace_lane_matches_per_codeword_scan(chunk, request):
+    codebook, packets, metric, list_radius = request
+    p = codebook[0].subspace.p
+    received = Subspace.from_rows(packets, p, codebook[0].subspace.ambient_len)
+    dists = [REFERENCE[metric](received, cw.subspace) for cw in codebook]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "RANK_CHUNK", chunk)
+        if list_radius is None:
+            result = tier2_subspace_decode(packets, codebook, metric)
+        else:
+            result = tier2_list_decode(packets, codebook, list_radius, metric)
+        # a plain list is stacked on the call and decodes the same
+        assert tier2_list_decode(packets, list(codebook), 2, metric) == \
+            tier2_list_decode(packets, codebook, 2, metric)
+    assert result == reference_select(dists, list_radius)
+    assert_plain(result)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@SETTINGS
+@given(request=rank_requests())
+def test_rank_lane_matches_per_codeword_scan(chunk, request):
+    codebook, word, positions, list_radius = request
+    kept = range(len(word)) if positions is None else sorted(positions)
+    dists = [rank_distance([word[i] for i in kept], [cw.symbols[i] for i in kept])
+             for cw in codebook]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "RANK_CHUNK", chunk)
+        result = tier2_rank_decode(word, codebook, positions, list_radius)
+    assert result == reference_select(dists, list_radius)
+    assert_plain(result)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_batched_rank_matches_naive_rank(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    count = data.draw(st.integers(0, 9))
+    rows = data.draw(st.integers(0, 4))
+    width = data.draw(st.integers(1, 6))
+    digit = st.integers(0, p - 1)
+
+    def matrix(n_rows):
+        return [tuple(data.draw(st.lists(digit, min_size=width, max_size=width)))
+                for _ in range(n_rows)]
+
+    stack = [matrix(rows) for _ in range(count)]
+    offset = matrix(rows)
+    basis_rows = matrix(data.draw(st.integers(0, 3)))
+    basis = linalg.rref(basis_rows, p) if basis_rows else None
+    a = oracles.naive_rank(basis_rows, p) if basis_rows else 0
+    chunk = data.draw(st.integers(1, 4))
+    arr = np.array(stack, dtype=np.int8).reshape(count, rows, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "RANK_CHUNK", chunk)
+        plain = linalg.batched_rank(arr, p)
+        shifted = linalg.batched_rank(arr, p, offset=np.array(offset).reshape(rows, width),
+                                      basis=basis)
+    assert plain.tolist() == [oracles.naive_rank(m, p) for m in stack]
+    expected = []
+    for m in stack:
+        diff = [tuple((o - x) % p for o, x in zip(orow, mrow)) for orow, mrow in zip(offset, m)]
+        expected.append(oracles.naive_rank(basis_rows + diff, p) - a)
+    assert shifted.tolist() == expected
+
+
+def test_codebook_stack_is_built_once_and_kept():
+    codebook = fixture_codebook("kk_example")
+    assert isinstance(codebook, Codebook)
+    stack = codebook.stack
+    assert stack.shape == (8, 2, 6) and stack.dtype == np.int8
+    assert codebook.stack is stack
+    assert [tuple(map(tuple, m)) for m in stack.tolist()] == [cw.rows for cw in codebook]
