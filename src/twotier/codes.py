@@ -14,7 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import BudgetError
 from .fields import FieldContext, FieldElement
-from .linpoly import LinearizedPoly
 from .metrics import Subspace
 
 DEFAULT_CODEBOOK_BUDGET = 1 << 20
@@ -62,17 +61,13 @@ def pack_vector(entries, layout: PacketLayout, ctx: FieldContext) -> tuple:
     entries = list(entries)
     if len(entries) != len(layout.blocks):
         raise ValueError(f"layout {layout.name} expects {len(layout.blocks)} entries, got {len(entries)}")
-    out = []
     for entry, block in zip(entries, layout.blocks):
         if entry.ctx != ctx:
             raise ValueError("entry from a different field context")
-        if block.subfield_order is None:
-            if block.width != ctx.n:
-                raise ValueError("full block width does not match field degree")
-            out.extend(entry.to_vector())
-        else:
-            out.extend(ctx.subfield_coords(entry, block.subfield_order))
-    return tuple(out)
+        if block.subfield_order is None and block.width != ctx.n:
+            raise ValueError("full block width does not match field degree")
+    blocks = [np.array([[entry.coeffs]], dtype=np.int64) for entry in entries]
+    return tuple(_pack(blocks, layout, ctx)[0, 0].tolist())
 
 
 # ---------------------------------------------------------------- codewords
@@ -90,8 +85,16 @@ class Codebook(tuple):
     """The codewords of one code in message order, as an immutable sequence.
 
     Tier-2 decoding reads every codeword's rows at once from :attr:`stack`,
-    which is built on first use and kept with the codebook.
+    and the union takes its component dimensions from :attr:`ranks`.
+    ``build_codebook`` hands over the stack it encoded; otherwise it is
+    built on first use. Either way it is kept with the codebook.
     """
+
+    def __new__(cls, codewords=(), stack=None):
+        book = super().__new__(cls, codewords)
+        if stack is not None:
+            book.__dict__["stack"] = stack
+        return book
 
     @functools.cached_property
     def kind(self) -> str | None:
@@ -109,6 +112,20 @@ class Codebook(tuple):
         if any(cw.subspace is not None and cw.subspace.dim != len(cw.rows) for cw in self):
             raise ValueError("codeword rows are linearly dependent")
         return np.array([cw.rows for cw in self], dtype=np.int8)
+
+    @property
+    def p(self) -> int:
+        """The prime base of the packet digits."""
+        cw = self[0]
+        return cw.subspace.p if cw.symbols is None else cw.symbols[0].ctx.p
+
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        """GF(p) rank of each codeword's rows."""
+        if all(cw.subspace is not None for cw in self):
+            # the stack admits only independent subspace rows
+            return np.full(len(self), self.stack.shape[1])
+        return linalg.batched_rank(self.stack, self.p)
 
 
 def component_matrix(codeword: Codeword) -> tuple:
@@ -165,6 +182,14 @@ class GabidulinSpec:
     def encode(self, u) -> Codeword:
         return gabidulin_encode(self, u)
 
+    @functools.cached_property
+    def _values_map(self):
+        return _evaluation_matrix(self, self.generators)
+
+    def _blocks(self, messages):
+        """The symbols, one row each: [(N, n, m) coefficients]."""
+        return [(messages @ self._values_map % self.q).reshape(len(messages), self.n, self.m)]
+
 
 @dataclass(frozen=True)
 class KKSpec:
@@ -211,6 +236,16 @@ class KKSpec:
     def encode(self, u) -> Codeword:
         return kk_encode(self, u)
 
+    @functools.cached_property
+    def _values_map(self):
+        return _evaluation_matrix(self, self.alphas)
+
+    def _blocks(self, messages):
+        """Row j is (alpha_j, u(alpha_j)): two (N, l, m) coefficient arrays."""
+        alphas = np.array([[a.coeffs for a in self.alphas]])
+        values = (messages @ self._values_map % self.q).reshape(len(messages), self.l, self.m)
+        return [np.repeat(alphas, len(messages), axis=0), values]
+
 
 @dataclass(frozen=True)
 class MVSpec:
@@ -247,22 +282,50 @@ class MVSpec:
 
     def _validate_subfield_membership(self):
         """Every ratio row entry must land in GF(q^m), for every message."""
-        order = self.q ** self.m
-        for digits in iter_message_digits(self):
-            poly = self._poly(digits)
-            for i in range(1, self.l):
-                alpha = self.alphas[i]
-                value = alpha
-                for j in range(1, self.big_l + 1):
-                    value = poly.evaluate(value)
-                    if not (value / alpha).in_subfield(order):
-                        raise ValueError(
-                            f"alpha set malformed: u^({j})(alpha_{i})/alpha_{i} is outside "
-                            f"GF({self.q}^{self.m}) for message {digits}")
+        if self.l == 1:
+            return      # only rows after the first carry ratios
+        # x lies in GF(q^m) exactly when x^(q^m) = x
+        frobenius = self.field.frobenius_matrix(self.m)
+        count = self.message_count()
+        for start in range(0, count, SETUP_CHUNK):
+            messages = _message_block(self, start, min(start + SETUP_CHUNK, count))
+            ratios = np.stack(self._blocks(messages)[1:], axis=2)[:, 1:]     # (N, l-1, L, n)
+            outside = (ratios @ frobenius % self.q != ratios).any(axis=3)
+            if outside.any():
+                n, i, j = (int(x) for x in np.unravel_index(outside.argmax(), outside.shape))
+                raise ValueError(
+                    f"alpha set malformed: u^({j + 1})(alpha_{i + 1})/alpha_{i + 1} is outside "
+                    f"GF({self.q}^{self.m}) for message {tuple(messages[n].tolist())}")
 
-    def _poly(self, digits) -> LinearizedPoly:
-        coeffs = [self.field.element([d] + [0] * (self.field.n - 1)) for d in digits]
-        return LinearizedPoly(tuple(coeffs), self.q)
+    @functools.cached_property
+    def _poly_maps(self):
+        """(k, n*n): row i is the matrix of x -> x^(q^i), flattened."""
+        return np.array([self.field.frobenius_matrix(i).ravel() for i in range(self.k)])
+
+    @functools.cached_property
+    def _ratio_maps(self):
+        """(l, n, n): the identity for row 0, then the matrix of x -> x / alpha_i."""
+        return np.array([np.eye(self.field.n, dtype=np.int64)] +
+                        [self.field.mul_matrix(a.inverse()) for a in self.alphas[1:]])
+
+    def _blocks(self, messages):
+        """L+1 (N, l, n) coefficient arrays: row i is alpha_i, then
+        u^(j)(alpha_i) for j = 1..L, divided by alpha_i in every row but the first.
+
+        u(x) = sum_i d_i x^(q^i) has the message digits d_i as coefficients,
+        so each message's u is one (n, n) matrix over GF(p).
+        """
+        n, p = self.field.n, self.q
+        u = (messages @ self._poly_maps % p).reshape(len(messages), n, n)
+        value = np.array([a.coeffs for a in self.alphas])
+        blocks = [np.repeat(value[None], len(messages), axis=0)]
+        for _ in range(self.big_l):
+            value = value @ u % p
+            blocks.append(value)
+        if self.l > 1:
+            ratios = np.stack(blocks[1:], axis=2) @ self._ratio_maps % p
+            blocks[1:] = [ratios[:, :, j] for j in range(self.big_l)]
+        return blocks
 
     @property
     def q(self) -> int:
@@ -285,34 +348,109 @@ class MVSpec:
 
 
 # ---------------------------------------------------------------- encoders
+#
+# One batched encoder serves every code. A block of N messages, as an
+# (N, length) digit array, becomes one (N, rows, n) array of polynomial
+# coefficients per layout block: every field operation involved is
+# GF(p)-linear for a fixed message (see FieldContext.mul_matrix), so it is
+# a matrix product. The blocks are packed into the (N, rows, width) digit
+# stack of the rows, and subspace codewords get their RREF bases from one
+# batched GF(p) reduction. Encoding a single message is a block of one.
 
-def gabidulin_encode(spec: GabidulinSpec, u) -> Codeword:
-    """Codeword symbols are the linearized polynomial evaluated at the generators."""
+# Messages per encoder block, and codewords per span block in
+# union.build_union: bounds the set-up's array temporaries whatever the
+# message count.
+SETUP_CHUNK = 1024
+
+
+def _evaluation_matrix(spec, points):
+    """(k*m, len(points)*m) matrix over GF(p) taking message digits to the
+    coefficients of u(x) = sum_i u_i x^(q^i) at every point."""
+    ctx = spec.field
+    return np.vstack([np.hstack([ctx.mul_matrix(x ** spec.q ** i) for x in points])
+                      for i in range(spec.k)])
+
+
+def _pack(blocks, layout: PacketLayout, ctx: FieldContext):
+    """(N, rows, width) int8 packed rows of per-block (N, rows, n) coefficients."""
+    parts, outside = [], {}
+    for j, (coeffs, block) in enumerate(zip(blocks, layout.blocks)):
+        if block.subfield_order is None:
+            parts.append(coeffs if ctx.basis is None else coeffs @ ctx._to_basis % ctx.p)
+            continue
+        # the canonical subfield basis is in RREF, so an element's
+        # coordinates are its coefficients at the pivots
+        basis = np.array(ctx.subfield_basis(block.subfield_order), dtype=np.int64)
+        sub = coeffs[:, :, (basis != 0).argmax(axis=1)]
+        outside[j] = (sub @ basis % ctx.p != coeffs).any(axis=2)
+        parts.append(sub)
+    if any(mask.any() for mask in outside.values()):
+        # the first entry outside, in message, row, block order
+        where = np.zeros(blocks[0].shape[:2] + (len(blocks),), dtype=bool)
+        for j, mask in outside.items():
+            where[:, :, j] = mask
+        n, i, j = np.unravel_index(where.argmax(), where.shape)
+        element = FieldElement(ctx, tuple(blocks[j][n, i].tolist()))
+        raise ValueError(f"{element} is not in the subfield "
+                         f"of order {layout.blocks[j].subfield_order}")
+    return np.concatenate(parts, axis=2).astype(np.int8)
+
+
+def _symbols(ctx: FieldContext, coeffs):
+    """Element tuples of an (N, n, m) coefficient array, one object per
+    distinct element, shared between codewords."""
+    codes = coeffs @ ctx.p ** np.arange(ctx.n)
+    distinct, where = np.unique(codes, return_inverse=True)
+    elements = [ctx.from_int(c) for c in distinct.tolist()]
+    return [tuple(elements[i] for i in w) for w in where.reshape(codes.shape).tolist()]
+
+
+def _encode(spec, messages):
+    """(codewords, stack) of an (N, length) array of message digits.
+
+    ``stack`` holds the packed rows. Subspace codewords get their bases
+    from one batched RREF.
+    """
+    blocks = spec._blocks(messages)
+    stack = _pack(blocks, spec.layout, spec.field)
+    digits = [tuple(m) for m in messages.tolist()]
+    rows = [tuple(map(tuple, r)) for r in stack.tolist()]
+    if spec.kind == GABIDULIN:
+        codewords = [Codeword(kind=GABIDULIN, message=m, rows=r, symbols=s)
+                     for m, r, s in zip(digits, rows, _symbols(spec.field, blocks[0]))]
+        return codewords, stack
+    bases, ranks = linalg.batched_rref(stack, spec.q)
+    width = stack.shape[2]
+    codewords = [Codeword(kind=SUBSPACE, message=m, rows=r,
+                          subspace=Subspace(basis=tuple(map(tuple, b[:k])), ambient_len=width,
+                                            p=spec.q))
+                 for m, r, b, k in zip(digits, rows, bases.tolist(), ranks.tolist())]
+    return codewords, stack
+
+
+def _encode_one(spec, digits) -> Codeword:
+    codewords, _ = _encode(spec, np.array([digits], dtype=np.int64))
+    return codewords[0]
+
+
+def _field_message(spec, u) -> tuple:
+    """Digits of a message given as k elements of the code's field."""
     u = tuple(u)
     if len(u) != spec.k:
         raise ValueError(f"message length must be {spec.k}, got {len(u)}")
     if any(not isinstance(c, FieldElement) or c.ctx != spec.field for c in u):
         raise ValueError("message symbols must live in the code's field")
-    poly = LinearizedPoly(u, spec.q)
-    symbols = tuple(poly.evaluate(g) for g in spec.generators)
-    rows = tuple(s.to_vector() for s in symbols)
-    digits = tuple(itertools.chain.from_iterable(c.coeffs for c in u))
-    return Codeword(kind=GABIDULIN, message=digits, rows=rows, symbols=symbols)
+    return tuple(itertools.chain.from_iterable(c.coeffs for c in u))
+
+
+def gabidulin_encode(spec: GabidulinSpec, u) -> Codeword:
+    """Codeword symbols are the linearized polynomial evaluated at the generators."""
+    return _encode_one(spec, _field_message(spec, u))
 
 
 def kk_encode(spec: KKSpec, u) -> Codeword:
     """Basis rows pair each alpha with the polynomial value at that alpha."""
-    u = tuple(u)
-    if len(u) != spec.k:
-        raise ValueError(f"message length must be {spec.k}, got {len(u)}")
-    if any(not isinstance(c, FieldElement) or c.ctx != spec.field for c in u):
-        raise ValueError("message symbols must live in the code's field")
-    poly = LinearizedPoly(u, spec.q)
-    layout = spec.layout
-    rows = tuple(pack_vector((a, poly.evaluate(a)), layout, spec.field) for a in spec.alphas)
-    digits = tuple(itertools.chain.from_iterable(c.coeffs for c in u))
-    return Codeword(kind=SUBSPACE, message=digits, rows=rows,
-                    subspace=Subspace.from_rows(rows, spec.q, layout.width))
+    return _encode_one(spec, _field_message(spec, u))
 
 
 def mv_encode(spec: MVSpec, u) -> Codeword:
@@ -322,19 +460,7 @@ def mv_encode(spec: MVSpec, u) -> Codeword:
         raise ValueError(f"message length must be {spec.k}, got {len(digits)}")
     if any(not 0 <= d < spec.q for d in digits):
         raise ValueError(f"message digits must lie in [0, {spec.q})")
-    poly = spec._poly(digits)
-    layout = spec.layout
-    rows = []
-    for i, alpha in enumerate(spec.alphas):
-        entries = [alpha]
-        value = alpha
-        for _ in range(spec.big_l):
-            value = poly.evaluate(value)
-            entries.append(value if i == 0 else value / alpha)
-        rows.append(pack_vector(entries, layout, spec.field))
-    rows = tuple(rows)
-    return Codeword(kind=SUBSPACE, message=digits, rows=rows,
-                    subspace=Subspace.from_rows(rows, spec.q, layout.width))
+    return _encode_one(spec, digits)
 
 
 # ---------------------------------------------------------------- codebooks
@@ -343,6 +469,12 @@ def message_digit_length(spec) -> int:
     if isinstance(spec, MVSpec):
         return spec.k
     return spec.field.n * spec.k
+
+
+def _message_block(spec, start: int, stop: int):
+    """(stop - start, length) digits of the messages with those indices."""
+    radix = [spec.q ** i for i in range(message_digit_length(spec))]
+    return np.arange(start, stop, dtype=np.int64)[:, None] // radix % spec.q
 
 
 def iter_message_digits(spec):
@@ -373,19 +505,29 @@ def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:
     count = spec.message_count()
     if count > budget:
         raise BudgetError(f"message space of size {count} exceeds the budget {budget}")
-    codebook = []
-    seen_subspaces = {}
-    for digits in iter_message_digits(spec):
-        cw = encode_message_digits(spec, digits)
-        if cw.kind == SUBSPACE:
-            if cw.subspace.dim != len(cw.rows):
-                raise ValueError(f"codeword for message {digits} has dependent basis rows")
-            prev = seen_subspaces.get(cw.subspace.basis)
-            if prev is not None:
-                raise ValueError(f"messages {prev} and {digits} map to the same subspace")
-            seen_subspaces[cw.subspace.basis] = digits
-        codebook.append(cw)
-    return Codebook(codebook)
+    codewords, stacks = [], []
+    for start in range(0, count, SETUP_CHUNK):
+        block, stack = _encode(spec, _message_block(spec, start, min(start + SETUP_CHUNK, count)))
+        codewords.extend(block)
+        stacks.append(stack)
+    stack = np.concatenate(stacks)
+    if spec.kind == SUBSPACE:
+        _check_subspaces(codewords, stack.shape[1])
+    return Codebook(codewords, stack=stack)
+
+
+def _check_subspaces(codewords, rows: int):
+    """ValueError at the first message, in message order, whose rows are
+    dependent or whose subspace an earlier message already has."""
+    seen = {}
+    for cw in codewords:
+        basis = cw.subspace.basis
+        if len(basis) != rows:
+            raise ValueError(f"codeword for message {cw.message} has dependent basis rows")
+        prev = seen.get(basis)
+        if prev is not None:
+            raise ValueError(f"messages {prev} and {cw.message} map to the same subspace")
+        seen[basis] = cw.message
 
 
 def codebook_csv_rows(codebook):

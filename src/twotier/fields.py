@@ -9,11 +9,17 @@ context therefore carries a primitive element ``gamma``, and small fields
 get discrete log tables so multiplication and inversion are exponent
 arithmetic.
 
+Batched work (encoding a whole message space) needs no elements at all:
+multiplication by a fixed element and the Frobenius map are GF(p)-linear,
+so :meth:`FieldContext.mul_matrix` and :meth:`FieldContext.frobenius_matrix`
+turn them into matrices that act on whole arrays of coefficient vectors.
+
 Elements serialize as base-p digit strings, low-order digit first
 (``"110"`` is 1 + x in GF(2^3)); configuration may also give elements as
 powers of gamma (``"g^3"``).
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -242,6 +248,33 @@ class FieldContext:
         for code in range(self.size):
             yield self.from_int(code)
 
+    # -- GF(p)-linear maps ----------------------------------------------
+    #
+    # Multiplication by a fixed element and the Frobenius map x -> x^p are
+    # GF(p)-linear on coefficient vectors. Batched work (encoding a whole
+    # message space) applies them to arrays of coefficient vectors as (n, n)
+    # matrices M over GF(p), with coeffs(f(a)) = coeffs(a) @ M mod p. Each
+    # matrix costs n coefficient products, whatever the field size.
+
+    def mul_matrix(self, c: "FieldElement") -> np.ndarray:
+        """Matrix of a -> a * c."""
+        return self._matrix_of(lambda a: self._mul_coeffs(a, c.coeffs))
+
+    def frobenius_matrix(self, i: int) -> np.ndarray:
+        """Matrix of a -> a^(p^i)."""
+        out = np.eye(self.n, dtype=np.int64)
+        for _ in range(i):
+            out = out @ self._frobenius % self.p
+        return out
+
+    @functools.cached_property
+    def _frobenius(self) -> np.ndarray:
+        return self._matrix_of(lambda a: self._pow_coeffs(a, self.p))
+
+    def _matrix_of(self, fn) -> np.ndarray:
+        unit = [tuple(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        return np.array([fn(e) for e in unit], dtype=np.int64)
+
     # -- subfields -------------------------------------------------------
 
     def validate_subfield(self, order: int) -> int:
@@ -278,15 +311,6 @@ class FieldContext:
         self._subfield_bases[order] = basis
         return basis
 
-    def subfield_coords(self, a: "FieldElement", order: int):
-        """Coordinates of a subfield member w.r.t. the canonical subfield basis."""
-        basis = self.subfield_basis(order)
-        mat = [[basis[i][j] for i in range(len(basis))] for j in range(self.n)]
-        coords = linalg.solve(mat, a.coeffs, self.p)
-        if coords is None:
-            raise ValueError(f"{a} is not in the subfield of order {order}")
-        return coords
-
     # -- plumbing --------------------------------------------------------
 
     def __eq__(self, other):
@@ -314,7 +338,8 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.ctx != other.ctx:
+        # identity first: FieldContext.__eq__ compares four fields
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("elements from distinct field contexts")
 
     def __add__(self, other):
@@ -406,7 +431,7 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.coeffs, self.ctx.p, self.ctx.n))

@@ -5,6 +5,8 @@ deterministic (first nonzero entry in column order) so reduced bases are
 reproducible across runs.
 """
 
+import functools
+
 import numpy as np
 
 # Matrices per elimination block in batched_rank. It bounds the kernel's
@@ -65,7 +67,7 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
     """
     stack = np.asarray(stack)
     ranks = np.empty(len(stack), dtype=np.int64)
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
+    inverse = _inverses(p)
     if offset is not None:
         offset = np.asarray(offset, dtype=np.int16)[:, None, :]
     red, pivots = ((), ()) if basis is None else basis
@@ -81,6 +83,12 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
             block = _mod(block - block[:, :, col, None] * red[k], p)
         ranks[start:start + block.shape[1]] = _eliminate(block, p, inverse)
     return ranks
+
+
+@functools.cache
+def _inverses(p: int) -> np.ndarray:
+    """inverse[x] is x^-1 in GF(p), and inverse[0] = 0 (shared: read-only)."""
+    return _read_only(np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16))
 
 
 def _eliminate(block, p: int, inverse) -> np.ndarray:
@@ -107,6 +115,92 @@ def _eliminate(block, p: int, inverse) -> np.ndarray:
     return rank
 
 
+def batched_rref(stack, p: int):
+    """RREF over GF(p) of every matrix in an (N, rows, width) stack of digits in [0, p).
+
+    Returns (reduced, ranks): an (N, rows, width) int16 stack whose first
+    rank rows of each matrix are the nonzero rows of its ``rref``, in pivot
+    order, followed by zero rows, and an array of N ranks.
+    """
+    # (rows, n, width): each row of the n matrices is one slab, reduced in place
+    block = np.asarray(stack).transpose(1, 0, 2).astype(np.int16)
+    rows, n, width = block.shape
+    inverse = _inverses(p)
+    at = np.arange(n)
+    lead, found = [], []
+    # As in _eliminate, row i is reduced against the normalised rows before
+    # it; then its own pivot column is cleared from them, so the rows seen
+    # so far are always reduced against each other. A dependent row becomes
+    # zero, normalises to zero and clears nothing.
+    for i in range(rows):
+        x = block[i]
+        for j in range(i):
+            x = _mod(x - x[at, lead[j]][:, None] * block[j], p)
+        lead.append((x != 0).argmax(axis=1))
+        pivot = x[at, lead[i]]
+        found.append(pivot != 0)
+        x = _mod(x * inverse[pivot][:, None], p)
+        for j in range(i):
+            block[j] = _mod(block[j] - block[j][at, lead[i]][:, None] * x, p)
+        block[i] = x
+    if rows > 1:
+        # rows in pivot order, zero rows last
+        order = np.argsort(np.where(found, lead, width), axis=0, kind="stable")
+        block = block[order, at]
+    return block.transpose(1, 0, 2), sum(found)
+
+
+@functools.cache
+def _word_radix(p: int) -> np.ndarray:
+    """Powers of p for the most base-p digits whose value fits in an int64
+    (shared: read-only)."""
+    per = 1
+    while p ** (per + 1) <= 2 ** 63:
+        per += 1
+    return _read_only(p ** np.arange(per, dtype=np.int64))
+
+
+def pack_keys(digits, p: int) -> np.ndarray:
+    """int64 keys of the digit vectors along the last axis: (..., width) -> (..., words).
+
+    Each word holds as many base-p digits as fit, low first, so two
+    vectors are equal exactly when their keys are.
+    """
+    radix = _word_radix(p)
+    per, width = len(radix), digits.shape[-1]
+    keys = np.empty(digits.shape[:-1] + (-(-width // per),), dtype=np.int64)
+    for w, start in enumerate(range(0, width, per)):
+        keys[..., w] = digits[..., start:start + per] @ radix[:width - start]
+    return keys
+
+
+def unpack_keys(keys, p: int, width: int) -> np.ndarray:
+    """The digit vectors of width `width` that ``pack_keys`` turned into `keys`."""
+    digits = keys[..., None] // _word_radix(p) % p
+    return digits.reshape(keys.shape[:-1] + (-1,))[..., :width]
+
+
+def sorted_runs(keys):
+    """(order, starts) of an (M, words) key array.
+
+    ``order`` sorts the keys stably, so equal keys keep their original
+    order; ``starts`` are the positions in it where a run of equal keys
+    begins.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = ranked[1:, 0] != ranked[:-1, 0]
+    for word in range(1, keys.shape[1]):
+        new[1:] |= ranked[1:, word] != ranked[:-1, word]
+    return order, new.nonzero()[0]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _mod(x, p: int):
     """x mod p for an integer array; numpy divides a small-int array by a
     scalar many times faster than it takes the remainder."""
@@ -117,20 +211,6 @@ def basis_rows(rows, p: int):
     """Nonzero RREF rows as a tuple of int tuples (canonical basis)."""
     mat, pivots = rref(rows, p)
     return tuple(tuple(int(x) for x in mat[i]) for i in range(len(pivots)))
-
-
-def solve(mat, rhs, p: int):
-    """One solution x of mat @ x = rhs over GF(p), or None if inconsistent."""
-    a = as_array(mat, p)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref(np.hstack([a, b]), p)
-    n_cols = a.shape[1]
-    if n_cols in pivots:
-        return None
-    x = [0] * n_cols
-    for i, c in enumerate(pivots):
-        x[c] = int(aug[i, n_cols])
-    return tuple(x)
 
 
 def kernel_basis(mat, p: int):

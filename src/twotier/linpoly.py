@@ -40,11 +40,3 @@ class LinearizedPoly:
         for _ in range(j):
             x = self.evaluate(x)
         return x
-
-
-def evaluate(u: LinearizedPoly, x: FieldElement) -> FieldElement:
-    return u.evaluate(x)
-
-
-def iterate_evaluate(u: LinearizedPoly, x: FieldElement, j: int) -> FieldElement:
-    return u.iterate_evaluate(x, j)

@@ -225,7 +225,6 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
                 rng_mix = stream(base_seed, trial, attempt, f"{edge[0]}->{edge[1]}", "mix")
                 if buf:
                     coeffs = [rng_mix.randrange(p) for _ in buf]
-                    pkt = zero_packet
                     pkt = tuple(sum(c * row[i] for c, row in zip(coeffs, buf)) % p
                                 for i in range(setup.ambient_len))
                 else:

@@ -6,14 +6,15 @@ union of linear codes is generally nonlinear, so distance work goes
 through the pairwise path in :mod:`twotier.metrics`.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, metrics
-from .codes import GabidulinSpec, KKSpec, MVSpec
+from . import codes, linalg, metrics
+from .codes import Codebook, GabidulinSpec, KKSpec, MVSpec
 from .errors import BudgetError
 
 DEFAULT_UNION_BUDGET = 1 << 26
@@ -81,45 +82,64 @@ class UnionCode:
 
 
 def build_union(codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
+    """Every span vector of every codeword, deduplicated, in order of first
+    occurrence (codewords in order, each span in coefficient order)."""
     if not codebook:
         raise ValueError("empty codebook")
-    total = sum(_span_size(cw) for cw in codebook)
+    if not isinstance(codebook, Codebook):
+        codebook = Codebook(codebook)
+    p = codebook.p
+    total = len(codebook) * p ** len(codebook[0].rows)
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
 
-    ambient_len = len(codebook[0].rows[0])
-    p = _base_prime(codebook[0])
+    stack = codebook.stack
+    vectors, owners, bounds, first_seen = _distinct_spans(stack, p)
+    # one int object per codeword, shared by its component and every set
+    # that holds it
+    ids = list(range(len(stack)))
+    owners = list(map(ids.__getitem__, owners))
     provenance = {}
-    components = []
-    for idx, cw in enumerate(codebook):
-        rows = np.array(cw.rows, dtype=np.int64)
-        coeffs = np.array(list(itertools.product(range(p), repeat=len(cw.rows))), dtype=np.int64)
-        span = (coeffs @ rows) % p
-        for vec in span:
-            key = tuple(int(x) for x in vec)
-            owners = provenance.get(key)
-            if owners is None:
-                provenance[key] = {idx}
-            else:
-                owners.add(idx)
-        components.append(Component(index=idx, rows=cw.rows,
-                                    dimension=linalg.rank(cw.rows, p), message=cw.message))
-    return UnionCode(provenance, tuple(components), ambient_len, p)
+    for u in first_seen:
+        provenance[tuple(vectors[u])] = set(owners[bounds[u]:bounds[u + 1]])
+    dims = codebook.ranks.tolist()
+    components = tuple(Component(index=idx, rows=cw.rows, dimension=dims[idx], message=cw.message)
+                       for idx, cw in zip(ids, codebook))
+    return UnionCode(provenance, components, stack.shape[2], p)
 
 
-def _span_size(cw) -> int:
-    p = _base_prime(cw)
-    return p ** len(cw.rows)
+def _distinct_spans(stack, p: int):
+    """(vectors, owners, bounds, first_seen) of the GF(p) row spans of a stack of matrices.
+
+    ``vectors`` lists each distinct span vector once, in key order; the
+    matrices whose span holds vector u are ``owners[bounds[u]:bounds[u + 1]]``,
+    in ascending order, and ``first_seen`` lists the u in order of first
+    occurrence (matrices in order, each span in coefficient order). Spans
+    are formed and keyed per block of ``codes.SETUP_CHUNK`` matrices, and
+    only their int64 keys are kept.
+    """
+    coeffs = _span_coefficients(p, stack.shape[1])
+    per = len(coeffs)
+    keys = np.concatenate([
+        linalg.pack_keys((coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p)
+                         .reshape(-1, stack.shape[2]), p)
+        for start in range(0, len(stack), codes.SETUP_CHUNK)])
+    order, starts = linalg.sorted_runs(keys)
+    # the stable sort puts each vector's first occurrence at the start of
+    # its run, and its owners after it in ascending order
+    first = order[starts]
+    vectors = linalg.unpack_keys(keys[first], p, stack.shape[2])
+    return (vectors.tolist(), (order // per).tolist(), starts.tolist() + [len(order)],
+            np.argsort(first).tolist())
 
 
-def _base_prime(cw) -> int:
-    if cw.symbols is not None:
-        return cw.symbols[0].ctx.p
-    return cw.subspace.p
-
-
-def union_min_distance(union: UnionCode) -> int:
-    return union.min_distance()
+@functools.cache
+def _span_coefficients(p: int, rows: int) -> np.ndarray:
+    """Every GF(p) coefficient vector of length `rows`, in lexicographic
+    order (shared: read-only)."""
+    coeffs = np.array(list(itertools.product(range(p), repeat=rows)), dtype=np.int64)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def component_vectors(union: UnionCode, index: int):
@@ -127,11 +147,19 @@ def component_vectors(union: UnionCode, index: int):
 
 
 def component_min_distances(union: UnionCode):
-    """Per-component minimum weight (components are linear); inf for {0}."""
-    out = []
-    for comp in union.components:
-        out.append((comp.index, metrics.min_weight(component_vectors(union, comp.index))))
-    return out
+    """Per-component minimum weight (components are linear); inf for {0}.
+
+    One pass over the union: each nonzero vector's weight lowers the
+    minimum of every component that owns it.
+    """
+    best = {comp.index: math.inf for comp in union.components}
+    for vector, owners in union.provenance.items():
+        weight = metrics.hamming_weight(vector)
+        if weight:
+            for index in owners:
+                if weight < best[index]:
+                    best[index] = weight
+    return list(best.items())
 
 
 # ---------------------------------------------------------------- lemma checks
@@ -169,10 +197,6 @@ def verify_lemmas(spec, union: UnionCode):
     raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
-def _component_distance_map(union: UnionCode):
-    return dict(component_min_distances(union))
-
-
 def _verify_gabidulin(spec: GabidulinSpec, union: UnionCode):
     checks = []
     d_union = union.min_distance()
@@ -180,7 +204,7 @@ def _verify_gabidulin(spec: GabidulinSpec, union: UnionCode):
         lemma="L1", description="union code minimum Hamming distance",
         claimed="d_H(C_U) == 1", measured=_fmt(d_union), passed=d_union == 1))
 
-    dists = _component_distance_map(union)
+    dists = dict(component_min_distances(union))
     bound = spec.m - spec.n + spec.k
     finite = {i: d for i, d in dists.items() if d is not math.inf}
     worst = max(finite.values(), default=math.inf)
@@ -214,7 +238,7 @@ def _verify_kk(spec: KKSpec, union: UnionCode):
         lemma="L4", description="union code minimum Hamming distance",
         claimed="d_H(C_U) == 1", measured=_fmt(d_union), passed=d_union == 1))
 
-    dists = _component_distance_map(union)
+    dists = dict(component_min_distances(union))
     d0 = dists[0]
     bound = m - l + 1
     others_ok = all(d0 <= d for d in dists.values())
@@ -240,7 +264,7 @@ def _verify_mv(spec: MVSpec, union: UnionCode):
     polynomial_basis = (spec.field.polynomial_basis and
                         (spec.layout_name == "uncompressed" or l == 1))
 
-    dists = _component_distance_map(union)
+    dists = dict(component_min_distances(union))
     d0 = dists[0]
     bound7 = m * l - l + 1
     others_ok = all(d0 <= d for d in dists.values())

@@ -134,3 +134,21 @@ MOD_GF8 = (1, 1, 0, 1)          # x^3 + x + 1 over GF(2)
 MOD_GF9 = (2, 1, 1)             # x^2 + x + 2 over GF(3)
 MOD_GF729 = (2, 1, 0, 0, 0, 0, 1)   # x^6 + x + 2 over GF(3)
 MOD_GF625 = (2, 0, 2, 1, 1)     # x^4 + x^3 + 2x^2 + 2 over GF(5), primitive
+
+
+def naive_rref(rows, p):
+    """Nonzero rows of the reduced row echelon form, as a tuple of tuples."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    n_cols = len(rows[0]) if rows else 0
+    for c in range(n_cols):
+        piv = next((i for i, r in enumerate(rows) if r[c]), None)
+        if piv is None:
+            continue
+        row = rows.pop(piv)
+        inv = pow(row[c], -1, p)
+        row = [(x * inv) % p for x in row]
+        rows = [[(x - r[c] * y) % p for x, y in zip(r, row)] for r in rows]
+        out = [[(x - o[c] * y) % p for x, y in zip(o, row)] for o in out]
+        out.append(row)
+    return tuple(tuple(r) for r in out)

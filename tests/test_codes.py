@@ -8,6 +8,7 @@ from twotier.codes import (BlockSpec, GabidulinSpec, KKSpec, MVSpec, PacketLayou
                            message_digit_length, mv_encode, pack_vector)
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
+from twotier.linpoly import LinearizedPoly
 
 import oracles
 
@@ -276,7 +277,7 @@ def test_mv_subfield_membership_row_invariant():
                   alphas=(ctx.gamma_pow(504), ctx.gamma_pow(294)))
     fixed = oracles.subfield_fixed_set(oracles.MOD_GF729, 3, 27)
     for digits in iter_message_digits(spec):
-        poly = spec._poly(digits)
+        poly = LinearizedPoly(tuple(ctx.element([d] + [0] * 5) for d in digits), 3)
         value = spec.alphas[1]
         for _ in range(spec.big_l):
             value = poly.evaluate(value)
