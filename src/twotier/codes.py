@@ -84,8 +84,9 @@ class Codeword:
 class Codebook(tuple):
     """The codewords of one code in message order, as an immutable sequence.
 
-    Tier-2 decoding reads every codeword's rows at once from :attr:`stack`,
-    and the union takes its component dimensions from :attr:`ranks`.
+    Tier-2 decoding ranks every codeword's rows at once with
+    :meth:`batched_rank`, and the union takes its component dimensions from
+    :attr:`ranks`.
     ``build_codebook`` hands over the stack it encoded; otherwise it is
     built on first use. Either way it is kept with the codebook.
     """
@@ -120,12 +121,33 @@ class Codebook(tuple):
         return cw.subspace.p if cw.symbols is None else cw.symbols[0].ctx.p
 
     @functools.cached_property
+    def words(self) -> np.ndarray:
+        """(rows, N, words) read-only int64 array: row i of every codeword
+        packed by ``linalg.pack_keys``, which over GF(2) puts 63 digits in a
+        word. Built on first use, for the bit-packed tier-2 kernel."""
+        # packed per chunk of codewords: pack_keys widens its digits to int64
+        rows = self.stack.transpose(1, 0, 2)
+        words = np.concatenate([linalg.pack_keys(rows[:, start:start + linalg.RANK_CHUNK], self.p)
+                                for start in range(0, len(self), linalg.RANK_CHUNK)], axis=1)
+        words.flags.writeable = False
+        return words
+
+    @functools.cached_property
     def ranks(self) -> np.ndarray:
         """GF(p) rank of each codeword's rows."""
         if all(cw.subspace is not None for cw in self):
             # the stack admits only independent subspace rows
             return np.full(len(self), self.stack.shape[1])
-        return linalg.batched_rank(self.stack, self.p)
+        return self.batched_rank()
+
+    def batched_rank(self, positions=None, offset=None, basis=None) -> np.ndarray:
+        """``linalg.batched_rank`` of every codeword's rows, or of its rows at
+        `positions` only; over GF(2) by ``linalg.packed_rank`` on :attr:`words`."""
+        if self.p == 2:
+            words = self.words if positions is None else self.words[positions]
+            return linalg.packed_rank(words, offset, basis)
+        stack = self.stack if positions is None else self.stack[:, positions, :]
+        return linalg.batched_rank(stack, self.p, offset, basis)
 
 
 def component_matrix(codeword: Codeword) -> tuple:

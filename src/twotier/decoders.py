@@ -110,8 +110,11 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 
 # ---------------------------------------------------------------- tier 2
 #
-# Both lanes compute every codeword's distance in one linalg.batched_rank
-# call over the codebook's row stack.
+# Both lanes compute every codeword's distance in one Codebook.batched_rank
+# call, which picks the kernel from p: over GF(2), linalg.packed_rank XORs
+# the codebook's bit-packed rows (Codebook.words, one int64 word per 63
+# digits, packed on first use); otherwise linalg.batched_rank reduces its
+# int16 row stack mod p. Both work in chunks of linalg.RANK_CHUNK codewords.
 
 def _codebook(codebook, kind: str) -> Codebook:
     """The codebook as a Codebook, whose row stack is then built only once."""
@@ -145,7 +148,7 @@ def _subspace_distances(packets, codebook, metric: str):
     # dim(U∩V) = a + b - dim(U+V) = b - r.
     a = len(received[1])
     b = codebook.stack.shape[1]
-    r = linalg.batched_rank(codebook.stack, p, basis=received)
+    r = codebook.batched_rank(basis=received)
     if metric == "injection":
         return r + (max(a, b) - b)      # max(a, b) - dim(U∩V)
     return 2 * r + (a - b)              # dim(U+V) - dim(U∩V)
@@ -201,7 +204,7 @@ def _rank_distances(word, codebook, positions):
     # are the differences of the coordinate rows, in any basis
     received = [word[i].to_vector() for i in positions]
     _check_packets(received, ctx.p, ctx.n)
-    return linalg.batched_rank(codebook.stack[:, positions, :], ctx.p, offset=received)
+    return codebook.batched_rank(positions, offset=received)
 
 
 def tier2_rank_decode(word, codebook, positions=None, list_radius: int | None = None) -> DecodeResult:

@@ -9,8 +9,9 @@ import functools
 
 import numpy as np
 
-# Matrices per elimination block in batched_rank. It bounds the kernel's
-# temporaries to a few int16 copies of one block, whatever the stack size.
+# Matrices per elimination block in batched_rank and packed_rank. It bounds
+# the kernels' temporaries to a few copies of one block, whatever the stack
+# size.
 RANK_CHUNK = 4096
 
 
@@ -85,6 +86,60 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
     return ranks
 
 
+def packed_rank(words, offset=None, basis=None) -> np.ndarray:
+    """``batched_rank`` over GF(2) of N matrices whose rows are bit-packed.
+
+    `words` is a (rows, N, words) int64 array: row i of matrix n is
+    ``pack_keys(row, 2)``, 63 digits to a word, low first, so that adding
+    two rows is an XOR of their words. `offset` and `basis` are digit
+    arrays as in ``batched_rank``. Returns an int64 array of N ranks.
+    """
+    words = np.asarray(words)
+    ranks = np.empty(words.shape[1], dtype=np.int64)
+    if offset is not None:
+        offset = pack_keys(np.asarray(offset, dtype=np.int64), 2)[:, None, :]
+    red, pivots = ((), ()) if basis is None else basis
+    if pivots:
+        red = pack_keys(np.asarray(red, dtype=np.int64), 2)
+    per = len(_word_radix(2))
+    for start in range(0, words.shape[1], RANK_CHUNK):
+        block = words[:, start:start + RANK_CHUNK]
+        block = block ^ offset if offset is not None else block.copy()
+        # as in batched_rank, row k of the RREF clears its own pivot column:
+        # shifting the pivot bit into the sign bit and back spreads it into
+        # an all-ones mask where it is set
+        for k, col in enumerate(pivots):
+            word, bit = divmod(col, per)
+            block ^= red[k] & ((block[:, :, word, None] << (63 - bit)) >> 63)
+        ranks[start:start + block.shape[1]] = _eliminate_bits(block)
+    return ranks
+
+
+def _eliminate_bits(block) -> np.ndarray:
+    """Ranks of a (rows, n, words) block of n bit-packed GF(2) matrices;
+    overwrites the block.
+
+    As in ``_eliminate``, but a row's lead is the lowest set bit of its
+    first nonzero word, kept as a one-bit mask over the row's words, and
+    every lead is 1, so no row is normalised.
+    """
+    rows = len(block)
+    lead = []
+    rank = np.zeros(block.shape[1], dtype=np.int64)
+    for i in range(rows):
+        x = block[i]
+        for j in range(i):
+            x ^= block[j] * (x & lead[j]).any(axis=1, keepdims=True)
+        nonzero = x != 0
+        rank += nonzero.any(axis=1)
+        if i + 1 < rows:
+            lead.append(x & -x)
+            for w in range(1, x.shape[1]):
+                # only the first nonzero word keeps its lowest bit
+                lead[i][:, w:] *= ~nonzero[:, w - 1:w]
+    return rank
+
+
 @functools.cache
 def _inverses(p: int) -> np.ndarray:
     """inverse[x] is x^-1 in GF(p), and inverse[0] = 0 (shared: read-only)."""
@@ -139,7 +194,9 @@ def batched_rref(stack, p: int):
         lead.append((x != 0).argmax(axis=1))
         pivot = x[at, lead[i]]
         found.append(pivot != 0)
-        x = _mod(x * inverse[pivot][:, None], p)
+        if p != 2:
+            # over GF(2) every pivot is already 1, or the row is zero
+            x = _mod(x * inverse[pivot][:, None], p)
         for j in range(i):
             block[j] = _mod(block[j] - block[j][at, lead[i]][:, None] * x, p)
         block[i] = x

@@ -69,16 +69,22 @@ class UnionCode:
         wanted = set(indices)
         if not wanted:
             raise ValueError("cannot restrict to an empty component list")
-        known = {c.index for c in self.components}
-        if not wanted <= known:
-            raise ValueError(f"unknown component indices {sorted(wanted - known)}")
+        unknown = wanted - self._positions.keys()
+        if unknown:
+            raise ValueError(f"unknown component indices {sorted(unknown)}")
         provenance = {}
         for vector, owners in self.provenance.items():
             kept = owners & wanted
             if kept:
                 provenance[vector] = kept
-        components = tuple(c for c in self.components if c.index in wanted)
+        order = sorted(map(self._positions.__getitem__, wanted))
+        components = tuple(self.components[i] for i in order)
         return UnionCode(provenance, components, self.ambient_len, self.p)
+
+    @functools.cached_property
+    def _positions(self) -> dict:
+        """Component index -> position in :attr:`components`."""
+        return {c.index: i for i, c in enumerate(self.components)}
 
 
 def build_union(codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:

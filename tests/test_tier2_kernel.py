@@ -1,14 +1,18 @@
-"""The batched tier-2 kernel against per-codeword reference scans.
+"""The batched tier-2 kernels against per-codeword reference scans.
 
-Tier 2 computes every codeword's distance in one ``linalg.batched_rank``
-call. These properties rebuild each distance one codeword at a time with
-``metrics.injection_distance``, ``subspace_distance`` and ``rank_distance``,
-pick from them as a plain sorted scan would, and require the same
-``DecodeResult`` on every shipped fixture, with the kernel's chunk size at
-its default and small enough to split each codebook.
+Tier 2 computes every codeword's distance in one ``Codebook.batched_rank``
+call: ``linalg.packed_rank`` on bit-packed rows over GF(2), and
+``linalg.batched_rank`` on int16 digits otherwise. These properties rebuild
+each distance one codeword at a time with ``metrics.injection_distance``,
+``subspace_distance`` and ``rank_distance``, pick from them as a plain
+sorted scan would, and require the same ``DecodeResult`` on every shipped
+fixture, with the kernel's chunk size at its default and small enough to
+split each codebook. The packed kernel is also checked against
+``oracles.naive_rank`` and the int16 kernel at every word boundary.
 """
 
 import functools
+import random
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from twotier.metrics import Subspace, injection_distance, rank_distance, subspac
 import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 SUBSPACE_FIXTURES = ("kk_example", "mv1", "mv2_uncompressed", "mv2_compressed")
 CHUNKS = (linalg.RANK_CHUNK, 1, 3)
 REFERENCE = {"injection": injection_distance, "subspace": subspace_distance}
@@ -35,8 +40,8 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 
 @functools.cache
-def fixture_codebook(name):
-    _, _, codebook, _ = load_config(CONFIGS / f"{name}.json").build_all()
+def fixture_codebook(name, where=CONFIGS):
+    _, _, codebook, _ = load_config(where / f"{name}.json").build_all()
     return codebook
 
 
@@ -192,3 +197,144 @@ def test_codebook_stack_is_built_once_and_kept():
     assert stack.shape == (8, 2, 6) and stack.dtype == np.int8
     assert codebook.stack is stack
     assert [tuple(map(tuple, m)) for m in stack.tolist()] == [cw.rows for cw in codebook]
+
+
+# ---------------------------------------------------------------- bit-packed GF(2) kernel
+
+# one word holds 63 digits, so these widths put rows on both sides of
+# every word boundary up to three words
+PACKED_WIDTHS = (1, 62, 63, 64, 126, 127, 130)
+
+
+@st.composite
+def gf2_rows(draw, count, width, earlier=()):
+    """`count` GF(2) rows: random or sparse at the word edges, zero below a
+    drawn word (so that rows share bits there and leads fall in later
+    words), zero, or the sum of rows drawn before (so that ranks drop)."""
+    edges = {0, 1, 61, 62, 63, 64, 125, 126, 127, 128, width - 1}
+    rows = []
+    for _ in range(count):
+        pool = list(earlier) + rows
+        kind = draw(st.sampled_from(("random", "zero", "sparse", "sum") if pool
+                                    else ("random", "zero", "sparse")))
+        low = 63 * draw(st.integers(0, (width - 1) // 63))
+        if kind == "random":
+            row = [0] * low + draw(st.lists(st.integers(0, 1), min_size=width - low,
+                                            max_size=width - low))
+        elif kind == "zero":
+            row = [0] * width
+        elif kind == "sparse":
+            ones = draw(st.sets(st.sampled_from(sorted(c for c in edges if low <= c < width)),
+                                min_size=1, max_size=3))
+            row = [int(c in ones) for c in range(width)]
+        else:
+            picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            row = [sum(col) % 2 for col in zip(*picked)]
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@SETTINGS
+@given(data=st.data())
+def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
+    width = data.draw(st.sampled_from(PACKED_WIDTHS))
+    rows = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 7))
+    first = data.draw(gf2_rows(rows, width))
+    stack = [first] + [data.draw(gf2_rows(rows, width, first)) for _ in range(count - 1)]
+    positions = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows,
+                            unique=True).map(sorted)))
+    kept = range(rows) if positions is None else positions
+    offset = data.draw(st.one_of(st.none(), gf2_rows(len(kept), width, first)))
+    basis_rows = data.draw(gf2_rows(data.draw(st.integers(0, 4)), width, first))
+    basis = linalg.rref(basis_rows, 2) if basis_rows else None
+
+    arr = np.array(stack, dtype=np.int8)
+    words = linalg.pack_keys(arr.transpose(1, 0, 2), 2)
+    assert words.shape == (rows, count, -(-width // 63))
+    picked = words if positions is None else words[positions]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "RANK_CHUNK", chunk)
+        packed = linalg.packed_rank(picked, offset, basis)
+        int16 = linalg.batched_rank(arr[:, list(kept), :], 2, offset, basis)
+    a = oracles.naive_rank(basis_rows, 2)
+    expected = []
+    for m in stack:
+        sub = [m[i] for i in kept]
+        if offset is not None:
+            sub = [tuple(o ^ x for o, x in zip(orow, mrow)) for orow, mrow in zip(offset, sub)]
+        expected.append(oracles.naive_rank(basis_rows + sub, 2) - a)
+    assert packed.tolist() == expected
+    assert int16.tolist() == expected
+
+
+@pytest.mark.parametrize("width, ones, rank", [
+    (64, [{63}, {63}], 1),                       # lead in the second word
+    (64, [{0, 63}, {63}, {0}], 2),               # leads on both sides of a word edge
+    (130, [{0, 126}, {63, 126}, {0, 63}], 2),
+    (130, [{129}, {126, 129}, {126}, {62, 63}], 3),
+])
+def test_packed_rank_across_word_edges(width, ones, rank):
+    """Hand-picked matrices whose row sums only cancel when every lead is a
+    single bit in the first nonzero word."""
+    matrix = [[int(c in row) for c in range(width)] for row in ones]
+    words = linalg.pack_keys(np.array([matrix], dtype=np.int8).transpose(1, 0, 2), 2)
+    assert oracles.naive_rank(matrix, 2) == rank
+    assert linalg.packed_rank(words).tolist() == [rank]
+
+
+def test_codebook_words_are_built_once_and_read_only():
+    codebook = Codebook(list(fixture_codebook("kk_example")))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "pack_keys",
+                   lambda *args, pack=linalg.pack_keys: calls.append(1) or pack(*args))
+        words = codebook.words
+        assert codebook.words is words
+    assert len(calls) == 1
+    assert words.shape == (2, 8, 1) and words.dtype == np.int64
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0, 0, 0] = 1
+    assert linalg.unpack_keys(words, 2, 6).transpose(1, 0, 2).tolist() == codebook.stack.tolist()
+
+
+def test_gf2_gabidulin_ranks_are_unchanged():
+    books = [book for book in rank_codebooks() if book.p == 2]
+    books.append(fixture_codebook("gab-gf64", BENCH_CONFIGS))
+    for book in books:
+        fresh = Codebook(list(book))
+        assert fresh.ranks.tolist() == [oracles.naive_rank(cw.rows, 2) for cw in book]
+        assert fresh.ranks.tolist() == linalg.batched_rank(book.stack, 2).tolist()
+
+
+def test_packed_and_int16_kernels_agree_on_benchmark_codes():
+    """Seeded requests in the shape the benchmark sends: a few combinations
+    of a codeword's rows with single-digit errors, and Gabidulin rows with a
+    rank-1 error on a subset of positions."""
+    rng = random.Random(2024)
+    kk = fixture_codebook("kk-gf128", BENCH_CONFIGS)
+    width = kk.stack.shape[2]
+    for _ in range(12):
+        rows = kk[rng.randrange(len(kk))].rows
+        packets = [[sum(rng.randrange(2) * r[c] for r in rows) % 2 for c in range(width)]
+                   for _ in range(len(rows) + 2)]
+        for pkt in packets:
+            if rng.random() < 0.3:
+                pkt[rng.randrange(width)] ^= 1
+        received = linalg.rref(packets, 2)
+        assert kk.batched_rank(basis=received).tolist() == \
+            linalg.batched_rank(kk.stack, 2, basis=received).tolist()
+    gab = fixture_codebook("gab-gf64", BENCH_CONFIGS)
+    n, m = gab.stack.shape[1:]
+    for _ in range(12):
+        sent = gab[rng.randrange(len(gab))].rows
+        error = [rng.randrange(2) for _ in range(m)]
+        word = [tuple(d ^ (e & mask) for d, e in zip(row, error))
+                for row, mask in zip(sent, [rng.randrange(2) for _ in range(n)])]
+        positions = sorted(rng.sample(range(n), rng.randint(1, n)))
+        received = [word[i] for i in positions]
+        assert gab.batched_rank(positions, offset=received).tolist() == \
+            linalg.batched_rank(gab.stack[:, positions, :], 2, offset=received).tolist()

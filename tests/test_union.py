@@ -6,7 +6,7 @@ import pytest
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
-from twotier.union import (build_union, component_min_distances,
+from twotier.union import (UnionCode, build_union, component_min_distances,
                            component_vectors, verify_lemmas)
 
 import oracles
@@ -146,6 +146,29 @@ def test_restrict_validation():
         uni.restrict(set())
     with pytest.raises(ValueError):
         uni.restrict({99})
+
+
+def test_restrict_an_already_restricted_union():
+    spec, cb, uni = kk_union()
+    first = uni.restrict({6, 1, 4, 3})
+    twice = first.restrict([4, 1, 4])
+    direct = uni.restrict({1, 4})
+    assert twice.provenance == direct.provenance
+    assert list(twice.provenance) == list(direct.provenance)
+    assert twice.components == direct.components == (uni.components[1], uni.components[4])
+    # components dropped by the first restriction are unknown to the second
+    with pytest.raises(ValueError, match=r"unknown component indices \[0, 5\]"):
+        first.restrict({0, 3, 5})
+    with pytest.raises(ValueError, match="cannot restrict to an empty component list"):
+        first.restrict(())
+
+
+def test_restrict_keeps_component_order():
+    spec, cb, uni = kk_union()
+    shuffled = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    kept = shuffled.restrict({2, 7, 5})
+    assert [c.index for c in kept.components] == [7, 5, 2]
+    assert [c.index for c in kept.restrict({2, 7}).components] == [7, 2]
 
 
 # ---------------------------------------------------------------- lemma checks
