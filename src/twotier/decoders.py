@@ -11,7 +11,7 @@ union restricted to the listed components, whose minimum distance is never
 smaller.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,6 +224,14 @@ class TwoTierResult:
 FAILURE = DecodeResult(chosen=None, metric_value=None, tie=False)
 
 
+def _audit(result: DecodeResult | None):
+    """The result's fields as a report dict (the list tuple is immutable, so shared)."""
+    if result is None:
+        return None
+    return {"chosen": result.chosen, "metric_value": result.metric_value,
+            "tie": result.tie, "list": result.list}
+
+
 def _run_tier1(packets, union, options: DecodeOptions):
     radius = options.radius
     if radius is None:
@@ -255,7 +263,7 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
 
     first = _tier2_pass(packets, verdicts, codebook, options,
                         list_radius=options.list_radius)
-    audit["first_pass"] = asdict(first) if first is not None else None
+    audit["first_pass"] = _audit(first)
     if first is None:
         first = FAILURE
 
@@ -277,11 +285,11 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
             second = _tier2_pass(packets, verdicts, codebook, fb_options, list_radius=None)
             feedback["restricted_min_distance"] = restricted.min_distance()
             feedback["tier1_radius"] = radius
-            feedback["second_pass"] = asdict(second) if second is not None else None
+            feedback["second_pass"] = _audit(second)
             final = second if second is not None else FAILURE
         audit["feedback"] = feedback
 
-    audit["final"] = asdict(final)
+    audit["final"] = _audit(final)
     return TwoTierResult(result=final, verdicts=verdicts, audit=audit)
 
 

@@ -4,9 +4,13 @@ Every random draw comes from a named stream derived from
 (base seed, trial, attempt, edge-or-node, purpose) via SHA-256, so a
 report is a pure function of (config, seed). Channel corruption and
 mixing use disjoint streams and never depend on the decoding strategy,
-which makes per-trial comparisons between strategies paired.
+which makes per-trial comparisons between strategies paired. An experiment
+therefore runs trial by trial, and the strategies of one trial share its
+draws and, where intermediate nodes treat packets alike, its network pass
+(:class:`TrialDraws`).
 """
 
+import functools
 import graphlib
 import hashlib
 import random
@@ -83,18 +87,31 @@ class Topology:
     def source(self) -> str:
         return next(n for n, r in self.nodes if r == SOURCE)
 
-    @property
+    # The simulator reads these on every node visit; they are built on
+    # first use, so loading a topology costs no more.
+    @functools.cached_property
     def sinks(self):
         return tuple(n for n, r in self.nodes if r == SINK)
 
+    @functools.cached_property
+    def _roles(self) -> dict:
+        return dict(self.nodes)
+
     def role(self, node: str) -> str:
-        return dict(self.nodes)[node]
+        return self._roles[node]
 
     def topo_order(self):
         return self._topo_order
 
+    @functools.cached_property
+    def _out_edges(self) -> dict:
+        out = {n: [] for n, _ in self.nodes}
+        for u, v in self.edges:
+            out[u].append((u, v))
+        return {n: tuple(edges) for n, edges in out.items()}
+
     def out_edges(self, node: str):
-        return tuple((u, v) for u, v in self.edges if u == node)
+        return self._out_edges.get(node, ())
 
 
 @dataclass(frozen=True)
@@ -158,39 +175,102 @@ class TrialOutcome:
     deliveries: dict
 
 
-def _corrupt(pkt, model: ErrorModel, rng: random.Random, p: int):
+def _corruption(model: ErrorModel, rng: random.Random, p: int, n: int):
+    """The (position, offset) pairs a channel adds to a length-n packet, or None.
+
+    The draws never read the packet, so one edge's pattern serves every
+    strategy's packet on that edge.
+    """
     if model.corrupt_packet_prob == 0.0 or rng.random() >= model.corrupt_packet_prob:
+        return None
+    if model.fixed_flips is not None:
+        if model.fixed_flips > n:
+            raise ValueError("fixed_flips exceeds the packet length")
+        positions = rng.sample(range(n), model.fixed_flips)
+    else:
+        positions = [i for i in range(n) if rng.random() < model.bit_flip_prob]
+    return tuple((i, 1 if p == 2 else rng.randrange(1, p)) for i in positions)
+
+
+def _corrupt(pkt, flips, p: int):
+    if flips is None:
         return pkt
     pkt = list(pkt)
-    if model.fixed_flips is not None:
-        if model.fixed_flips > len(pkt):
-            raise ValueError("fixed_flips exceeds the packet length")
-        positions = rng.sample(range(len(pkt)), model.fixed_flips)
-    else:
-        positions = [i for i in range(len(pkt)) if rng.random() < model.bit_flip_prob]
-    for i in positions:
-        offset = 1 if p == 2 else rng.randrange(1, p)
+    for i, offset in flips:
         pkt[i] = (pkt[i] + offset) % p
     return tuple(pkt)
 
 
-def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
-              strategy: str, base_seed: int, trial: int, *,
-              node_filter_mode: str = DETECT_ONLY,
-              retry_full_rank: bool = False, max_attempts: int = 20) -> TrialOutcome:
-    """One multicast: inject the codeword basis, mix, corrupt, decode at sinks."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if error_model.injection_node is not None and \
-            error_model.injection_node not in dict(topology.nodes):
-        raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
-    message = tuple(message)
-    index = setup.by_message.get(message)
-    if index is None:
-        raise ValueError(f"message {message} is not in the codebook")
-    rows = [tuple(r) for r in setup.codebook[index].rows]
+@dataclass
+class _Network:
+    buffers: dict
+    filtered_drops: int
+    attempts: int
+    rank_deficient: bool
+    deliveries: dict
+
+
+class TrialDraws:
+    """One trial's random draws and network passes, shared by every strategy.
+
+    No draw depends on the strategy: injected packets are made per
+    (attempt, node); a node that forwards k packets over an edge reads the
+    first k draws of that edge's mix stream, which a filtering node with a
+    shorter buffer shares as a prefix; the corruption pattern of an edge
+    does not read the packet. The network itself depends on the strategy
+    only through whether intermediate nodes filter, so ``networks`` holds
+    at most two passes. One instance serves one trial of one experiment.
+    """
+
+    def __init__(self, base_seed: int, trial: int, p: int, n: int):
+        self.base_seed = base_seed
+        self.trial = trial
+        self.p = p
+        self.n = n
+        self.networks = {}      # intermediate nodes filter -> _Network
+        self._inject = {}
+        self._mix = {}
+        self._chan = {}
+
+    def injected(self, attempt: int, node: str, count: int):
+        key = (attempt, node)
+        if key not in self._inject:
+            rng = stream(self.base_seed, self.trial, attempt, node, "inject")
+            self._inject[key] = [tuple(rng.randrange(self.p) for _ in range(self.n))
+                                 for _ in range(count)]
+        return self._inject[key]
+
+    def coefficients(self, attempt: int, edge: str, k: int):
+        """The first k draws of the edge's mix stream."""
+        key = (attempt, edge)
+        entry = self._mix.get(key)
+        if entry is None:
+            entry = self._mix[key] = (stream(self.base_seed, self.trial, attempt, edge, "mix"), [])
+        rng, coeffs = entry
+        while len(coeffs) < k:
+            coeffs.append(rng.randrange(self.p))
+        return coeffs[:k]
+
+    def corruption(self, attempt: int, edge: str, model: ErrorModel):
+        key = (attempt, edge)
+        if key not in self._chan:
+            rng = stream(self.base_seed, self.trial, attempt, edge, "chan")
+            self._chan[key] = _corruption(model, rng, self.p, self.n)
+        return self._chan[key]
+
+
+def _network(topology: Topology, setup: CodeSetup, rows, error_model: ErrorModel,
+             draws: TrialDraws, filtering: bool, node_filter_mode: str,
+             retry_full_rank: bool, max_attempts: int) -> _Network:
+    """Inject the codeword basis, mix, corrupt; retry rank-deficient clean runs."""
     p = setup.p
     zero_packet = (0,) * setup.ambient_len
+    radius = 0
+    if filtering and node_filter_mode != DETECT_ONLY and \
+            INTERMEDIATE in topology._roles.values():
+        radius = setup.options.radius
+        if radius is None:
+            radius = default_radius(setup.union.min_distance())
 
     attempts = 0
     rank_deficient = False
@@ -203,16 +283,8 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
         for node in topology.topo_order():
             buf = buffers.get(node, [])
             if error_model.injected_packets and error_model.injection_node == node:
-                rng = stream(base_seed, trial, attempt, node, "inject")
-                for _ in range(error_model.injected_packets):
-                    buf.append(tuple(rng.randrange(p) for _ in range(setup.ambient_len)))
-            if strategy == TWO_TIER_FILTER and topology.role(node) == INTERMEDIATE:
-                if node_filter_mode == DETECT_ONLY:
-                    radius = 0
-                elif setup.options.radius is not None:
-                    radius = setup.options.radius
-                else:
-                    radius = default_radius(setup.union.min_distance())
+                buf.extend(draws.injected(attempt, node, error_model.injected_packets))
+            if filtering and topology.role(node) == INTERMEDIATE:
                 kept = []
                 for pkt in buf:
                     verdict = tier1_decode(pkt, setup.union, radius, node_filter_mode)
@@ -222,15 +294,14 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
                         filtered_drops += 1
                 buf = kept
             for edge in topology.out_edges(node):
-                rng_mix = stream(base_seed, trial, attempt, f"{edge[0]}->{edge[1]}", "mix")
+                name = f"{edge[0]}->{edge[1]}"
+                coeffs = draws.coefficients(attempt, name, len(buf))
                 if buf:
-                    coeffs = [rng_mix.randrange(p) for _ in buf]
-                    pkt = tuple(sum(c * row[i] for c, row in zip(coeffs, buf)) % p
-                                for i in range(setup.ambient_len))
+                    pkt = tuple(sum(col) % p for col in
+                                zip(*[[c * x for x in row] for c, row in zip(coeffs, buf)]))
                 else:
                     pkt = zero_packet
-                rng_chan = stream(base_seed, trial, attempt, f"{edge[0]}->{edge[1]}", "chan")
-                pkt = _corrupt(pkt, error_model, rng_chan, p)
+                pkt = _corrupt(pkt, draws.corruption(attempt, name, error_model), p)
                 buffers.setdefault(edge[1], []).append(pkt)
             if node in topology.sinks:
                 deliveries[node] = len(buffers.get(node, []))
@@ -245,12 +316,43 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
         rank_deficient = True
         if attempts >= max_attempts:
             break
+    return _Network(buffers, filtered_drops, attempts, rank_deficient, deliveries)
+
+
+def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
+              strategy: str, base_seed: int, trial: int, *,
+              node_filter_mode: str = DETECT_ONLY,
+              retry_full_rank: bool = False, max_attempts: int = 20,
+              draws: TrialDraws | None = None) -> TrialOutcome:
+    """One multicast: inject the codeword basis, mix, corrupt, decode at sinks.
+
+    `draws` carries this trial's draws and network passes from the other
+    strategies of a paired experiment; without it the trial makes its own.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if error_model.injection_node is not None and \
+            error_model.injection_node not in topology._roles:
+        raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
+    message = tuple(message)
+    index = setup.by_message.get(message)
+    if index is None:
+        raise ValueError(f"message {message} is not in the codebook")
+    if draws is None:
+        draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
+    filtering = strategy == TWO_TIER_FILTER
+    net = draws.networks.get(filtering)
+    if net is None:
+        rows = [tuple(r) for r in setup.codebook[index].rows]
+        net = draws.networks[filtering] = _network(
+            topology, setup, rows, error_model, draws, filtering, node_filter_mode,
+            retry_full_rank, max_attempts)
 
     sink_success = {}
     verdict_counts = {VALID: 0, CORRECTED: 0, "erased": 0, "rejected": 0}
     metric_values = []
     for sink in topology.sinks:
-        packets = buffers.get(sink, [])
+        packets = net.buffers.get(sink, [])
         if not packets:
             sink_success[sink] = False
             continue
@@ -270,10 +372,10 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
         sink_success=sink_success,
         verdict_counts=verdict_counts,
         metric_values=metric_values,
-        filtered_drops=filtered_drops,
-        rank_deficient=rank_deficient,
-        attempts=attempts,
-        deliveries=deliveries,
+        filtered_drops=net.filtered_drops,
+        rank_deficient=net.rank_deficient,
+        attempts=net.attempts,
+        deliveries=dict(net.deliveries),
     )
 
 
@@ -291,40 +393,34 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
 
-    messages = []
+    strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
+    per_strategy = {s: {"trials": trials, "successes": 0, "success_by_trial": [],
+                        "tier1_verdicts": {VALID: 0, CORRECTED: 0, "erased": 0, "rejected": 0},
+                        "mean_tier2_metric": None, "filtered_drops": 0,
+                        "rank_deficient_trials": 0}
+                    for s in strategies}
+    metric_values = {s: [] for s in strategies}
     for trial in range(trials):
         rng = stream(base_seed, trial, "message")
-        messages.append(setup.codebook[rng.randrange(len(setup.codebook))].message)
-
-    per_strategy = {}
-    for strategy in strategies:
-        success_by_trial = []
-        verdict_counts = {VALID: 0, CORRECTED: 0, "erased": 0, "rejected": 0}
-        metric_sum = 0
-        metric_count = 0
-        filtered_drops = 0
-        rank_deficient_trials = 0
-        for trial in range(trials):
-            outcome = run_trial(topology, setup, messages[trial], error_model,
+        message = setup.codebook[rng.randrange(len(setup.codebook))].message
+        draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
+        for strategy in strategies:
+            outcome = run_trial(topology, setup, message, error_model,
                                 strategy, base_seed, trial,
                                 node_filter_mode=node_filter_mode,
-                                retry_full_rank=retry_full_rank)
-            success_by_trial.append(1 if outcome.success else 0)
+                                retry_full_rank=retry_full_rank, draws=draws)
+            stats = per_strategy[strategy]
+            stats["success_by_trial"].append(1 if outcome.success else 0)
             for k, v in outcome.verdict_counts.items():
-                verdict_counts[k] += v
-            metric_sum += sum(outcome.metric_values)
-            metric_count += len(outcome.metric_values)
-            filtered_drops += outcome.filtered_drops
-            rank_deficient_trials += 1 if outcome.rank_deficient else 0
-        per_strategy[strategy] = {
-            "trials": trials,
-            "successes": sum(success_by_trial),
-            "success_by_trial": success_by_trial,
-            "tier1_verdicts": verdict_counts,
-            "mean_tier2_metric": (metric_sum / metric_count) if metric_count else None,
-            "filtered_drops": filtered_drops,
-            "rank_deficient_trials": rank_deficient_trials,
-        }
+                stats["tier1_verdicts"][k] += v
+            metric_values[strategy] += outcome.metric_values
+            stats["filtered_drops"] += outcome.filtered_drops
+            stats["rank_deficient_trials"] += 1 if outcome.rank_deficient else 0
+
+    for strategy, stats in per_strategy.items():
+        stats["successes"] = sum(stats["success_by_trial"])
+        if metric_values[strategy]:
+            stats["mean_tier2_metric"] = sum(metric_values[strategy]) / len(metric_values[strategy])
 
     return {
         "seeds": {"base": base_seed, "derivation": SEED_DERIVATION},

@@ -54,7 +54,11 @@ class UnionCode:
         if self.cardinality < 2:
             raise ValueError("degenerate union: fewer than two valid packets")
         if self._min_distance is None:
-            self._min_distance = metrics.min_distance(self.vectors, self.p)
+            if len(self.components) == 1:
+                # the vectors are then one component's span, a linear code
+                self._min_distance = metrics.min_weight(self.vectors)
+            else:
+                self._min_distance = metrics.min_distance(self.vectors, self.p)
         return self._min_distance
 
     def as_matrix(self):

@@ -3,10 +3,13 @@
 Nothing here imports the package under test: polynomial arithmetic is done
 directly on coefficient lists, ranks by plain-python elimination, distances
 by literal pairwise scans. Expected values in the tests are computed (or
-were frozen) from these.
+were frozen) from these. The simulator reference at the end is the one
+exception: it calls the package's decoders (see there).
 """
 
+import hashlib
 import itertools
+import random
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -152,3 +155,174 @@ def naive_rref(rows, p):
         out = [[(x - o[c] * y) % p for x, y in zip(o, row)] for o in out]
         out.append(row)
     return tuple(tuple(r) for r in out)
+
+
+# ---------------------------------------------------------------- simulator
+#
+# The strategy-major simulator that the trial-major one replaced: each
+# strategy runs every trial with freshly derived streams and its own
+# network pass. Streams and ranks are rebuilt here; the objects it takes
+# (topology, code set-up, error model) and the decoders it calls are the
+# package's, since what it checks is which draws each strategy sees.
+
+def sim_stream(base_seed, *parts):
+    """sha256(base|part|...) -> 64-bit seed of a random.Random."""
+    tag = f"{base_seed}|" + "|".join(str(p) for p in parts)
+    digest = hashlib.sha256(tag.encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _reference_corrupt(pkt, model, rng, p):
+    if model.corrupt_packet_prob == 0.0 or rng.random() >= model.corrupt_packet_prob:
+        return pkt
+    pkt = list(pkt)
+    if model.fixed_flips is not None:
+        if model.fixed_flips > len(pkt):
+            raise ValueError("fixed_flips exceeds the packet length")
+        positions = rng.sample(range(len(pkt)), model.fixed_flips)
+    else:
+        positions = [i for i in range(len(pkt)) if rng.random() < model.bit_flip_prob]
+    for i in positions:
+        offset = 1 if p == 2 else rng.randrange(1, p)
+        pkt[i] = (pkt[i] + offset) % p
+    return tuple(pkt)
+
+
+def reference_run_trial(topology, setup, message, error_model, strategy, base_seed, trial,
+                        *, node_filter_mode="detect-only", retry_full_rank=False,
+                        max_attempts=20):
+    """One multicast as (success, sink_success, verdict_counts, metric_values,
+    filtered_drops, rank_deficient, attempts, deliveries)."""
+    from twotier.decoders import (default_radius, tier1_decode, tier2_subspace_decode,
+                                  two_tier_decode)
+
+    roles = dict(topology.nodes)
+    sinks = tuple(n for n, r in topology.nodes if r == "sink")
+    source = next(n for n, r in topology.nodes if r == "source")
+    message = tuple(message)
+    index = next(i for i, cw in enumerate(setup.codebook) if cw.message == message)
+    rows = [tuple(r) for r in setup.codebook[index].rows]
+    p = setup.p
+    zero_packet = (0,) * setup.ambient_len
+
+    attempts = 0
+    rank_deficient = False
+    while True:
+        attempts += 1
+        attempt = attempts - 1
+        buffers = {source: list(rows)}
+        filtered_drops = 0
+        deliveries = {}
+        for node in topology.topo_order():
+            buf = buffers.get(node, [])
+            if error_model.injected_packets and error_model.injection_node == node:
+                rng = sim_stream(base_seed, trial, attempt, node, "inject")
+                for _ in range(error_model.injected_packets):
+                    buf.append(tuple(rng.randrange(p) for _ in range(setup.ambient_len)))
+            if strategy == "two-tier+node-filter" and roles[node] == "intermediate":
+                if node_filter_mode == "detect-only":
+                    radius = 0
+                elif setup.options.radius is not None:
+                    radius = setup.options.radius
+                else:
+                    radius = default_radius(setup.union.min_distance())
+                kept = []
+                for pkt in buf:
+                    verdict = tier1_decode(pkt, setup.union, radius, node_filter_mode)
+                    if verdict.outcome in ("valid", "corrected"):
+                        kept.append(verdict.vector)
+                    else:
+                        filtered_drops += 1
+                buf = kept
+            for u, v in topology.edges:
+                if u != node:
+                    continue
+                rng_mix = sim_stream(base_seed, trial, attempt, f"{u}->{v}", "mix")
+                if buf:
+                    coeffs = [rng_mix.randrange(p) for _ in buf]
+                    pkt = tuple(sum(c * row[i] for c, row in zip(coeffs, buf)) % p
+                                for i in range(setup.ambient_len))
+                else:
+                    pkt = zero_packet
+                rng_chan = sim_stream(base_seed, trial, attempt, f"{u}->{v}", "chan")
+                pkt = _reference_corrupt(pkt, error_model, rng_chan, p)
+                buffers.setdefault(v, []).append(pkt)
+            if node in sinks:
+                deliveries[node] = len(buffers.get(node, []))
+
+        if not retry_full_rank or not error_model.error_free:
+            break
+        if all(naive_rank(buffers.get(s, [zero_packet]), p) >= len(rows) for s in sinks):
+            break
+        rank_deficient = True
+        if attempts >= max_attempts:
+            break
+
+    sink_success = {}
+    verdict_counts = {"valid": 0, "corrected": 0, "erased": 0, "rejected": 0}
+    metric_values = []
+    for sink in sinks:
+        packets = buffers.get(sink, [])
+        if not packets:
+            sink_success[sink] = False
+            continue
+        if strategy == "tier2-only":
+            result = tier2_subspace_decode(packets, setup.codebook, setup.options.metric)
+        else:
+            outcome = two_tier_decode(packets, setup.union, setup.codebook, setup.options)
+            result = outcome.result
+            for v in outcome.verdicts:
+                verdict_counts[v.outcome] += 1
+        if result.metric_value is not None:
+            metric_values.append(result.metric_value)
+        sink_success[sink] = (result.chosen is not None and
+                              setup.codebook[result.chosen].message == message)
+    return (all(sink_success.values()) and bool(sink_success), sink_success, verdict_counts,
+            metric_values, filtered_drops, rank_deficient, attempts, deliveries)
+
+
+def reference_run_experiment(topology, setup, error_model, trials, base_seed, strategies,
+                             *, node_filter_mode="detect-only", retry_full_rank=False,
+                             config_echo=None):
+    """The report of a paired experiment, one strategy after another."""
+    messages = []
+    for trial in range(trials):
+        rng = sim_stream(base_seed, trial, "message")
+        messages.append(setup.codebook[rng.randrange(len(setup.codebook))].message)
+
+    per_strategy = {}
+    for strategy in strategies:
+        success_by_trial = []
+        verdict_counts = {"valid": 0, "corrected": 0, "erased": 0, "rejected": 0}
+        metric_sum = 0
+        metric_count = 0
+        filtered_drops = 0
+        rank_deficient_trials = 0
+        for trial in range(trials):
+            (success, _, counts, metric_values, drops, deficient, _, _) = reference_run_trial(
+                topology, setup, messages[trial], error_model, strategy, base_seed, trial,
+                node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
+            success_by_trial.append(1 if success else 0)
+            for k, v in counts.items():
+                verdict_counts[k] += v
+            metric_sum += sum(metric_values)
+            metric_count += len(metric_values)
+            filtered_drops += drops
+            rank_deficient_trials += 1 if deficient else 0
+        per_strategy[strategy] = {
+            "trials": trials,
+            "successes": sum(success_by_trial),
+            "success_by_trial": success_by_trial,
+            "tier1_verdicts": verdict_counts,
+            "mean_tier2_metric": (metric_sum / metric_count) if metric_count else None,
+            "filtered_drops": filtered_drops,
+            "rank_deficient_trials": rank_deficient_trials,
+        }
+
+    return {
+        "seeds": {"base": base_seed,
+                  "derivation": "sha256(base|trial|attempt|edge-or-node|purpose) -> 64-bit stream seed"},
+        "trials": trials,
+        "strategies": per_strategy,
+        "config": config_echo,
+    }

@@ -5,6 +5,14 @@ encoder and the dictionary-built union that the batched set-up replaced.
 They hold the byte-identical report contract: the lemma checks, the
 distance table, the codebook export and the union dump, whose provenance
 lists every vector with its owning components.
+
+The ``simulate`` snapshots were written by the strategy-major simulator
+(fresh streams per strategy, one network pass per strategy) that the
+trial-major one replaced, and the ``decode`` snapshots by the decoder whose
+audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
+is decoded under ``configs/<config>.json``, or under
+``decode/<config>.json`` for the list-feedback variants, and its report
+is ``decode/<config>.<case>.decode.json``.
 """
 
 from pathlib import Path
@@ -16,6 +24,7 @@ from twotier.cli import main
 ROOT = Path(__file__).resolve().parent
 CONFIGS = sorted((ROOT.parent / "configs").glob("*.json"))
 GOLDEN = ROOT / "golden"
+PACKETS = sorted((GOLDEN / "decode").glob("*.txt"))
 
 
 def run(args, out):
@@ -42,6 +51,28 @@ def test_analyze_distances(config, tmp_path):
 def test_encode_all(config, tmp_path):
     export = run(["encode", "--all", "--config", str(config)], tmp_path / "codebook.csv")
     assert export == (GOLDEN / f"{config.stem}.encode-all.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["config-seed", "seed-7"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate(seed, fmt, tmp_path):
+    args = ["simulate", "--config", str(ROOT.parent / "configs" / "mv1.json"), "--format", fmt]
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    report = run(args, tmp_path / f"report.{fmt}")
+    suffix = "" if seed is None else f"-seed{seed}"
+    assert report == (GOLDEN / f"mv1.simulate{suffix}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("packets", PACKETS, ids=lambda path: path.stem)
+def test_decode(packets, tmp_path):
+    config = packets.name.split(".")[0]
+    path = ROOT.parent / "configs" / f"{config}.json"
+    if not path.is_file():
+        path = GOLDEN / "decode" / f"{config}.json"
+    report = run(["decode", "--config", str(path), "--packets", str(packets)],
+                 tmp_path / "report.json")
+    assert report == packets.with_suffix(".decode.json").read_bytes()
 
 
 def test_every_config_has_snapshots():

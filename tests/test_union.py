@@ -1,15 +1,20 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from twotier import metrics
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
+from twotier.config import load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.union import (UnionCode, build_union, component_min_distances,
                            component_vectors, verify_lemmas)
 
 import oracles
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def gf8():
@@ -138,6 +143,21 @@ def test_restrict_monotone_and_contained():
         assert set(r.vectors) <= set(uni.vectors)
         if r.cardinality >= 2:
             assert r.min_distance() >= uni.min_distance()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_one_component_distance_is_its_min_weight(config):
+    # a one-component union is a linear code: min_distance skips the
+    # closure test and the pairwise scan and takes the minimum weight
+    _, _, codebook, uni = load_config(config).build_all()
+    checked = 0
+    for index in range(len(codebook)):
+        only = uni.restrict({index})
+        if only.cardinality < 2:
+            continue
+        assert only.min_distance() == metrics.min_distance(only.vectors, only.p)
+        checked += 1
+    assert checked >= len(codebook) - 1   # only a zero codeword spans one vector
 
 
 def test_restrict_validation():
