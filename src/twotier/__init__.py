@@ -3,13 +3,12 @@
 __version__ = "0.1.0"
 
 from .codes import (GabidulinSpec, KKSpec, MVSpec, Codeword, PacketLayout,
-                    build_codebook, component_matrix, gabidulin_encode,
-                    kk_encode, mv_encode, pack_vector)
+                    build_codebook, gabidulin_encode, kk_encode, mv_encode, pack_vector)
 from .decoders import (DecodeOptions, DecodeResult, PacketVerdict, TwoTierResult,
                        tier1_decode, tier2_list_decode, tier2_rank_decode,
                        tier2_subspace_decode, two_tier_decode)
 from .errors import BudgetError, ConfigError, ToolkitError
-from .fields import FieldContext, FieldElement, format_element, is_in_subfield, parse_element
+from .fields import FieldContext, FieldElement, format_element, parse_element
 from .linpoly import LinearizedPoly
 from .metrics import (Subspace, hamming_distance, hamming_weight, injection_distance,
                       min_distance, rank_distance, rank_over_base, subspace_distance)

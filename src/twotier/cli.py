@@ -110,10 +110,6 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
-def _layout_name(spec) -> str:
-    return spec.layout.name
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_verify_lemmas(args) -> int:
@@ -129,7 +125,7 @@ def cmd_verify_lemmas(args) -> int:
     report = {
         "version": __version__,
         "config": cfg.echo(),
-        "layout": _layout_name(spec),
+        "layout": spec.layout.name,
         "union": {
             "cardinality": uni.cardinality,
             "ambient_len": uni.ambient_len,
@@ -171,7 +167,7 @@ def cmd_encode(args) -> int:
             "version": __version__,
             "config": cfg.echo(),
             "kind": cw.kind,
-            "layout": _layout_name(spec),
+            "layout": spec.layout.name,
             "message": "".join(str(d) for d in digits),
             "rows": rows,
         }))
@@ -204,7 +200,7 @@ def cmd_decode(args) -> int:
     report = {
         "version": __version__,
         "config": cfg.echo(),
-        "layout": _layout_name(spec),
+        "layout": spec.layout.name,
         "verdicts": [asdict(v) for v in outcome.verdicts],
         "chosen": chosen,
         "chosen_message": (None if chosen is None
@@ -228,7 +224,7 @@ def cmd_simulate(args) -> int:
         params["strategies"], node_filter_mode=params["node_filter_mode"],
         retry_full_rank=params["retry_full_rank"], config_echo=cfg.echo())
     report["version"] = __version__
-    report["layout"] = _layout_name(spec)
+    report["layout"] = spec.layout.name
     if args.format == "csv":
         rows = []
         for name, stats in report["strategies"].items():
@@ -259,7 +255,7 @@ def cmd_analyze_distances(args) -> int:
         _write(args, _json({
             "version": __version__,
             "config": cfg.echo(),
-            "layout": _layout_name(spec),
+            "layout": spec.layout.name,
             "table": [{"code_id": r[0], "component_id": r[1],
                        "distance": (r[2] if isinstance(r[2], int) else "inf"),
                        "cardinality": r[3]} for r in rows],

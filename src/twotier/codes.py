@@ -74,51 +74,75 @@ def pack_vector(entries, layout: PacketLayout, ctx: FieldContext) -> tuple:
 
 @dataclass(frozen=True)
 class Codeword:
+    """One codeword: its message digits and its packed rows over GF(q).
+
+    The subspace and the symbols are computed from the rows when read.
+    """
     kind: str
     message: tuple                 # base-field digit vector of the message
     rows: tuple                    # packed generator rows over GF(q)
-    symbols: tuple | None = None   # Gabidulin symbol sequence over GF(q^m)
-    subspace: Subspace | None = None
+    field: FieldContext = dc_field(compare=False, repr=False)
+
+    @functools.cached_property
+    def subspace(self) -> Subspace | None:
+        """The row space of a subspace codeword; None for Gabidulin."""
+        return Subspace.from_rows(self.rows, self.field.p) if self.kind == SUBSPACE else None
+
+    @functools.cached_property
+    def symbols(self) -> tuple | None:
+        """The Gabidulin symbols over GF(q^m), one per row; None for subspace codes."""
+        return tuple(map(self.field.from_vector, self.rows)) if self.kind == GABIDULIN else None
 
 
-class Codebook(tuple):
-    """The codewords of one code in message order, as an immutable sequence.
+class Codebook:
+    """The codewords of one code in message order, held as one array.
 
+    :attr:`stack` is the read-only (N, rows, width) int8 array of every
+    codeword's packed rows, and the only form the codebook is kept in.
+    Message i has the base-p digits of i, lowest first, so ``codebook[i]``
+    builds its :class:`Codeword` on demand and :meth:`index` is arithmetic.
     Tier-2 decoding ranks every codeword's rows at once with
     :meth:`batched_rank`, and the union takes its component dimensions from
-    :attr:`ranks`.
-    ``build_codebook`` hands over the stack it encoded; otherwise it is
-    built on first use. Either way it is kept with the codebook.
+    :attr:`ranks`. A subspace codebook is checked on construction: every
+    codeword's rows are independent and no two span the same subspace.
     """
 
-    def __new__(cls, codewords=(), stack=None):
-        book = super().__new__(cls, codewords)
-        if stack is not None:
-            book.__dict__["stack"] = stack
-        return book
+    def __init__(self, spec, stack):
+        self.kind = spec.kind
+        self.field = spec.field
+        self.p = spec.q
+        self._length = message_digit_length(spec)
+        self.stack = stack.view()
+        self.stack.flags.writeable = False
+        if self.kind == SUBSPACE:
+            _check_subspaces(self)
 
-    @functools.cached_property
-    def kind(self) -> str | None:
-        """The kind every codeword shares; None for an empty or mixed codebook."""
-        kinds = {cw.kind for cw in self}
-        return kinds.pop() if len(kinds) == 1 else None
+    def __len__(self) -> int:
+        return len(self.stack)
 
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        """(N, rows, width) int8 array of the codewords' packed rows.
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]     # IndexError past either end
+        p = self.p
+        return Codeword(self.kind, tuple(index // p ** i % p for i in range(self._length)),
+                        tuple(map(tuple, self.stack[index].tolist())), self.field)
 
-        Subspace codewords must have independent rows, so that each one's
-        dimension is the row count.
-        """
-        if any(cw.subspace is not None and cw.subspace.dim != len(cw.rows) for cw in self):
-            raise ValueError("codeword rows are linearly dependent")
-        return np.array([cw.rows for cw in self], dtype=np.int8)
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
-    @property
-    def p(self) -> int:
-        """The prime base of the packet digits."""
-        cw = self[0]
-        return cw.subspace.p if cw.symbols is None else cw.symbols[0].ctx.p
+    def messages(self) -> np.ndarray:
+        """(N, length) digits of every codeword's message."""
+        return _message_block(self.p, self._length, 0, len(self))
+
+    def index(self, message) -> int:
+        """The index of the message's codeword: its digits read in base p, lowest first."""
+        digits = tuple(message)
+        if len(digits) == self._length and all(0 <= d < self.p for d in digits):
+            index = sum(d * self.p ** i for i, d in enumerate(digits))
+            if index < len(self):
+                return index
+        raise ValueError(f"message {digits} is not in the codebook")
 
     @functools.cached_property
     def words(self) -> np.ndarray:
@@ -135,8 +159,8 @@ class Codebook(tuple):
     @functools.cached_property
     def ranks(self) -> np.ndarray:
         """GF(p) rank of each codeword's rows."""
-        if all(cw.subspace is not None for cw in self):
-            # the stack admits only independent subspace rows
+        if self.kind == SUBSPACE:
+            # the constructor admits only independent subspace rows
             return np.full(len(self), self.stack.shape[1])
         return self.batched_rank()
 
@@ -148,11 +172,6 @@ class Codebook(tuple):
             return linalg.packed_rank(words, offset, basis)
         stack = self.stack if positions is None else self.stack[:, positions, :]
         return linalg.batched_rank(stack, self.p, offset, basis)
-
-
-def component_matrix(codeword: Codeword) -> tuple:
-    """Base-field generator matrix of the codeword's component code."""
-    return codeword.rows
 
 
 # ---------------------------------------------------------------- specs
@@ -310,7 +329,7 @@ class MVSpec:
         frobenius = self.field.frobenius_matrix(self.m)
         count = self.message_count()
         for start in range(0, count, SETUP_CHUNK):
-            messages = _message_block(self, start, min(start + SETUP_CHUNK, count))
+            messages = _message_block(self.q, self.k, start, min(start + SETUP_CHUNK, count))
             ratios = np.stack(self._blocks(messages)[1:], axis=2)[:, 1:]     # (N, l-1, L, n)
             outside = (ratios @ frobenius % self.q != ratios).any(axis=3)
             if outside.any():
@@ -376,8 +395,9 @@ class MVSpec:
 # coefficients per layout block: every field operation involved is
 # GF(p)-linear for a fixed message (see FieldContext.mul_matrix), so it is
 # a matrix product. The blocks are packed into the (N, rows, width) digit
-# stack of the rows, and subspace codewords get their RREF bases from one
-# batched GF(p) reduction. Encoding a single message is a block of one.
+# stack of the rows, which is all a Codebook keeps; a subspace codebook's
+# rows are checked through one batched GF(p) reduction per block. Encoding
+# a single message is a block of one.
 
 # Messages per encoder block, and codewords per span block in
 # union.build_union: bounds the set-up's array temporaries whatever the
@@ -418,41 +438,9 @@ def _pack(blocks, layout: PacketLayout, ctx: FieldContext):
     return np.concatenate(parts, axis=2).astype(np.int8)
 
 
-def _symbols(ctx: FieldContext, coeffs):
-    """Element tuples of an (N, n, m) coefficient array, one object per
-    distinct element, shared between codewords."""
-    codes = coeffs @ ctx.p ** np.arange(ctx.n)
-    distinct, where = np.unique(codes, return_inverse=True)
-    elements = [ctx.from_int(c) for c in distinct.tolist()]
-    return [tuple(elements[i] for i in w) for w in where.reshape(codes.shape).tolist()]
-
-
-def _encode(spec, messages):
-    """(codewords, stack) of an (N, length) array of message digits.
-
-    ``stack`` holds the packed rows. Subspace codewords get their bases
-    from one batched RREF.
-    """
-    blocks = spec._blocks(messages)
-    stack = _pack(blocks, spec.layout, spec.field)
-    digits = [tuple(m) for m in messages.tolist()]
-    rows = [tuple(map(tuple, r)) for r in stack.tolist()]
-    if spec.kind == GABIDULIN:
-        codewords = [Codeword(kind=GABIDULIN, message=m, rows=r, symbols=s)
-                     for m, r, s in zip(digits, rows, _symbols(spec.field, blocks[0]))]
-        return codewords, stack
-    bases, ranks = linalg.batched_rref(stack, spec.q)
-    width = stack.shape[2]
-    codewords = [Codeword(kind=SUBSPACE, message=m, rows=r,
-                          subspace=Subspace(basis=tuple(map(tuple, b[:k])), ambient_len=width,
-                                            p=spec.q))
-                 for m, r, b, k in zip(digits, rows, bases.tolist(), ranks.tolist())]
-    return codewords, stack
-
-
 def _encode_one(spec, digits) -> Codeword:
-    codewords, _ = _encode(spec, np.array([digits], dtype=np.int64))
-    return codewords[0]
+    stack = _pack(spec._blocks(np.array([digits], dtype=np.int64)), spec.layout, spec.field)
+    return Codeword(spec.kind, tuple(digits), tuple(map(tuple, stack[0].tolist())), spec.field)
 
 
 def _field_message(spec, u) -> tuple:
@@ -493,10 +481,10 @@ def message_digit_length(spec) -> int:
     return spec.field.n * spec.k
 
 
-def _message_block(spec, start: int, stop: int):
-    """(stop - start, length) digits of the messages with those indices."""
-    radix = [spec.q ** i for i in range(message_digit_length(spec))]
-    return np.arange(start, stop, dtype=np.int64)[:, None] // radix % spec.q
+def _message_block(q: int, length: int, start: int, stop: int):
+    """(stop - start, length) base-q digits of the message indices start..stop-1,
+    lowest first."""
+    return np.arange(start, stop, dtype=np.int64)[:, None] // q ** np.arange(length) % q
 
 
 def iter_message_digits(spec):
@@ -527,29 +515,42 @@ def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:
     count = spec.message_count()
     if count > budget:
         raise BudgetError(f"message space of size {count} exceeds the budget {budget}")
-    codewords, stacks = [], []
-    for start in range(0, count, SETUP_CHUNK):
-        block, stack = _encode(spec, _message_block(spec, start, min(start + SETUP_CHUNK, count)))
-        codewords.extend(block)
-        stacks.append(stack)
-    stack = np.concatenate(stacks)
-    if spec.kind == SUBSPACE:
-        _check_subspaces(codewords, stack.shape[1])
-    return Codebook(codewords, stack=stack)
+    length = message_digit_length(spec)
+    stack = np.concatenate([
+        _pack(spec._blocks(_message_block(spec.q, length, start, min(start + SETUP_CHUNK, count))),
+              spec.layout, spec.field)
+        for start in range(0, count, SETUP_CHUNK)])
+    return Codebook(spec, stack)
 
 
-def _check_subspaces(codewords, rows: int):
+def _check_subspaces(codebook: Codebook):
     """ValueError at the first message, in message order, whose rows are
-    dependent or whose subspace an earlier message already has."""
-    seen = {}
-    for cw in codewords:
-        basis = cw.subspace.basis
-        if len(basis) != rows:
-            raise ValueError(f"codeword for message {cw.message} has dependent basis rows")
-        prev = seen.get(basis)
-        if prev is not None:
-            raise ValueError(f"messages {prev} and {cw.message} map to the same subspace")
-        seen[basis] = cw.message
+    dependent or whose subspace an earlier message already has.
+
+    Subspaces are compared by the packed keys of their RREF bases.
+    """
+    stack, p = codebook.stack, codebook.p
+    keys, ranks = [], []
+    for start in range(0, len(stack), SETUP_CHUNK):
+        bases, block_ranks = linalg.batched_rref(stack[start:start + SETUP_CHUNK], p)
+        keys.append(linalg.pack_keys(bases.reshape(len(bases), -1), p))
+        ranks.append(block_ranks)
+    keys = np.concatenate(keys)
+    dependent = np.concatenate(ranks) != stack.shape[1]
+    # the stable sort puts the first message with each subspace at the
+    # start of its run; every other message repeats an earlier subspace
+    order, starts = linalg.sorted_runs(keys)
+    repeated = np.ones(len(order), dtype=bool)
+    repeated[order[starts]] = False
+    offenders = np.flatnonzero(dependent | repeated)
+    if not len(offenders):
+        return
+    index = offenders[0]
+    message = codebook[index].message
+    if dependent[index]:
+        raise ValueError(f"codeword for message {message} has dependent basis rows")
+    first = np.flatnonzero((keys == keys[index]).all(axis=1))[0]
+    raise ValueError(f"messages {codebook[first].message} and {message} map to the same subspace")
 
 
 def codebook_csv_rows(codebook):

@@ -116,13 +116,9 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # digits, packed on first use); otherwise linalg.batched_rank reduces its
 # int16 row stack mod p. Both work in chunks of linalg.RANK_CHUNK codewords.
 
-def _codebook(codebook, kind: str) -> Codebook:
-    """The codebook as a Codebook, whose row stack is then built only once."""
-    if not isinstance(codebook, Codebook):
-        codebook = Codebook(codebook)
+def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
         raise ValueError(f"codebook is not a {kind} codebook")
-    return codebook
 
 
 def _check_packets(rows, p: int, width: int):
@@ -137,12 +133,11 @@ def _check_packets(rows, p: int, width: int):
 def _subspace_distances(packets, codebook, metric: str):
     if not packets:
         raise ValueError("tier-2 decoding needs at least one packet")
-    codebook = _codebook(codebook, SUBSPACE)
+    _check_kind(codebook, SUBSPACE)
     if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
-    p = codebook[0].subspace.p
-    _check_packets(packets, p, codebook[0].subspace.ambient_len)
-    received = linalg.rref(packets, p)
+    _check_packets(packets, codebook.p, codebook.stack.shape[2])
+    received = linalg.rref(packets, codebook.p)
     # With r the rank of the codeword rows reduced against the received
     # RREF (rank a) and b the codeword dimension, dim(U+V) = a + r and
     # dim(U∩V) = a + b - dim(U+V) = b - r.
@@ -186,30 +181,26 @@ def tier2_list_decode(packets, codebook, radius: int, metric: str = "injection")
     return _select(_subspace_distances(packets, codebook, metric), radius)
 
 
-def _rank_distances(word, codebook, positions):
-    codebook = _codebook(codebook, GABIDULIN)
-    n = len(codebook[0].symbols)
-    word = list(word)
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != code length {n}")
-    if positions is None:
-        positions = range(n)
-    positions = sorted(positions)
+def _rank_distances(rows, codebook, positions):
+    _check_kind(codebook, GABIDULIN)
+    _, n, width = codebook.stack.shape
+    rows = list(rows)
+    if len(rows) != n:
+        raise ValueError(f"word length {len(rows)} != code length {n}")
+    positions = sorted(range(n) if positions is None else positions)
     if not positions:
         raise ValueError("tier-2 rank decoding needs at least one surviving position")
-    ctx = codebook[0].symbols[0].ctx
-    if any(s.ctx != ctx for s in word):
-        raise ValueError("word symbols from a different field context")
-    # to_vector is GF(p)-linear, so the coordinate rows of word - codeword
-    # are the differences of the coordinate rows, in any basis
-    received = [word[i].to_vector() for i in positions]
-    _check_packets(received, ctx.p, ctx.n)
+    # coordinates are GF(p)-linear, so the coordinate rows of word - codeword
+    # are the differences of the rows, in any packet basis
+    received = [rows[i] for i in positions]
+    _check_packets(received, codebook.p, width)
     return codebook.batched_rank(positions, offset=received)
 
 
-def tier2_rank_decode(word, codebook, positions=None, list_radius: int | None = None) -> DecodeResult:
-    """Minimum rank-distance decoding; erased positions are excluded via `positions`."""
-    return _select(_rank_distances(word, codebook, positions), list_radius)
+def tier2_rank_decode(rows, codebook, positions=None, list_radius: int | None = None) -> DecodeResult:
+    """Minimum rank-distance decoding of a word given as its packet rows, one
+    per position; erased positions are excluded via `positions`."""
+    return _select(_rank_distances(rows, codebook, positions), list_radius)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -295,8 +286,7 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
 
 def _tier2_pass(packets, verdicts, codebook, options: DecodeOptions, list_radius):
     """One tier-2 run on the packets tier 1 kept; None when nothing survives."""
-    kind = codebook[0].kind
-    if kind == SUBSPACE:
+    if codebook.kind == SUBSPACE:
         if verdicts:
             kept = [v.vector for v in verdicts if v.outcome in (VALID, CORRECTED)]
         else:
@@ -308,18 +298,12 @@ def _tier2_pass(packets, verdicts, codebook, options: DecodeOptions, list_radius
         return tier2_subspace_decode(kept, codebook, options.metric)
 
     # rank-metric lane: packets are the codeword rows in position order
-    ctx = codebook[0].symbols[0].ctx
+    positions = None
+    rows = packets
     if verdicts:
-        positions, word = [], []
-        for i, v in enumerate(verdicts):
-            if v.outcome in (VALID, CORRECTED):
-                positions.append(i)
-                word.append(ctx.from_vector(v.vector))
-            else:
-                word.append(ctx.zero)
+        positions = [i for i, v in enumerate(verdicts) if v.outcome in (VALID, CORRECTED)]
         if not positions:
             return None
-    else:
-        positions = None
-        word = [ctx.from_vector(p) for p in packets]
-    return tier2_rank_decode(word, codebook, positions, list_radius=list_radius)
+        # a corrected packet stands in for the one received
+        rows = [v.vector or pkt for v, pkt in zip(verdicts, packets)]
+    return tier2_rank_decode(rows, codebook, positions, list_radius=list_radius)

@@ -440,10 +440,6 @@ class FieldElement:
         return f"GF({self.ctx.p}^{self.ctx.n}):{format_element(self)}"
 
 
-def is_in_subfield(a: FieldElement, order: int) -> bool:
-    return a.in_subfield(order)
-
-
 def format_element(a: FieldElement) -> str:
     """Base-p digit string, low-order digit first."""
     return "".join(str(c) for c in a.coeffs)

@@ -14,11 +14,11 @@ import functools
 import graphlib
 import hashlib
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
-from .codes import SUBSPACE
-from .decoders import (CORRECTED, DETECT_ONLY, VALID, DecodeOptions,
+from .codes import SUBSPACE, Codebook
+from .decoders import (CORRECTED, DETECT_ONLY, ERASED, REJECTED, VALID, DecodeOptions,
                        default_radius, tier1_decode, tier2_subspace_decode,
                        two_tier_decode)
 from .errors import BudgetError
@@ -144,15 +144,13 @@ class ErrorModel:
 @dataclass
 class CodeSetup:
     """Prebuilt codebook, union, and decoder options shared across trials."""
-    codebook: list
+    codebook: Codebook
     union: UnionCode
     options: DecodeOptions = DecodeOptions()
-    by_message: dict = dc_field(init=False)
 
     def __post_init__(self):
-        if any(cw.kind != SUBSPACE for cw in self.codebook):
+        if self.codebook.kind != SUBSPACE:
             raise ValueError("the simulator covers subspace-kind codes only")
-        self.by_message = {cw.message: i for i, cw in enumerate(self.codebook)}
 
     @property
     def p(self) -> int:
@@ -173,6 +171,11 @@ class TrialOutcome:
     rank_deficient: bool
     attempts: int
     deliveries: dict
+
+
+def _verdict_counts() -> dict:
+    """A zero count for each tier-1 outcome."""
+    return dict.fromkeys((VALID, CORRECTED, ERASED, REJECTED), 0)
 
 
 def _corruption(model: ErrorModel, rng: random.Random, p: int, n: int):
@@ -334,22 +337,19 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
     if error_model.injection_node is not None and \
             error_model.injection_node not in topology._roles:
         raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
-    message = tuple(message)
-    index = setup.by_message.get(message)
-    if index is None:
-        raise ValueError(f"message {message} is not in the codebook")
+    index = setup.codebook.index(message)
     if draws is None:
         draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
     filtering = strategy == TWO_TIER_FILTER
     net = draws.networks.get(filtering)
     if net is None:
-        rows = [tuple(r) for r in setup.codebook[index].rows]
+        rows = [tuple(r) for r in setup.codebook.stack[index].tolist()]
         net = draws.networks[filtering] = _network(
             topology, setup, rows, error_model, draws, filtering, node_filter_mode,
             retry_full_rank, max_attempts)
 
     sink_success = {}
-    verdict_counts = {VALID: 0, CORRECTED: 0, "erased": 0, "rejected": 0}
+    verdict_counts = _verdict_counts()
     metric_values = []
     for sink in topology.sinks:
         packets = net.buffers.get(sink, [])
@@ -365,8 +365,7 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
                 verdict_counts[v.outcome] += 1
         if result.metric_value is not None:
             metric_values.append(result.metric_value)
-        sink_success[sink] = (result.chosen is not None and
-                              setup.codebook[result.chosen].message == message)
+        sink_success[sink] = result.chosen == index
     return TrialOutcome(
         success=all(sink_success.values()) and bool(sink_success),
         sink_success=sink_success,
@@ -395,7 +394,7 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
 
     strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
     per_strategy = {s: {"trials": trials, "successes": 0, "success_by_trial": [],
-                        "tier1_verdicts": {VALID: 0, CORRECTED: 0, "erased": 0, "rejected": 0},
+                        "tier1_verdicts": _verdict_counts(),
                         "mean_tier2_metric": None, "filtered_drops": 0,
                         "rank_deficient_trials": 0}
                     for s in strategies}

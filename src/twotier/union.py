@@ -91,19 +91,16 @@ class UnionCode:
         return {c.index: i for i, c in enumerate(self.components)}
 
 
-def build_union(codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
+def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
     """Every span vector of every codeword, deduplicated, in order of first
     occurrence (codewords in order, each span in coefficient order)."""
     if not codebook:
         raise ValueError("empty codebook")
-    if not isinstance(codebook, Codebook):
-        codebook = Codebook(codebook)
-    p = codebook.p
-    total = len(codebook) * p ** len(codebook[0].rows)
+    stack, p = codebook.stack, codebook.p
+    total = len(stack) * p ** stack.shape[1]
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
 
-    stack = codebook.stack
     vectors, owners, bounds, first_seen = _distinct_spans(stack, p)
     # one int object per codeword, shared by its component and every set
     # that holds it
@@ -112,9 +109,8 @@ def build_union(codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
     provenance = {}
     for u in first_seen:
         provenance[tuple(vectors[u])] = set(owners[bounds[u]:bounds[u + 1]])
-    dims = codebook.ranks.tolist()
-    components = tuple(Component(index=idx, rows=cw.rows, dimension=dims[idx], message=cw.message)
-                       for idx, cw in zip(ids, codebook))
+    components = tuple(map(Component, ids, [tuple(map(tuple, m)) for m in stack.tolist()],
+                           codebook.ranks.tolist(), map(tuple, codebook.messages().tolist())))
     return UnionCode(provenance, components, stack.shape[2], p)
 
 

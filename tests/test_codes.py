@@ -1,16 +1,24 @@
+import gc
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from twotier.codes import (BlockSpec, GabidulinSpec, KKSpec, MVSpec, PacketLayout,
-                           build_codebook, component_matrix, encode_message_digits,
+from twotier.codes import (BlockSpec, Codebook, GabidulinSpec, KKSpec, MVSpec, PacketLayout,
+                           build_codebook, encode_message_digits,
                            gabidulin_encode, iter_message_digits, kk_encode,
                            message_digit_length, mv_encode, pack_vector)
+from twotier.config import load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.linpoly import LinearizedPoly
 
 import oracles
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def gf8():
@@ -55,9 +63,9 @@ def test_gabidulin_component_matrix():
     spec = gab_spec()
     ctx = spec.field
     cw = gabidulin_encode(spec, (ctx.one,))
-    assert component_matrix(cw) == ((1, 1, 0), (0, 1, 1))
+    assert cw.rows == ((1, 1, 0), (0, 1, 1))
     zero = gabidulin_encode(spec, (ctx.zero,))
-    assert component_matrix(zero) == ((0, 0, 0), (0, 0, 0))
+    assert zero.rows == ((0, 0, 0), (0, 0, 0))
 
 
 def test_gabidulin_encoding_linear():
@@ -134,6 +142,67 @@ def test_kk_subspace_dimension_and_distinctness():
     bases = {cw.subspace.basis for cw in cb}
     assert len(bases) == 8
     assert all(cw.subspace.dim == spec.l for cw in cb)
+
+
+# rows over GF(2) of width 6 for a KK code over GF(8) with l = 2
+A = ((1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1))
+A2 = ((1, 1, 0, 0, 1, 1), (0, 1, 0, 0, 0, 1))     # the span of A, other rows
+B = ((0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0))
+D = ((1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 0))      # dependent rows
+DEPENDENT = "codeword for message {} has dependent basis rows"
+SAME = "messages {} and {} map to the same subspace"
+
+
+@pytest.mark.parametrize("stack, error", [
+    ((B, A), None),
+    ((A, D, A2), DEPENDENT.format((1, 0, 0))),
+    ((A, A2, D), SAME.format((0, 0, 0), (1, 0, 0))),
+    ((B, A, D, A2), DEPENDENT.format((0, 1, 0))),
+    ((B, A, A2, D), SAME.format((1, 0, 0), (0, 1, 0))),
+    # the second D is dependent and repeats the first: the first D is named
+    ((A, D, D), DEPENDENT.format((1, 0, 0))),
+])
+def test_subspace_codebook_names_the_first_offender(stack, error):
+    """On a hand-made stack: the first message, in message order, whose rows
+    are dependent or whose subspace an earlier message has."""
+    stack = np.array(stack, dtype=np.int8)
+    if error is None:
+        assert Codebook(kk_spec(), stack).ranks.tolist() == [2] * len(stack)
+        return
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Codebook(kk_spec(), stack)
+
+
+def test_codebook_index_is_message_arithmetic():
+    spec = kk_spec()
+    cb = build_codebook(spec)
+    assert not cb.stack.flags.writeable
+    assert [cb.index(cw.message) for cw in cb] == list(range(len(cb)))
+    assert cb[-1] == cb[len(cb) - 1] and cb[2:4] == [cb[2], cb[3]]
+    with pytest.raises(IndexError):
+        cb[len(cb)]
+    # a wrong length, a digit outside [0, q), negative ones included, or a
+    # message past the end of a shorter book
+    for book, message in ((cb, (0, 0)), (cb, (0, 0, 0, 0)), (cb, (2, 0, 0)),
+                          (cb, (-1, 0, 0)), (cb, (0, 0, -1)),
+                          (Codebook(spec, cb.stack[:1]), (1, 0, 0))):
+        with pytest.raises(ValueError, match="not in the codebook"):
+            book.index(message)
+
+
+def test_codebook_keeps_no_per_codeword_objects():
+    """The row stack is all a codebook keeps: 28 bytes per codeword here."""
+    cfg = load_config(BENCH_CONFIGS / "kk-gf128.json")
+    spec = cfg.build_spec(cfg.build_field())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        codebook = build_codebook(spec)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(codebook) == 16384
+    assert retained / len(codebook) <= 100
 
 
 def test_kk_spec_validation():

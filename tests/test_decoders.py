@@ -11,7 +11,7 @@ from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY,
                               tier1_decode, tier2_list_decode, tier2_rank_decode,
                               tier2_subspace_decode, two_tier_decode)
 from twotier.fields import FieldContext, FieldElement
-from twotier.metrics import hamming_distance
+from twotier.metrics import hamming_distance, rank_distance
 from twotier.union import build_union
 
 import oracles
@@ -224,7 +224,7 @@ def test_list_decode_empty_list_allowed():
 def test_rank_decode_identity():
     _, cb, _ = gab()
     for i, cw in enumerate(cb):
-        result = tier2_rank_decode(cw.symbols, cb)
+        result = tier2_rank_decode([s.to_vector() for s in cw.symbols], cb)
         assert result.chosen == i and result.metric_value == 0
 
 
@@ -238,7 +238,7 @@ def test_rank_decode_corrects_all_rank_one_errors():
                 if not any(mask):
                     continue
                 word = [s + (ctx.from_int(m) * beta) for s, m in zip(cw.symbols, mask)]
-                result = tier2_rank_decode(word, cb)
+                result = tier2_rank_decode([s.to_vector() for s in word], cb)
                 assert result.chosen == i
                 assert not result.tie
 
@@ -250,10 +250,10 @@ def test_rank_decode_tie_flag():
     found = False
     for codes in itertools.product(range(8), repeat=2):
         word = [ctx.from_int(c) for c in codes]
-        dists = [tier2_rank_decode(word, [cw]).metric_value for cw in cb]
+        dists = [rank_distance(word, cw.symbols) for cw in cb]
         best = min(dists)
         if sum(1 for d in dists if d == best) > 1:
-            result = tier2_rank_decode(word, cb)
+            result = tier2_rank_decode([s.to_vector() for s in word], cb)
             assert result.tie
             assert result.chosen == dists.index(best)
             found = True
@@ -264,10 +264,11 @@ def test_rank_decode_tie_flag():
 def test_rank_decode_punctured_positions():
     _, cb, _ = gab(n=3, k=1)
     cw = cb[6]
-    result = tier2_rank_decode(cw.symbols, cb, positions=[0, 2])
+    word = [s.to_vector() for s in cw.symbols]
+    result = tier2_rank_decode(word, cb, positions=[0, 2])
     assert result.chosen == 6
     with pytest.raises(ValueError):
-        tier2_rank_decode(cw.symbols, cb, positions=[])
+        tier2_rank_decode(word, cb, positions=[])
 
 
 # ---------------------------------------------------------------- pipeline
@@ -354,6 +355,20 @@ def test_two_tier_rank_lane_with_erasure():
     assert outcome.verdicts[1].outcome == "rejected"
 
 
+def test_two_tier_rank_lane_decodes_corrected_packets():
+    # n = k = 1: every vector of GF(2)^3 is a codeword's row, so tier 2 finds
+    # the packet tier 1 hands it at distance 0; restricted to {000, 111},
+    # tier 1 corrects 110 to 111, the row of the message with digits (1, 1, 1)
+    ctx = gf8()
+    spec = GabidulinSpec(field=ctx, n=1, k=1, generators=(ctx.one,))
+    cb = build_codebook(spec)
+    assert cb[7].rows == ((1, 1, 1),) and cb[3].rows == ((1, 1, 0),)
+    restricted = build_union(cb).restrict({7})
+    outcome = two_tier_decode([(1, 1, 0)], restricted, cb, DecodeOptions(radius=1))
+    assert outcome.verdicts[0].outcome == "corrected"
+    assert outcome.result == DecodeResult(chosen=7, metric_value=0, tie=False)
+
+
 def test_restriction_never_decreases_radius():
     _, cb, uni = mv1()
     d = uni.min_distance()
@@ -402,6 +417,7 @@ def test_rank_decode_rejects_symbol_digits_outside_base_field():
     _, cb, _ = gab()
     word = list(cb[3].symbols)
     word[1] = FieldElement(ctx, (2, 0, 0))  # built around the digit check of ctx.element
+    word = [s.to_vector() for s in word]
     with pytest.raises(ValueError, match=r"\[0, 2\)"):
         tier2_rank_decode(word, cb)
     # an erased position is not read

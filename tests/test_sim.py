@@ -126,8 +126,10 @@ def test_unknown_strategy_and_message():
     setup = mv1_setup()
     with pytest.raises(ValueError, match="strategy"):
         run_trial(diamond(), setup, (1,), ErrorModel(), "magic", 1, 0)
-    with pytest.raises(ValueError, match="message"):
-        run_trial(diamond(), setup, (7,), ErrorModel(), TIER2_ONLY, 1, 0)
+    # a digit outside [0, q), a negative one included, or a wrong length
+    for message in ((7,), (1, 0), (-1,)):
+        with pytest.raises(ValueError, match="message"):
+            run_trial(diamond(), setup, message, ErrorModel(), TIER2_ONLY, 1, 0)
     with pytest.raises(ValueError, match="injection node"):
         run_trial(diamond(), setup, (1,),
                   ErrorModel(injected_packets=1, injection_node="zz"), TIER2_ONLY, 1, 0)

@@ -40,24 +40,31 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 
 @functools.cache
+def fixture(name, where=CONFIGS):
+    """(spec, codebook) of a config."""
+    _, spec, codebook, _ = load_config(where / f"{name}.json").build_all()
+    return spec, codebook
+
+
 def fixture_codebook(name, where=CONFIGS):
-    _, _, codebook, _ = load_config(where / f"{name}.json").build_all()
-    return codebook
+    return fixture(name, where)[1]
 
 
 @functools.cache
-def rank_codebooks():
-    """The shipped Gabidulin fixture, one with a non-polynomial packet basis
-    (coordinates are still GF(p)-linear) and one over GF(3)."""
-    books = [fixture_codebook("gabidulin_gf8")]
+def rank_fixtures():
+    """(spec, codebook) of the shipped Gabidulin fixture, one with a
+    non-polynomial packet basis (coordinates are still GF(p)-linear) and one
+    over GF(3)."""
     skew = FieldContext(2, 3, basis=[[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    books.append(build_codebook(GabidulinSpec(field=skew, n=3, k=1,
-                                              generators=[skew.one, skew.gamma,
-                                                          skew.gamma_pow(2)])))
     gf729 = FieldContext(3, 6)
-    books.append(build_codebook(GabidulinSpec(field=gf729, n=2, k=1,
-                                              generators=[gf729.one, gf729.gamma])))
-    return books
+    specs = (GabidulinSpec(field=skew, n=3, k=1,
+                           generators=[skew.one, skew.gamma, skew.gamma_pow(2)]),
+             GabidulinSpec(field=gf729, n=2, k=1, generators=[gf729.one, gf729.gamma]))
+    return (fixture("gabidulin_gf8"),) + tuple((spec, build_codebook(spec)) for spec in specs)
+
+
+def rank_codebooks():
+    return [codebook for _, codebook in rank_fixtures()]
 
 
 def reference_select(dists, list_radius):
@@ -135,9 +142,6 @@ def test_subspace_lane_matches_per_codeword_scan(chunk, request):
             result = tier2_subspace_decode(packets, codebook, metric)
         else:
             result = tier2_list_decode(packets, codebook, list_radius, metric)
-        # a plain list is stacked on the call and decodes the same
-        assert tier2_list_decode(packets, list(codebook), 2, metric) == \
-            tier2_list_decode(packets, codebook, 2, metric)
     assert result == reference_select(dists, list_radius)
     assert_plain(result)
 
@@ -152,7 +156,8 @@ def test_rank_lane_matches_per_codeword_scan(chunk, request):
              for cw in codebook]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
-        result = tier2_rank_decode(word, codebook, positions, list_radius)
+        result = tier2_rank_decode([s.to_vector() for s in word], codebook, positions,
+                                   list_radius)
     assert result == reference_select(dists, list_radius)
     assert_plain(result)
 
@@ -286,7 +291,8 @@ def test_packed_rank_across_word_edges(width, ones, rank):
 
 
 def test_codebook_words_are_built_once_and_read_only():
-    codebook = Codebook(list(fixture_codebook("kk_example")))
+    spec, book = fixture("kk_example")
+    codebook = Codebook(spec, book.stack)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "pack_keys",
@@ -302,10 +308,10 @@ def test_codebook_words_are_built_once_and_read_only():
 
 
 def test_gf2_gabidulin_ranks_are_unchanged():
-    books = [book for book in rank_codebooks() if book.p == 2]
-    books.append(fixture_codebook("gab-gf64", BENCH_CONFIGS))
-    for book in books:
-        fresh = Codebook(list(book))
+    books = [(spec, book) for spec, book in rank_fixtures() if book.p == 2]
+    books.append(fixture("gab-gf64", BENCH_CONFIGS))
+    for spec, book in books:
+        fresh = Codebook(spec, book.stack)
         assert fresh.ranks.tolist() == [oracles.naive_rank(cw.rows, 2) for cw in book]
         assert fresh.ranks.tolist() == linalg.batched_rank(book.stack, 2).tolist()
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from twotier import metrics
-from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
+from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
@@ -47,7 +47,7 @@ def gab_union(n=2, k=1):
 
 def test_zero_dimensional_component():
     spec, cb, _ = gab_union()
-    uni = build_union([cb[0]])  # zero message only
+    uni = build_union(Codebook(spec, cb.stack[:1]))  # zero message only
     assert set(uni.vectors) == {(0, 0, 0)}
     assert uni.components[0].dimension == 0
 
