@@ -18,7 +18,7 @@ from .config import RunConfig, load_config, parse_digits
 from .decoders import two_tier_decode
 from .errors import BudgetError, ConfigError
 from .sim import CodeSetup, run_experiment
-from .union import component_min_distances, verify_lemmas
+from .union import component_min_distances, owners, verify_lemmas
 
 EXIT_OK = 0
 EXIT_LEMMA_FAILURE = 1
@@ -117,8 +117,8 @@ def cmd_verify_lemmas(args) -> int:
     _, spec, _, uni = cfg.build_all()
     checks = verify_lemmas(spec, uni)
     if args.dump_union:
-        rows = [("".join(str(d) for d in v), ";".join(str(i) for i in sorted(owners)))
-                for v, owners in sorted(uni.provenance.items())]
+        rows = [("".join(str(d) for d in v), ";".join(str(i) for i in sorted(owned)))
+                for v, owned in sorted(owners(uni).items())]
         with open(args.dump_union, "w", encoding="utf-8", newline="") as fh:
             fh.write(_csv(rows, ("vector", "components")))
     all_passed = all(c.passed for c in checks if c.normative)
@@ -246,9 +246,8 @@ def cmd_analyze_distances(args) -> int:
     comp_dists = component_min_distances(uni)
     rows = [(name, "union", uni.min_distance(), uni.cardinality)]
     for index, dist in comp_dists:
-        comp = uni.components[index]
         rows.append((name, str(index), "inf" if dist == float("inf") else dist,
-                     uni.p ** comp.dimension))
+                     uni.p ** int(codebook.ranks[index])))
     if args.format == "csv":
         _write(args, _csv(rows, ("code-id", "component-id", "distance", "cardinality")))
     else:

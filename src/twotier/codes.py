@@ -124,16 +124,15 @@ class Codebook:
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         index = range(len(self))[index]     # IndexError past either end
-        p = self.p
-        return Codeword(self.kind, tuple(index // p ** i % p for i in range(self._length)),
+        return Codeword(self.kind, self.message(index),
                         tuple(map(tuple, self.stack[index].tolist())), self.field)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def messages(self) -> np.ndarray:
-        """(N, length) digits of every codeword's message."""
-        return _message_block(self.p, self._length, 0, len(self))
+    def message(self, index: int) -> tuple:
+        """The digits of message `index`: its base-p digits, lowest first."""
+        return tuple(index // self.p ** i % self.p for i in range(self._length))
 
     def index(self, message) -> int:
         """The index of the message's codeword: its digits read in base p, lowest first."""
@@ -329,7 +328,7 @@ class MVSpec:
         frobenius = self.field.frobenius_matrix(self.m)
         count = self.message_count()
         for start in range(0, count, SETUP_CHUNK):
-            messages = _message_block(self.q, self.k, start, min(start + SETUP_CHUNK, count))
+            messages = message_digits(self, np.arange(start, min(start + SETUP_CHUNK, count)))
             ratios = np.stack(self._blocks(messages)[1:], axis=2)[:, 1:]     # (N, l-1, L, n)
             outside = (ratios @ frobenius % self.q != ratios).any(axis=3)
             if outside.any():
@@ -481,23 +480,11 @@ def message_digit_length(spec) -> int:
     return spec.field.n * spec.k
 
 
-def _message_block(q: int, length: int, start: int, stop: int):
-    """(stop - start, length) base-q digits of the message indices start..stop-1,
-    lowest first."""
-    return np.arange(start, stop, dtype=np.int64)[:, None] // q ** np.arange(length) % q
-
-
-def iter_message_digits(spec):
-    """Messages in lexicographic order, lowest coefficient varying fastest."""
-    length = message_digit_length(spec)
-    q = spec.q
-    for index in range(q ** length):
-        digits = []
-        rest = index
-        for _ in range(length):
-            digits.append(rest % q)
-            rest //= q
-        yield tuple(digits)
+def message_digits(spec, indices) -> np.ndarray:
+    """(len(indices), length) base-q digits of the messages with these
+    indices, lowest first."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return indices[:, None] // spec.q ** np.arange(message_digit_length(spec)) % spec.q
 
 
 def encode_message_digits(spec, digits) -> Codeword:
@@ -515,9 +502,8 @@ def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:
     count = spec.message_count()
     if count > budget:
         raise BudgetError(f"message space of size {count} exceeds the budget {budget}")
-    length = message_digit_length(spec)
     stack = np.concatenate([
-        _pack(spec._blocks(_message_block(spec.q, length, start, min(start + SETUP_CHUNK, count))),
+        _pack(spec._blocks(message_digits(spec, np.arange(start, min(start + SETUP_CHUNK, count)))),
               spec.layout, spec.field)
         for start in range(0, count, SETUP_CHUNK)])
     return Codebook(spec, stack)

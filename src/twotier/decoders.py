@@ -93,13 +93,12 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
                 "pass allow_radius_override to experiment")
     if radius == 0:
         return PacketVerdict(REJECTED) if mode == CORRECT else PacketVerdict(ERASED)
-    ordered, matrix = union.as_matrix()
-    dists = np.count_nonzero(matrix != np.array(packet, dtype=np.int16), axis=1)
+    dists = np.count_nonzero(union.matrix != np.array(packet, dtype=np.int16), axis=1)
     best = int(dists.min())
     if best <= radius:
         hits = np.nonzero(dists == best)[0]
         if len(hits) == 1:
-            return PacketVerdict(CORRECTED, vector=ordered[int(hits[0])],
+            return PacketVerdict(CORRECTED, vector=union.vectors[int(hits[0])],
                                  flips=best, candidates=1)
         if mode == CORRECT_OR_ERASE:
             return PacketVerdict(ERASED, candidates=len(hits))

@@ -231,6 +231,7 @@ class TrialDraws:
         self.p = p
         self.n = n
         self.networks = {}      # intermediate nodes filter -> _Network
+        self.index = None       # the sent message's codebook index, once read
         self._inject = {}
         self._mix = {}
         self._chan = {}
@@ -337,9 +338,11 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
     if error_model.injection_node is not None and \
             error_model.injection_node not in topology._roles:
         raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
-    index = setup.codebook.index(message)
     if draws is None:
         draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
+    if draws.index is None:
+        draws.index = setup.codebook.index(message)
+    index = draws.index
     filtering = strategy == TWO_TIER_FILTER
     net = draws.networks.get(filtering)
     if net is None:
@@ -401,7 +404,7 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
     metric_values = {s: [] for s in strategies}
     for trial in range(trials):
         rng = stream(base_seed, trial, "message")
-        message = setup.codebook[rng.randrange(len(setup.codebook))].message
+        message = setup.codebook.message(rng.randrange(len(setup.codebook)))
         draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
         for strategy in strategies:
             outcome = run_trial(topology, setup, message, error_model,

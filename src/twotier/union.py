@@ -1,9 +1,10 @@
 """The union code: every packet that is valid for some codeword.
 
-Built by exact enumeration of each component code's span, deduplicated,
-with per-vector provenance recording which components contain it. The
-union of linear codes is generally nonlinear, so distance work goes
-through the pairwise path in :mod:`twotier.metrics`.
+Built by exact enumeration of each component code's span, deduplicated
+into one read-only :class:`Spans` record per codebook. A union over some
+of the components is that shared record plus the array of their codebook
+indices. The union of linear codes is generally nonlinear, so distance
+work goes through the pairwise path in :mod:`twotier.metrics`.
 """
 
 import functools
@@ -20,35 +21,55 @@ from .errors import BudgetError
 DEFAULT_UNION_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class Component:
-    index: int
-    rows: tuple
-    dimension: int
-    message: tuple
+@dataclass(frozen=True, eq=False)
+class Spans:
+    """The distinct span vectors of a codebook, shared by every union over it.
+
+    Vector u is the u-th distinct one in order of first occurrence
+    (codewords in order, each span in coefficient order). It is held as the
+    tuple ``vectors[u]``, for hashed membership, and as row u of the int16
+    ``matrix``, for the nearest-vector scan. Row i of the int32 ``ids``
+    lists the vectors of codeword i's span, in coefficient order, and
+    ``min_weights[i]`` is the least weight of a nonzero one (width + 1
+    when the span is {0}). The arrays are read-only.
+    """
+    vectors: tuple
+    matrix: np.ndarray
+    ids: np.ndarray
+    min_weights: np.ndarray
 
 
 class UnionCode:
-    """Deduplicated valid-packet set with constant-time membership."""
+    """The valid packets of some components of a codebook, with constant-time membership.
 
-    def __init__(self, provenance: dict, components: tuple, ambient_len: int, p: int):
+    ``provenance`` is the codebook's :class:`Spans` and ``components`` the
+    read-only int array of the member codebook indices, in union order.
+    Its ``vectors`` (tuples) and ``matrix`` (their int16 rows, for scan
+    decoding) keep the first-occurrence order of the whole codebook's
+    union; a union with every component shares the record's.
+    """
+
+    def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
         self.provenance = provenance
-        self.components = components
+        self.components = np.asarray(components).view()
+        self.components.flags.writeable = False
         self.ambient_len = ambient_len
         self.p = p
         self._min_distance = None
-        self._matrix = None
-
-    @property
-    def vectors(self):
-        return self.provenance.keys()
+        if len(self.components) == len(provenance.ids):
+            self.vectors, self.matrix = provenance.vectors, provenance.matrix
+        else:
+            ids = np.unique(provenance.ids[self.components])
+            self.vectors = tuple(map(provenance.vectors.__getitem__, ids.tolist()))
+            self.matrix = provenance.matrix[ids]
+        self._members = frozenset(self.vectors)
 
     @property
     def cardinality(self) -> int:
-        return len(self.provenance)
+        return len(self.vectors)
 
     def __contains__(self, vector) -> bool:
-        return tuple(vector) in self.provenance
+        return tuple(vector) in self._members
 
     def min_distance(self) -> int:
         if self.cardinality < 2:
@@ -61,34 +82,16 @@ class UnionCode:
                 self._min_distance = metrics.min_distance(self.vectors, self.p)
         return self._min_distance
 
-    def as_matrix(self):
-        """(vector list, numpy matrix) in one fixed order, for scan decoding."""
-        if self._matrix is None:
-            ordered = sorted(self.provenance)
-            self._matrix = (ordered, np.array(ordered, dtype=np.int16))
-        return self._matrix
-
     def restrict(self, indices) -> "UnionCode":
         """Union over the listed components only; distance never decreases."""
         wanted = set(indices)
         if not wanted:
             raise ValueError("cannot restrict to an empty component list")
-        unknown = wanted - self._positions.keys()
+        kept = self.components[np.isin(self.components, list(wanted))]
+        unknown = wanted.difference(kept.tolist())
         if unknown:
             raise ValueError(f"unknown component indices {sorted(unknown)}")
-        provenance = {}
-        for vector, owners in self.provenance.items():
-            kept = owners & wanted
-            if kept:
-                provenance[vector] = kept
-        order = sorted(map(self._positions.__getitem__, wanted))
-        components = tuple(self.components[i] for i in order)
-        return UnionCode(provenance, components, self.ambient_len, self.p)
-
-    @functools.cached_property
-    def _positions(self) -> dict:
-        """Component index -> position in :attr:`components`."""
-        return {c.index: i for i, c in enumerate(self.components)}
+        return UnionCode(self.provenance, kept, self.ambient_len, self.p)
 
 
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
@@ -100,43 +103,37 @@ def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Union
     total = len(stack) * p ** stack.shape[1]
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
-
-    vectors, owners, bounds, first_seen = _distinct_spans(stack, p)
-    # one int object per codeword, shared by its component and every set
-    # that holds it
-    ids = list(range(len(stack)))
-    owners = list(map(ids.__getitem__, owners))
-    provenance = {}
-    for u in first_seen:
-        provenance[tuple(vectors[u])] = set(owners[bounds[u]:bounds[u + 1]])
-    components = tuple(map(Component, ids, [tuple(map(tuple, m)) for m in stack.tolist()],
-                           codebook.ranks.tolist(), map(tuple, codebook.messages().tolist())))
-    return UnionCode(provenance, components, stack.shape[2], p)
+    return UnionCode(_distinct_spans(stack, p), np.arange(len(stack), dtype=np.int32),
+                     stack.shape[2], p)
 
 
-def _distinct_spans(stack, p: int):
-    """(vectors, owners, bounds, first_seen) of the GF(p) row spans of a stack of matrices.
+def _distinct_spans(stack, p: int) -> Spans:
+    """The :class:`Spans` of the GF(p) row spans of a stack of matrices.
 
-    ``vectors`` lists each distinct span vector once, in key order; the
-    matrices whose span holds vector u are ``owners[bounds[u]:bounds[u + 1]]``,
-    in ascending order, and ``first_seen`` lists the u in order of first
-    occurrence (matrices in order, each span in coefficient order). Spans
-    are formed and keyed per block of ``codes.SETUP_CHUNK`` matrices, and
-    only their int64 keys are kept.
+    Spans are formed and keyed per block of ``codes.SETUP_CHUNK``
+    matrices, and only their int64 keys are kept.
     """
     coeffs = _span_coefficients(p, stack.shape[1])
-    per = len(coeffs)
     keys = np.concatenate([
         linalg.pack_keys((coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p)
                          .reshape(-1, stack.shape[2]), p)
         for start in range(0, len(stack), codes.SETUP_CHUNK)])
     order, starts = linalg.sorted_runs(keys)
     # the stable sort puts each vector's first occurrence at the start of
-    # its run, and its owners after it in ascending order
+    # its run, so run r holds vector number[r], its rank by first occurrence
     first = order[starts]
-    vectors = linalg.unpack_keys(keys[first], p, stack.shape[2])
-    return (vectors.tolist(), (order // per).tolist(), starts.tolist() + [len(order)],
-            np.argsort(first).tolist())
+    by_first = np.argsort(first)
+    number = np.argsort(by_first)
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = np.repeat(number, np.diff(starts, append=len(order)))
+    matrix = linalg.unpack_keys(keys[first[by_first]], p, stack.shape[2]).astype(np.int16)
+    ids = ids.reshape(len(stack), -1)
+    weights = np.count_nonzero(matrix, axis=1).astype(np.int16)
+    weights[weights == 0] = stack.shape[2] + 1      # the zero vector sets no minimum
+    min_weights = weights[ids].min(axis=1)
+    for array in (matrix, ids, min_weights):
+        array.flags.writeable = False
+    return Spans(tuple(map(tuple, matrix.tolist())), matrix, ids, min_weights)
 
 
 @functools.cache
@@ -148,24 +145,26 @@ def _span_coefficients(p: int, rows: int) -> np.ndarray:
     return coeffs
 
 
-def component_vectors(union: UnionCode, index: int):
-    return [v for v, owners in union.provenance.items() if index in owners]
+def owners(union: UnionCode) -> dict:
+    """Each vector of the union, in union order, with the set of its
+    components whose span holds it."""
+    spans = union.provenance
+    sets = {u: set() for u in range(len(spans.vectors))}
+    for index, row in zip(union.components.tolist(), spans.ids[union.components].tolist()):
+        for u in row:
+            sets[u].add(index)
+    return {spans.vectors[u]: owned for u, owned in sets.items() if owned}
 
 
 def component_min_distances(union: UnionCode):
     """Per-component minimum weight (components are linear); inf for {0}.
 
-    One pass over the union: each nonzero vector's weight lowers the
-    minimum of every component that owns it.
+    One gather of the components' entries in the span record's
+    ``min_weights``.
     """
-    best = {comp.index: math.inf for comp in union.components}
-    for vector, owners in union.provenance.items():
-        weight = metrics.hamming_weight(vector)
-        if weight:
-            for index in owners:
-                if weight < best[index]:
-                    best[index] = weight
-    return list(best.items())
+    best = union.provenance.min_weights[union.components]
+    return [(index, d if d <= union.ambient_len else math.inf)
+            for index, d in zip(union.components.tolist(), best.tolist())]
 
 
 # ---------------------------------------------------------------- lemma checks
@@ -210,24 +209,20 @@ def _verify_gabidulin(spec: GabidulinSpec, union: UnionCode):
         lemma="L1", description="union code minimum Hamming distance",
         claimed="d_H(C_U) == 1", measured=_fmt(d_union), passed=d_union == 1))
 
-    dists = dict(component_min_distances(union))
+    dists = component_min_distances(union)
     bound = spec.m - spec.n + spec.k
-    finite = {i: d for i, d in dists.items() if d is not math.inf}
-    worst = max(finite.values(), default=math.inf)
+    finite = [d for _, d in dists if d is not math.inf]
+    worst = max(finite, default=math.inf)
     checks.append(LemmaCheck(
         lemma="L2", description="every nonzero component obeys the Singleton-type bound",
         claimed=f"d_H(C) <= m-n+k = {bound}", measured=f"max d_H(C) = {_fmt(worst)}",
-        passed=all(d <= bound for d in finite.values())))
+        passed=all(d <= bound for d in finite)))
 
     mono_bound = spec.m - spec.n + 1
-    mono = []
-    for comp in union.components:
-        chunks = [comp.message[j * spec.m:(j + 1) * spec.m] for j in range(spec.k)]
-        nonzero = [c for c in chunks if any(c)]
-        if len(nonzero) == 1:
-            d = dists[comp.index]
-            if d is not math.inf:
-                mono.append(d)
+    # a single-monomial message has exactly one nonzero block of m digits
+    blocks = codes.message_digits(spec, union.components).reshape(-1, spec.k, spec.m)
+    single = blocks.any(axis=2).sum(axis=1) == 1
+    mono = [d for (_, d), one in zip(dists, single.tolist()) if one and d is not math.inf]
     checks.append(LemmaCheck(
         lemma="L3", description="single-monomial components obey the tighter bound",
         claimed=f"d_H(C_j) <= m-n+1 = {mono_bound}",

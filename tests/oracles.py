@@ -157,6 +157,30 @@ def naive_rref(rows, p):
     return tuple(tuple(r) for r in out)
 
 
+def iter_message_digits(q, length):
+    """Every message of `length` base-q digits in lexicographic order,
+    lowest digit varying fastest."""
+    for index in range(q ** length):
+        digits = []
+        rest = index
+        for _ in range(length):
+            digits.append(rest % q)
+            rest //= q
+        yield tuple(digits)
+
+
+def reference_restrict(provenance, wanted):
+    """The dict-of-sets restriction: each vector whose owner set meets
+    `wanted`, in the given order, with the owners inside `wanted`."""
+    wanted = set(wanted)
+    restricted = {}
+    for vector, owners in provenance.items():
+        kept = owners & wanted
+        if kept:
+            restricted[vector] = kept
+    return restricted
+
+
 # ---------------------------------------------------------------- simulator
 #
 # The strategy-major simulator that the trial-major one replaced: each

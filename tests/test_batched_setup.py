@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 
 from twotier import codes, linalg
 from twotier.codes import (GabidulinSpec, KKSpec, MVSpec, build_codebook,
-                           encode_message_digits, iter_message_digits)
+                           encode_message_digits, message_digit_length)
 from twotier.config import load_config
 from twotier.fields import LOG_TABLE_LIMIT, FieldContext
-from twotier.union import build_union, component_min_distances
+from twotier.union import build_union, component_min_distances, owners
 
 import oracles
 
@@ -76,6 +76,12 @@ def case(name):
         spec = dict(zip(("skew-gabidulin", "skew-kk"), skew_specs()))[name]
     codebook = build_codebook(spec)
     return spec, codebook, build_union(codebook)
+
+
+@functools.cache
+def case_owners(name):
+    """The owner sets of a named case's union."""
+    return owners(case(name)[2])
 
 
 CASES = SHIPPED + SCALED + ("gf729-gabidulin", "skew-gabidulin", "skew-kk", "gf2^17-mv")
@@ -183,7 +189,8 @@ def test_codebook_in_message_order(name):
     spec, codebook, _ = case(name)
     assert isinstance(codebook, codes.Codebook)
     assert len(codebook) == spec.message_count()
-    assert [cw.message for cw in codebook[:50]] == list(itertools.islice(iter_message_digits(spec), 50))
+    assert [cw.message for cw in codebook[:50]] == list(itertools.islice(
+        oracles.iter_message_digits(spec.q, message_digit_length(spec)), 50))
     assert codebook.stack.dtype == np.int8
     assert codebook.stack.shape == (len(codebook),) + np.shape(codebook[0].rows)
 
@@ -203,12 +210,10 @@ def reference_provenance(codebook, p):
 def test_provenance_matches_spans(name):
     spec, codebook, union = case(name)
     expected = reference_provenance(codebook, spec.q)
-    assert list(union.provenance) == list(expected)
-    assert union.provenance == expected
-    assert [c.index for c in union.components] == list(range(len(codebook)))
-    for comp, cw in zip(union.components, codebook):
-        assert (comp.rows, comp.message) == (cw.rows, cw.message)
-        assert comp.dimension == oracles.naive_rank(cw.rows, spec.q)
+    assert list(owners(union)) == list(expected)
+    assert owners(union) == expected
+    assert union.components.tolist() == list(range(len(codebook)))
+    assert codebook.ranks.tolist() == [oracles.naive_rank(cw.rows, spec.q) for cw in codebook]
     assert (union.ambient_len, union.p) == (len(codebook[0].rows[0]), spec.q)
 
 
@@ -230,11 +235,11 @@ def test_scaled_kk_provenance(index, coeffs):
     """On the 16384-codeword code, a span vector lists exactly its owners."""
     spec, codebook, union = case("kk-gf128")
     vector = combine(coeffs, codebook[index].rows, 2)
-    owners = union.provenance[vector]
-    assert index in owners
+    owned = case_owners("kk-gf128")[vector]
+    assert index in owned
     for other in random.Random(index).sample(range(len(codebook)), 20):
         inside = oracles.naive_rank(codebook[other].rows + (vector,), 2) == 2
-        assert (other in owners) == inside
+        assert (other in owned) == inside
 
 
 # ---------------------------------------------------------------- chunking
@@ -244,7 +249,7 @@ def snapshot(codebook, union):
               None if cw.symbols is None else tuple(s.coeffs for s in cw.symbols))
              for cw in codebook],
             codebook.stack.tolist(), codebook.ranks.tolist(),
-            [(v, sorted(o)) for v, o in union.provenance.items()], union.components)
+            [(v, sorted(o)) for v, o in owners(union).items()], union.components.tolist())
 
 
 @pytest.mark.parametrize("chunk", (1, 3))
@@ -277,7 +282,7 @@ def test_duplicate_subspace_raises_at_the_first_repeat():
     object.__setattr__(spec, "k", 2)    # k > l: values no longer pin the message down
     # the first message, in message order, whose subspace an earlier one has
     seen, expected = {}, None
-    for digits in iter_message_digits(spec):
+    for digits in oracles.iter_message_digits(spec.q, message_digit_length(spec)):
         basis = oracles.naive_rref(reference_codeword(spec, digits)[0], 2)
         if basis in seen:
             expected = f"messages {seen[basis]} and {digits} map to the same subspace"

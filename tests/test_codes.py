@@ -9,7 +9,7 @@ import pytest
 
 from twotier.codes import (BlockSpec, Codebook, GabidulinSpec, KKSpec, MVSpec, PacketLayout,
                            build_codebook, encode_message_digits,
-                           gabidulin_encode, iter_message_digits, kk_encode,
+                           gabidulin_encode, kk_encode,
                            message_digit_length, mv_encode, pack_vector)
 from twotier.config import load_config
 from twotier.errors import BudgetError
@@ -310,7 +310,8 @@ def test_codebook_sizes_and_order():
     assert len(build_codebook(mv1_spec())) == 2
     cb = build_codebook(kk_spec())
     assert len(cb) == 8
-    assert [cw.message for cw in cb] == list(iter_message_digits(kk_spec()))
+    assert [cw.message for cw in cb] == list(oracles.iter_message_digits(
+        2, message_digit_length(kk_spec())))
     # lowest coefficient varies fastest
     assert cb[1].message == (1, 0, 0)
     assert cb[2].message == (0, 1, 0)
@@ -345,7 +346,7 @@ def test_mv_subfield_membership_row_invariant():
     spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1,
                   alphas=(ctx.gamma_pow(504), ctx.gamma_pow(294)))
     fixed = oracles.subfield_fixed_set(oracles.MOD_GF729, 3, 27)
-    for digits in iter_message_digits(spec):
+    for digits in oracles.iter_message_digits(3, message_digit_length(spec)):
         poly = LinearizedPoly(tuple(ctx.element([d] + [0] * 5) for d in digits), 3)
         value = spec.alphas[1]
         for _ in range(spec.big_l):

@@ -1,20 +1,26 @@
+import functools
+import gc
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twotier import metrics
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
-from twotier.union import (UnionCode, build_union, component_min_distances,
-                           component_vectors, verify_lemmas)
+from twotier.union import (UnionCode, build_union, component_min_distances, owners,
+                           verify_lemmas)
 
 import oracles
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def gf8():
@@ -47,9 +53,10 @@ def gab_union(n=2, k=1):
 
 def test_zero_dimensional_component():
     spec, cb, _ = gab_union()
-    uni = build_union(Codebook(spec, cb.stack[:1]))  # zero message only
+    zero = Codebook(spec, cb.stack[:1])  # zero message only
+    uni = build_union(zero)
     assert set(uni.vectors) == {(0, 0, 0)}
-    assert uni.components[0].dimension == 0
+    assert zero.ranks[uni.components[0]] == 0
 
 
 def test_kk_union_cardinality_and_distance():
@@ -58,7 +65,7 @@ def test_kk_union_cardinality_and_distance():
     assert uni.min_distance() == 1
     assert (0,) * 6 in uni
     # zero vector is in every component
-    assert uni.provenance[(0,) * 6] == set(range(8))
+    assert owners(uni)[(0,) * 6] == set(range(8))
 
 
 def test_kk_union_matches_brute_force():
@@ -103,11 +110,12 @@ def test_provenance_soundness_spot_check():
     spec, cb, uni = kk_union()
     rng = random.Random(21)
     vectors = list(uni.vectors)
+    owned = owners(uni)
     for _ in range(30):
         v = rng.choice(vectors)
-        for comp in uni.components:
-            claimed = comp.index in uni.provenance[v]
-            actual = linalg.in_row_space(comp.rows, v, uni.p)
+        for index in uni.components.tolist():
+            claimed = index in owned[v]
+            actual = linalg.in_row_space(cb[index].rows, v, uni.p)
             assert claimed == actual
 
 
@@ -173,9 +181,9 @@ def test_restrict_an_already_restricted_union():
     first = uni.restrict({6, 1, 4, 3})
     twice = first.restrict([4, 1, 4])
     direct = uni.restrict({1, 4})
-    assert twice.provenance == direct.provenance
-    assert list(twice.provenance) == list(direct.provenance)
-    assert twice.components == direct.components == (uni.components[1], uni.components[4])
+    assert owners(twice) == owners(direct)
+    assert list(owners(twice)) == list(owners(direct))
+    assert twice.components.tolist() == direct.components.tolist() == [1, 4]
     # components dropped by the first restriction are unknown to the second
     with pytest.raises(ValueError, match=r"unknown component indices \[0, 5\]"):
         first.restrict({0, 3, 5})
@@ -187,8 +195,76 @@ def test_restrict_keeps_component_order():
     spec, cb, uni = kk_union()
     shuffled = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
     kept = shuffled.restrict({2, 7, 5})
-    assert [c.index for c in kept.components] == [7, 5, 2]
-    assert [c.index for c in kept.restrict({2, 7}).components] == [7, 2]
+    assert kept.components.tolist() == [7, 5, 2]
+    assert kept.restrict({2, 7}).components.tolist() == [7, 2]
+
+
+@functools.cache
+def restrict_case(name):
+    """(codebook, union, owner sets by span enumeration) of a shipped config."""
+    _, _, codebook, uni = load_config(ROOT / "configs" / f"{name}.json").build_all()
+    provenance = {}
+    for index, cw in enumerate(codebook):
+        for v in oracles.span(cw.rows, uni.p):
+            provenance.setdefault(v, set()).add(index)
+    return codebook, uni, provenance
+
+
+def check_restriction(got, provenance, wanted, order):
+    """`got` is the reference restriction of `provenance` to `wanted`, its
+    components in `order` (component indices, those outside `wanted` skipped)."""
+    expected = oracles.reference_restrict(provenance, wanted)
+    assert set(got.vectors) == set(expected)
+    assert all((v in got) == (v in expected) for v in provenance)
+    assert owners(got) == expected
+    assert got.cardinality == len(expected)
+    if len(expected) >= 2:
+        assert got.min_distance() == oracles.naive_min_pairwise(expected, got.p)
+    kept = [i for i in order if i in wanted]
+    assert got.components.tolist() == kept
+    weights = {i: [oracles.weight(v) for v, o in expected.items() if i in o and any(v)]
+               for i in kept}
+    dists = component_min_distances(got)
+    assert [i for i, _ in dists] == kept
+    for index, d in dists:
+        if weights[index]:
+            assert d == min(weights[index])
+        else:
+            assert d is math.inf
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("kk_example", "gabidulin_gf8", "mv2_compressed")),
+       data=st.data())
+def test_restrict_matches_the_dict_of_sets_reference(name, data):
+    codebook, uni, provenance = restrict_case(name)
+    first = data.draw(st.sets(st.integers(0, len(codebook) - 1), min_size=1))
+    second = data.draw(st.sets(st.sampled_from(sorted(first)), min_size=1))
+    reversed_union = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    for base in (uni, reversed_union):
+        order = base.components.tolist()
+        once = base.restrict(first)
+        check_restriction(once, provenance, first, order)
+        check_restriction(once.restrict(second), provenance, second, order)
+
+
+# |U| = (q^l-1)q^m+1 (L6) with q = 2, l = 2, m = 7 and 8
+@pytest.mark.parametrize("config, cardinality, per_codeword",
+                         (("kk-gf128", 385, 64), ("kk-gf256", 769, 32)))
+def test_union_keeps_no_per_codeword_objects(config, cardinality, per_codeword):
+    """The union keeps only arrays per codeword, 25-30 bytes each here
+    (a dict of owner sets took 840-890); 32 bytes on GF(2^8) is 2 MiB."""
+    cfg = load_config(ROOT / "perfbench" / "configs" / f"{config}.json")
+    codebook = build_codebook(cfg.build_spec(cfg.build_field()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        uni = build_union(codebook)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert uni.cardinality == cardinality
+    assert retained / len(codebook) <= per_codeword
 
 
 # ---------------------------------------------------------------- lemma checks
@@ -245,5 +321,6 @@ def test_non_polynomial_basis_marks_l8_informational():
 
 def test_component_vectors_are_spans():
     spec, cb, uni = mv1_union()
-    for comp in uni.components:
-        assert set(component_vectors(uni, comp.index)) == oracles.span(comp.rows, 2)
+    owned = owners(uni)
+    for index in uni.components.tolist():
+        assert {v for v, o in owned.items() if index in o} == oracles.span(cb[index].rows, 2)
