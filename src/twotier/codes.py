@@ -219,9 +219,6 @@ class GabidulinSpec:
     def message_count(self) -> int:
         return self.q ** (self.m * self.k)
 
-    def encode(self, u) -> Codeword:
-        return gabidulin_encode(self, u)
-
     @functools.cached_property
     def _values_map(self):
         return _evaluation_matrix(self, self.generators)
@@ -273,9 +270,6 @@ class KKSpec:
     def message_count(self) -> int:
         return self.q ** (self.m * self.k)
 
-    def encode(self, u) -> Codeword:
-        return kk_encode(self, u)
-
     @functools.cached_property
     def _values_map(self):
         return _evaluation_matrix(self, self.alphas)
@@ -296,7 +290,6 @@ class MVSpec:
     k: int
     alphas: tuple
     layout_name: str = "uncompressed"
-    validate_messages: bool = dc_field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
@@ -317,8 +310,7 @@ class MVSpec:
             raise ValueError("alpha from a different field context")
         if not _independent_over_base(self.alphas, q):
             raise ValueError("alphas are linearly dependent over the base field")
-        if self.validate_messages:
-            self._validate_subfield_membership()
+        self._validate_subfield_membership()
 
     def _validate_subfield_membership(self):
         """Every ratio row entry must land in GF(q^m), for every message."""
@@ -382,9 +374,6 @@ class MVSpec:
 
     def message_count(self) -> int:
         return self.q ** self.k
-
-    def encode(self, u) -> Codeword:
-        return mv_encode(self, u)
 
 
 # ---------------------------------------------------------------- encoders

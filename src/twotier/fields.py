@@ -5,9 +5,10 @@ coefficient first, reduced modulo a monic irreducible polynomial.
 Constructing a :class:`FieldContext` validates that the modulus is
 irreducible (trial division, feasible at desk scale) and primitive: the
 residue class of x must generate the whole multiplicative group. Every
-context therefore carries a primitive element ``gamma``, and small fields
-get discrete log tables so multiplication and inversion are exponent
-arithmetic.
+context therefore carries a primitive element ``gamma``. Element arithmetic
+works on the coefficients alone, with one path for every field size:
+schoolbook multiplication reduced modulo the modulus, and square-and-multiply
+for powers and inverses.
 
 Batched work (encoding a whole message space) needs no elements at all:
 multiplication by a fixed element and the Frobenius map are GF(p)-linear,
@@ -30,7 +31,6 @@ from . import linalg
 # both assume a single-digit prime base.
 DESK_PRIMES = (2, 3, 5, 7)
 MAX_FIELD_SIZE = 2 ** 30
-LOG_TABLE_LIMIT = 2 ** 16
 
 # Moduli named in the shipped example configurations: x^3+x+1 over GF(2)
 # and x^6+x+2 over GF(3). Anything else must be supplied explicitly.
@@ -95,8 +95,6 @@ class FieldContext:
         else:
             self.gamma = FieldElement(self, tuple([0, 1] + [0] * (n - 2)))
 
-        self._pow = None
-        self._log = None
         self._subfield_bases = {}
         self.basis = None
         self._to_basis = None
@@ -127,13 +125,6 @@ class FieldContext:
     def polynomial_basis(self) -> bool:
         return self.basis is None
 
-    def to_coords(self, a: "FieldElement") -> tuple:
-        """Representation coordinates of an element (basis-aware)."""
-        if self.basis is None:
-            return a.coeffs
-        vec = (np.array(a.coeffs, dtype=np.int64) @ self._to_basis) % self.p
-        return tuple(int(x) for x in vec)
-
     def from_vector(self, coords) -> "FieldElement":
         """Element whose representation coordinates are the given vector."""
         coords = tuple(int(c) for c in coords)
@@ -162,33 +153,14 @@ class FieldContext:
         return True
 
     def _check_primitive(self):
+        # gamma has order p^n - 1 iff gamma^(p^n - 1) = 1 (which fails only
+        # for gamma = 0, a degree-1 modulus x) and no maximal proper divisor
+        # of p^n - 1 already gives 1
         order = self.size - 1
-        if order == 1:
-            if self.gamma != self.one:
-                raise ValueError(f"modulus {self.modulus} is not primitive")
-            self._pow = [self.one.coeffs]
-            self._log = {self.one.coeffs: 0}
-            return
-        if self.size <= LOG_TABLE_LIMIT:
-            # one pass builds the log tables and proves primitivity
-            pows = [self.one.coeffs]
-            log = {self.one.coeffs: 0}
-            acc = self.gamma.coeffs
-            k = 1
-            while acc != self.one.coeffs:
-                pows.append(acc)
-                log[acc] = k
-                acc = self._mul_coeffs(acc, self.gamma.coeffs)
-                k += 1
-            if k != order:
-                raise ValueError(
-                    f"modulus {self.modulus} is not primitive: x has order {k}, need {order}")
-            self._pow = pows
-            self._log = log
-        else:
-            for f in _factorize(order):
-                if self._pow_coeffs(self.gamma.coeffs, order // f) == self.one.coeffs:
-                    raise ValueError(f"modulus {self.modulus} is not primitive")
+        one, gamma = self.one.coeffs, self.gamma.coeffs
+        if (self._pow_coeffs(gamma, order) != one or
+                any(self._pow_coeffs(gamma, order // f) == one for f in _factorize(order))):
+            raise ValueError(f"modulus {self.modulus} is not primitive")
 
     # -- coefficient arithmetic ----------------------------------------
 
@@ -239,10 +211,7 @@ class FieldContext:
         return FieldElement(self, tuple(coeffs))
 
     def gamma_pow(self, k: int) -> "FieldElement":
-        k %= self.size - 1
-        if self._pow is not None:
-            return FieldElement(self, self._pow[k])
-        return FieldElement(self, self._pow_coeffs(self.gamma.coeffs, k))
+        return FieldElement(self, self._pow_coeffs(self.gamma.coeffs, k % (self.size - 1)))
 
     def elements(self):
         for code in range(self.size):
@@ -358,13 +327,7 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        if ctx._log is not None:
-            if not any(self.coeffs) or not any(other.coeffs):
-                return ctx.zero
-            k = ctx._log[self.coeffs] + ctx._log[other.coeffs]
-            return FieldElement(ctx, ctx._pow[k % (ctx.size - 1)])
-        return FieldElement(ctx, ctx._mul_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
 
     def __truediv__(self, other):
         self._check(other)
@@ -378,11 +341,7 @@ class FieldElement:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return ctx.zero
-        e %= ctx.size - 1
-        if ctx._log is not None:
-            k = (ctx._log[self.coeffs] * e) % (ctx.size - 1)
-            return FieldElement(ctx, ctx._pow[k])
-        return FieldElement(ctx, ctx._pow_coeffs(self.coeffs, e))
+        return FieldElement(ctx, ctx._pow_coeffs(self.coeffs, e % (ctx.size - 1)))
 
     def inverse(self) -> "FieldElement":
         if not any(self.coeffs):
@@ -417,7 +376,10 @@ class FieldElement:
         Polynomial-basis coefficients unless the context carries a
         change-of-basis matrix.
         """
-        return self.ctx.to_coords(self)
+        ctx = self.ctx
+        if ctx.basis is None:
+            return self.coeffs
+        return tuple((np.array(self.coeffs, dtype=np.int64) @ ctx._to_basis % ctx.p).tolist())
 
     def to_int(self) -> int:
         code = 0

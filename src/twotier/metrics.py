@@ -97,18 +97,6 @@ def injection_distance(u: Subspace, v: Subspace) -> int:
     return max(u.dim, v.dim) - inter
 
 
-def is_additively_closed(vectors, p: int) -> bool:
-    """True iff the set is a GF(p)-subspace (it then equals its own span)."""
-    vecs = list(vectors)
-    if not vecs:
-        return False
-    zero = tuple([0] * len(vecs[0]))
-    if zero not in set(vecs):
-        return False
-    r = linalg.rank(vecs, p)
-    return len(set(vecs)) == p ** r
-
-
 def min_weight(vectors):
     """Minimum Hamming weight over nonzero vectors; inf if all zero."""
     best = math.inf
@@ -121,22 +109,24 @@ def min_weight(vectors):
     return best
 
 
-def min_distance(vectors, p: int):
+def min_distance(vectors):
     """Minimum pairwise Hamming distance of a vector set.
 
-    Uses the minimum-weight shortcut only when the set is verified closed
-    under addition; a union of linear codes is generally nonlinear, so the
-    default is the exact pairwise scan.
+    A union of linear codes is generally nonlinear, so this is the exact
+    pairwise scan; on a linear code it finds the minimum weight too.
     """
-    vecs = sorted(set(tuple(v) for v in vectors))
+    vecs = list(dict.fromkeys(tuple(v) for v in vectors))
     if len(vecs) < 2:
         raise ValueError("minimum distance needs at least two distinct vectors")
-    if is_additively_closed(vecs, p):
-        return min_weight(vecs)
-    arr = np.array(vecs, dtype=np.int16)
-    best = arr.shape[1] + 1
-    for i in range(len(vecs) - 1):
-        d = int(np.count_nonzero(arr[i + 1:] != arr[i], axis=1).min())
+    return pairwise_min_distance(np.array(vecs, dtype=np.int16))
+
+
+def pairwise_min_distance(matrix: np.ndarray) -> int:
+    """Minimum Hamming distance between the rows of a matrix of at least
+    two distinct rows, one row against all later rows at a time."""
+    best = matrix.shape[1] + 1
+    for i in range(len(matrix) - 1):
+        d = int(np.count_nonzero(matrix[i + 1:] != matrix[i], axis=1).min())
         if d < best:
             best = d
             if best == 1:

@@ -77,9 +77,10 @@ class UnionCode:
         if self._min_distance is None:
             if len(self.components) == 1:
                 # the vectors are then one component's span, a linear code
-                self._min_distance = metrics.min_weight(self.vectors)
+                self._min_distance = int(self.provenance.min_weights[self.components[0]])
             else:
-                self._min_distance = metrics.min_distance(self.vectors, self.p)
+                # the rows are distinct span vectors
+                self._min_distance = metrics.pairwise_min_distance(self.matrix)
         return self._min_distance
 
     def restrict(self, indices) -> "UnionCode":

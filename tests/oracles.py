@@ -53,6 +53,40 @@ def naive_order(a, modulus, p):
     return k
 
 
+def _poly_mul(a, b, p):
+    """Plain product of coefficient tuples (low-to-high), no reduction."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return tuple(prod)
+
+
+def modulus_verdict(modulus, p):
+    """"reducible", "not primitive", or None for a primitive monic modulus.
+
+    Reducible when some product of two monic polynomials of lower degree
+    multiplies out to it. Otherwise x is walked through its powers by
+    polynomial multiplication, at most p^n steps: primitive when 1 first
+    recurs at step p^n - 1.
+    """
+    modulus = tuple(modulus)
+    n = len(modulus) - 1
+    for d in range(1, n):
+        for left in itertools.product(range(p), repeat=d):
+            for right in itertools.product(range(p), repeat=n - d):
+                if _poly_mul(left + (1,), right + (1,), p) == modulus:
+                    return "reducible"
+    one = tuple([1] + [0] * (n - 1))
+    x = ((-modulus[0]) % p,) if n == 1 else (0, 1) + (0,) * (n - 2)
+    acc = x
+    for k in range(1, p ** n):
+        if acc == one:
+            return None if k == p ** n - 1 else "not primitive"
+        acc = poly_mul_mod(acc, x, modulus, p)
+    return "not primitive"
+
+
 def all_vectors(p, n):
     return [tuple(t) for t in itertools.product(range(p), repeat=n)]
 
@@ -109,6 +143,18 @@ def naive_rank(rows, p):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def is_additively_closed(vectors, p):
+    """True iff the set is a GF(p)-subspace (it then equals its own span)."""
+    vecs = list(vectors)
+    if not vecs:
+        return False
+    zero = tuple([0] * len(vecs[0]))
+    if zero not in set(vecs):
+        return False
+    r = naive_rank(vecs, p)
+    return len(set(vecs)) == p ** r
 
 
 def naive_min_pairwise(vectors, p):

@@ -7,8 +7,7 @@ codeword from ``oracles.lin_eval`` on coefficient tuples, each basis with
 ``oracles.naive_rref``, and the union by walking every span in order,
 and require identical results: on every shipped config, the two scaled
 benchmark configs, a GF(3^6) Gabidulin code, a non-polynomial basis, MV
-compressed (subfield coordinates) and an MV code over GF(2^17), above the
-log-table limit.
+compressed (subfield coordinates) and an MV code over GF(2^17).
 """
 
 import functools
@@ -27,7 +26,7 @@ from twotier import codes, linalg
 from twotier.codes import (GabidulinSpec, KKSpec, MVSpec, build_codebook,
                            encode_message_digits, message_digit_length)
 from twotier.config import load_config
-from twotier.fields import LOG_TABLE_LIMIT, FieldContext
+from twotier.fields import FieldContext
 from twotier.union import build_union, component_min_distances, owners
 
 import oracles
@@ -44,7 +43,6 @@ MOD_GF2_17 = (1, 0, 0, 1) + (0,) * 13 + (1,)
 
 def gf2_17_mv():
     ctx = FieldContext(2, 17, MOD_GF2_17)
-    assert ctx.size > LOG_TABLE_LIMIT
     return MVSpec(field=ctx, m=17, l=1, big_l=2, k=1, alphas=(ctx.gamma_pow(5),))
 
 

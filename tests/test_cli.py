@@ -63,6 +63,14 @@ def test_corrupted_alpha_set_is_config_error(tmp_path, capsys):
     assert "dependent" in capsys.readouterr().err
 
 
+def test_zero_primitive_element_modulus_is_config_error(tmp_path, capsys):
+    # over GF(3) the modulus x makes gamma = 0, which has no order
+    cfg = kk_config()
+    cfg["field"] = {"p": 3, "n": 1, "modulus": [0, 1]}
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "not primitive" in capsys.readouterr().err
+
+
 def test_budget_exceeded_exit_code(tmp_path, capsys):
     cfg = kk_config()
     cfg["budgets"] = {"union": 4}

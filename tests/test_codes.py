@@ -250,8 +250,7 @@ def test_mv_spec_validation():
     with pytest.raises(ValueError, match="divide"):
         # l = 3 does not divide q - 1 = 2
         MVSpec(field=ctx729, m=2, l=3, big_l=2, k=1,
-               alphas=(ctx729.one, ctx729.gamma, ctx729.gamma_pow(2)),
-               validate_messages=False)
+               alphas=(ctx729.one, ctx729.gamma, ctx729.gamma_pow(2)))
     ctx = gf8()
     with pytest.raises(ValueError):
         MVSpec(field=ctx, m=2, l=1, big_l=2, k=1, alphas=(ctx.gamma,))  # m*l != degree

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,23 @@ def test_irreducible_but_not_primitive_rejected():
     # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2) but x has order 5
     with pytest.raises(ValueError, match="not primitive"):
         FieldContext(2, 4, (1, 1, 1, 1, 1))
+
+
+def test_every_small_modulus_matches_the_oracle():
+    # every monic modulus of a small field: accepted exactly when primitive,
+    # and rejected for the reason the brute-force oracle finds
+    for p, top in ((2, 5), (3, 3), (5, 2), (7, 2)):
+        for n in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=n):
+                modulus = tail + (1,)
+                verdict = oracles.modulus_verdict(modulus, p)
+                if verdict is None:
+                    assert FieldContext(p, n, modulus).modulus == modulus
+                else:
+                    with pytest.raises(ValueError, match=f"modulus .* is {verdict}"):
+                        FieldContext(p, n, modulus)
+        # the modulus x makes x itself zero
+        assert oracles.modulus_verdict((0, 1), p) == "not primitive"
 
 
 def test_non_desk_scale_rejected():

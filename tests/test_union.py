@@ -155,17 +155,27 @@ def test_restrict_monotone_and_contained():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
 def test_one_component_distance_is_its_min_weight(config):
-    # a one-component union is a linear code: min_distance skips the
-    # closure test and the pairwise scan and takes the minimum weight
+    # a one-component union is a linear code: min_distance reads the
+    # component's minimum weight from the span record instead of scanning
     _, _, codebook, uni = load_config(config).build_all()
     checked = 0
     for index in range(len(codebook)):
         only = uni.restrict({index})
         if only.cardinality < 2:
             continue
-        assert only.min_distance() == metrics.min_distance(only.vectors, only.p)
+        assert only.min_distance() == metrics.min_distance(only.vectors)
         checked += 1
     assert checked >= len(codebook) - 1   # only a zero codeword spans one vector
+
+
+@pytest.mark.parametrize(
+    "config", CONFIGS + [ROOT / "perfbench" / "configs" / f"{name}.json"
+                         for name in ("kk-gf128", "gab-gf64")],
+    ids=lambda path: path.stem)
+def test_full_union_distance_matches_pairwise_oracle(config):
+    # the full union scans the span record's rows in first-occurrence order
+    _, _, _, uni = load_config(config).build_all()
+    assert uni.min_distance() == oracles.naive_min_pairwise(uni.vectors, uni.p)
 
 
 def test_restrict_validation():
