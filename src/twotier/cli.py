@@ -12,8 +12,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .codes import (build_codebook, codebook_csv_rows, encode_message_digits,
-                    message_digit_length)
+from .codes import build_codebook, codebook_csv_rows, encode
 from .config import RunConfig, load_config, parse_digits
 from .decoders import two_tier_decode
 from .errors import BudgetError, ConfigError
@@ -38,16 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
+
+    def formatted(p):
+        common(p)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify-lemmas", help="check the distance/cardinality claims by enumeration")
-    common(p)
+    formatted(p)
     p.add_argument("--dump-union", default=None, metavar="PATH",
                    help="also write the union vectors with provenance as CSV")
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("encode", help="encode one message into packet rows")
-    common(p)
+    formatted(p)
     p.add_argument("--message", default=None, help="message digits, lowest coefficient first")
     p.add_argument("--all", action="store_true",
                    help="export the whole codebook as CSV instead of one message")
@@ -59,11 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="run the seeded network-coding experiment")
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze-distances", help="distance table for components and union")
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_analyze_distances)
     return parser
 
@@ -153,10 +155,10 @@ def cmd_encode(args) -> int:
     digits = parse_digits(args.message) if args.message else cfg.message_digits()
     if digits is None:
         raise ConfigError("no message given (use --message or a 'message' config entry)")
-    if len(digits) != message_digit_length(spec):
-        raise ConfigError(f"message needs {message_digit_length(spec)} digits, got {len(digits)}")
+    if len(digits) != spec.message_length:
+        raise ConfigError(f"message needs {spec.message_length} digits, got {len(digits)}")
     try:
-        cw = encode_message_digits(spec, digits)
+        cw = encode(spec, digits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = ["".join(str(d) for d in row) for row in cw.rows]

@@ -6,7 +6,6 @@ into base-field coordinate vectors according to an explicit block layout.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -111,7 +110,7 @@ class Codebook:
         self.kind = spec.kind
         self.field = spec.field
         self.p = spec.q
-        self._length = message_digit_length(spec)
+        self._length = spec.message_length
         self.stack = stack.view()
         self.stack.flags.writeable = False
         if self.kind == SUBSPACE:
@@ -175,38 +174,77 @@ class Codebook:
 
 # ---------------------------------------------------------------- specs
 
-def _independent_over_base(elements, p: int) -> bool:
-    return linalg.rank([e.to_vector() for e in elements], p) == len(elements)
+def _checked_points(field: FieldContext, points, count: int, noun: str) -> tuple:
+    """The generators or alphas of a spec as a tuple, checked: `count`
+    elements of `field`, linearly independent over its base field."""
+    points = tuple(points)
+    if len(points) != count:
+        raise ValueError(f"need {count} {noun}s, got {len(points)}")
+    if any(x.ctx != field for x in points):
+        raise ValueError(f"{noun} from a different field context")
+    if linalg.rank([x.to_vector() for x in points], field.p) != count:
+        raise ValueError(f"{noun}s are linearly dependent over the base field")
+    return points
+
+
+class _Spec:
+    """What every code spec shares: its base field GF(q), and messages of
+    ``message_length`` base-q digits, lowest first."""
+
+    @property
+    def q(self) -> int:
+        return self.field.p
+
+    def message_count(self) -> int:
+        return self.q ** self.message_length
+
+
+class _EvaluationSpec(_Spec):
+    """What Gabidulin and KK codes share. A message is the k coefficients in
+    GF(q^m) of u(x) = sum_i u_i x^(q^i), and the code evaluates u at its
+    points: a Gabidulin code at its generators, and a KK code lifts the
+    Gabidulin code on its alphas."""
+
+    @property
+    def m(self) -> int:
+        return self.field.n
+
+    @property
+    def message_length(self) -> int:
+        return self.m * self.k
+
+    def _checked(self, size: str, count: int, noun: str, points) -> tuple:
+        """The points, checked, after 1 <= k <= count <= m, where `size`
+        names count in the messages."""
+        if not 1 <= count <= self.m:
+            raise ValueError(f"need 1 <= {size} <= m, got {size}={count}, m={self.m}")
+        if not 1 <= self.k <= count:
+            raise ValueError(f"need 1 <= k <= {size}, got k={self.k}")
+        return _checked_points(self.field, points, count, noun)
+
+    @functools.cached_property
+    def _values_map(self):
+        """(k*m, points*m) matrix over GF(p) taking message digits to the
+        coefficients of u at every point."""
+        return np.vstack([np.hstack([self.field.mul_matrix(x ** self.q ** i) for x in self._points])
+                          for i in range(self.k)])
+
+    def _values(self, messages):
+        """u at every point: (N, points, m) coefficients."""
+        return (messages @ self._values_map % self.q).reshape(
+            len(messages), len(self._points), self.m)
 
 
 @dataclass(frozen=True)
-class GabidulinSpec:
+class GabidulinSpec(_EvaluationSpec):
     field: FieldContext
     n: int
     k: int
     generators: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        m = self.field.n
-        if not 1 <= self.n <= m:
-            raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={m}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}")
-        if len(self.generators) != self.n:
-            raise ValueError(f"need {self.n} generators, got {len(self.generators)}")
-        if any(g.ctx != self.field for g in self.generators):
-            raise ValueError("generator from a different field context")
-        if not _independent_over_base(self.generators, self.q):
-            raise ValueError("generators are linearly dependent over the base field")
-
-    @property
-    def q(self) -> int:
-        return self.field.p
-
-    @property
-    def m(self) -> int:
-        return self.field.n
+        object.__setattr__(self, "generators",
+                           self._checked("n", self.n, "generator", self.generators))
 
     @property
     def kind(self) -> str:
@@ -216,48 +254,26 @@ class GabidulinSpec:
     def layout(self) -> PacketLayout:
         return PacketLayout.gabidulin(self.m)
 
-    def message_count(self) -> int:
-        return self.q ** (self.m * self.k)
-
-    @functools.cached_property
-    def _values_map(self):
-        return _evaluation_matrix(self, self.generators)
+    @property
+    def _points(self) -> tuple:
+        return self.generators
 
     def _blocks(self, messages):
         """The symbols, one row each: [(N, n, m) coefficients]."""
-        return [(messages @ self._values_map % self.q).reshape(len(messages), self.n, self.m)]
+        return [self._values(messages)]
 
 
 @dataclass(frozen=True)
-class KKSpec:
+class KKSpec(_EvaluationSpec):
     field: FieldContext
     l: int
     k: int
     alphas: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        m = self.field.n
-        if not 1 <= self.l <= m:
-            raise ValueError(f"need 1 <= l <= m, got l={self.l}, m={m}")
         # k <= l is an implementation assumption: values on the alphas pin
         # down the codeword only when the polynomial degree stays below l.
-        if not 1 <= self.k <= self.l:
-            raise ValueError(f"need 1 <= k <= l, got k={self.k}")
-        if len(self.alphas) != self.l:
-            raise ValueError(f"need {self.l} alphas, got {len(self.alphas)}")
-        if any(a.ctx != self.field for a in self.alphas):
-            raise ValueError("alpha from a different field context")
-        if not _independent_over_base(self.alphas, self.q):
-            raise ValueError("alphas are linearly dependent over the base field")
-
-    @property
-    def q(self) -> int:
-        return self.field.p
-
-    @property
-    def m(self) -> int:
-        return self.field.n
+        object.__setattr__(self, "alphas", self._checked("l", self.l, "alpha", self.alphas))
 
     @property
     def kind(self) -> str:
@@ -267,22 +283,18 @@ class KKSpec:
     def layout(self) -> PacketLayout:
         return PacketLayout.kk(self.m)
 
-    def message_count(self) -> int:
-        return self.q ** (self.m * self.k)
-
-    @functools.cached_property
-    def _values_map(self):
-        return _evaluation_matrix(self, self.alphas)
+    @property
+    def _points(self) -> tuple:
+        return self.alphas
 
     def _blocks(self, messages):
         """Row j is (alpha_j, u(alpha_j)): two (N, l, m) coefficient arrays."""
         alphas = np.array([[a.coeffs for a in self.alphas]])
-        values = (messages @ self._values_map % self.q).reshape(len(messages), self.l, self.m)
-        return [np.repeat(alphas, len(messages), axis=0), values]
+        return [np.repeat(alphas, len(messages), axis=0), self._values(messages)]
 
 
 @dataclass(frozen=True)
-class MVSpec:
+class MVSpec(_Spec):
     field: FieldContext
     m: int
     l: int
@@ -292,24 +304,17 @@ class MVSpec:
     layout_name: str = "uncompressed"
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        q = self.q
         if self.m < 1 or self.l < 1 or self.m * self.l != self.field.n:
             raise ValueError(f"need m*l == field degree, got m={self.m}, l={self.l}, degree={self.field.n}")
-        if (q - 1) % self.l != 0:
-            raise ValueError(f"l={self.l} must divide q-1={q - 1}")
+        if (self.q - 1) % self.l != 0:
+            raise ValueError(f"l={self.l} must divide q-1={self.q - 1}")
         if self.big_l < 1:
             raise ValueError("list size L must be at least 1")
         if self.k < 1:
             raise ValueError("message length k must be at least 1")
         if self.layout_name not in ("uncompressed", "compressed"):
             raise ValueError(f"unknown layout {self.layout_name!r}")
-        if len(self.alphas) != self.l:
-            raise ValueError(f"need {self.l} alphas, got {len(self.alphas)}")
-        if any(a.ctx != self.field for a in self.alphas):
-            raise ValueError("alpha from a different field context")
-        if not _independent_over_base(self.alphas, q):
-            raise ValueError("alphas are linearly dependent over the base field")
+        object.__setattr__(self, "alphas", _checked_points(self.field, self.alphas, self.l, "alpha"))
         self._validate_subfield_membership()
 
     def _validate_subfield_membership(self):
@@ -360,10 +365,6 @@ class MVSpec:
         return blocks
 
     @property
-    def q(self) -> int:
-        return self.field.p
-
-    @property
     def kind(self) -> str:
         return SUBSPACE
 
@@ -372,8 +373,9 @@ class MVSpec:
         return PacketLayout.mv(self.q, self.m, self.l, self.big_l,
                                compressed=self.layout_name == "compressed")
 
-    def message_count(self) -> int:
-        return self.q ** self.k
+    @property
+    def message_length(self) -> int:
+        return self.k
 
 
 # ---------------------------------------------------------------- encoders
@@ -391,14 +393,6 @@ class MVSpec:
 # union.build_union: bounds the set-up's array temporaries whatever the
 # message count.
 SETUP_CHUNK = 1024
-
-
-def _evaluation_matrix(spec, points):
-    """(k*m, len(points)*m) matrix over GF(p) taking message digits to the
-    coefficients of u(x) = sum_i u_i x^(q^i) at every point."""
-    ctx = spec.field
-    return np.vstack([np.hstack([ctx.mul_matrix(x ** spec.q ** i) for x in points])
-                      for i in range(spec.k)])
 
 
 def _pack(blocks, layout: PacketLayout, ctx: FieldContext):
@@ -426,64 +420,25 @@ def _pack(blocks, layout: PacketLayout, ctx: FieldContext):
     return np.concatenate(parts, axis=2).astype(np.int8)
 
 
-def _encode_one(spec, digits) -> Codeword:
-    stack = _pack(spec._blocks(np.array([digits], dtype=np.int64)), spec.layout, spec.field)
-    return Codeword(spec.kind, tuple(digits), tuple(map(tuple, stack[0].tolist())), spec.field)
-
-
-def _field_message(spec, u) -> tuple:
-    """Digits of a message given as k elements of the code's field."""
-    u = tuple(u)
-    if len(u) != spec.k:
-        raise ValueError(f"message length must be {spec.k}, got {len(u)}")
-    if any(not isinstance(c, FieldElement) or c.ctx != spec.field for c in u):
-        raise ValueError("message symbols must live in the code's field")
-    return tuple(itertools.chain.from_iterable(c.coeffs for c in u))
-
-
-def gabidulin_encode(spec: GabidulinSpec, u) -> Codeword:
-    """Codeword symbols are the linearized polynomial evaluated at the generators."""
-    return _encode_one(spec, _field_message(spec, u))
-
-
-def kk_encode(spec: KKSpec, u) -> Codeword:
-    """Basis rows pair each alpha with the polynomial value at that alpha."""
-    return _encode_one(spec, _field_message(spec, u))
-
-
-def mv_encode(spec: MVSpec, u) -> Codeword:
-    """First row carries iterated values at alpha_0; later rows carry ratios."""
-    digits = tuple(int(c) for c in u)
-    if len(digits) != spec.k:
-        raise ValueError(f"message length must be {spec.k}, got {len(digits)}")
+def encode(spec, digits) -> Codeword:
+    """The codeword of one message, given as its ``spec.message_length``
+    base-q digits, lowest first: a block of one through the batched encoder."""
+    digits = tuple(int(d) for d in digits)
+    if len(digits) != spec.message_length:
+        raise ValueError(f"message length must be {spec.message_length}, got {len(digits)}")
     if any(not 0 <= d < spec.q for d in digits):
         raise ValueError(f"message digits must lie in [0, {spec.q})")
-    return _encode_one(spec, digits)
+    stack = _pack(spec._blocks(np.array([digits], dtype=np.int64)), spec.layout, spec.field)
+    return Codeword(spec.kind, digits, tuple(map(tuple, stack[0].tolist())), spec.field)
 
 
 # ---------------------------------------------------------------- codebooks
-
-def message_digit_length(spec) -> int:
-    if isinstance(spec, MVSpec):
-        return spec.k
-    return spec.field.n * spec.k
-
 
 def message_digits(spec, indices) -> np.ndarray:
     """(len(indices), length) base-q digits of the messages with these
     indices, lowest first."""
     indices = np.asarray(indices, dtype=np.int64)
-    return indices[:, None] // spec.q ** np.arange(message_digit_length(spec)) % spec.q
-
-
-def encode_message_digits(spec, digits) -> Codeword:
-    if isinstance(spec, MVSpec):
-        return mv_encode(spec, digits)
-    m = spec.field.n
-    u = [spec.field.element(digits[j * m:(j + 1) * m]) for j in range(spec.k)]
-    if isinstance(spec, GabidulinSpec):
-        return gabidulin_encode(spec, u)
-    return kk_encode(spec, u)
+    return indices[:, None] // spec.q ** np.arange(spec.message_length) % spec.q
 
 
 def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:

@@ -65,6 +65,10 @@ class DecodeOptions:
             raise ValueError(f"unknown tier-2 metric {self.metric!r}")
         if self.feedback and self.list_radius is None:
             raise ValueError("feedback requires a tier-2 list radius")
+        if self.radius is not None and self.radius < 0:
+            raise ValueError("radius must be nonnegative")
+        if self.list_radius is not None and self.list_radius < 0:
+            raise ValueError("list radius must be nonnegative")
 
 
 def default_radius(min_distance: int) -> int:

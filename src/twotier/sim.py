@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .codes import SUBSPACE, Codebook
-from .decoders import (CORRECTED, DETECT_ONLY, ERASED, REJECTED, VALID, DecodeOptions,
-                       default_radius, tier1_decode, tier2_subspace_decode,
+from .decoders import (CORRECTED, DETECT_ONLY, ERASED, REJECTED, TIER1_MODES, VALID,
+                       DecodeOptions, default_radius, tier1_decode, tier2_subspace_decode,
                        two_tier_decode)
 from .errors import BudgetError
 from .union import UnionCode
@@ -35,6 +35,7 @@ SINK = "sink"
 
 SEED_DERIVATION = "sha256(base|trial|attempt|edge-or-node|purpose) -> 64-bit stream seed"
 MAX_TRIALS = 1_000_000
+MAX_ATTEMPTS = 20       # network passes a trial makes at most when retry_full_rank reruns it
 
 
 def stream(base_seed: int, *parts) -> random.Random:
@@ -265,7 +266,7 @@ class TrialDraws:
 
 def _network(topology: Topology, setup: CodeSetup, rows, error_model: ErrorModel,
              draws: TrialDraws, filtering: bool, node_filter_mode: str,
-             retry_full_rank: bool, max_attempts: int) -> _Network:
+             retry_full_rank: bool) -> _Network:
     """Inject the codeword basis, mix, corrupt; retry rank-deficient clean runs."""
     p = setup.p
     zero_packet = (0,) * setup.ambient_len
@@ -318,7 +319,7 @@ def _network(topology: Topology, setup: CodeSetup, rows, error_model: ErrorModel
         if not deficient:
             break
         rank_deficient = True
-        if attempts >= max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             break
     return _Network(buffers, filtered_drops, attempts, rank_deficient, deliveries)
 
@@ -326,7 +327,7 @@ def _network(topology: Topology, setup: CodeSetup, rows, error_model: ErrorModel
 def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
               strategy: str, base_seed: int, trial: int, *,
               node_filter_mode: str = DETECT_ONLY,
-              retry_full_rank: bool = False, max_attempts: int = 20,
+              retry_full_rank: bool = False,
               draws: TrialDraws | None = None) -> TrialOutcome:
     """One multicast: inject the codeword basis, mix, corrupt, decode at sinks.
 
@@ -349,7 +350,7 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
         rows = [tuple(r) for r in setup.codebook.stack[index].tolist()]
         net = draws.networks[filtering] = _network(
             topology, setup, rows, error_model, draws, filtering, node_filter_mode,
-            retry_full_rank, max_attempts)
+            retry_full_rank)
 
     sink_success = {}
     verdict_counts = _verdict_counts()
@@ -394,6 +395,8 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
+    if node_filter_mode not in TIER1_MODES:
+        raise ValueError(f"unknown tier-1 mode {node_filter_mode!r}")
 
     strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
     per_strategy = {s: {"trials": trials, "successes": 0, "success_by_trial": [],

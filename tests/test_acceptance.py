@@ -8,8 +8,7 @@ import itertools
 import json
 import time
 
-from twotier.codes import (GabidulinSpec, KKSpec, MVSpec, build_codebook,
-                           kk_encode, mv_encode)
+from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook, encode
 from twotier.decoders import (DecodeOptions, tier1_decode, tier2_subspace_decode,
                               two_tier_decode)
 from twotier.fields import FieldContext
@@ -43,7 +42,7 @@ def test_criterion_1_kk_worked_example():
     cb = build_codebook(spec)
     uni = build_union(cb)
 
-    c0 = kk_encode(spec, (ctx.zero,))
+    c0 = encode(spec, ctx.zero.coeffs)
     c0_span = oracles.span(c0.rows, 2)
     expected_c0 = {(0,) * 6,
                    (1, 1, 0, 0, 0, 0),   # (g^3, 0)
@@ -154,12 +153,12 @@ def test_criterion_5_rs_style_constructions():
     a1 = ctx.element((0, 1, 2, 3))   # evaluations of 1 and x at 0, 1, 2, 3
 
     kk_spec = KKSpec(field=ctx, l=2, k=1, alphas=(a0, a1))
-    kk_c0 = kk_encode(kk_spec, (ctx.zero,))
+    kk_c0 = encode(kk_spec, ctx.zero.coeffs)
     d_kk = min_weight(oracles.span(kk_c0.rows, 5))
     kk_ok = d_kk == kk_spec.m - kk_spec.l + 1 == 3
 
     mv_spec = MVSpec(field=ctx, m=2, l=2, big_l=2, k=1, alphas=(a0, a1))
-    mv_c0 = mv_encode(mv_spec, (0,))
+    mv_c0 = encode(mv_spec, (0,))
     d_mv = min_weight(oracles.span(mv_c0.rows, 5))
     mv_ok = d_mv == mv_spec.m * mv_spec.l - mv_spec.l + 1 == 3
 

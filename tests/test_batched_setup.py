@@ -23,8 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotier import codes, linalg
-from twotier.codes import (GabidulinSpec, KKSpec, MVSpec, build_codebook,
-                           encode_message_digits, message_digit_length)
+from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook, encode
 from twotier.config import load_config
 from twotier.fields import FieldContext
 from twotier.union import build_union, component_min_distances, owners
@@ -179,7 +178,7 @@ def test_codeword_matches_reference(drawn):
         assert tuple(s.coeffs for s in cw.symbols) == symbols
         assert all(s.ctx is spec.field for s in cw.symbols)
     # encoding one message is a block of one through the same encoder
-    assert encode_message_digits(spec, digits) == cw
+    assert encode(spec, digits) == cw
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -188,7 +187,7 @@ def test_codebook_in_message_order(name):
     assert isinstance(codebook, codes.Codebook)
     assert len(codebook) == spec.message_count()
     assert [cw.message for cw in codebook[:50]] == list(itertools.islice(
-        oracles.iter_message_digits(spec.q, message_digit_length(spec)), 50))
+        oracles.iter_message_digits(spec.q, spec.message_length), 50))
     assert codebook.stack.dtype == np.int8
     assert codebook.stack.shape == (len(codebook),) + np.shape(codebook[0].rows)
 
@@ -280,7 +279,7 @@ def test_duplicate_subspace_raises_at_the_first_repeat():
     object.__setattr__(spec, "k", 2)    # k > l: values no longer pin the message down
     # the first message, in message order, whose subspace an earlier one has
     seen, expected = {}, None
-    for digits in oracles.iter_message_digits(spec.q, message_digit_length(spec)):
+    for digits in oracles.iter_message_digits(spec.q, spec.message_length):
         basis = oracles.naive_rref(reference_codeword(spec, digits)[0], 2)
         if basis in seen:
             expected = f"messages {seen[basis]} and {digits} map to the same subspace"

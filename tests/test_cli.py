@@ -6,6 +6,7 @@ import pytest
 from twotier.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DECODE = Path(__file__).resolve().parent / "golden" / "decode"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -162,6 +163,25 @@ def test_decode_digit_outside_base_field(tmp_path, capsys):
     assert "900100" in err and "[0, 2)" in err
 
 
+@pytest.mark.parametrize("section, key", [("tier1", "radius"), ("tier2", "list_radius")])
+def test_negative_radius_is_config_error(tmp_path, capsys, section, key):
+    # clean packets never reach the tier-1 correction or a tier-2 list, so
+    # only a check at construction rejects the radius
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg.setdefault(section, {})[key] = -1
+    assert main(["decode", "--config", write_config(tmp_path, cfg),
+                 "--packets", str(GOLDEN_DECODE / "mv1.clean.txt")]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_decode_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--config", str(CONFIGS / "mv1.json"),
+              "--packets", str(GOLDEN_DECODE / "mv1.clean.txt"), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_encode_all_exports_codebook(capsys):
     assert main(["encode", "--config", str(CONFIGS / "kk_example.json"), "--all"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -210,6 +230,15 @@ def test_simulate_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("strategy,trials,successes")
     assert len(lines) == 4  # three strategies
+
+
+def test_unknown_node_filter_mode_is_rejected_before_any_trial(tmp_path, capsys):
+    # no strategy here filters at nodes, so only a check before the trials
+    # sees the mode
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["sim"].update(node_filter_mode="bogus", strategies=["tier2-only", "two-tier"])
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "unknown tier-1 mode 'bogus'" in capsys.readouterr().err
 
 
 def test_simulate_requires_topology(tmp_path, capsys):

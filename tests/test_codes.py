@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from twotier.codes import (BlockSpec, Codebook, GabidulinSpec, KKSpec, MVSpec, PacketLayout,
-                           build_codebook, encode_message_digits,
-                           gabidulin_encode, kk_encode,
-                           message_digit_length, mv_encode, pack_vector)
+                           build_codebook, encode, pack_vector)
 from twotier.config import load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
@@ -46,25 +44,25 @@ def mv1_spec(ctx=None):
 def test_gabidulin_encode_zero_and_identity():
     spec = gab_spec()
     ctx = spec.field
-    zero_cw = gabidulin_encode(spec, (ctx.zero,))
+    zero_cw = encode(spec, ctx.zero.coeffs)
     assert all(s == ctx.zero for s in zero_cw.symbols)
-    one_cw = gabidulin_encode(spec, (ctx.one,))
+    one_cw = encode(spec, ctx.one.coeffs)
     assert one_cw.symbols == spec.generators
 
 
 def test_gabidulin_encode_example():
     spec = gab_spec()
     ctx = spec.field
-    cw = gabidulin_encode(spec, (ctx.gamma,))
+    cw = encode(spec, ctx.gamma.coeffs)
     assert cw.symbols == (ctx.gamma_pow(4), ctx.gamma_pow(5))
 
 
 def test_gabidulin_component_matrix():
     spec = gab_spec()
     ctx = spec.field
-    cw = gabidulin_encode(spec, (ctx.one,))
+    cw = encode(spec, ctx.one.coeffs)
     assert cw.rows == ((1, 1, 0), (0, 1, 1))
-    zero = gabidulin_encode(spec, (ctx.zero,))
+    zero = encode(spec, ctx.zero.coeffs)
     assert zero.rows == ((0, 0, 0), (0, 0, 0))
 
 
@@ -76,9 +74,9 @@ def test_gabidulin_encoding_linear():
         u = tuple(ctx.from_int(rng.randrange(8)) for _ in range(2))
         v = tuple(ctx.from_int(rng.randrange(8)) for _ in range(2))
         s = tuple(a + b for a, b in zip(u, v))
-        left = gabidulin_encode(spec, s).symbols
-        right = tuple(a + b for a, b in zip(gabidulin_encode(spec, u).symbols,
-                                            gabidulin_encode(spec, v).symbols))
+        left = encode(spec, s[0].coeffs + s[1].coeffs).symbols
+        right = tuple(a + b for a, b in zip(encode(spec, u[0].coeffs + u[1].coeffs).symbols,
+                                            encode(spec, v[0].coeffs + v[1].coeffs).symbols))
         assert left == right
 
 
@@ -110,15 +108,15 @@ def test_kk_encode_examples():
     ctx = spec.field
     g = ctx.gamma_pow
     # u(x) = x: rows pair each alpha with itself
-    cw1 = kk_encode(spec, (ctx.one,))
+    cw1 = encode(spec, ctx.one.coeffs)
     assert cw1.rows == (g(3).to_vector() + g(3).to_vector(),
                         g(4).to_vector() + g(4).to_vector())
     # u(x) = gamma x
-    cwg = kk_encode(spec, (ctx.gamma,))
+    cwg = encode(spec, ctx.gamma.coeffs)
     assert cwg.rows == (g(3).to_vector() + g(4).to_vector(),
                         g(4).to_vector() + g(5).to_vector())
     # u = 0: all value blocks zero
-    cw0 = kk_encode(spec, (ctx.zero,))
+    cw0 = encode(spec, ctx.zero.coeffs)
     assert cw0.rows == (g(3).to_vector() + (0, 0, 0),
                         g(4).to_vector() + (0, 0, 0))
 
@@ -126,7 +124,7 @@ def test_kk_encode_examples():
 def test_kk_zero_component_span():
     spec = kk_spec()
     ctx = spec.field
-    cw0 = kk_encode(spec, (ctx.zero,))
+    cw0 = encode(spec, ctx.zero.coeffs)
     span = oracles.span(cw0.rows, 2)
     expected = {(0,) * 6,
                 ctx.gamma_pow(3).to_vector() + (0, 0, 0),
@@ -220,8 +218,8 @@ def test_kk_spec_validation():
 
 def test_mv1_encode_paper_rows():
     spec = mv1_spec()
-    cw0 = mv_encode(spec, (0,))
-    cw1 = mv_encode(spec, (1,))
+    cw0 = encode(spec, (0,))
+    cw1 = encode(spec, (1,))
     g5 = (1, 1, 1)
     assert cw0.rows == (g5 + (0, 0, 0) + (0, 0, 0),)
     assert cw1.rows == (g5 + g5 + g5,)
@@ -231,7 +229,7 @@ def test_mv_zero_message_rows():
     ctx = FieldContext(3, 6)
     spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1,
                   alphas=(ctx.gamma_pow(504), ctx.gamma_pow(294)))
-    cw = mv_encode(spec, (0,))
+    cw = encode(spec, (0,))
     for alpha, row in zip(spec.alphas, cw.rows):
         assert row[:6] == alpha.to_vector()
         assert not any(row[6:])
@@ -262,7 +260,7 @@ def test_mv_compressed_layout_mv2():
     ctx = FieldContext(3, 6)
     spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1,
                   alphas=(ctx.gamma_pow(504), ctx.gamma_pow(294)), layout_name="compressed")
-    cw = mv_encode(spec, (1,))
+    cw = encode(spec, (1,))
     assert len(cw.rows[0]) == 6 + 5 * 3
     # ratio row tail blocks are the GF(27) coordinates of 1: (1, 0, 0)
     assert cw.rows[1][6:9] == (1, 0, 0)
@@ -278,7 +276,7 @@ def test_mv_compressed_rejects_non_subfield_first_row():
     spec = MVSpec(field=ctx, m=2, l=2, big_l=2, k=1, alphas=(a0, a1),
                   layout_name="compressed")
     with pytest.raises(ValueError, match="not in the subfield"):
-        mv_encode(spec, (1,))
+        encode(spec, (1,))
 
 
 # ---------------------------------------------------------------- packing
@@ -310,7 +308,7 @@ def test_codebook_sizes_and_order():
     cb = build_codebook(kk_spec())
     assert len(cb) == 8
     assert [cw.message for cw in cb] == list(oracles.iter_message_digits(
-        2, message_digit_length(kk_spec())))
+        2, kk_spec().message_length))
     # lowest coefficient varies fastest
     assert cb[1].message == (1, 0, 0)
     assert cb[2].message == (0, 1, 0)
@@ -333,9 +331,9 @@ def test_degenerate_message_space_rejected():
 
 def test_encode_message_digits_roundtrip():
     for spec in (gab_spec(), kk_spec(), mv1_spec()):
-        length = message_digit_length(spec)
+        length = spec.message_length
         digits = tuple([1] + [0] * (length - 1))
-        cw = encode_message_digits(spec, digits)
+        cw = encode(spec, digits)
         assert cw.message == digits
 
 
@@ -345,7 +343,7 @@ def test_mv_subfield_membership_row_invariant():
     spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1,
                   alphas=(ctx.gamma_pow(504), ctx.gamma_pow(294)))
     fixed = oracles.subfield_fixed_set(oracles.MOD_GF729, 3, 27)
-    for digits in oracles.iter_message_digits(3, message_digit_length(spec)):
+    for digits in oracles.iter_message_digits(3, spec.message_length):
         poly = LinearizedPoly(tuple(ctx.element([d] + [0] * 5) for d in digits), 3)
         value = spec.alphas[1]
         for _ in range(spec.big_l):
