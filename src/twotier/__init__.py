@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .codes import (GabidulinSpec, KKSpec, MVSpec, Codeword, PacketLayout,
-                    build_codebook, encode, pack_vector)
+                    build_codebook, encode)
 from .decoders import (DecodeOptions, DecodeResult, PacketVerdict, TwoTierResult,
                        tier1_decode, tier2_list_decode, tier2_rank_decode,
                        tier2_subspace_decode, two_tier_decode)

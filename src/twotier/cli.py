@@ -152,7 +152,7 @@ def cmd_encode(args) -> int:
         codebook = build_codebook(spec, cfg.codebook_budget)
         _write(args, _csv(codebook_csv_rows(codebook), ("message", "row", "packet")))
         return EXIT_OK
-    digits = parse_digits(args.message) if args.message else cfg.message_digits()
+    digits = parse_digits(args.message) if args.message is not None else cfg.message_digits()
     if digits is None:
         raise ConfigError("no message given (use --message or a 'message' config entry)")
     if len(digits) != spec.message_length:

@@ -55,20 +55,6 @@ class PacketLayout:
         return cls("mv-uncompressed", tuple(BlockSpec(degree) for _ in range(big_l + 1)))
 
 
-def pack_vector(entries, layout: PacketLayout, ctx: FieldContext) -> tuple:
-    """Concatenate per-entry coordinate vectors; block widths fixed by layout."""
-    entries = list(entries)
-    if len(entries) != len(layout.blocks):
-        raise ValueError(f"layout {layout.name} expects {len(layout.blocks)} entries, got {len(entries)}")
-    for entry, block in zip(entries, layout.blocks):
-        if entry.ctx != ctx:
-            raise ValueError("entry from a different field context")
-        if block.subfield_order is None and block.width != ctx.n:
-            raise ValueError("full block width does not match field degree")
-    blocks = [np.array([[entry.coeffs]], dtype=np.int64) for entry in entries]
-    return tuple(_pack(blocks, layout, ctx)[0, 0].tolist())
-
-
 # ---------------------------------------------------------------- codewords
 
 @dataclass(frozen=True)
@@ -143,16 +129,19 @@ class Codebook:
         raise ValueError(f"message {digits} is not in the codebook")
 
     @functools.cached_property
-    def words(self) -> np.ndarray:
-        """(rows, N, words) read-only int64 array: row i of every codeword
-        packed by ``linalg.pack_keys``, which over GF(2) puts 63 digits in a
-        word. Built on first use, for the bit-packed tier-2 kernel."""
-        # packed per chunk of codewords: pack_keys widens its digits to int64
+    def table(self) -> tuple:
+        """(keys, ids), read-only and built on first use: the distinct rows of
+        a GF(2) codebook, packed by ``linalg.pack_bits``, and the (rows, N)
+        array that puts ``keys[ids[i, n]]`` at row i of codeword n. The
+        bit-packed tier-2 kernel reduces each distinct row once."""
+        # packed per block of codewords: pack_bits widens its digits to int64
         rows = self.stack.transpose(1, 0, 2)
-        words = np.concatenate([linalg.pack_keys(rows[:, start:start + linalg.RANK_CHUNK], self.p)
-                                for start in range(0, len(self), linalg.RANK_CHUNK)], axis=1)
-        words.flags.writeable = False
-        return words
+        packed = np.concatenate([linalg.pack_bits(rows[:, start:start + SETUP_CHUNK])
+                                 for start in range(0, len(self), SETUP_CHUNK)], axis=1)
+        keys, ids = np.unique(packed.ravel(), return_inverse=True)
+        ids = ids.reshape(packed.shape)
+        keys.flags.writeable = ids.flags.writeable = False
+        return keys, ids
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
@@ -162,12 +151,28 @@ class Codebook:
             return np.full(len(self), self.stack.shape[1])
         return self.batched_rank()
 
+    def basis_of(self, rows) -> tuple:
+        """(basis, a): a basis of the span of digit rows, in the form
+        :meth:`batched_rank` takes, and its rank a. Over GF(2) it is a
+        ``linalg.packed_basis``, so no RREF is built; otherwise an ``rref``."""
+        if self.p == 2:
+            basis = linalg.packed_basis(linalg.pack_bits(rows))
+            return basis, len(basis)
+        basis = linalg.rref(rows, self.p)
+        return basis, len(basis[1])
+
     def batched_rank(self, positions=None, offset=None, basis=None) -> np.ndarray:
         """``linalg.batched_rank`` of every codeword's rows, or of its rows at
-        `positions` only; over GF(2) by ``linalg.packed_rank`` on :attr:`words`."""
+        `positions` only, with `basis` from :meth:`basis_of`. Over GF(2) it
+        is ``linalg.packed_rank`` on :attr:`table`, and the offset rows are
+        packed here."""
         if self.p == 2:
-            words = self.words if positions is None else self.words[positions]
-            return linalg.packed_rank(words, offset, basis)
+            keys, ids = self.table
+            if positions is not None:
+                ids = ids[positions]
+            if offset is not None:
+                offset = linalg.pack_bits(offset)
+            return linalg.packed_rank(keys, ids, offset, basis or ())
         stack = self.stack if positions is None else self.stack[:, positions, :]
         return linalg.batched_rank(stack, self.p, offset, basis)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .codes import GABIDULIN, SUBSPACE, Codebook
 from .union import UnionCode
 
@@ -114,10 +113,11 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # ---------------------------------------------------------------- tier 2
 #
 # Both lanes compute every codeword's distance in one Codebook.batched_rank
-# call, which picks the kernel from p: over GF(2), linalg.packed_rank XORs
-# the codebook's bit-packed rows (Codebook.words, one int64 word per 63
-# digits, packed on first use); otherwise linalg.batched_rank reduces its
-# int16 row stack mod p. Both work in chunks of linalg.RANK_CHUNK codewords.
+# call, which picks the kernel from p: over GF(2), linalg.packed_rank
+# eliminates the codebook's rows as packed ints, gathered from its table of
+# distinct rows (Codebook.table, built on first use); otherwise
+# linalg.batched_rank reduces its int16 row stack mod p. Both work in
+# blocks of about linalg.RANK_CHUNK matrix rows.
 
 def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
@@ -140,13 +140,12 @@ def _subspace_distances(packets, codebook, metric: str):
     if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
     _check_packets(packets, codebook.p, codebook.stack.shape[2])
-    received = linalg.rref(packets, codebook.p)
+    basis, a = codebook.basis_of(packets)
     # With r the rank of the codeword rows reduced against the received
-    # RREF (rank a) and b the codeword dimension, dim(U+V) = a + r and
+    # basis (rank a) and b the codeword dimension, dim(U+V) = a + r and
     # dim(U∩V) = a + b - dim(U+V) = b - r.
-    a = len(received[1])
     b = codebook.stack.shape[1]
-    r = codebook.batched_rank(basis=received)
+    r = codebook.batched_rank(basis=basis)
     if metric == "injection":
         return r + (max(a, b) - b)      # max(a, b) - dim(U∩V)
     return 2 * r + (a - b)              # dim(U+V) - dim(U∩V)

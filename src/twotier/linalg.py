@@ -9,10 +9,10 @@ import functools
 
 import numpy as np
 
-# Matrices per elimination block in batched_rank and packed_rank. It bounds
-# the kernels' temporaries to a few copies of one block, whatever the stack
-# size.
-RANK_CHUNK = 4096
+# Matrix rows per elimination block in batched_rank and packed_rank. It
+# bounds the kernels' temporaries to a few copies of one block, whatever the
+# stack size.
+RANK_CHUNK = 1 << 15
 
 
 def as_array(rows, p: int) -> np.ndarray:
@@ -73,9 +73,10 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
         offset = np.asarray(offset, dtype=np.int16)[:, None, :]
     red, pivots = ((), ()) if basis is None else basis
     red = np.asarray(red, dtype=np.int16)
-    for start in range(0, len(stack), RANK_CHUNK):
+    per = _per_block(stack.shape[1])
+    for start in range(0, len(stack), per):
         # (rows, n, width): each row of the n matrices is one contiguous slab
-        block = stack[start:start + RANK_CHUNK].transpose(1, 0, 2).astype(np.int16, order="C")
+        block = stack[start:start + per].transpose(1, 0, 2).astype(np.int16, order="C")
         if offset is not None:
             block = _mod(offset - block, p)
         # M - M[:, P] @ R, one pivot at a time: row k of the RREF is zero in
@@ -86,58 +87,64 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
     return ranks
 
 
-def packed_rank(words, offset=None, basis=None) -> np.ndarray:
-    """``batched_rank`` over GF(2) of N matrices whose rows are bit-packed.
+def packed_rank(keys, ids, offset=None, basis=()) -> np.ndarray:
+    """``batched_rank`` over GF(2) of N matrices whose rows are packed ints.
 
-    `words` is a (rows, N, words) int64 array: row i of matrix n is
-    ``pack_keys(row, 2)``, 63 digits to a word, low first, so that adding
-    two rows is an XOR of their words. `offset` and `basis` are digit
-    arrays as in ``batched_rank``. Returns an int64 array of N ranks.
+    Row i of matrix n is ``keys[ids[i, n]]``, a ``pack_bits`` row, so that
+    adding two rows is an XOR; a table of distinct rows lets each be
+    reduced against the basis once. `offset` is one packed row per matrix
+    row, and `basis` a ``packed_basis`` of rank a, so that the rank returned
+    is ``rank([basis; M ^ offset]) - a``. Returns an int64 array of N ranks.
     """
-    words = np.asarray(words)
-    ranks = np.empty(words.shape[1], dtype=np.int64)
+    ids = np.asarray(ids)
+    rows, n = ids.shape
+    ranks = np.empty(n, dtype=np.int64)
+    # reducing against the basis is linear, so the offset is reduced apart
+    keys = _xor_min(np.array(keys), basis)
     if offset is not None:
-        offset = pack_keys(np.asarray(offset, dtype=np.int64), 2)[:, None, :]
-    red, pivots = ((), ()) if basis is None else basis
-    if pivots:
-        red = pack_keys(np.asarray(red, dtype=np.int64), 2)
-    per = len(_word_radix(2))
-    for start in range(0, words.shape[1], RANK_CHUNK):
-        block = words[:, start:start + RANK_CHUNK]
-        block = block ^ offset if offset is not None else block.copy()
-        # as in batched_rank, row k of the RREF clears its own pivot column:
-        # shifting the pivot bit into the sign bit and back spreads it into
-        # an all-ones mask where it is set
-        for k, col in enumerate(pivots):
-            word, bit = divmod(col, per)
-            block ^= red[k] & ((block[:, :, word, None] << (63 - bit)) >> 63)
-        ranks[start:start + block.shape[1]] = _eliminate_bits(block)
+        offset = _xor_min(np.array(offset), basis)[:, None]
+    per = _per_block(rows)
+    for start in range(0, n, per):
+        block = keys.take(ids[:, start:start + per])
+        if offset is not None:
+            block ^= offset
+        # summing as int16 (a rank fits) is twice as fast as count_nonzero
+        ranks[start:start + block.shape[1]] = (_echelon(block) != 0).sum(axis=0, dtype=np.int16)
     return ranks
 
 
-def _eliminate_bits(block) -> np.ndarray:
-    """Ranks of a (rows, n, words) block of n bit-packed GF(2) matrices;
-    overwrites the block.
+def packed_basis(rows) -> tuple:
+    """A basis of the span of packed GF(2) rows, for ``packed_rank``: the
+    nonzero rows of their ``_echelon``, so its length is their rank."""
+    return tuple(x for x in _echelon(np.array(rows)[:, None])[:, 0].tolist() if x)
 
-    As in ``_eliminate``, but a row's lead is the lowest set bit of its
-    first nonzero word, kept as a one-bit mask over the row's words, and
-    every lead is 1, so no row is normalised.
+
+def _echelon(block):
+    """Reduces each row of a (rows, n) block of packed GF(2) rows against
+    the rows before it, in place, and returns the block.
+
+    A row's pivot is its highest set bit. Each reduced row is clear of the
+    pivots of the rows before it, so its own pivot is new unless it is
+    zero, and the nonzero rows of each column are independent.
     """
-    rows = len(block)
-    lead = []
-    rank = np.zeros(block.shape[1], dtype=np.int64)
-    for i in range(rows):
-        x = block[i]
-        for j in range(i):
-            x ^= block[j] * (x & lead[j]).any(axis=1, keepdims=True)
-        nonzero = x != 0
-        rank += nonzero.any(axis=1)
-        if i + 1 < rows:
-            lead.append(x & -x)
-            for w in range(1, x.shape[1]):
-                # only the first nonzero word keeps its lowest bit
-                lead[i][:, w:] *= ~nonzero[:, w - 1:w]
-    return rank
+    for i in range(1, len(block)):
+        _xor_min(block[i], block[:i])
+    return block
+
+
+def _xor_min(x, rows):
+    """Reduces the array x in place by each row in turn, and returns it:
+    x ^ b where that is smaller than x, which is where x has b's highest
+    set bit. A zero row changes nothing, so no pivot is looked up or masked."""
+    for b in rows:
+        np.minimum(x, x ^ b, out=x)
+    return x
+
+
+def _per_block(rows: int) -> int:
+    """Matrices of `rows` rows per kernel block: RANK_CHUNK rows, and at
+    least one matrix."""
+    return max(1, RANK_CHUNK // max(rows, 1))
 
 
 @functools.cache
@@ -229,6 +236,21 @@ def pack_keys(digits, p: int) -> np.ndarray:
     for w, start in enumerate(range(0, width, per)):
         keys[..., w] = digits[..., start:start + per] @ radix[:width - start]
     return keys
+
+
+def pack_bits(digits) -> np.ndarray:
+    """Packed GF(2) rows of the digit vectors along the last axis: (..., width) -> (...).
+
+    Digit c is bit c of one integer, so that adding two rows is an XOR of
+    their integers: int64 up to 63 digits, Python ints (dtype object) above.
+    """
+    words = pack_keys(np.asarray(digits), 2)
+    packed = words[..., 0]
+    if words.shape[-1] > 1:
+        packed = packed.astype(object)
+        for w in range(1, words.shape[-1]):
+            packed |= words[..., w].astype(object) << 63 * w
+    return packed
 
 
 def unpack_keys(keys, p: int, width: int) -> np.ndarray:

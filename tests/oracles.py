@@ -3,8 +3,9 @@
 Nothing here imports the package under test: polynomial arithmetic is done
 directly on coefficient lists, ranks by plain-python elimination, distances
 by literal pairwise scans. Expected values in the tests are computed (or
-were frozen) from these. The simulator reference at the end is the one
-exception: it calls the package's decoders (see there).
+were frozen) from these. Two exceptions call the package: the simulator
+reference uses its decoders, and ``pack_vector``, at the end, packs one
+vector with its batched packer (see there).
 """
 
 import hashlib
@@ -396,3 +397,25 @@ def reference_run_experiment(topology, setup, error_model, trials, base_seed, st
         "strategies": per_strategy,
         "config": config_echo,
     }
+
+
+def pack_vector(entries, layout, ctx) -> tuple:
+    """Concatenate per-entry coordinate vectors; block widths fixed by layout.
+
+    One vector through ``codes._pack`` as a block of one, so that the tests
+    can check the batched packer entry by entry.
+    """
+    import numpy as np
+
+    from twotier.codes import _pack
+
+    entries = list(entries)
+    if len(entries) != len(layout.blocks):
+        raise ValueError(f"layout {layout.name} expects {len(layout.blocks)} entries, got {len(entries)}")
+    for entry, block in zip(entries, layout.blocks):
+        if entry.ctx != ctx:
+            raise ValueError("entry from a different field context")
+        if block.subfield_order is None and block.width != ctx.n:
+            raise ValueError("full block width does not match field degree")
+    blocks = [np.array([[entry.coeffs]], dtype=np.int64) for entry in entries]
+    return tuple(_pack(blocks, layout, ctx)[0, 0].tolist())

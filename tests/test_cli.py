@@ -127,6 +127,14 @@ def test_encode_wrong_length_message(capsys):
                  "--message", "10"]) == 2
 
 
+def test_encode_empty_message_is_config_error(capsys):
+    """An empty --message is a bad message, not a missing one: it must not
+    fall back to the config's message."""
+    assert main(["encode", "--config", str(CONFIGS / "kk_example.json"),
+                 "--message", ""]) == 2
+    assert "cannot parse digit string ''" in capsys.readouterr().err
+
+
 def test_decode_corrupted_packet(tmp_path):
     packets = tmp_path / "packets.txt"
     packets.write_text("011111111\n")  # one flip of the C_1 generator

@@ -1,14 +1,16 @@
 """The batched tier-2 kernels against per-codeword reference scans.
 
 Tier 2 computes every codeword's distance in one ``Codebook.batched_rank``
-call: ``linalg.packed_rank`` on bit-packed rows over GF(2), and
-``linalg.batched_rank`` on int16 digits otherwise. These properties rebuild
-each distance one codeword at a time with ``metrics.injection_distance``,
-``subspace_distance`` and ``rank_distance``, pick from them as a plain
-sorted scan would, and require the same ``DecodeResult`` on every shipped
-fixture, with the kernel's chunk size at its default and small enough to
-split each codebook. The packed kernel is also checked against
-``oracles.naive_rank`` and the int16 kernel at every word boundary.
+call: ``linalg.packed_rank`` on the table of distinct bit-packed rows over
+GF(2), and ``linalg.batched_rank`` on int16 digits otherwise. These
+properties rebuild each distance one codeword at a time with
+``metrics.injection_distance``, ``subspace_distance`` and
+``rank_distance``, pick from them as a plain sorted scan would, and require
+the same ``DecodeResult`` on every shipped fixture and on a hand-made code
+whose rows are wider than one int64, with the kernel's chunk size at its
+default and small enough to split each codebook. The packed kernel is also
+checked against ``oracles.naive_rank`` and the int16 kernel at every word
+boundary, and the GF(2) subspace lane against calls to ``linalg.rref``.
 """
 
 import functools
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 from twotier import linalg
 from twotier.codes import Codebook, GabidulinSpec, build_codebook
 from twotier.config import load_config
-from twotier.decoders import (DecodeResult, tier2_list_decode, tier2_rank_decode,
-                              tier2_subspace_decode)
+from twotier.decoders import (DecodeOptions, DecodeResult, tier2_list_decode,
+                              tier2_rank_decode, tier2_subspace_decode, two_tier_decode)
 from twotier.fields import FieldContext
 from twotier.metrics import Subspace, injection_distance, rank_distance, subspace_distance
 
@@ -79,6 +81,19 @@ def reference_select(dists, list_radius):
         return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
     tie = len(hits) > 1 and hits[0][0] == hits[1][0]
     return DecodeResult(chosen=lst[0], metric_value=hits[0][0], tie=tie, list=lst)
+
+
+def packed_table(stack):
+    """(keys, ids) of an (N, rows, width) GF(2) digit stack, built as
+    ``Codebook.table`` builds them."""
+    bits = linalg.pack_bits(np.asarray(stack).transpose(1, 0, 2))
+    keys, ids = np.unique(bits.ravel(), return_inverse=True)
+    return keys, ids.reshape(bits.shape)
+
+
+def packed_basis(rows):
+    """``linalg.packed_basis`` of GF(2) digit rows, of which there may be none."""
+    return linalg.packed_basis(linalg.pack_bits(rows)) if rows else ()
 
 
 def assert_plain(result):
@@ -259,10 +274,12 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
     arr = np.array(stack, dtype=np.int8)
     words = linalg.pack_keys(arr.transpose(1, 0, 2), 2)
     assert words.shape == (rows, count, -(-width // 63))
-    picked = words if positions is None else words[positions]
+    keys, ids = packed_table(arr)
+    picked = ids if positions is None else ids[positions]
+    packed_offset = None if offset is None else linalg.pack_bits(offset)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
-        packed = linalg.packed_rank(picked, offset, basis)
+        packed = linalg.packed_rank(keys, picked, packed_offset, packed_basis(basis_rows))
         int16 = linalg.batched_rank(arr[:, list(kept), :], 2, offset, basis)
     a = oracles.naive_rank(basis_rows, 2)
     expected = []
@@ -282,29 +299,97 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
     (130, [{129}, {126, 129}, {126}, {62, 63}], 3),
 ])
 def test_packed_rank_across_word_edges(width, ones, rank):
-    """Hand-picked matrices whose row sums only cancel when every lead is a
-    single bit in the first nonzero word."""
+    """Hand-picked matrices whose pivots (highest set bits) and cancelling
+    row sums straddle the 63-digit word edges, where a packed row stops
+    being one int64."""
     matrix = [[int(c in row) for c in range(width)] for row in ones]
-    words = linalg.pack_keys(np.array([matrix], dtype=np.int8).transpose(1, 0, 2), 2)
+    keys, ids = packed_table(np.array([matrix], dtype=np.int8))
     assert oracles.naive_rank(matrix, 2) == rank
-    assert linalg.packed_rank(words).tolist() == [rank]
+    assert linalg.packed_rank(keys, ids).tolist() == [rank]
+
+
+@functools.cache
+def wide_codebook():
+    """A hand-made GF(2) subspace code whose rows are 130 digits wide, so
+    that a packed row is a Python int: 8 codewords of 3 random rows, all
+    sharing their first row (the spec only lends GF(2) and 3-digit messages)."""
+    spec, _ = fixture("kk_example")
+    stack = np.random.default_rng(5).integers(0, 2, size=(8, 3, 130), dtype=np.int8)
+    stack[:, 0] = stack[0, 0]
+    return Codebook(spec, stack)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_wide_rows_match_per_codeword_scan(chunk):
+    codebook = wide_codebook()
+    keys, ids = codebook.table
+    assert keys.dtype == object and len(keys) == 1 + 2 * len(codebook)
+    rng = random.Random(chunk)
+    for _ in range(30):
+        rows = codebook[rng.randrange(len(codebook))].rows
+        packets = [[sum(rng.randrange(2) * r[c] for r in rows) % 2 for c in range(130)]
+                   for _ in range(rng.randint(1, 5))]
+        for pkt in packets:
+            if rng.random() < 0.5:
+                pkt[rng.randrange(130)] ^= 1
+        metric = rng.choice(("injection", "subspace"))
+        list_radius = rng.choice((None, 0, 1, 2))
+        received = Subspace.from_rows(packets, 2, 130)
+        dists = [REFERENCE[metric](received, cw.subspace) for cw in codebook]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "RANK_CHUNK", chunk)
+            if list_radius is None:
+                result = tier2_subspace_decode(packets, codebook, metric)
+            else:
+                result = tier2_list_decode(packets, codebook, list_radius, metric)
+        assert result == reference_select(dists, list_radius)
+
+
+def test_gf2_tier2_builds_no_received_rref():
+    """Over GF(2) the received packets are echelonised as packed ints by the
+    kernel's own elimination: no decode calls ``linalg.rref``."""
+    rng = random.Random(11)
+    built = {name: load_config(CONFIGS / f"{name}.json").build_all()[2:]
+             for name in ("kk_example", "gabidulin_gf8")}
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", lambda *args, rref=linalg.rref: calls.append(1) or rref(*args))
+        for codebook, union in built.values():
+            for index in range(len(codebook)):
+                rows = [list(r) for r in codebook[index].rows]
+                rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] ^= 1
+                for options in (DecodeOptions(), DecodeOptions(tier1_enabled=False),
+                                DecodeOptions(list_radius=1, feedback=True)):
+                    two_tier_decode(rows, union, codebook, options)
+                if codebook.kind == "subspace":
+                    tier2_subspace_decode(rows, codebook)
+                    tier2_list_decode(rows, codebook, 1, "subspace")
+                else:
+                    tier2_rank_decode(rows, codebook, [0])
+    assert calls == []
 
 
 def test_codebook_words_are_built_once_and_read_only():
+    """The packed rows of a GF(2) codebook, ``Codebook.table``: its distinct
+    rows and where each codeword's rows are in them."""
     spec, book = fixture("kk_example")
     codebook = Codebook(spec, book.stack)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "pack_keys",
-                   lambda *args, pack=linalg.pack_keys: calls.append(1) or pack(*args))
-        words = codebook.words
-        assert codebook.words is words
+        mp.setattr(linalg, "pack_bits",
+                   lambda *args, pack=linalg.pack_bits: calls.append(1) or pack(*args))
+        table = codebook.table
+        assert codebook.table is table
     assert len(calls) == 1
-    assert words.shape == (2, 8, 1) and words.dtype == np.int64
-    assert not words.flags.writeable
-    with pytest.raises(ValueError):
-        words[0, 0, 0] = 1
-    assert linalg.unpack_keys(words, 2, 6).transpose(1, 0, 2).tolist() == codebook.stack.tolist()
+    keys, ids = table
+    assert ids.shape == (2, 8) and keys.dtype == np.int64
+    assert keys.tolist() == sorted(set(keys.tolist()))
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert linalg.unpack_keys(keys[ids][..., None], 2, 6).transpose(1, 0, 2).tolist() == \
+        codebook.stack.tolist()
 
 
 def test_gf2_gabidulin_ranks_are_unchanged():
@@ -331,7 +416,7 @@ def test_packed_and_int16_kernels_agree_on_benchmark_codes():
             if rng.random() < 0.3:
                 pkt[rng.randrange(width)] ^= 1
         received = linalg.rref(packets, 2)
-        assert kk.batched_rank(basis=received).tolist() == \
+        assert kk.batched_rank(basis=kk.basis_of(packets)[0]).tolist() == \
             linalg.batched_rank(kk.stack, 2, basis=received).tolist()
     gab = fixture_codebook("gab-gf64", BENCH_CONFIGS)
     n, m = gab.stack.shape[1:]
