@@ -10,7 +10,7 @@ from .decoders import (DecodeOptions, DecodeResult, PacketVerdict, TwoTierResult
 from .errors import BudgetError, ConfigError, ToolkitError
 from .fields import FieldContext, FieldElement, format_element, parse_element
 from .linpoly import LinearizedPoly
-from .metrics import (Subspace, hamming_distance, hamming_weight, injection_distance,
-                      min_distance, rank_distance, rank_over_base, subspace_distance)
+from .metrics import (Subspace, hamming_distance, injection_distance, rank_distance,
+                      rank_over_base, subspace_distance)
 from .sim import CodeSetup, ErrorModel, Topology, run_experiment, run_trial
 from .union import UnionCode, build_union, component_min_distances, verify_lemmas

@@ -133,7 +133,7 @@ def cmd_verify_lemmas(args) -> int:
             "ambient_len": uni.ambient_len,
             "min_distance": uni.min_distance(),
         },
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "all_passed": all_passed,
     }
     if args.format == "csv":

@@ -6,14 +6,13 @@ into base-field coordinate vectors according to an explicit block layout.
 """
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import BudgetError
 from .fields import FieldContext, FieldElement
-from .metrics import Subspace
 
 DEFAULT_CODEBOOK_BUDGET = 1 << 20
 
@@ -59,24 +58,10 @@ class PacketLayout:
 
 @dataclass(frozen=True)
 class Codeword:
-    """One codeword: its message digits and its packed rows over GF(q).
-
-    The subspace and the symbols are computed from the rows when read.
-    """
+    """One codeword: its message digits and its packed rows over GF(q)."""
     kind: str
     message: tuple                 # base-field digit vector of the message
     rows: tuple                    # packed generator rows over GF(q)
-    field: FieldContext = dc_field(compare=False, repr=False)
-
-    @functools.cached_property
-    def subspace(self) -> Subspace | None:
-        """The row space of a subspace codeword; None for Gabidulin."""
-        return Subspace.from_rows(self.rows, self.field.p) if self.kind == SUBSPACE else None
-
-    @functools.cached_property
-    def symbols(self) -> tuple | None:
-        """The Gabidulin symbols over GF(q^m), one per row; None for subspace codes."""
-        return tuple(map(self.field.from_vector, self.rows)) if self.kind == GABIDULIN else None
 
 
 class Codebook:
@@ -94,7 +79,6 @@ class Codebook:
 
     def __init__(self, spec, stack):
         self.kind = spec.kind
-        self.field = spec.field
         self.p = spec.q
         self._length = spec.message_length
         self.stack = stack.view()
@@ -105,12 +89,10 @@ class Codebook:
     def __len__(self) -> int:
         return len(self.stack)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
+    def __getitem__(self, index: int) -> Codeword:
         index = range(len(self))[index]     # IndexError past either end
         return Codeword(self.kind, self.message(index),
-                        tuple(map(tuple, self.stack[index].tolist())), self.field)
+                        tuple(map(tuple, self.stack[index].tolist())))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -434,7 +416,7 @@ def encode(spec, digits) -> Codeword:
     if any(not 0 <= d < spec.q for d in digits):
         raise ValueError(f"message digits must lie in [0, {spec.q})")
     stack = _pack(spec._blocks(np.array([digits], dtype=np.int64)), spec.layout, spec.field)
-    return Codeword(spec.kind, digits, tuple(map(tuple, stack[0].tolist())), spec.field)
+    return Codeword(spec.kind, digits, tuple(map(tuple, stack[0].tolist())))
 
 
 # ---------------------------------------------------------------- codebooks

@@ -64,6 +64,8 @@ class DecodeOptions:
             raise ValueError(f"unknown tier-2 metric {self.metric!r}")
         if self.feedback and self.list_radius is None:
             raise ValueError("feedback requires a tier-2 list radius")
+        if self.feedback and not self.tier1_enabled:
+            raise ValueError("feedback requires tier 1")
         if self.radius is not None and self.radius < 0:
             raise ValueError("radius must be nonnegative")
         if self.list_radius is not None and self.list_radius < 0:
@@ -271,11 +273,8 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
             # radius from, so the first pass stands
             feedback["skipped"] = "restricted union has fewer than two vectors"
         else:
-            fb_options = DecodeOptions(
-                tier1_enabled=True, mode=options.mode, radius=options.radius,
-                metric=options.metric, allow_radius_override=options.allow_radius_override)
-            verdicts, radius = _run_tier1(packets, restricted, fb_options)
-            second = _tier2_pass(packets, verdicts, codebook, fb_options, list_radius=None)
+            verdicts, radius = _run_tier1(packets, restricted, options)
+            second = _tier2_pass(packets, verdicts, codebook, options, list_radius=None)
             feedback["restricted_min_distance"] = restricted.min_distance()
             feedback["tier1_radius"] = radius
             feedback["second_pass"] = _audit(second)

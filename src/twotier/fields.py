@@ -213,10 +213,6 @@ class FieldContext:
     def gamma_pow(self, k: int) -> "FieldElement":
         return FieldElement(self, self._pow_coeffs(self.gamma.coeffs, k % (self.size - 1)))
 
-    def elements(self):
-        for code in range(self.size):
-            yield self.from_int(code)
-
     # -- GF(p)-linear maps ----------------------------------------------
     #
     # Multiplication by a fixed element and the Frobenius map x -> x^p are
@@ -355,21 +351,6 @@ class FieldElement:
         self.ctx.validate_subfield(q)
         return self ** (q ** i)
 
-    def in_subfield(self, order: int) -> bool:
-        """True iff the element is fixed by x -> x^order."""
-        self.ctx.validate_subfield(order)
-        return (self ** order) == self
-
-    def order(self) -> int:
-        """Multiplicative order; divides p^n - 1."""
-        if not any(self.coeffs):
-            raise ZeroDivisionError("order of zero field element")
-        e = self.ctx.size - 1
-        for f in _factorize(e):
-            while e % f == 0 and (self ** (e // f)) == self.ctx.one:
-                e //= f
-        return e
-
     def to_vector(self) -> tuple:
         """Representation coordinate vector over GF(p), low order first.
 
@@ -380,12 +361,6 @@ class FieldElement:
         if ctx.basis is None:
             return self.coeffs
         return tuple((np.array(self.coeffs, dtype=np.int64) @ ctx._to_basis % ctx.p).tolist())
-
-    def to_int(self) -> int:
-        code = 0
-        for c in reversed(self.coeffs):
-            code = code * self.ctx.p + c
-        return code
 
     def __bool__(self):
         return any(self.coeffs)

@@ -306,10 +306,3 @@ def kernel_basis(mat, p: int):
             v[c] = int(-red[i, fc]) % p
         basis.append(tuple(v))
     return basis
-
-
-def in_row_space(rows, vector, p: int) -> bool:
-    mat = as_array(rows, p)
-    base = rank(mat, p)
-    stacked = np.vstack([mat, as_array([vector], p)])
-    return rank(stacked, p) == base

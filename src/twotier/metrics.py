@@ -4,7 +4,6 @@ Vectors are tuples of GF(p) digits. Subspaces are canonical reduced
 row echelon bases, so two equal subspaces compare equal structurally.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector) -> bool:
-        if len(vector) != self.ambient_len:
-            raise ValueError("vector length does not match ambient")
-        if not self.basis:
-            return not any(vector)
-        return linalg.in_row_space(self.basis, vector, self.p)
-
-
-def hamming_weight(x) -> int:
-    return sum(1 for c in x if c)
 
 
 def hamming_distance(x, y) -> int:
@@ -95,30 +83,6 @@ def injection_distance(u: Subspace, v: Subspace) -> int:
     s = _sum_dim(u, v)
     inter = u.dim + v.dim - s
     return max(u.dim, v.dim) - inter
-
-
-def min_weight(vectors):
-    """Minimum Hamming weight over nonzero vectors; inf if all zero."""
-    best = math.inf
-    for v in vectors:
-        w = hamming_weight(v)
-        if 0 < w < best:
-            best = w
-            if best == 1:
-                break
-    return best
-
-
-def min_distance(vectors):
-    """Minimum pairwise Hamming distance of a vector set.
-
-    A union of linear codes is generally nonlinear, so this is the exact
-    pairwise scan; on a linear code it finds the minimum weight too.
-    """
-    vecs = list(dict.fromkeys(tuple(v) for v in vectors))
-    if len(vecs) < 2:
-        raise ValueError("minimum distance needs at least two distinct vectors")
-    return pairwise_min_distance(np.array(vecs, dtype=np.int16))
 
 
 def pairwise_min_distance(matrix: np.ndarray) -> int:

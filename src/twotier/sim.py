@@ -188,8 +188,6 @@ def _corruption(model: ErrorModel, rng: random.Random, p: int, n: int):
     if model.corrupt_packet_prob == 0.0 or rng.random() >= model.corrupt_packet_prob:
         return None
     if model.fixed_flips is not None:
-        if model.fixed_flips > n:
-            raise ValueError("fixed_flips exceeds the packet length")
         positions = rng.sample(range(n), model.fixed_flips)
     else:
         positions = [i for i in range(n) if rng.random() < model.bit_flip_prob]
@@ -339,6 +337,8 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
     if error_model.injection_node is not None and \
             error_model.injection_node not in topology._roles:
         raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
+    if error_model.fixed_flips is not None and error_model.fixed_flips > setup.ambient_len:
+        raise ValueError("fixed_flips exceeds the packet length")
     if draws is None:
         draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
     if draws.index is None:

@@ -179,11 +179,6 @@ class LemmaCheck:
     passed: bool
     normative: bool = True
 
-    def as_dict(self):
-        return {"lemma": self.lemma, "description": self.description,
-                "claimed": self.claimed, "measured": self.measured,
-                "passed": self.passed, "normative": self.normative}
-
 
 def _fmt(value) -> str:
     return "inf" if value is math.inf else str(value)

@@ -26,6 +26,7 @@ from twotier import codes, linalg
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook, encode
 from twotier.config import load_config
 from twotier.fields import FieldContext
+from twotier.metrics import Subspace
 from twotier.union import build_union, component_min_distances, owners
 
 import oracles
@@ -169,14 +170,14 @@ def test_codeword_matches_reference(drawn):
     rank = oracles.naive_rank(rows, spec.q)
     assert int(codebook.ranks[index]) == rank
     if symbols is None:
-        assert cw.kind == codes.SUBSPACE and cw.symbols is None
-        assert cw.subspace.basis == oracles.naive_rref(rows, spec.q)
-        assert (cw.subspace.ambient_len, cw.subspace.p) == (len(rows[0]), spec.q)
+        assert cw.kind == codes.SUBSPACE
+        subspace = Subspace.from_rows(cw.rows, spec.q)
+        assert subspace.basis == oracles.naive_rref(rows, spec.q)
+        assert (subspace.ambient_len, subspace.p) == (len(rows[0]), spec.q)
         assert rank == len(rows)
     else:
-        assert cw.kind == codes.GABIDULIN and cw.subspace is None
-        assert tuple(s.coeffs for s in cw.symbols) == symbols
-        assert all(s.ctx is spec.field for s in cw.symbols)
+        assert cw.kind == codes.GABIDULIN
+        assert tuple(spec.field.from_vector(r).coeffs for r in cw.rows) == symbols
     # encoding one message is a block of one through the same encoder
     assert encode(spec, digits) == cw
 
@@ -186,7 +187,7 @@ def test_codebook_in_message_order(name):
     spec, codebook, _ = case(name)
     assert isinstance(codebook, codes.Codebook)
     assert len(codebook) == spec.message_count()
-    assert [cw.message for cw in codebook[:50]] == list(itertools.islice(
+    assert [cw.message for cw in itertools.islice(codebook, 50)] == list(itertools.islice(
         oracles.iter_message_digits(spec.q, spec.message_length), 50))
     assert codebook.stack.dtype == np.int8
     assert codebook.stack.shape == (len(codebook),) + np.shape(codebook[0].rows)
@@ -242,10 +243,7 @@ def test_scaled_kk_provenance(index, coeffs):
 # ---------------------------------------------------------------- chunking
 
 def snapshot(codebook, union):
-    return ([(cw.message, cw.rows, cw.subspace,
-              None if cw.symbols is None else tuple(s.coeffs for s in cw.symbols))
-             for cw in codebook],
-            codebook.stack.tolist(), codebook.ranks.tolist(),
+    return (list(codebook), codebook.stack.tolist(), codebook.ranks.tolist(),
             [(v, sorted(o)) for v, o in owners(union).items()], union.components.tolist())
 
 

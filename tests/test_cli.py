@@ -182,6 +182,16 @@ def test_negative_radius_is_config_error(tmp_path, capsys, section, key):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+def test_feedback_without_tier1_is_config_error(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["tier1"]["enabled"] = False
+    cfg["tier2"]["list_radius"] = 1
+    cfg["feedback"] = True
+    assert main(["decode", "--config", write_config(tmp_path, cfg),
+                 "--packets", str(GOLDEN_DECODE / "mv1.clean.txt")]) == 2
+    assert "feedback requires tier 1" in capsys.readouterr().err
+
+
 def test_decode_has_no_format_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decode", "--config", str(CONFIGS / "mv1.json"),
@@ -253,6 +263,20 @@ def test_simulate_requires_topology(tmp_path, capsys):
     cfg = kk_config()
     cfg["sim"] = {"trials": 5}
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+def test_fixed_flips_beyond_the_packet_length_is_rejected_before_any_draw(tmp_path, capsys):
+    # at this probability no draw of the seeded run corrupts a packet, so only
+    # a check before the draws sees that 100 flips cannot fit 9 digits
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["errors"] = {"corrupt_packet_prob": 0.0001, "fixed_flips": 100}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "fixed_flips exceeds the packet length" in capsys.readouterr().err
+    # flipping every digit of the packet still runs
+    cfg["errors"] = {"corrupt_packet_prob": 1.0, "fixed_flips": 9}
+    cfg["sim"]["trials"] = 20
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "fit.json"),
+                 "--out", str(tmp_path / "fit.report.json")]) == 0
 
 
 # ---------------------------------------------------------------- analyze

@@ -151,7 +151,7 @@ def test_tier2_injected_packet_costs_one():
     _, cb, uni = kk()
     cw = cb[3]
     outside = next(v for v in itertools.product((0, 1), repeat=6)
-                   if not cw.subspace.contains(v))
+                   if oracles.naive_rank(cw.rows + (v,), 2) == len(cw.rows) + 1)
     result = tier2_subspace_decode(list(cw.rows) + [outside], cb)
     assert result.metric_value == 1
 
@@ -224,7 +224,7 @@ def test_list_decode_empty_list_allowed():
 def test_rank_decode_identity():
     _, cb, _ = gab()
     for i, cw in enumerate(cb):
-        result = tier2_rank_decode([s.to_vector() for s in cw.symbols], cb)
+        result = tier2_rank_decode(list(cw.rows), cb)
         assert result.chosen == i and result.metric_value == 0
 
 
@@ -237,7 +237,8 @@ def test_rank_decode_corrects_all_rank_one_errors():
             for mask in itertools.product((0, 1), repeat=3):
                 if not any(mask):
                     continue
-                word = [s + (ctx.from_int(m) * beta) for s, m in zip(cw.symbols, mask)]
+                word = [ctx.from_vector(r) + (ctx.from_int(m) * beta)
+                        for r, m in zip(cw.rows, mask)]
                 result = tier2_rank_decode([s.to_vector() for s in word], cb)
                 assert result.chosen == i
                 assert not result.tie
@@ -250,7 +251,7 @@ def test_rank_decode_tie_flag():
     found = False
     for codes in itertools.product(range(8), repeat=2):
         word = [ctx.from_int(c) for c in codes]
-        dists = [rank_distance(word, cw.symbols) for cw in cb]
+        dists = [rank_distance(word, [ctx.from_vector(r) for r in cw.rows]) for cw in cb]
         best = min(dists)
         if sum(1 for d in dists if d == best) > 1:
             result = tier2_rank_decode([s.to_vector() for s in word], cb)
@@ -264,7 +265,7 @@ def test_rank_decode_tie_flag():
 def test_rank_decode_punctured_positions():
     _, cb, _ = gab(n=3, k=1)
     cw = cb[6]
-    word = [s.to_vector() for s in cw.symbols]
+    word = list(cw.rows)
     result = tier2_rank_decode(word, cb, positions=[0, 2])
     assert result.chosen == 6
     with pytest.raises(ValueError):
@@ -328,11 +329,19 @@ def test_feedback_requires_list_radius():
         DecodeOptions(feedback=True)
 
 
+def test_feedback_requires_tier1():
+    # the feedback pass reruns tier 1 on the restricted union, so with tier 1
+    # disabled it would not be tier 2 alone
+    with pytest.raises(ValueError, match="feedback requires tier 1"):
+        DecodeOptions(tier1_enabled=False, list_radius=1, feedback=True)
+    assert not DecodeOptions(tier1_enabled=False, list_radius=1).feedback
+
+
 def test_two_tier_rank_lane():
     ctx = gf8()
     spec, cb, uni = gab(n=3, k=1)
     cw = cb[5]
-    packets = [s.to_vector() for s in cw.symbols]
+    packets = list(cw.rows)
     outcome = two_tier_decode(packets, uni, cb)
     assert outcome.result.chosen == 5
     assert outcome.result.metric_value == 0
@@ -344,7 +353,7 @@ def test_two_tier_rank_lane_with_erasure():
     # then works on the surviving position alone
     spec, cb, uni = gab(n=2, k=1)
     cw = cb[5]
-    packets = [s.to_vector() for s in cw.symbols]
+    packets = list(cw.rows)
     restricted = uni.restrict({5})
     stray = next(v for v in itertools.product((0, 1), repeat=3)
                  if tuple(v) not in restricted)
@@ -415,7 +424,7 @@ def test_digits_outside_base_field_are_rejected():
 def test_rank_decode_rejects_symbol_digits_outside_base_field():
     ctx = gf8()
     _, cb, _ = gab()
-    word = list(cb[3].symbols)
+    word = [ctx.from_vector(r) for r in cb[3].rows]
     word[1] = FieldElement(ctx, (2, 0, 0))  # built around the digit check of ctx.element
     word = [s.to_vector() for s in word]
     with pytest.raises(ValueError, match=r"\[0, 2\)"):

@@ -1,12 +1,14 @@
-import math
 import random
 
+import numpy as np
 import pytest
 
+from twotier.codes import GabidulinSpec, build_codebook
 from twotier.fields import FieldContext
-from twotier.metrics import (Subspace, hamming_distance, hamming_weight,
-                             injection_distance, min_distance, min_weight,
-                             rank_distance, rank_over_base, subspace_distance)
+from twotier.metrics import (Subspace, hamming_distance, injection_distance,
+                             pairwise_min_distance, rank_distance, rank_over_base,
+                             subspace_distance)
+from twotier.union import build_union
 
 import oracles
 from oracles import is_additively_closed
@@ -22,7 +24,7 @@ def test_hamming_basics():
     assert hamming_distance((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0)) == 0
     assert hamming_distance((1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0)) == 3
     assert hamming_distance((1, 2), (2, 2)) == 1
-    assert hamming_weight((1, 0, 2, 0)) == 2
+    assert hamming_distance((1, 0, 2, 0), (0, 0, 0, 0)) == oracles.weight((1, 0, 2, 0)) == 2
     with pytest.raises(ValueError):
         hamming_distance((1, 0), (1, 0, 0))
 
@@ -66,8 +68,8 @@ def test_subspace_canonical_form():
     assert u.dim == 2  # third row is the sum of the first two
     v = Subspace.from_rows([(0, 1, 1), (1, 1, 0)], 2)
     assert u == v
-    assert u.contains((1, 0, 1))
-    assert not u.contains((1, 1, 1))
+    assert oracles.naive_rank(u.basis + ((1, 0, 1),), 2) == u.dim
+    assert oracles.naive_rank(u.basis + ((1, 1, 1),), 2) == u.dim + 1
 
 
 def test_subspace_distance_cases():
@@ -127,12 +129,17 @@ def test_metric_axioms_random():
 # ---------------------------------------------------------------- min distance
 
 def test_min_distance_requires_two_vectors():
-    with pytest.raises(ValueError):
-        min_distance([(0, 0)])
+    # the zero Gabidulin codeword spans {0}: a union of one vector
+    ctx = gf8()
+    spec = GabidulinSpec(field=ctx, n=2, k=1, generators=(ctx.one, ctx.gamma))
+    only_zero = build_union(build_codebook(spec)).restrict({0})
+    assert only_zero.cardinality == 1
+    with pytest.raises(ValueError, match="fewer than two"):
+        only_zero.min_distance()
 
 
-def test_min_weight_of_zero_code():
-    assert min_weight([(0, 0, 0)]) == math.inf
+def pairwise(vectors):
+    return pairwise_min_distance(np.array(sorted(vectors), dtype=np.int16))
 
 
 def test_min_distance_linear_shortcut_agrees_with_pairwise():
@@ -144,7 +151,8 @@ def test_min_distance_linear_shortcut_agrees_with_pairwise():
             if len(code) < 2:
                 continue
             assert is_additively_closed(code, p)
-            assert min_distance(code) == oracles.naive_min_pairwise(code, p)
+            assert pairwise(code) == oracles.naive_min_pairwise(code, p)
+            assert pairwise(code) == min(oracles.weight(v) for v in code if any(v))
 
 
 def test_min_distance_nonlinear_set():
@@ -153,7 +161,7 @@ def test_min_distance_nonlinear_set():
         vecs = {tuple(rng.randrange(2) for _ in range(6)) for _ in range(8)}
         if len(vecs) < 2:
             continue
-        assert min_distance(vecs) == oracles.naive_min_pairwise(vecs, 2)
+        assert pairwise(vecs) == oracles.naive_min_pairwise(vecs, 2)
 
 
 def test_closure_check_rejects_non_subspace():

@@ -65,10 +65,6 @@ def rank_fixtures():
     return (fixture("gabidulin_gf8"),) + tuple((spec, build_codebook(spec)) for spec in specs)
 
 
-def rank_codebooks():
-    return [codebook for _, codebook in rank_fixtures()]
-
-
 def reference_select(dists, list_radius):
     """Selection as a scan: nearest first, ties to the lowest index."""
     if list_radius is None:
@@ -108,8 +104,8 @@ def assert_plain(result):
 def subspace_requests(draw):
     name = draw(st.sampled_from(SUBSPACE_FIXTURES))
     codebook = fixture_codebook(name)
-    p = codebook[0].subspace.p
-    width = codebook[0].subspace.ambient_len
+    p = codebook.p
+    width = codebook.stack.shape[2]
     rows = codebook[draw(st.integers(0, len(codebook) - 1))].rows
     digit = st.integers(0, p - 1)
     packets = []
@@ -131,10 +127,9 @@ def subspace_requests(draw):
 
 @st.composite
 def rank_requests(draw):
-    codebook = draw(st.sampled_from(rank_codebooks()))
-    ctx = codebook[0].symbols[0].ctx
-    n = len(codebook[0].symbols)
-    sent = codebook[draw(st.integers(0, len(codebook) - 1))].symbols
+    spec, codebook = draw(st.sampled_from(rank_fixtures()))
+    ctx, n = spec.field, spec.n
+    sent = [ctx.from_vector(r) for r in codebook[draw(st.integers(0, len(codebook) - 1))].rows]
     error = ctx.from_int(draw(st.integers(0, ctx.size - 1)))
     mask = draw(st.lists(st.integers(0, ctx.p - 1), min_size=n, max_size=n))
     word = [s + ctx.from_int(m) * error for s, m in zip(sent, mask)]
@@ -148,9 +143,9 @@ def rank_requests(draw):
 @given(request=subspace_requests())
 def test_subspace_lane_matches_per_codeword_scan(chunk, request):
     codebook, packets, metric, list_radius = request
-    p = codebook[0].subspace.p
-    received = Subspace.from_rows(packets, p, codebook[0].subspace.ambient_len)
-    dists = [REFERENCE[metric](received, cw.subspace) for cw in codebook]
+    p = codebook.p
+    received = Subspace.from_rows(packets, p, codebook.stack.shape[2])
+    dists = [REFERENCE[metric](received, Subspace.from_rows(cw.rows, p)) for cw in codebook]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
         if list_radius is None:
@@ -167,7 +162,8 @@ def test_subspace_lane_matches_per_codeword_scan(chunk, request):
 def test_rank_lane_matches_per_codeword_scan(chunk, request):
     codebook, word, positions, list_radius = request
     kept = range(len(word)) if positions is None else sorted(positions)
-    dists = [rank_distance([word[i] for i in kept], [cw.symbols[i] for i in kept])
+    ctx = word[0].ctx
+    dists = [rank_distance([word[i] for i in kept], [ctx.from_vector(cw.rows[i]) for i in kept])
              for cw in codebook]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
@@ -335,7 +331,7 @@ def test_wide_rows_match_per_codeword_scan(chunk):
         metric = rng.choice(("injection", "subspace"))
         list_radius = rng.choice((None, 0, 1, 2))
         received = Subspace.from_rows(packets, 2, 130)
-        dists = [REFERENCE[metric](received, cw.subspace) for cw in codebook]
+        dists = [REFERENCE[metric](received, Subspace.from_rows(cw.rows, 2)) for cw in codebook]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "RANK_CHUNK", chunk)
             if list_radius is None:
