@@ -111,19 +111,15 @@ class Codebook:
         raise ValueError(f"message {digits} is not in the codebook")
 
     @functools.cached_property
-    def table(self) -> tuple:
-        """(keys, ids), read-only and built on first use: the distinct rows of
-        a GF(2) codebook, packed by ``linalg.pack_bits``, and the (rows, N)
-        array that puts ``keys[ids[i, n]]`` at row i of codeword n. The
-        bit-packed tier-2 kernel reduces each distinct row once."""
-        # packed per block of codewords: pack_bits widens its digits to int64
-        rows = self.stack.transpose(1, 0, 2)
-        packed = np.concatenate([linalg.pack_bits(rows[:, start:start + SETUP_CHUNK])
-                                 for start in range(0, len(self), SETUP_CHUNK)], axis=1)
-        keys, ids = np.unique(packed.ravel(), return_inverse=True)
-        ids = ids.reshape(packed.shape)
-        keys.flags.writeable = ids.flags.writeable = False
-        return keys, ids
+    def table(self) -> np.ndarray:
+        """The read-only (rows, N) array of a GF(2) codebook's rows, packed
+        by ``linalg.pack_bits`` and built on first use: column n holds the
+        rows of codeword n, in the narrowest unsigned dtype that holds a row."""
+        # packed per block of codewords, which bounds pack_bits' padded copy
+        table = np.concatenate([linalg.pack_bits(self.stack[start:start + SETUP_CHUNK])
+                                for start in range(0, len(self), SETUP_CHUNK)]).T.copy()
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
@@ -149,12 +145,10 @@ class Codebook:
         is ``linalg.packed_rank`` on :attr:`table`, and the offset rows are
         packed here."""
         if self.p == 2:
-            keys, ids = self.table
-            if positions is not None:
-                ids = ids[positions]
+            packed = self.table if positions is None else self.table[positions]
             if offset is not None:
                 offset = linalg.pack_bits(offset)
-            return linalg.packed_rank(keys, ids, offset, basis or ())
+            return linalg.packed_rank(packed, offset, basis or ())
         stack = self.stack if positions is None else self.stack[:, positions, :]
         return linalg.batched_rank(stack, self.p, offset, basis)
 

@@ -114,12 +114,13 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 
 # ---------------------------------------------------------------- tier 2
 #
-# Both lanes compute every codeword's distance in one Codebook.batched_rank
-# call, which picks the kernel from p: over GF(2), linalg.packed_rank
-# eliminates the codebook's rows as packed ints, gathered from its table of
-# distinct rows (Codebook.table, built on first use); otherwise
-# linalg.batched_rank reduces its int16 row stack mod p. Both work in
-# blocks of about linalg.RANK_CHUNK matrix rows.
+# Both lanes rank every codeword in one Codebook.batched_rank call, which
+# picks the kernel from p: over GF(2), linalg.packed_rank eliminates a
+# copy of each block of the codebook's packed rows (Codebook.table, built
+# on first use: one unsigned int of the narrowest dtype per row);
+# otherwise linalg.batched_rank reduces its int16 row stack mod p. Both
+# work in blocks of about linalg.RANK_CHUNK matrix rows. A distance grows
+# with the rank, so _select picks on the ranks and maps only its picks.
 
 def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
@@ -135,7 +136,9 @@ def _check_packets(rows, p: int, width: int):
             raise ValueError(f"packet digits must lie in [0, {p}), got {tuple(row)}")
 
 
-def _subspace_distances(packets, codebook, metric: str):
+def _subspace_ranks(packets, codebook, metric: str):
+    """(r, scale, shift): every codeword's rank r against the packets, and
+    the map ``scale * r + shift`` that makes r its distance in the metric."""
     if not packets:
         raise ValueError("tier-2 decoding needs at least one packet")
     _check_kind(codebook, SUBSPACE)
@@ -149,40 +152,48 @@ def _subspace_distances(packets, codebook, metric: str):
     b = codebook.stack.shape[1]
     r = codebook.batched_rank(basis=basis)
     if metric == "injection":
-        return r + (max(a, b) - b)      # max(a, b) - dim(U∩V)
-    return 2 * r + (a - b)              # dim(U+V) - dim(U∩V)
+        return r, 1, max(a, b) - b      # max(a, b) - dim(U∩V)
+    return r, 2, a - b                  # dim(U+V) - dim(U∩V)
 
 
-def _select(dists, list_radius) -> DecodeResult:
-    """Nearest codeword, or with a list radius every codeword within it.
+def _select(ranks, list_radius, scale: int = 1, shift: int = 0) -> DecodeResult:
+    """Nearest codeword, or with a list radius every codeword within it,
+    where a codeword's distance is ``scale * rank + shift`` (scale > 0).
 
     Candidates run in ascending distance, then index; the first is chosen,
-    and a tie means the runner-up is as near.
+    and a tie means the runner-up is as near. The distance grows with the
+    rank, so the candidates are found and ordered on the ranks, and only
+    the chosen rank is mapped to a distance.
     """
     if list_radius is None:
-        order = np.flatnonzero(dists == dists.min())
-    elif list_radius < 0:
+        chosen = int(ranks.argmin())
+        best = ranks[chosen]
+        tie = bool((ranks[chosen + 1:] == best).any())
+        return DecodeResult(chosen=chosen, metric_value=scale * int(best) + shift, tie=tie)
+    if list_radius < 0:
         raise ValueError("list radius must be nonnegative")
-    else:
-        order = np.flatnonzero(dists <= list_radius)
-        order = order[np.argsort(dists[order], kind="stable")]
-    order = order.tolist()
-    lst = None if list_radius is None else tuple(order)
-    if not order:
-        return DecodeResult(chosen=None, metric_value=None, tie=False, list=lst)
-    best = int(dists[order[0]])
-    tie = len(order) > 1 and int(dists[order[1]]) == best
-    return DecodeResult(chosen=order[0], metric_value=best, tie=tie, list=lst)
+    limit = (list_radius - shift) // scale
+    # no rank is negative, so a negative limit lists nothing
+    order = np.flatnonzero(ranks <= limit) if limit >= 0 else ranks[:0]
+    order = order[np.argsort(ranks[order], kind="stable")]
+    if not len(order):
+        return DecodeResult(chosen=None, metric_value=None, tie=False, list=())
+    best = ranks[order[0]]
+    tie = len(order) > 1 and ranks[order[1]] == best
+    return DecodeResult(chosen=int(order[0]), metric_value=scale * int(best) + shift,
+                        tie=bool(tie), list=tuple(order.tolist()))
 
 
 def tier2_subspace_decode(packets, codebook, metric: str = "injection") -> DecodeResult:
     """Nearest codeword to the row space of the packets; ties pick the lowest index."""
-    return _select(_subspace_distances(packets, codebook, metric), None)
+    r, scale, shift = _subspace_ranks(packets, codebook, metric)
+    return _select(r, None, scale, shift)
 
 
 def tier2_list_decode(packets, codebook, radius: int, metric: str = "injection") -> DecodeResult:
     """All codewords within the metric radius, ascending distance then index."""
-    return _select(_subspace_distances(packets, codebook, metric), radius)
+    r, scale, shift = _subspace_ranks(packets, codebook, metric)
+    return _select(r, radius, scale, shift)
 
 
 def _rank_distances(rows, codebook, positions):

@@ -87,27 +87,25 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
     return ranks
 
 
-def packed_rank(keys, ids, offset=None, basis=()) -> np.ndarray:
+def packed_rank(packed, offset=None, basis=()) -> np.ndarray:
     """``batched_rank`` over GF(2) of N matrices whose rows are packed ints.
 
-    Row i of matrix n is ``keys[ids[i, n]]``, a ``pack_bits`` row, so that
-    adding two rows is an XOR; a table of distinct rows lets each be
-    reduced against the basis once. `offset` is one packed row per matrix
-    row, and `basis` a ``packed_basis`` of rank a, so that the rank returned
-    is ``rank([basis; M ^ offset]) - a``. Returns an int64 array of N ranks.
+    Column n of the (rows, N) array `packed` holds the ``pack_bits`` rows
+    of matrix n, so that adding two rows is an XOR. `offset` is one packed
+    row per matrix row, and `basis` a ``packed_basis`` of rank a, so that
+    the rank returned is ``rank([basis; M ^ offset]) - a``. The offset and
+    basis rows are in the dtype of `packed`, or Python ints that fit it.
+    Returns an int64 array of N ranks.
     """
-    ids = np.asarray(ids)
-    rows, n = ids.shape
+    rows, n = packed.shape
     ranks = np.empty(n, dtype=np.int64)
-    # reducing against the basis is linear, so the offset is reduced apart
-    keys = _xor_min(np.array(keys), basis)
     if offset is not None:
-        offset = _xor_min(np.array(offset), basis)[:, None]
+        offset = offset[:, None]
     per = _per_block(rows)
     for start in range(0, n, per):
-        block = keys.take(ids[:, start:start + per])
-        if offset is not None:
-            block ^= offset
+        block = packed[:, start:start + per]
+        block = block.copy() if offset is None else block ^ offset
+        _xor_min(block, basis)
         # summing as int16 (a rank fits) is twice as fast as count_nonzero
         ranks[start:start + block.shape[1]] = (_echelon(block) != 0).sum(axis=0, dtype=np.int16)
     return ranks
@@ -242,14 +240,24 @@ def pack_bits(digits) -> np.ndarray:
     """Packed GF(2) rows of the digit vectors along the last axis: (..., width) -> (...).
 
     Digit c is bit c of one integer, so that adding two rows is an XOR of
-    their integers: int64 up to 63 digits, Python ints (dtype object) above.
+    their integers. The integers are of the narrowest unsigned dtype that
+    holds `width` bits, uint8 to uint64, and Python ints (dtype object)
+    above 64 bits.
     """
-    words = pack_keys(np.asarray(digits), 2)
-    packed = words[..., 0]
-    if words.shape[-1] > 1:
-        packed = packed.astype(object)
-        for w in range(1, words.shape[-1]):
-            packed |= words[..., w].astype(object) << 63 * w
+    digits = np.asarray(digits)
+    shape, width = digits.shape[:-1], digits.shape[-1]
+    itemsize = next((n for n in (1, 2, 4, 8) if 8 * n >= width), -(-width // 64) * 8)
+    # each row padded with zeros to whole items, so that one flat packbits
+    # puts every row in its own item
+    padded = np.zeros(shape + (8 * itemsize,), dtype=np.uint8)
+    padded[..., :width] = digits
+    octets = np.packbits(padded, bitorder="little")
+    if itemsize <= 8:
+        return octets.view(f"<u{itemsize}").astype(f"u{itemsize}", copy=False).reshape(shape)
+    words = octets.view("<u8").reshape(shape + (-1,))
+    packed = words[..., 0].astype(object)
+    for w in range(1, words.shape[-1]):
+        packed |= words[..., w].astype(object) << 64 * w
     return packed
 
 

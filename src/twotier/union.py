@@ -88,7 +88,10 @@ class UnionCode:
         wanted = set(indices)
         if not wanted:
             raise ValueError("cannot restrict to an empty component list")
-        kept = self.components[np.isin(self.components, list(wanted))]
+        # membership over the codebook's indices; one outside them is unknown
+        listed = np.zeros(len(self.provenance.ids), dtype=bool)
+        listed[np.array([i for i in wanted if 0 <= i < len(listed)], dtype=np.intp)] = True
+        kept = self.components[listed[self.components]]
         unknown = wanted.difference(kept.tolist())
         if unknown:
             raise ValueError(f"unknown component indices {sorted(unknown)}")

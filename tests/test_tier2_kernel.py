@@ -1,16 +1,17 @@
 """The batched tier-2 kernels against per-codeword reference scans.
 
 Tier 2 computes every codeword's distance in one ``Codebook.batched_rank``
-call: ``linalg.packed_rank`` on the table of distinct bit-packed rows over
-GF(2), and ``linalg.batched_rank`` on int16 digits otherwise. These
+call: ``linalg.packed_rank`` on the codebook's bit-packed rows, in the
+narrowest unsigned dtype that holds one, over GF(2), and
+``linalg.batched_rank`` on int16 digits otherwise. These
 properties rebuild each distance one codeword at a time with
 ``metrics.injection_distance``, ``subspace_distance`` and
 ``rank_distance``, pick from them as a plain sorted scan would, and require
 the same ``DecodeResult`` on every shipped fixture and on a hand-made code
-whose rows are wider than one int64, with the kernel's chunk size at its
+whose rows are wider than 64 bits, with the kernel's chunk size at its
 default and small enough to split each codebook. The packed kernel is also
-checked against ``oracles.naive_rank`` and the int16 kernel at every word
-boundary, and the GF(2) subspace lane against calls to ``linalg.rref``.
+checked against ``oracles.naive_rank`` and the int16 kernel at every dtype
+and word boundary, and the GF(2) subspace lane against calls to ``linalg.rref``.
 """
 
 import functools
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotier import linalg
-from twotier.codes import Codebook, GabidulinSpec, build_codebook
+from twotier.codes import SETUP_CHUNK, Codebook, GabidulinSpec, build_codebook
 from twotier.config import load_config
 from twotier.decoders import (DecodeOptions, DecodeResult, tier2_list_decode,
                               tier2_rank_decode, tier2_subspace_decode, two_tier_decode)
@@ -80,11 +81,24 @@ def reference_select(dists, list_radius):
 
 
 def packed_table(stack):
-    """(keys, ids) of an (N, rows, width) GF(2) digit stack, built as
-    ``Codebook.table`` builds them."""
-    bits = linalg.pack_bits(np.asarray(stack).transpose(1, 0, 2))
-    keys, ids = np.unique(bits.ravel(), return_inverse=True)
-    return keys, ids.reshape(bits.shape)
+    """The (rows, N) packed rows of an (N, rows, width) GF(2) digit stack,
+    as ``Codebook.table`` holds them."""
+    return linalg.pack_bits(np.asarray(stack).transpose(1, 0, 2))
+
+
+def narrowest(width):
+    """The dtype ``pack_bits`` packs `width` digits into."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if width <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def unpacked(packed, width):
+    """The digit rows of packed ints, by Python shifts: (...) -> (..., width) lists."""
+    if isinstance(packed, list):
+        return [unpacked(x, width) for x in packed]
+    return [(packed >> c) & 1 for c in range(width)]
 
 
 def packed_basis(rows):
@@ -217,9 +231,11 @@ def test_codebook_stack_is_built_once_and_kept():
 
 # ---------------------------------------------------------------- bit-packed GF(2) kernel
 
-# one word holds 63 digits, so these widths put rows on both sides of
-# every word boundary up to three words
-PACKED_WIDTHS = (1, 62, 63, 64, 126, 127, 130)
+# a packed row is the narrowest of uint8 to uint64 that holds its width, so
+# these widths put rows on both sides of every dtype boundary; above 64
+# digits it is a Python int. ``pack_keys`` words hold 63 digits, and the
+# widths also straddle every word boundary up to three words.
+PACKED_WIDTHS = (1, 8, 9, 16, 17, 32, 33, 62, 63, 64, 65, 126, 127, 130)
 
 
 @st.composite
@@ -227,7 +243,7 @@ def gf2_rows(draw, count, width, earlier=()):
     """`count` GF(2) rows: random or sparse at the word edges, zero below a
     drawn word (so that rows share bits there and leads fall in later
     words), zero, or the sum of rows drawn before (so that ranks drop)."""
-    edges = {0, 1, 61, 62, 63, 64, 125, 126, 127, 128, width - 1}
+    edges = {0, 1, 7, 8, 15, 16, 31, 32, 61, 62, 63, 64, 125, 126, 127, 128, width - 1}
     rows = []
     for _ in range(count):
         pool = list(earlier) + rows
@@ -270,12 +286,14 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
     arr = np.array(stack, dtype=np.int8)
     words = linalg.pack_keys(arr.transpose(1, 0, 2), 2)
     assert words.shape == (rows, count, -(-width // 63))
-    keys, ids = packed_table(arr)
-    picked = ids if positions is None else ids[positions]
+    table = packed_table(arr)
+    assert table.shape == (rows, count) and table.dtype == narrowest(width)
+    assert unpacked(table.tolist(), width) == arr.transpose(1, 0, 2).tolist()
+    picked = table if positions is None else table[positions]
     packed_offset = None if offset is None else linalg.pack_bits(offset)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
-        packed = linalg.packed_rank(keys, picked, packed_offset, packed_basis(basis_rows))
+        packed = linalg.packed_rank(picked, packed_offset, packed_basis(basis_rows))
         int16 = linalg.batched_rank(arr[:, list(kept), :], 2, offset, basis)
     a = oracles.naive_rank(basis_rows, 2)
     expected = []
@@ -296,12 +314,12 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
 ])
 def test_packed_rank_across_word_edges(width, ones, rank):
     """Hand-picked matrices whose pivots (highest set bits) and cancelling
-    row sums straddle the 63-digit word edges, where a packed row stops
-    being one int64."""
+    row sums straddle the 63-digit ``pack_keys`` word edges, bit 63 (the
+    top bit of a uint64, where a signed compare would fail) and 64 bits,
+    above which a packed row is a Python int."""
     matrix = [[int(c in row) for c in range(width)] for row in ones]
-    keys, ids = packed_table(np.array([matrix], dtype=np.int8))
     assert oracles.naive_rank(matrix, 2) == rank
-    assert linalg.packed_rank(keys, ids).tolist() == [rank]
+    assert linalg.packed_rank(packed_table(np.array([matrix], dtype=np.int8))).tolist() == [rank]
 
 
 @functools.cache
@@ -318,8 +336,9 @@ def wide_codebook():
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_wide_rows_match_per_codeword_scan(chunk):
     codebook = wide_codebook()
-    keys, ids = codebook.table
-    assert keys.dtype == object and len(keys) == 1 + 2 * len(codebook)
+    table = codebook.table
+    assert table.dtype == object and table.shape == (3, len(codebook))
+    assert unpacked(table.tolist(), 130) == codebook.stack.transpose(1, 0, 2).tolist()
     rng = random.Random(chunk)
     for _ in range(30):
         rows = codebook[rng.randrange(len(codebook))].rows
@@ -366,26 +385,43 @@ def test_gf2_tier2_builds_no_received_rref():
 
 
 def test_codebook_words_are_built_once_and_read_only():
-    """The packed rows of a GF(2) codebook, ``Codebook.table``: its distinct
-    rows and where each codeword's rows are in them."""
-    spec, book = fixture("kk_example")
-    codebook = Codebook(spec, book.stack)
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "pack_bits",
-                   lambda *args, pack=linalg.pack_bits: calls.append(1) or pack(*args))
-        table = codebook.table
-        assert codebook.table is table
-    assert len(calls) == 1
-    keys, ids = table
-    assert ids.shape == (2, 8) and keys.dtype == np.int64
-    assert keys.tolist() == sorted(set(keys.tolist()))
-    for array in table:
-        assert not array.flags.writeable
+    """The packed rows of a GF(2) codebook, ``Codebook.table``: one
+    read-only (rows, N) array in the narrowest unsigned dtype, built on
+    first use, whose column n unpacks to codeword n's rows."""
+    for name, where, dtype in (("kk_example", CONFIGS, np.uint8),
+                               ("mv1", CONFIGS, np.uint16),
+                               ("gab-gf64", BENCH_CONFIGS, np.uint8),
+                               ("kk-gf128", BENCH_CONFIGS, np.uint16)):
+        spec, book = fixture(name, where)
+        codebook = Codebook(spec, book.stack)
+        n, rows, width = codebook.stack.shape
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "pack_bits",
+                       lambda *args, pack=linalg.pack_bits: calls.append(1) or pack(*args))
+            table = codebook.table
+            built = len(calls)
+            assert codebook.table is table
+        assert built == -(-n // SETUP_CHUNK) and len(calls) == built
+        assert isinstance(table, np.ndarray)
+        assert table.shape == (rows, n) and table.dtype == dtype == narrowest(width)
+        assert table.flags.c_contiguous and not table.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 1
-    assert linalg.unpack_keys(keys[ids][..., None], 2, 6).transpose(1, 0, 2).tolist() == \
-        codebook.stack.tolist()
+            table[0, 0] = 1
+        assert unpacked(table.tolist(), width) == codebook.stack.transpose(1, 0, 2).tolist()
+
+
+@pytest.mark.parametrize("width", sorted({0} | set(PACKED_WIDTHS) | {24, 128}))
+def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
+    """Digit c is bit c, in uint8 to uint64 or Python ints above 64 bits,
+    for an empty width, each side of every dtype edge and a list input."""
+    digits = np.random.default_rng(width).integers(0, 2, size=(3, 5, width), dtype=np.int8)
+    digits[0, 0] = 1                            # a row of ones: every bit of its width
+    packed = linalg.pack_bits(digits)
+    assert packed.shape == (3, 5) and packed.dtype == narrowest(width)
+    assert packed.tolist() == [[sum(d << c for c, d in enumerate(row)) for row in matrix]
+                               for matrix in digits.tolist()]
+    assert linalg.pack_bits(digits[0].tolist()).tolist() == packed[0].tolist()
 
 
 def test_gf2_gabidulin_ranks_are_unchanged():

@@ -211,9 +211,9 @@ def test_restrict_keeps_component_order():
 
 
 @functools.cache
-def restrict_case(name):
-    """(codebook, union, owner sets by span enumeration) of a shipped config."""
-    _, _, codebook, uni = load_config(ROOT / "configs" / f"{name}.json").build_all()
+def restrict_case(name, where=ROOT / "configs"):
+    """(codebook, union, owner sets by span enumeration) of a config."""
+    _, _, codebook, uni = load_config(where / f"{name}.json").build_all()
     provenance = {}
     for index, cw in enumerate(codebook):
         for v in oracles.span(cw.rows, uni.p):
@@ -257,6 +257,35 @@ def test_restrict_matches_the_dict_of_sets_reference(name, data):
         once = base.restrict(first)
         check_restriction(once, provenance, first, order)
         check_restriction(once.restrict(second), provenance, second, order)
+
+
+@pytest.mark.parametrize("name, where", [(path.stem, path.parent) for path in CONFIGS] +
+                         [("gab-gf64", ROOT / "perfbench" / "configs")],
+                         ids=[path.stem for path in CONFIGS] + ["gab-gf64"])
+def test_restrict_on_every_config_matches_the_reference(name, where):
+    """Seeded restrictions, and restrictions of those, of every shipped
+    config and the gab-gf64 benchmark code, in both component orders. An
+    index outside the codebook, -1 or N, is unknown: it does not wrap."""
+    codebook, uni, provenance = restrict_case(name, where)
+    n = len(codebook)
+    rng = random.Random(name)
+    reversed_union = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    for base in (uni, reversed_union):
+        order = base.components.tolist()
+        for _ in range(8):
+            first = set(rng.sample(range(n), rng.randint(1, min(n, 6))))
+            second = set(rng.sample(sorted(first), rng.randint(1, len(first))))
+            once = base.restrict(first)
+            check_restriction(once, provenance, first, order)
+            check_restriction(once.restrict(second), provenance, second, order)
+            dropped = min(set(range(n)) - first, default=None)
+            if dropped is not None:
+                with pytest.raises(ValueError, match=rf"unknown component indices \[{dropped}\]"):
+                    once.restrict(second | {dropped})
+        for bad, unknown in (({-1}, "-1"), ({n}, str(n)), ({0, -1}, "-1"),
+                             ({n - 1, n, -1}, f"-1, {n}")):
+            with pytest.raises(ValueError, match=rf"unknown component indices \[{unknown}\]"):
+                base.restrict(bad)
 
 
 # |U| = (q^l-1)q^m+1 (L6) with q = 2, l = 2, m = 7 and 8
