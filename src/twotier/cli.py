@@ -155,8 +155,6 @@ def cmd_encode(args) -> int:
     digits = parse_digits(args.message) if args.message is not None else cfg.message_digits()
     if digits is None:
         raise ConfigError("no message given (use --message or a 'message' config entry)")
-    if len(digits) != spec.message_length:
-        raise ConfigError(f"message needs {spec.message_length} digits, got {len(digits)}")
     try:
         cw = encode(spec, digits)
     except ValueError as exc:

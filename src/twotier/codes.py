@@ -113,10 +113,10 @@ class Codebook:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """The read-only (rows, N) array of a GF(2) codebook's rows, packed
-        by ``linalg.pack_bits`` and built on first use: column n holds the
+        by ``linalg.pack_digits`` and built on first use: column n holds the
         rows of codeword n, in the narrowest unsigned dtype that holds a row."""
-        # packed per block of codewords, which bounds pack_bits' padded copy
-        table = np.concatenate([linalg.pack_bits(self.stack[start:start + SETUP_CHUNK])
+        # packed per block of codewords, which bounds pack_digits' padded copy
+        table = np.concatenate([linalg.pack_digits(self.stack[start:start + SETUP_CHUNK], 2)
                                 for start in range(0, len(self), SETUP_CHUNK)]).T.copy()
         table.flags.writeable = False
         return table
@@ -134,7 +134,7 @@ class Codebook:
         :meth:`batched_rank` takes, and its rank a. Over GF(2) it is a
         ``linalg.packed_basis``, so no RREF is built; otherwise an ``rref``."""
         if self.p == 2:
-            basis = linalg.packed_basis(linalg.pack_bits(rows))
+            basis = linalg.packed_basis(linalg.pack_digits(rows, 2))
             return basis, len(basis)
         basis = linalg.rref(rows, self.p)
         return basis, len(basis[1])
@@ -147,7 +147,7 @@ class Codebook:
         if self.p == 2:
             packed = self.table if positions is None else self.table[positions]
             if offset is not None:
-                offset = linalg.pack_bits(offset)
+                offset = linalg.pack_digits(offset, 2)
             return linalg.packed_rank(packed, offset, basis or ())
         stack = self.stack if positions is None else self.stack[:, positions, :]
         return linalg.batched_rank(stack, self.p, offset, basis)
@@ -438,13 +438,14 @@ def _check_subspaces(codebook: Codebook):
     """ValueError at the first message, in message order, whose rows are
     dependent or whose subspace an earlier message already has.
 
-    Subspaces are compared by the packed keys of their RREF bases.
+    Subspaces are compared by the ``linalg.pack_digits`` integers of their
+    RREF bases.
     """
     stack, p = codebook.stack, codebook.p
     keys, ranks = [], []
     for start in range(0, len(stack), SETUP_CHUNK):
         bases, block_ranks = linalg.batched_rref(stack[start:start + SETUP_CHUNK], p)
-        keys.append(linalg.pack_keys(bases.reshape(len(bases), -1), p))
+        keys.append(linalg.pack_digits(bases.reshape(len(bases), -1), p))
         ranks.append(block_ranks)
     keys = np.concatenate(keys)
     dependent = np.concatenate(ranks) != stack.shape[1]
@@ -460,7 +461,7 @@ def _check_subspaces(codebook: Codebook):
     message = codebook[index].message
     if dependent[index]:
         raise ValueError(f"codeword for message {message} has dependent basis rows")
-    first = np.flatnonzero((keys == keys[index]).all(axis=1))[0]
+    first = np.flatnonzero(keys == keys[index])[0]
     raise ValueError(f"messages {codebook[first].message} and {message} map to the same subspace")
 
 

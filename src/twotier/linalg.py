@@ -2,7 +2,10 @@
 
 Matrices are numpy integer arrays with entries reduced mod p. Pivoting is
 deterministic (first nonzero entry in column order) so reduced bases are
-reproducible across runs.
+reproducible across runs. A digit vector packs into one integer,
+``pack_digits``: its digits read in base p, lowest first, in the narrowest
+unsigned dtype that holds them, so that sorting and comparing vectors is
+sorting and comparing integers, and over GF(2) adding two is an XOR.
 """
 
 import functools
@@ -68,7 +71,6 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
     """
     stack = np.asarray(stack)
     ranks = np.empty(len(stack), dtype=np.int64)
-    inverse = _inverses(p)
     if offset is not None:
         offset = np.asarray(offset, dtype=np.int16)[:, None, :]
     red, pivots = ((), ()) if basis is None else basis
@@ -83,14 +85,14 @@ def batched_rank(stack, p: int, offset=None, basis=None) -> np.ndarray:
         # every other pivot column, so each step clears its own column only
         for k, col in enumerate(pivots):
             block = _mod(block - block[:, :, col, None] * red[k], p)
-        ranks[start:start + block.shape[1]] = _eliminate(block, p, inverse)
+        ranks[start:start + block.shape[1]] = _forward(block, p)[1].sum(axis=0)
     return ranks
 
 
 def packed_rank(packed, offset=None, basis=()) -> np.ndarray:
     """``batched_rank`` over GF(2) of N matrices whose rows are packed ints.
 
-    Column n of the (rows, N) array `packed` holds the ``pack_bits`` rows
+    Column n of the (rows, N) array `packed` holds the ``pack_digits`` rows
     of matrix n, so that adding two rows is an XOR. `offset` is one packed
     row per matrix row, and `basis` a ``packed_basis`` of rank a, so that
     the rank returned is ``rank([basis; M ^ offset]) - a``. The offset and
@@ -151,28 +153,33 @@ def _inverses(p: int) -> np.ndarray:
     return _read_only(np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16))
 
 
-def _eliminate(block, p: int, inverse) -> np.ndarray:
-    """Ranks of a (rows, n, width) int16 block of n matrices; overwrites the block.
+def _forward(block, p: int):
+    """Forward elimination of a (rows, n, width) int16 block of n matrices, in place.
 
     Row i is reduced against the rows before it, each of which is stored
     normalised (leading digit 1) and reduced against its own predecessors,
-    so one pass in row order clears every earlier pivot column. A dependent
-    row becomes zero and clears nothing. The last row is only tested.
+    so one pass in row order clears every earlier pivot column: each row is
+    zero at the pivot of every row before it. A dependent row becomes zero
+    and clears nothing. Returns (lead, found), (rows, n) arrays of each
+    row's pivot column and whether the row is nonzero.
     """
     rows, n, _ = block.shape
+    inverse = _inverses(p)
     at = np.arange(n)
     lead = np.zeros((rows, n), dtype=np.intp)
-    rank = np.zeros(n, dtype=np.int64)
+    found = np.zeros((rows, n), dtype=bool)
     for i in range(rows):
         x = block[i]
         for j in range(i):
             x = _mod(x - x[at, lead[j]][:, None] * block[j], p)
-        nonzero = x != 0
-        rank += nonzero.any(axis=1)
-        if i + 1 < rows:
-            lead[i] = nonzero.argmax(axis=1)
-            block[i] = _mod(x * inverse[x[at, lead[i]]][:, None], p)
-    return rank
+        lead[i] = (x != 0).argmax(axis=1)
+        pivot = x[at, lead[i]]
+        found[i] = pivot != 0
+        if p != 2:
+            # over GF(2) every pivot is already 1, or the row is zero
+            x = _mod(x * inverse[pivot][:, None], p)
+        block[i] = x
+    return lead, found
 
 
 def batched_rref(stack, p: int):
@@ -185,101 +192,77 @@ def batched_rref(stack, p: int):
     # (rows, n, width): each row of the n matrices is one slab, reduced in place
     block = np.asarray(stack).transpose(1, 0, 2).astype(np.int16)
     rows, n, width = block.shape
-    inverse = _inverses(p)
+    lead, found = _forward(block, p)
     at = np.arange(n)
-    lead, found = [], []
-    # As in _eliminate, row i is reduced against the normalised rows before
-    # it; then its own pivot column is cleared from them, so the rows seen
-    # so far are always reduced against each other. A dependent row becomes
-    # zero, normalises to zero and clears nothing.
-    for i in range(rows):
-        x = block[i]
+    # Back substitution, last pivot first: row i is zero at the pivots
+    # before it (forward) and after it (cleared already), so clearing its
+    # pivot column from the rows before it disturbs no other pivot column.
+    for i in range(rows - 1, 0, -1):
         for j in range(i):
-            x = _mod(x - x[at, lead[j]][:, None] * block[j], p)
-        lead.append((x != 0).argmax(axis=1))
-        pivot = x[at, lead[i]]
-        found.append(pivot != 0)
-        if p != 2:
-            # over GF(2) every pivot is already 1, or the row is zero
-            x = _mod(x * inverse[pivot][:, None], p)
-        for j in range(i):
-            block[j] = _mod(block[j] - block[j][at, lead[i]][:, None] * x, p)
-        block[i] = x
+            block[j] = _mod(block[j] - block[j][at, lead[i]][:, None] * block[i], p)
     if rows > 1:
         # rows in pivot order, zero rows last
         order = np.argsort(np.where(found, lead, width), axis=0, kind="stable")
         block = block[order, at]
-    return block.transpose(1, 0, 2), sum(found)
+    return block.transpose(1, 0, 2), found.sum(axis=0)
 
 
 @functools.cache
-def _word_radix(p: int) -> np.ndarray:
-    """Powers of p for the most base-p digits whose value fits in an int64
-    (shared: read-only)."""
+def _powers(p: int) -> np.ndarray:
+    """uint64 powers of p for the most base-p digits whose value fits in
+    one uint64 (shared: read-only)."""
     per = 1
-    while p ** (per + 1) <= 2 ** 63:
+    while p ** (per + 1) <= 2 ** 64:
         per += 1
-    return _read_only(p ** np.arange(per, dtype=np.int64))
+    return _read_only(p ** np.arange(per, dtype=np.uint64))
 
 
-def pack_keys(digits, p: int) -> np.ndarray:
-    """int64 keys of the digit vectors along the last axis: (..., width) -> (..., words).
+def pack_digits(digits, p: int) -> np.ndarray:
+    """The digit vectors along the last axis as integers: (..., width) -> (...).
 
-    Each word holds as many base-p digits as fit, low first, so two
-    vectors are equal exactly when their keys are.
-    """
-    radix = _word_radix(p)
-    per, width = len(radix), digits.shape[-1]
-    keys = np.empty(digits.shape[:-1] + (-(-width // per),), dtype=np.int64)
-    for w, start in enumerate(range(0, width, per)):
-        keys[..., w] = digits[..., start:start + per] @ radix[:width - start]
-    return keys
-
-
-def pack_bits(digits) -> np.ndarray:
-    """Packed GF(2) rows of the digit vectors along the last axis: (..., width) -> (...).
-
-    Digit c is bit c of one integer, so that adding two rows is an XOR of
-    their integers. The integers are of the narrowest unsigned dtype that
-    holds `width` bits, uint8 to uint64, and Python ints (dtype object)
-    above 64 bits.
+    A vector d becomes sum_c d_c p^c, so two vectors are equal exactly when
+    their integers are, and over GF(2) digit c is bit c, so that adding two
+    rows is an XOR of their integers. The integers are of the narrowest
+    unsigned dtype that holds p^width - 1, uint8 to uint64, and Python ints
+    (dtype object) above 64 bits.
     """
     digits = np.asarray(digits)
     shape, width = digits.shape[:-1], digits.shape[-1]
-    itemsize = next((n for n in (1, 2, 4, 8) if 8 * n >= width), -(-width // 64) * 8)
-    # each row padded with zeros to whole items, so that one flat packbits
-    # puts every row in its own item
-    padded = np.zeros(shape + (8 * itemsize,), dtype=np.uint8)
-    padded[..., :width] = digits
-    octets = np.packbits(padded, bitorder="little")
-    if itemsize <= 8:
-        return octets.view(f"<u{itemsize}").astype(f"u{itemsize}", copy=False).reshape(shape)
-    words = octets.view("<u8").reshape(shape + (-1,))
+    itemsize = next((n for n in (1, 2, 4, 8) if 256 ** n >= p ** width), None)
+    if p == 2:
+        # each row padded with zeros to whole items, or to whole 64-bit
+        # words, so that one flat packbits puts every row in its own item
+        padded = np.zeros(shape + (8 * (itemsize or -(-width // 64) * 8),), dtype=np.uint8)
+        padded[..., :width] = digits
+        octets = np.packbits(padded, bitorder="little")
+        if itemsize:
+            return octets.view(f"<u{itemsize}").astype(f"u{itemsize}", copy=False).reshape(shape)
+        words, per = octets.view("<u8").reshape(shape + (-1,)), 64
+    else:
+        powers = _powers(p)
+        if itemsize:
+            return (digits.astype(np.uint64) @ powers[:width]).astype(f"u{itemsize}", copy=False)
+        per = len(powers)
+        words = np.stack([digits[..., start:start + per].astype(np.uint64) @ powers[:width - start]
+                          for start in range(0, width, per)], axis=-1)
+    # above 64 bits: the words of `per` digits each, summed as Python ints
     packed = words[..., 0].astype(object)
     for w in range(1, words.shape[-1]):
-        packed |= words[..., w].astype(object) << 64 * w
+        packed += words[..., w].astype(object) * p ** (per * w)
     return packed
 
 
-def unpack_keys(keys, p: int, width: int) -> np.ndarray:
-    """The digit vectors of width `width` that ``pack_keys`` turned into `keys`."""
-    digits = keys[..., None] // _word_radix(p) % p
-    return digits.reshape(keys.shape[:-1] + (-1,))[..., :width]
-
-
 def sorted_runs(keys):
-    """(order, starts) of an (M, words) key array.
+    """(order, starts) of a 1-D key array.
 
     ``order`` sorts the keys stably, so equal keys keep their original
     order; ``starts`` are the positions in it where a run of equal keys
     begins.
     """
-    order = np.lexsort(keys.T[::-1])
+    order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     new = np.ones(len(ranked), dtype=bool)
-    new[1:] = ranked[1:, 0] != ranked[:-1, 0]
-    for word in range(1, keys.shape[1]):
-        new[1:] |= ranked[1:, word] != ranked[:-1, word]
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     return order, new.nonzero()[0]
 
 

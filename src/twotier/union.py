@@ -114,24 +114,26 @@ def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Union
 def _distinct_spans(stack, p: int) -> Spans:
     """The :class:`Spans` of the GF(p) row spans of a stack of matrices.
 
-    Spans are formed and keyed per block of ``codes.SETUP_CHUNK``
-    matrices, and only their int64 keys are kept.
+    Spans are formed and packed per block of ``codes.SETUP_CHUNK``
+    matrices, and only their ``linalg.pack_digits`` integers are kept.
     """
     coeffs = _span_coefficients(p, stack.shape[1])
-    keys = np.concatenate([
-        linalg.pack_keys((coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p)
-                         .reshape(-1, stack.shape[2]), p)
-        for start in range(0, len(stack), codes.SETUP_CHUNK)])
-    order, starts = linalg.sorted_runs(keys)
+    order, starts = linalg.sorted_runs(np.concatenate([
+        linalg.pack_digits(coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p,
+                           p).ravel()
+        for start in range(0, len(stack), codes.SETUP_CHUNK)]))
     # the stable sort puts each vector's first occurrence at the start of
     # its run, so run r holds vector number[r], its rank by first occurrence
     first = order[starts]
     by_first = np.argsort(first)
-    number = np.argsort(by_first)
+    number = np.argsort(by_first).astype(np.int32)
     ids = np.empty(len(order), dtype=np.int32)
     ids[order] = np.repeat(number, np.diff(starts, append=len(order)))
-    matrix = linalg.unpack_keys(keys[first[by_first]], p, stack.shape[2]).astype(np.int16)
     ids = ids.reshape(len(stack), -1)
+    # each distinct vector formed again at its first occurrence, entry
+    # (codeword, coefficients) of the spans
+    codeword, at = np.divmod(first[by_first], len(coeffs))
+    matrix = (coeffs[at, None, :] @ stack[codeword] % p)[:, 0].astype(np.int16)
     weights = np.count_nonzero(matrix, axis=1).astype(np.int16)
     weights[weights == 0] = stack.shape[2] + 1      # the zero vector sets no minimum
     min_weights = weights[ids].min(axis=1)

@@ -335,17 +335,24 @@ def test_batched_rref_matches_reference(drawn):
 @SETTINGS
 @given(p=st.sampled_from((2, 3, 5, 7)), width=st.integers(1, 100), seed=st.integers(0, 1000))
 def test_packed_keys_group_equal_vectors(p, width, seed):
-    """Keys span one or more int64 words; equal keys mean equal vectors.
+    """``pack_digits`` is sum_c d_c p^c in the narrowest unsigned dtype that
+    holds p^width - 1 (Python ints above 64 bits), equal integers mean equal
+    vectors, and ``sorted_runs`` groups equal integers stably.
 
     The vectors differ from one base vector in a single digit, at every
-    position, so a digit a key drops or a word that overflows shows.
+    position, so a digit the packing drops or a word that overflows shows.
     """
     rng = np.random.default_rng(seed)
     base = rng.integers(0, p, size=width)
     distinct = np.vstack([base, (base + np.eye(width, dtype=np.int64)) % p])
     picks = rng.integers(0, len(distinct), size=3 * len(distinct))
     vectors = distinct[picks]
-    order, starts = linalg.sorted_runs(linalg.pack_keys(vectors, p))
+    keys = linalg.pack_digits(vectors, p)
+    bits = (p ** width - 1).bit_length()
+    expected = next((np.dtype(f"u{n}") for n in (1, 2, 4, 8) if 8 * n >= bits), np.dtype(object))
+    assert keys.shape == (len(vectors),) and keys.dtype == expected
+    assert keys.tolist() == [sum(d * p ** c for c, d in enumerate(v)) for v in vectors.tolist()]
+    order, starts = linalg.sorted_runs(keys)
     runs = np.split(order, starts[1:])
     assert sorted(order.tolist()) == list(range(len(vectors)))
     for run in runs:

@@ -83,13 +83,13 @@ def reference_select(dists, list_radius):
 def packed_table(stack):
     """The (rows, N) packed rows of an (N, rows, width) GF(2) digit stack,
     as ``Codebook.table`` holds them."""
-    return linalg.pack_bits(np.asarray(stack).transpose(1, 0, 2))
+    return linalg.pack_digits(np.asarray(stack).transpose(1, 0, 2), 2)
 
 
-def narrowest(width):
-    """The dtype ``pack_bits`` packs `width` digits into."""
+def narrowest(width, p=2):
+    """The dtype ``pack_digits`` packs `width` base-p digits into."""
     for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if width <= 8 * np.dtype(dtype).itemsize:
+        if p ** width <= 256 ** np.dtype(dtype).itemsize:
             return np.dtype(dtype)
     return np.dtype(object)
 
@@ -103,7 +103,7 @@ def unpacked(packed, width):
 
 def packed_basis(rows):
     """``linalg.packed_basis`` of GF(2) digit rows, of which there may be none."""
-    return linalg.packed_basis(linalg.pack_bits(rows)) if rows else ()
+    return linalg.packed_basis(linalg.pack_digits(rows, 2)) if rows else ()
 
 
 def assert_plain(result):
@@ -233,8 +233,8 @@ def test_codebook_stack_is_built_once_and_kept():
 
 # a packed row is the narrowest of uint8 to uint64 that holds its width, so
 # these widths put rows on both sides of every dtype boundary; above 64
-# digits it is a Python int. ``pack_keys`` words hold 63 digits, and the
-# widths also straddle every word boundary up to three words.
+# digits it is a Python int, made of 64-bit words, and the widths also
+# straddle 63-digit edges up to three of them.
 PACKED_WIDTHS = (1, 8, 9, 16, 17, 32, 33, 62, 63, 64, 65, 126, 127, 130)
 
 
@@ -284,13 +284,11 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
     basis = linalg.rref(basis_rows, 2) if basis_rows else None
 
     arr = np.array(stack, dtype=np.int8)
-    words = linalg.pack_keys(arr.transpose(1, 0, 2), 2)
-    assert words.shape == (rows, count, -(-width // 63))
     table = packed_table(arr)
     assert table.shape == (rows, count) and table.dtype == narrowest(width)
     assert unpacked(table.tolist(), width) == arr.transpose(1, 0, 2).tolist()
     picked = table if positions is None else table[positions]
-    packed_offset = None if offset is None else linalg.pack_bits(offset)
+    packed_offset = None if offset is None else linalg.pack_digits(offset, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
         packed = linalg.packed_rank(picked, packed_offset, packed_basis(basis_rows))
@@ -314,7 +312,7 @@ def test_packed_rank_matches_naive_rank_and_int16_kernel(chunk, data):
 ])
 def test_packed_rank_across_word_edges(width, ones, rank):
     """Hand-picked matrices whose pivots (highest set bits) and cancelling
-    row sums straddle the 63-digit ``pack_keys`` word edges, bit 63 (the
+    row sums straddle 63-digit edges, bit 63 (the
     top bit of a uint64, where a signed compare would fail) and 64 bits,
     above which a packed row is a Python int."""
     matrix = [[int(c in row) for c in range(width)] for row in ones]
@@ -397,8 +395,8 @@ def test_codebook_words_are_built_once_and_read_only():
         n, rows, width = codebook.stack.shape
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "pack_bits",
-                       lambda *args, pack=linalg.pack_bits: calls.append(1) or pack(*args))
+            mp.setattr(linalg, "pack_digits",
+                       lambda *args, pack=linalg.pack_digits: calls.append(1) or pack(*args))
             table = codebook.table
             built = len(calls)
             assert codebook.table is table
@@ -413,15 +411,18 @@ def test_codebook_words_are_built_once_and_read_only():
 
 @pytest.mark.parametrize("width", sorted({0} | set(PACKED_WIDTHS) | {24, 128}))
 def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
-    """Digit c is bit c, in uint8 to uint64 or Python ints above 64 bits,
-    for an empty width, each side of every dtype edge and a list input."""
-    digits = np.random.default_rng(width).integers(0, 2, size=(3, 5, width), dtype=np.int8)
-    digits[0, 0] = 1                            # a row of ones: every bit of its width
-    packed = linalg.pack_bits(digits)
-    assert packed.shape == (3, 5) and packed.dtype == narrowest(width)
-    assert packed.tolist() == [[sum(d << c for c, d in enumerate(row)) for row in matrix]
-                               for matrix in digits.tolist()]
-    assert linalg.pack_bits(digits[0].tolist()).tolist() == packed[0].tolist()
+    """``pack_digits`` over GF(2) and GF(3): digit c weighs p^c, in uint8 to
+    uint64 or Python ints above 64 bits, for an empty width, each side of
+    every dtype edge and a list input. Over GF(2) digit c is bit c."""
+    for p in (2, 3):
+        digits = np.random.default_rng(width).integers(0, p, size=(3, 5, width), dtype=np.int8)
+        digits[0, 0] = p - 1                    # the largest vector of its width
+        packed = linalg.pack_digits(digits, p)
+        assert packed.shape == (3, 5) and packed.dtype == narrowest(width, p)
+        assert packed.tolist() == [[sum(d * p ** c for c, d in enumerate(row)) for row in matrix]
+                                   for matrix in digits.tolist()]
+        assert packed[0, 0] == p ** width - 1
+        assert linalg.pack_digits(digits[0].tolist(), p).tolist() == packed[0].tolist()
 
 
 def test_gf2_gabidulin_ranks_are_unchanged():

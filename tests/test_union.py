@@ -1,15 +1,18 @@
 import functools
 import gc
+import itertools
 import json
 import math
 import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twotier import linalg
 from twotier.cli import main
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
@@ -104,6 +107,54 @@ def test_zero_component_distance_is_inf():
     uni = build_union(cb)
     dists = dict(component_min_distances(uni))
     assert dists[0] is math.inf
+
+
+def reference_spans(stack, p):
+    """(vectors, ids, min_weights) of a stack's spans by Python enumeration:
+    each distinct vector numbered at its first occurrence, codewords in
+    order, each span in coefficient order."""
+    width = len(stack[0][0])
+    number, ids, min_weights = {}, [], []
+    for rows in stack:
+        row_ids = []
+        for coeffs in itertools.product(range(p), repeat=len(rows)):
+            acc = (0,) * width
+            for c, row in zip(coeffs, rows):
+                acc = oracles.vadd(acc, oracles.scalar_mul(c, row, p), p)
+            row_ids.append(number.setdefault(acc, len(number)))
+        span = oracles.span(rows, p)
+        assert {v for v, u in number.items() if u in row_ids} == span
+        ids.append(row_ids)
+        min_weights.append(min((oracles.weight(v) for v in span if any(v)), default=width + 1))
+    return list(number), ids, min_weights
+
+
+@pytest.mark.parametrize("p, width", [(2, 64), (2, 65), (2, 130), (3, 40), (3, 41)])
+def test_union_over_wide_vectors_matches_enumeration(p, width):
+    """A union whose vectors pack into uint64 or, past 64 bits, into
+    Python ints (3^40 < 2^64 < 3^41): a hand-made stack with a repeated
+    codeword, a shared row, a dependent row, a zero codeword and digits
+    p - 1 at the top positions."""
+    rng = np.random.default_rng(width)
+    rows = 3 if p == 2 else 2
+    first = rng.integers(0, p, size=(rows, width), dtype=np.int8)
+    first[0, -2:] = p - 1
+    shared = rng.integers(0, p, size=(rows, width), dtype=np.int8)
+    shared[0] = first[0]
+    dependent = rng.integers(0, p, size=(rows, width), dtype=np.int8)
+    dependent[-1] = (dependent[0] + dependent[1]) % p
+    stack = np.stack([first, shared, first, np.zeros_like(first), dependent])
+    packed = linalg.pack_digits(stack, p)
+    assert (packed.dtype == object) == (p ** width > 2 ** 64)
+    field = FieldContext(2, 3) if p == 2 else FieldContext(3, 6)   # lends p only
+    spec = GabidulinSpec(field=field, n=1, k=1, generators=[field.one])
+    spans = build_union(Codebook(spec, stack)).provenance
+    vectors, ids, min_weights = reference_spans(stack.tolist(), p)
+    assert spans.vectors == tuple(vectors)
+    assert spans.matrix.tolist() == [list(v) for v in vectors]
+    assert spans.ids.tolist() == ids
+    assert spans.min_weights.tolist() == min_weights
+    assert spans.ids[0].tolist() == spans.ids[2].tolist()
 
 
 def test_provenance_soundness_spot_check():
