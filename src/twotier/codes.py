@@ -68,7 +68,8 @@ class Codebook:
     """The codewords of one code in message order, held as one array.
 
     :attr:`stack` is the read-only (N, rows, width) int8 array of every
-    codeword's packed rows, and the only form the codebook is kept in.
+    codeword's packed rows; over GF(2), :attr:`table` holds the same rows
+    as one integer each, and the codebook keeps no other form.
     Message i has the base-p digits of i, lowest first, so ``codebook[i]``
     builds its :class:`Codeword` on demand and :meth:`index` is arithmetic.
     Tier-2 decoding ranks every codeword's rows at once with
@@ -113,8 +114,10 @@ class Codebook:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """The read-only (rows, N) array of a GF(2) codebook's rows, packed
-        by ``linalg.pack_digits`` and built on first use: column n holds the
-        rows of codeword n, in the narrowest unsigned dtype that holds a row."""
+        by ``linalg.pack_digits``: column n holds the rows of codeword n, in
+        the narrowest unsigned dtype that holds a row. It is built once, in
+        set-up: by the subspace check of a subspace codebook, and otherwise
+        by ``union.build_union``, so that no decode builds it."""
         # packed per block of codewords, which bounds pack_digits' padded copy
         table = np.concatenate([linalg.pack_digits(self.stack[start:start + SETUP_CHUNK], 2)
                                 for start in range(0, len(self), SETUP_CHUNK)]).T.copy()
@@ -438,17 +441,24 @@ def _check_subspaces(codebook: Codebook):
     """ValueError at the first message, in message order, whose rows are
     dependent or whose subspace an earlier message already has.
 
-    Subspaces are compared by the ``linalg.pack_digits`` integers of their
-    RREF bases.
+    Subspaces are compared by one integer per codeword, its reduced basis
+    packed. Over GF(2) that is ``linalg.packed_rref`` of the codewords'
+    packed rows, :attr:`Codebook.table`, joined by ``linalg.pack_words``;
+    otherwise the ``linalg.pack_digits`` of its ``batched_rref``.
     """
     stack, p = codebook.stack, codebook.p
-    keys, ranks = [], []
-    for start in range(0, len(stack), SETUP_CHUNK):
-        bases, block_ranks = linalg.batched_rref(stack[start:start + SETUP_CHUNK], p)
-        keys.append(linalg.pack_digits(bases.reshape(len(bases), -1), p))
-        ranks.append(block_ranks)
-    keys = np.concatenate(keys)
-    dependent = np.concatenate(ranks) != stack.shape[1]
+    if p == 2:
+        bases = linalg.packed_rref(codebook.table)
+        dependent = (bases == 0).any(axis=0)
+        keys = linalg.pack_words(bases.T, 2, stack.shape[2])
+    else:
+        keys, ranks = [], []
+        for start in range(0, len(stack), SETUP_CHUNK):
+            bases, block_ranks = linalg.batched_rref(stack[start:start + SETUP_CHUNK], p)
+            keys.append(linalg.pack_digits(bases.reshape(len(bases), -1), p))
+            ranks.append(block_ranks)
+        keys = np.concatenate(keys)
+        dependent = np.concatenate(ranks) != stack.shape[1]
     # the stable sort puts the first message with each subspace at the
     # start of its run; every other message repeats an earlier subspace
     order, starts = linalg.sorted_runs(keys)

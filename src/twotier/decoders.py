@@ -117,7 +117,7 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # Both lanes rank every codeword in one Codebook.batched_rank call, which
 # picks the kernel from p: over GF(2), linalg.packed_rank eliminates a
 # copy of each block of the codebook's packed rows (Codebook.table, built
-# on first use: one unsigned int of the narrowest dtype per row);
+# in set-up: one unsigned int of the narrowest dtype per row);
 # otherwise linalg.batched_rank reduces its int16 row stack mod p. Both
 # work in blocks of about linalg.RANK_CHUNK matrix rows. A distance grows
 # with the rank, so _select picks on the ranks and maps only its picks.

@@ -119,6 +119,31 @@ def packed_basis(rows) -> tuple:
     return tuple(x for x in _echelon(np.array(rows)[:, None])[:, 0].tolist() if x)
 
 
+def packed_rref(packed) -> np.ndarray:
+    """The reduced echelon form over GF(2) of N matrices whose rows are
+    packed ints, the columns of the (rows, N) array `packed`.
+
+    Returns a new (rows, N) array: column n holds the rows of matrix n
+    reduced so that each pivot (a highest set bit, as in ``_echelon``) is
+    set in its own row only, in increasing order, so zero rows come first.
+    Two columns are equal exactly when their rows span the same space, and
+    a column has a zero row exactly when its rows are dependent.
+    """
+    block = _echelon(packed.copy())
+    # Back substitution, last row first: row i is clear of the pivots
+    # before it (_echelon) and after it (cleared already), so clearing its
+    # pivot from the rows before it disturbs no other pivot.
+    for i in range(len(block) - 1, 0, -1):
+        _xor_min(block[:i], block[i:i + 1])
+    # a sorting network: each pass carries the largest of the rows left to the end
+    for end in range(len(block) - 1, 0, -1):
+        for i in range(end):
+            low = np.minimum(block[i], block[i + 1])
+            np.maximum(block[i], block[i + 1], out=block[i + 1])
+            block[i] = low
+    return block
+
+
 def _echelon(block):
     """Reduces each row of a (rows, n) block of packed GF(2) rows against
     the rows before it, in place, and returns the block.
@@ -228,7 +253,7 @@ def pack_digits(digits, p: int) -> np.ndarray:
     """
     digits = np.asarray(digits)
     shape, width = digits.shape[:-1], digits.shape[-1]
-    itemsize = next((n for n in (1, 2, 4, 8) if 256 ** n >= p ** width), None)
+    itemsize = _itemsize(p ** width)
     if p == 2:
         # each row padded with zeros to whole items, or to whole 64-bit
         # words, so that one flat packbits puts every row in its own item
@@ -246,10 +271,33 @@ def pack_digits(digits, p: int) -> np.ndarray:
         words = np.stack([digits[..., start:start + per].astype(np.uint64) @ powers[:width - start]
                           for start in range(0, width, per)], axis=-1)
     # above 64 bits: the words of `per` digits each, summed as Python ints
+    return pack_words(words, p, per)
+
+
+def pack_words(words, p: int, per: int) -> np.ndarray:
+    """The integers along the last axis as one integer each: (..., count) -> (...).
+
+    Each word holds `per` base-p digits, lowest word first, so the result
+    is ``pack_digits`` of the words' digits side by side, in the same
+    dtype: sum_w words_w p^(per w).
+    """
+    count = words.shape[-1]
+    itemsize = _itemsize(p ** (per * count))
+    if itemsize:
+        packed = np.zeros(words.shape[:-1], dtype=np.uint64)
+        for w in range(count):
+            packed += words[..., w].astype(np.uint64) * np.uint64(p ** (per * w))
+        return packed.astype(f"u{itemsize}", copy=False)
     packed = words[..., 0].astype(object)
-    for w in range(1, words.shape[-1]):
+    for w in range(1, count):
         packed += words[..., w].astype(object) * p ** (per * w)
     return packed
+
+
+def _itemsize(count: int):
+    """Bytes of the narrowest unsigned dtype, up to 8, that holds
+    count - 1, or None when none does."""
+    return next((n for n in (1, 2, 4, 8) if 256 ** n >= count), None)
 
 
 def sorted_runs(keys):

@@ -107,21 +107,31 @@ def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Union
     total = len(stack) * p ** stack.shape[1]
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
-    return UnionCode(_distinct_spans(stack, p), np.arange(len(stack), dtype=np.int32),
+    return UnionCode(_distinct_spans(codebook), np.arange(len(stack), dtype=np.int32),
                      stack.shape[2], p)
 
 
-def _distinct_spans(stack, p: int) -> Spans:
-    """The :class:`Spans` of the GF(p) row spans of a stack of matrices.
+def _distinct_spans(codebook: Codebook) -> Spans:
+    """The :class:`Spans` of the GF(p) row spans of a codebook's codewords.
 
-    Spans are formed and packed per block of ``codes.SETUP_CHUNK``
-    matrices, and only their ``linalg.pack_digits`` integers are kept.
+    Every span vector is first one ``linalg.pack_digits`` integer, key
+    ``i * p^rows + j`` for codeword i and coefficient vector j. Over GF(2)
+    they are XORs of the packed rows of ``Codebook.table`` (which this
+    builds, if the subspace check has not); otherwise they are formed and
+    packed per block of ``codes.SETUP_CHUNK`` codewords. Only the integers
+    are kept, and one sort of them numbers the distinct vectors.
     """
+    stack, p = codebook.stack, codebook.p
     coeffs = _span_coefficients(p, stack.shape[1])
-    order, starts = linalg.sorted_runs(np.concatenate([
-        linalg.pack_digits(coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p,
-                           p).ravel()
-        for start in range(0, len(stack), codes.SETUP_CHUNK)]))
+    if p == 2:
+        keys = _xor_spans(codebook.table)
+    else:
+        keys = np.concatenate([
+            linalg.pack_digits(coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64)
+                               % p, p).ravel()
+            for start in range(0, len(stack), codes.SETUP_CHUNK)])
+    order, starts = linalg.sorted_runs(keys)
+    del keys                                        # freed before the ids are formed
     # the stable sort puts each vector's first occurrence at the start of
     # its run, so run r holds vector number[r], its rank by first occurrence
     first = order[starts]
@@ -140,6 +150,25 @@ def _distinct_spans(stack, p: int) -> Spans:
     for array in (matrix, ids, min_weights):
         array.flags.writeable = False
     return Spans(tuple(map(tuple, matrix.tolist())), matrix, ids, min_weights)
+
+
+def _xor_spans(table) -> np.ndarray:
+    """The span vectors of the GF(2) codewords whose packed rows are the
+    columns of the (rows, N) `table`, as a 1-D array in its dtype: entry
+    ``i * 2^rows + j`` is codeword i's span vector for coefficient vector
+    j of ``_span_coefficients``, whose digit r is bit rows - 1 - r of j.
+
+    Vector j is vector j - low plus one row, where low is j's lowest set
+    bit, so each costs one XOR, in the table's dtype.
+    """
+    rows = len(table)
+    # one contiguous row per coefficient vector, as writing columns is far
+    # slower, and one transpose into codeword order at the end
+    spans = np.zeros((2 ** rows, table.shape[1]), dtype=table.dtype)
+    for j in range(1, len(spans)):
+        low = j & -j
+        np.bitwise_xor(spans[j ^ low], table[rows - low.bit_length()], out=spans[j])
+    return spans.T.ravel()
 
 
 @functools.cache

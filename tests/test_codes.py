@@ -194,7 +194,8 @@ def test_codebook_index_is_message_arithmetic():
 
 
 def test_codebook_keeps_no_per_codeword_objects():
-    """The row stack is all a codebook keeps: 28 bytes per codeword here."""
+    """The row stack and its packed table are all a codebook keeps: 33
+    bytes per codeword here."""
     cfg = load_config(BENCH_CONFIGS / "kk-gf128.json")
     spec = cfg.build_spec(cfg.build_field())
     gc.collect()

@@ -384,22 +384,23 @@ def test_gf2_tier2_builds_no_received_rref():
 
 def test_codebook_words_are_built_once_and_read_only():
     """The packed rows of a GF(2) codebook, ``Codebook.table``: one
-    read-only (rows, N) array in the narrowest unsigned dtype, built on
-    first use, whose column n unpacks to codeword n's rows."""
+    read-only (rows, N) array in the narrowest unsigned dtype, built once
+    (by the subspace check of a subspace codebook, else on first use),
+    whose column n unpacks to codeword n's rows."""
     for name, where, dtype in (("kk_example", CONFIGS, np.uint8),
                                ("mv1", CONFIGS, np.uint16),
                                ("gab-gf64", BENCH_CONFIGS, np.uint8),
                                ("kk-gf128", BENCH_CONFIGS, np.uint16)):
         spec, book = fixture(name, where)
-        codebook = Codebook(spec, book.stack)
-        n, rows, width = codebook.stack.shape
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "pack_digits",
                        lambda *args, pack=linalg.pack_digits: calls.append(1) or pack(*args))
+            codebook = Codebook(spec, book.stack)
             table = codebook.table
             built = len(calls)
             assert codebook.table is table
+        n, rows, width = codebook.stack.shape
         assert built == -(-n // SETUP_CHUNK) and len(calls) == built
         assert isinstance(table, np.ndarray)
         assert table.shape == (rows, n) and table.dtype == dtype == narrowest(width)
@@ -407,6 +408,57 @@ def test_codebook_words_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             table[0, 0] = 1
         assert unpacked(table.tolist(), width) == codebook.stack.transpose(1, 0, 2).tolist()
+
+
+def test_union_set_up_builds_the_table_the_decodes_use():
+    """``build_union`` leaves a GF(2) codebook holding its packed table, and
+    a decode uses that same array: no decode builds it."""
+    for name, where in (("kk_example", CONFIGS), ("gabidulin_gf8", CONFIGS),
+                        ("gab-gf64", BENCH_CONFIGS), ("kk-gf128", BENCH_CONFIGS)):
+        _, _, codebook, union = load_config(where / f"{name}.json").build_all()
+        assert "table" in codebook.__dict__
+        table = codebook.__dict__["table"]
+        rows = [list(r) for r in codebook[1].rows]
+        rows[0][0] ^= 1
+        for options in (DecodeOptions(), DecodeOptions(tier1_enabled=False)):
+            two_tier_decode(rows, union, codebook, options)
+        assert codebook.__dict__["table"] is table
+
+
+@SETTINGS
+@given(rows=st.integers(1, 4), width=st.sampled_from(PACKED_WIDTHS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_rref_is_a_canonical_basis(rows, width, seed):
+    """``linalg.packed_rref`` of random GF(2) matrices, against span
+    enumeration and ``oracles.naive_rank``: each column spans what its
+    matrix spans, has a zero row exactly when the rows are dependent, and
+    holds each pivot (a highest set bit) in its own row only, in increasing
+    order, so matrices with one span (rows reversed, or mixed by an
+    invertible map) get one column. ``pack_words`` joins a column's rows
+    into the integer ``pack_digits`` makes of their digits side by side."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 2, size=(6, rows, width), dtype=np.int8)
+    stack[1] = stack[0, ::-1]
+    stack[2] = stack[0]
+    stack[2, :-1] ^= stack[0, 1:]               # row i plus row i + 1
+    if rows > 1:
+        stack[3, -1] = stack[3, 0]
+    stack[4, rng.integers(rows)] = 0
+    reduced = linalg.packed_rref(packed_table(stack))
+    assert reduced.shape == (rows, len(stack)) and reduced.dtype == narrowest(width)
+    columns = reduced.T.tolist()
+    for matrix, column in zip(stack.tolist(), columns):
+        nonzero = [x for x in column if x]
+        assert column == sorted(column)
+        assert (len(nonzero) < rows) == (oracles.naive_rank(matrix, 2) < rows)
+        for x in nonzero:
+            assert [y for y in nonzero if y >> (x.bit_length() - 1) & 1] == [x]
+        assert oracles.span(unpacked(column, width), 2) == oracles.span(matrix, 2)
+    assert columns[0] == columns[1] == columns[2]
+    keys = linalg.pack_words(reduced.T, 2, width)
+    assert keys.dtype == narrowest(rows * width)
+    assert keys.tolist() == linalg.pack_digits(
+        np.array(unpacked(columns, width)).reshape(len(stack), -1), 2).tolist()
 
 
 @pytest.mark.parametrize("width", sorted({0} | set(PACKED_WIDTHS) | {24, 128}))

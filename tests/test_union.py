@@ -146,15 +146,80 @@ def test_union_over_wide_vectors_matches_enumeration(p, width):
     stack = np.stack([first, shared, first, np.zeros_like(first), dependent])
     packed = linalg.pack_digits(stack, p)
     assert (packed.dtype == object) == (p ** width > 2 ** 64)
-    field = FieldContext(2, 3) if p == 2 else FieldContext(3, 6)   # lends p only
+    spans = build_union(lent_codebook(stack, p)).provenance
+    check_reference_spans(spans, stack, p)
+    assert spans.ids[0].tolist() == spans.ids[2].tolist()
+
+
+def lent_codebook(stack, p):
+    """A Gabidulin codebook over any (N, rows, width) stack of GF(p)
+    digits: the spec lends p only, and a Gabidulin codebook is not checked
+    for dependent or repeated subspaces."""
+    field = FieldContext(2, 3) if p == 2 else FieldContext(3, 6)
     spec = GabidulinSpec(field=field, n=1, k=1, generators=[field.one])
-    spans = build_union(Codebook(spec, stack)).provenance
+    return Codebook(spec, stack)
+
+
+def check_reference_spans(spans, stack, p):
     vectors, ids, min_weights = reference_spans(stack.tolist(), p)
     assert spans.vectors == tuple(vectors)
     assert spans.matrix.tolist() == [list(v) for v in vectors]
     assert spans.ids.tolist() == ids
     assert spans.min_weights.tolist() == min_weights
-    assert spans.ids[0].tolist() == spans.ids[2].tolist()
+
+
+# widths on both sides of every dtype edge of a packed vector: 8, 16, 32
+# and 64 bits over GF(2), and 3^5 < 2^8 < 3^6, 3^10 < 2^16 < 3^11,
+# 3^20 < 2^32 < 3^21 and 3^40 < 2^64 < 3^41 over GF(3)
+EDGE_WIDTHS = {2: (7, 8, 9, 16, 17, 32, 33, 63, 64, 65), 3: (5, 6, 10, 11, 20, 21, 40, 41)}
+CODEWORD_KINDS = ("random", "repeat", "dependent", "zero row", "zero")
+
+
+@st.composite
+def span_stacks(draw):
+    """(stack, p): one to five codewords of 1-6 rows over GF(2), or 1-3 over
+    GF(3), each random, a repeat of an earlier one, random with one row a
+    combination of the others (zero when it is alone), random with a zero
+    row, or zero."""
+    p = draw(st.sampled_from((2, 3)))
+    rows = draw(st.integers(1, 6 if p == 2 else 3))
+    width = draw(st.sampled_from(EDGE_WIDTHS[p]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(CODEWORD_KINDS), min_size=1, max_size=5)):
+        matrix = rng.integers(0, p, size=(rows, width), dtype=np.int8)
+        if kind == "repeat" and stack:
+            matrix = stack[rng.integers(len(stack))].copy()
+        elif kind == "dependent":
+            matrix[-1] = rng.integers(0, p, size=rows - 1) @ matrix[:-1] % p
+        elif kind == "zero row":
+            matrix[rng.integers(rows)] = 0
+        elif kind == "zero":
+            matrix[:] = 0
+        stack.append(matrix)
+    return np.stack(stack), p
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=span_stacks())
+def test_union_of_random_stacks_matches_enumeration(case):
+    """``build_union``'s ``Spans`` against the Python enumeration, on random
+    stacks whose vectors pack into each unsigned dtype and into Python ints:
+    over GF(2) the spans are XORs of ``Codebook.table`` rows, otherwise
+    packed digits of a matmul. Over GF(2) a build whose table was read
+    beforehand gives the same arrays, dtype and bytes included."""
+    stack, p = case
+    spans = build_union(lent_codebook(stack, p)).provenance
+    check_reference_spans(spans, stack, p)
+    if p == 2:
+        codebook = lent_codebook(stack, p)
+        assert codebook.table.shape == stack.shape[1::-1]
+        warm = build_union(codebook).provenance
+        assert warm.vectors == spans.vectors
+        for name in ("matrix", "ids", "min_weights"):
+            got, expected = getattr(warm, name), getattr(spans, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_provenance_soundness_spot_check():
