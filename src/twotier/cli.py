@@ -243,11 +243,10 @@ def cmd_analyze_distances(args) -> int:
     cfg = _load(args)
     _, spec, codebook, uni = cfg.build_all()
     name = cfg.name
-    comp_dists = component_min_distances(uni)
     rows = [(name, "union", uni.min_distance(), uni.cardinality)]
-    for index, dist in comp_dists:
-        rows.append((name, str(index), "inf" if dist == float("inf") else dist,
-                     uni.p ** int(codebook.ranks[index])))
+    for index, dist, rank in zip(uni.components.tolist(), component_min_distances(uni).tolist(),
+                                 codebook.ranks[uni.components].tolist()):
+        rows.append((name, str(index), dist if dist <= uni.ambient_len else "inf", uni.p ** rank))
     if args.format == "csv":
         _write(args, _csv(rows, ("code-id", "component-id", "distance", "cardinality")))
     else:
@@ -256,7 +255,7 @@ def cmd_analyze_distances(args) -> int:
             "config": cfg.echo(),
             "layout": spec.layout.name,
             "table": [{"code_id": r[0], "component_id": r[1],
-                       "distance": (r[2] if isinstance(r[2], int) else "inf"),
+                       "distance": r[2],
                        "cardinality": r[3]} for r in rows],
         }))
     return EXIT_OK

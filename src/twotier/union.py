@@ -9,7 +9,6 @@ work goes through the pairwise path in :mod:`twotier.metrics`.
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,15 +190,13 @@ def owners(union: UnionCode) -> dict:
     return {spans.vectors[u]: owned for u, owned in sets.items() if owned}
 
 
-def component_min_distances(union: UnionCode):
-    """Per-component minimum weight (components are linear); inf for {0}.
-
-    One gather of the components' entries in the span record's
-    ``min_weights``.
-    """
-    best = union.provenance.min_weights[union.components]
-    return [(index, d if d <= union.ambient_len else math.inf)
-            for index, d in zip(union.components.tolist(), best.tolist())]
+def component_min_distances(union: UnionCode) -> np.ndarray:
+    """Each component's minimum Hamming distance (components are linear),
+    aligned with ``union.components``: a read-only gather of the span
+    record's ``min_weights``, so ``ambient_len + 1`` for a {0} span."""
+    dists = union.provenance.min_weights[union.components]
+    dists.flags.writeable = False
+    return dists
 
 
 # ---------------------------------------------------------------- lemma checks
@@ -214,14 +211,21 @@ class LemmaCheck:
     normative: bool = True
 
 
-def _fmt(value) -> str:
-    return "inf" if value is math.inf else str(value)
+def _fmt(value, ambient_len: int) -> str:
+    """A distance as a report writes it: the {0}-span value ambient_len + 1 is "inf"."""
+    return "inf" if value > ambient_len else str(value)
+
+
+def _fmt_max(dists, ambient_len: int) -> str:
+    return _fmt(dists.max() if len(dists) else ambient_len + 1, ambient_len)
 
 
 def verify_lemmas(spec, union: UnionCode):
-    """Executable forms of the distance and cardinality claims.
+    """Executable forms of the distance and cardinality claims, reductions
+    over the :func:`component_min_distances` array.
 
-    Failures become report entries, not exceptions.
+    Failures become report entries, not exceptions. A KK or MV union
+    without the zero-message component 0 raises ValueError.
     """
     if isinstance(spec, GabidulinSpec):
         return _verify_gabidulin(spec, union)
@@ -232,92 +236,87 @@ def verify_lemmas(spec, union: UnionCode):
     raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
-def _verify_gabidulin(spec: GabidulinSpec, union: UnionCode):
-    checks = []
+def _union_distance_is_one(lemma: str, union: UnionCode) -> LemmaCheck:
+    """L1 and L4: the union of the components has distance exactly 1."""
     d_union = union.min_distance()
-    checks.append(LemmaCheck(
-        lemma="L1", description="union code minimum Hamming distance",
-        claimed="d_H(C_U) == 1", measured=_fmt(d_union), passed=d_union == 1))
+    return LemmaCheck(
+        lemma=lemma, description="union code minimum Hamming distance",
+        claimed="d_H(C_U) == 1", measured=str(d_union), passed=d_union == 1)
 
+
+def _zero_component_is_weakest(lemma: str, union: UnionCode, bound: int, name: str):
+    """L5 and L7: the zero-message component has the least distance, at most `bound`."""
     dists = component_min_distances(union)
-    bound = spec.m - spec.n + spec.k
-    finite = [d for _, d in dists if d is not math.inf]
-    worst = max(finite, default=math.inf)
-    checks.append(LemmaCheck(
-        lemma="L2", description="every nonzero component obeys the Singleton-type bound",
-        claimed=f"d_H(C) <= m-n+k = {bound}", measured=f"max d_H(C) = {_fmt(worst)}",
-        passed=all(d <= bound for d in finite)))
+    at = union.components.argmin()      # indices are nonnegative: 0 is the least
+    if union.components[at] != 0:
+        raise ValueError(f"{lemma} needs the zero-message component 0, not in the union")
+    d0 = int(dists[at])
+    return LemmaCheck(
+        lemma=lemma, description="zero-message component has the smallest distance",
+        claimed=f"d_H(C_0) <= d_H(C) for all C, and d_H(C_0) <= {name} = {bound}",
+        measured=f"d_H(C_0) = {_fmt(d0, union.ambient_len)}" + (f" (meets {name})" if d0 == bound else ""),
+        passed=bool(d0 == dists.min()) and d0 <= bound)
 
+
+def _verify_gabidulin(spec: GabidulinSpec, union: UnionCode):
+    dists = component_min_distances(union)
+    nonzero = dists <= union.ambient_len
+    bound = spec.m - spec.n + spec.k
     mono_bound = spec.m - spec.n + 1
-    # a single-monomial message has exactly one nonzero block of m digits
-    blocks = codes.message_digits(spec, union.components).reshape(-1, spec.k, spec.m)
-    single = blocks.any(axis=2).sum(axis=1) == 1
-    mono = [d for (_, d), one in zip(dists, single.tolist()) if one and d is not math.inf]
-    checks.append(LemmaCheck(
-        lemma="L3", description="single-monomial components obey the tighter bound",
-        claimed=f"d_H(C_j) <= m-n+1 = {mono_bound}",
-        measured=f"max over {len(mono)} components = {_fmt(max(mono, default=math.inf))}",
-        passed=all(d <= mono_bound for d in mono)))
-    return checks
+    # the single-monomial messages c x^[j], 0 < c < q^m and j < k, have indices c q^(mj)
+    block = spec.q ** spec.m
+    single = np.zeros(len(union.provenance.min_weights), dtype=bool)
+    single[np.arange(1, block) * block ** np.arange(spec.k)[:, None]] = True
+    finite, mono = dists[nonzero], dists[nonzero & single[union.components]]
+    return [
+        _union_distance_is_one("L1", union),
+        LemmaCheck(
+            lemma="L2", description="every nonzero component obeys the Singleton-type bound",
+            claimed=f"d_H(C) <= m-n+k = {bound}",
+            measured=f"max d_H(C) = {_fmt_max(finite, union.ambient_len)}",
+            passed=bool((finite <= bound).all())),
+        LemmaCheck(
+            lemma="L3", description="single-monomial components obey the tighter bound",
+            claimed=f"d_H(C_j) <= m-n+1 = {mono_bound}",
+            measured=f"max over {len(mono)} components = {_fmt_max(mono, union.ambient_len)}",
+            passed=bool((mono <= mono_bound).all())),
+    ]
 
 
 def _verify_kk(spec: KKSpec, union: UnionCode):
-    checks = []
     q, m, l = spec.q, spec.m, spec.l
-    d_union = union.min_distance()
-    checks.append(LemmaCheck(
-        lemma="L4", description="union code minimum Hamming distance",
-        claimed="d_H(C_U) == 1", measured=_fmt(d_union), passed=d_union == 1))
-
-    dists = dict(component_min_distances(union))
-    d0 = dists[0]
-    bound = m - l + 1
-    others_ok = all(d0 <= d for d in dists.values())
-    checks.append(LemmaCheck(
-        lemma="L5", description="zero-message component has the smallest distance",
-        claimed=f"d_H(C_0) <= d_H(C) for all C, and d_H(C_0) <= m-l+1 = {bound}",
-        measured=f"d_H(C_0) = {_fmt(d0)}" + (" (meets m-l+1)" if d0 == bound else ""),
-        passed=others_ok and d0 <= bound))
-
     exact = (q ** l - 1) * q ** m + 1
     ambient = q ** union.ambient_len
     card = union.cardinality
-    checks.append(LemmaCheck(
-        lemma="L6", description="union cardinality: exact count, below the ambient space",
-        claimed=f"|C_U| == (q^l-1)q^m+1 = {exact} and < q^{union.ambient_len} = {ambient}",
-        measured=str(card), passed=card == exact and card < ambient))
-    return checks
+    return [
+        _union_distance_is_one("L4", union),
+        _zero_component_is_weakest("L5", union, m - l + 1, "m-l+1"),
+        LemmaCheck(
+            lemma="L6", description="union cardinality: exact count, below the ambient space",
+            claimed=f"|C_U| == (q^l-1)q^m+1 = {exact} and < q^{union.ambient_len} = {ambient}",
+            measured=str(card), passed=card == exact and card < ambient),
+    ]
 
 
 def _verify_mv(spec: MVSpec, union: UnionCode):
-    checks = []
     q, m, l, big_l = spec.q, spec.m, spec.l, spec.big_l
     polynomial_basis = (spec.field.polynomial_basis and
                         (spec.layout_name == "uncompressed" or l == 1))
-
-    dists = dict(component_min_distances(union))
-    d0 = dists[0]
-    bound7 = m * l - l + 1
-    others_ok = all(d0 <= d for d in dists.values())
-    checks.append(LemmaCheck(
-        lemma="L7", description="zero-message component has the smallest distance",
-        claimed=f"d_H(C_0) <= d_H(C) for all C, and d_H(C_0) <= ml-l+1 = {bound7}",
-        measured=f"d_H(C_0) = {_fmt(d0)}" + (" (meets ml-l+1)" if d0 == bound7 else ""),
-        passed=others_ok and d0 <= bound7))
-
+    l7 = _zero_component_is_weakest("L7", union, m * l - l + 1, "ml-l+1")
     d_union = union.min_distance()
     bound8 = m if l == 1 else min(m * l - l + 1, big_l)
-    checks.append(LemmaCheck(
-        lemma="L8",
-        description="union distance bound" + ("" if polynomial_basis else " (non-polynomial-basis layout, informational)"),
-        claimed=(f"d_H(C_U) <= m = {bound8}" if l == 1 else f"d_H(C_U) <= min(ml-l+1, L) = {bound8}"),
-        measured=_fmt(d_union), passed=d_union <= bound8, normative=polynomial_basis))
-
     upper = (q ** l - 1) * q ** (big_l * m) + 1
     theoretic_ambient = q ** (l + big_l * m)
     card = union.cardinality
-    checks.append(LemmaCheck(
-        lemma="L9", description="union cardinality below the ambient space",
-        claimed=f"|C_U| <= (q^l-1)q^(Lm)+1 = {upper} and < q^(l+Lm) = {theoretic_ambient}",
-        measured=str(card), passed=card <= upper and card < theoretic_ambient))
-    return checks
+    return [
+        l7,
+        LemmaCheck(
+            lemma="L8",
+            description="union distance bound" + ("" if polynomial_basis else " (non-polynomial-basis layout, informational)"),
+            claimed=(f"d_H(C_U) <= m = {bound8}" if l == 1 else f"d_H(C_U) <= min(ml-l+1, L) = {bound8}"),
+            measured=str(d_union), passed=d_union <= bound8, normative=polynomial_basis),
+        LemmaCheck(
+            lemma="L9", description="union cardinality below the ambient space",
+            claimed=f"|C_U| <= (q^l-1)q^(Lm)+1 = {upper} and < q^(l+Lm) = {theoretic_ambient}",
+            measured=str(card), passed=card <= upper and card < theoretic_ambient),
+    ]

@@ -10,6 +10,7 @@ vector with its batched packer (see there).
 
 import hashlib
 import itertools
+import math
 import random
 
 
@@ -226,6 +227,113 @@ def reference_restrict(provenance, wanted):
         if kept:
             restricted[vector] = kept
     return restricted
+
+
+def reference_spans(stack, p):
+    """(vectors, ids, min_weights) of a stack's spans by Python enumeration:
+    each distinct vector numbered at its first occurrence, codewords in
+    order, each span in coefficient order."""
+    width = len(stack[0][0])
+    number, ids, min_weights = {}, [], []
+    for rows in stack:
+        row_ids = []
+        for coeffs in itertools.product(range(p), repeat=len(rows)):
+            acc = (0,) * width
+            for c, row in zip(coeffs, rows):
+                acc = vadd(acc, scalar_mul(c, row, p), p)
+            row_ids.append(number.setdefault(acc, len(number)))
+        rows_span = span(rows, p)
+        assert {v for v, u in number.items() if u in row_ids} == rows_span
+        ids.append(row_ids)
+        min_weights.append(min((weight(v) for v in rows_span if any(v)), default=width + 1))
+    return list(number), ids, min_weights
+
+
+# ---------------------------------------------------------------- lemma checks
+#
+# The scalar lemma checks, one Python value per component: a component's
+# distance is the least weight of a nonzero vector of its span, inf when
+# the span is {0}, and the union is the set of every span vector.
+
+def _lemma(lemma, description, claimed, measured, passed, normative=True):
+    return {"lemma": lemma, "description": description, "claimed": claimed,
+            "measured": measured, "passed": passed, "normative": normative}
+
+
+def _fmt(value):
+    return "inf" if value is math.inf else str(value)
+
+
+def reference_lemmas(spec, codebook):
+    """The lemma checks of `spec` on the union of every codeword of
+    `codebook`, as the ``dataclasses.asdict`` dicts of ``verify_lemmas``.
+    Only the spec's parameters and the codewords' rows are read."""
+    p = spec.q
+    spans = [span(cw.rows, p) for cw in codebook]
+    dists = [min((weight(v) for v in s if any(v)), default=math.inf) for s in spans]
+    union = set().union(*spans)
+    ambient_len = len(next(iter(union)))
+    d_union = naive_min_pairwise(union, p)
+    kind = type(spec).__name__
+    if kind == "GabidulinSpec":
+        m, k = spec.m, spec.k
+        bound = m - spec.n + k
+        finite = [d for d in dists if d is not math.inf]
+        mono_bound = m - spec.n + 1
+        # a single-monomial message has exactly one nonzero block of m digits
+        mono = [d for d, digits in zip(dists, iter_message_digits(p, m * k))
+                if d is not math.inf and
+                sum(any(digits[j * m:(j + 1) * m]) for j in range(k)) == 1]
+        return [
+            _lemma("L1", "union code minimum Hamming distance", "d_H(C_U) == 1",
+                   _fmt(d_union), d_union == 1),
+            _lemma("L2", "every nonzero component obeys the Singleton-type bound",
+                   f"d_H(C) <= m-n+k = {bound}",
+                   f"max d_H(C) = {_fmt(max(finite, default=math.inf))}",
+                   all(d <= bound for d in finite)),
+            _lemma("L3", "single-monomial components obey the tighter bound",
+                   f"d_H(C_j) <= m-n+1 = {mono_bound}",
+                   f"max over {len(mono)} components = {_fmt(max(mono, default=math.inf))}",
+                   all(d <= mono_bound for d in mono)),
+        ]
+    q, m, l = spec.q, spec.m, spec.l
+    d0 = dists[0]
+    if kind == "KKSpec":
+        bound = m - l + 1
+        exact = (q ** l - 1) * q ** m + 1
+        ambient = q ** ambient_len
+        return [
+            _lemma("L4", "union code minimum Hamming distance", "d_H(C_U) == 1",
+                   _fmt(d_union), d_union == 1),
+            _lemma("L5", "zero-message component has the smallest distance",
+                   f"d_H(C_0) <= d_H(C) for all C, and d_H(C_0) <= m-l+1 = {bound}",
+                   f"d_H(C_0) = {_fmt(d0)}" + (" (meets m-l+1)" if d0 == bound else ""),
+                   all(d0 <= d for d in dists) and d0 <= bound),
+            _lemma("L6", "union cardinality: exact count, below the ambient space",
+                   f"|C_U| == (q^l-1)q^m+1 = {exact} and < q^{ambient_len} = {ambient}",
+                   str(len(union)), len(union) == exact and len(union) < ambient),
+        ]
+    big_l = spec.big_l
+    polynomial_basis = (spec.field.polynomial_basis and
+                        (spec.layout_name == "uncompressed" or l == 1))
+    bound7 = m * l - l + 1
+    bound8 = m if l == 1 else min(m * l - l + 1, big_l)
+    upper = (q ** l - 1) * q ** (big_l * m) + 1
+    theoretic_ambient = q ** (l + big_l * m)
+    return [
+        _lemma("L7", "zero-message component has the smallest distance",
+               f"d_H(C_0) <= d_H(C) for all C, and d_H(C_0) <= ml-l+1 = {bound7}",
+               f"d_H(C_0) = {_fmt(d0)}" + (" (meets ml-l+1)" if d0 == bound7 else ""),
+               all(d0 <= d for d in dists) and d0 <= bound7),
+        _lemma("L8", "union distance bound" +
+               ("" if polynomial_basis else " (non-polynomial-basis layout, informational)"),
+               f"d_H(C_U) <= m = {bound8}" if l == 1 else
+               f"d_H(C_U) <= min(ml-l+1, L) = {bound8}",
+               _fmt(d_union), d_union <= bound8, polynomial_basis),
+        _lemma("L9", "union cardinality below the ambient space",
+               f"|C_U| <= (q^l-1)q^(Lm)+1 = {upper} and < q^(l+Lm) = {theoretic_ambient}",
+               str(len(union)), len(union) <= upper and len(union) < theoretic_ambient),
+    ]
 
 
 # ---------------------------------------------------------------- simulator

@@ -48,7 +48,7 @@ def test_criterion_1_kk_worked_example():
                    (1, 1, 0, 0, 0, 0),   # (g^3, 0)
                    (0, 1, 1, 0, 0, 0),   # (g^4, 0)
                    (1, 0, 1, 0, 0, 0)}   # (g^6, 0)
-    d_c0 = dict(component_min_distances(uni))[0]
+    d_c0 = component_min_distances(uni)[0]
     ok = (c0_span == expected_c0 and d_c0 == 2 and uni.min_distance() == 1
           and uni.cardinality == 25 and elapsed_ok(t0, 1.0))
     report(1, ok, f"C_0 span ok={c0_span == expected_c0}, d(C_0)={d_c0}, "
@@ -62,7 +62,7 @@ def test_criterion_2_mv_example_1():
     ctx = gf8()
     spec = MVSpec(field=ctx, m=3, l=1, big_l=2, k=1, alphas=(ctx.gamma_pow(5),))
     uni = build_union(build_codebook(spec))
-    dists = dict(component_min_distances(uni))
+    dists = component_min_distances(uni)
     ok = (dists[0] == 3 and dists[1] == 9 and uni.min_distance() == 3
           and elapsed_ok(t0, 1.0))
     report(2, ok, f"d(C_0)={dists[0]}, d(C_1)={dists[1]}, d(C_U)={uni.min_distance()}")
@@ -79,11 +79,11 @@ def test_criterion_3_mv_example_2_both_layouts():
         spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1, alphas=alphas,
                       layout_name=layout)
         uni = build_union(build_codebook(spec))
-        dists = dict(component_min_distances(uni))
+        dists = component_min_distances(uni).tolist()
         measured[layout] = {
             "d_union": uni.min_distance(),
             "d_c0": dists[0],
-            "d_others": sorted(set(d for i, d in dists.items() if i != 0)),
+            "d_others": sorted(set(dists[1:])),
         }
     matches = {layout: (m["d_union"] == 3 and m["d_c0"] == 3 and m["d_others"] == [9])
                for layout, m in measured.items()}

@@ -1,10 +1,9 @@
 import functools
 import gc
-import itertools
 import json
-import math
 import random
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,38 +94,18 @@ def test_union_budget():
 
 def test_component_min_distances():
     spec, cb, uni = kk_union()
-    dists = dict(component_min_distances(uni))
+    dists = component_min_distances(uni)
     assert dists[0] == 2  # zero-message component
+    assert not dists.flags.writeable
     _, _, uni_mv = mv1_union()
-    mv_dists = dict(component_min_distances(uni_mv))
-    assert mv_dists == {0: 3, 1: 9}
+    assert component_min_distances(uni_mv).tolist() == [3, 9]
 
 
 def test_zero_component_distance_is_inf():
     spec, cb, _ = gab_union()
     uni = build_union(cb)
-    dists = dict(component_min_distances(uni))
-    assert dists[0] is math.inf
-
-
-def reference_spans(stack, p):
-    """(vectors, ids, min_weights) of a stack's spans by Python enumeration:
-    each distinct vector numbered at its first occurrence, codewords in
-    order, each span in coefficient order."""
-    width = len(stack[0][0])
-    number, ids, min_weights = {}, [], []
-    for rows in stack:
-        row_ids = []
-        for coeffs in itertools.product(range(p), repeat=len(rows)):
-            acc = (0,) * width
-            for c, row in zip(coeffs, rows):
-                acc = oracles.vadd(acc, oracles.scalar_mul(c, row, p), p)
-            row_ids.append(number.setdefault(acc, len(number)))
-        span = oracles.span(rows, p)
-        assert {v for v, u in number.items() if u in row_ids} == span
-        ids.append(row_ids)
-        min_weights.append(min((oracles.weight(v) for v in span if any(v)), default=width + 1))
-    return list(number), ids, min_weights
+    # a {0} span reads ambient_len + 1, which only reports write as "inf"
+    assert component_min_distances(uni)[0] == uni.ambient_len + 1
 
 
 @pytest.mark.parametrize("p, width", [(2, 64), (2, 65), (2, 130), (3, 40), (3, 41)])
@@ -161,7 +140,7 @@ def lent_codebook(stack, p):
 
 
 def check_reference_spans(spans, stack, p):
-    vectors, ids, min_weights = reference_spans(stack.tolist(), p)
+    vectors, ids, min_weights = oracles.reference_spans(stack.tolist(), p)
     assert spans.vectors == tuple(vectors)
     assert spans.matrix.tolist() == [list(v) for v in vectors]
     assert spans.ids.tolist() == ids
@@ -352,12 +331,9 @@ def check_restriction(got, provenance, wanted, order):
     weights = {i: [oracles.weight(v) for v, o in expected.items() if i in o and any(v)]
                for i in kept}
     dists = component_min_distances(got)
-    assert [i for i, _ in dists] == kept
-    for index, d in dists:
-        if weights[index]:
-            assert d == min(weights[index])
-        else:
-            assert d is math.inf
+    assert len(dists) == len(kept)
+    for index, d in zip(kept, dists.tolist()):
+        assert d == min(weights[index], default=got.ambient_len + 1)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -464,13 +440,75 @@ def test_mv_l9_counterexample_is_reported_failed(tmp_path):
     for k, cardinality, passed in ((2, 49, False), (1, 25, True)):
         path = tmp_path / f"k{k}.json"
         path.write_text(json.dumps({**L9_CASE, "code": {**L9_CASE["code"], "k": k}}))
-        _, spec, _, uni = load_config(path).build_all()
+        _, spec, codebook, uni = load_config(path).build_all()
+        check_reference_lemmas(spec, codebook, uni)
         l9 = {c.lemma: c for c in verify_lemmas(spec, uni)}["L9"]
         assert l9.normative and l9.passed is passed
         assert l9.measured == str(cardinality)
         assert "(q^l-1)q^(Lm)+1 = 25" in l9.claimed
         assert main(["verify-lemmas", "--config", str(path),
                      "--out", str(tmp_path / f"k{k}.report.json")]) == (0 if passed else 1)
+
+
+def check_reference_lemmas(spec, codebook, uni):
+    """verify_lemmas on `uni`, a union of every codeword of `codebook`, and on
+    the same union with its components reversed, against the scalar checks."""
+    expected = oracles.reference_lemmas(spec, codebook)
+    reversed_union = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    for union in (uni, reversed_union):
+        checks = verify_lemmas(spec, union)
+        assert [asdict(c) for c in checks] == expected
+        assert all(type(c.passed) is bool for c in checks)
+
+
+@pytest.mark.parametrize(
+    "config", CONFIGS + [ROOT / "perfbench" / "configs" / f"{name}.json"
+                         for name in ("gab-gf64", "kk-gf128", "mv1")],
+    ids=lambda path: str(path.relative_to(ROOT)))
+def test_lemmas_match_the_reference(config):
+    _, spec, codebook, uni = load_config(config).build_all()
+    check_reference_lemmas(spec, codebook, uni)
+
+
+# primitive moduli, lowest coefficient first, of the fields of the drawn codes
+SMALL_FIELDS = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+                (2, 5): (1, 0, 1, 0, 0, 1), (3, 2): (2, 1, 1), (3, 3): (1, 2, 0, 1)}
+
+
+@st.composite
+def small_evaluation_specs(draw):
+    """A Gabidulin or KK spec over a field of SMALL_FIELDS with at most 2^10
+    messages and 2^14 span vectors, k >= 2 where that fits. Its points are
+    powers of gamma taken in a drawn order, each kept when it is independent
+    of those kept before."""
+    p, m = draw(st.sampled_from(sorted(SMALL_FIELDS)))
+    ctx = FieldContext(p, m, SMALL_FIELDS[p, m])
+    k = draw(st.integers(1, max(j for j in range(1, m + 1) if p ** (m * j) <= 2 ** 10)))
+    size = draw(st.integers(k, max(s for s in range(k, m + 1) if p ** (m * k + s) <= 2 ** 14)))
+    points = []
+    for e in draw(st.permutations(range(p ** m - 1))):
+        point = ctx.gamma_pow(e)
+        if oracles.naive_rank([x.coeffs for x in points + [point]], p) > len(points):
+            points.append(point)
+        if len(points) == size:
+            break
+    if draw(st.booleans()):
+        return GabidulinSpec(field=ctx, n=size, k=k, generators=points)
+    return KKSpec(field=ctx, l=size, k=k, alphas=points)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=small_evaluation_specs())
+def test_lemmas_of_small_random_codes_match_the_reference(spec):
+    codebook = build_codebook(spec)
+    check_reference_lemmas(spec, codebook, build_union(codebook))
+
+
+@pytest.mark.parametrize("name, kept, lemma", (("kk_example", {1, 2}, "L5"), ("mv1", {1}, "L7")))
+def test_lemmas_without_the_zero_component_raise(name, kept, lemma):
+    _, spec, _, uni = load_config(ROOT / "configs" / f"{name}.json").build_all()
+    with pytest.raises(ValueError, match=rf"{lemma} .*zero-message component 0"):
+        verify_lemmas(spec, uni.restrict(kept))
 
 
 def test_mv_compressed_layout_l8_informational():
@@ -493,8 +531,7 @@ def test_non_polynomial_basis_marks_l8_informational():
     checks = {c.lemma: c for c in verify_lemmas(spec, uni)}
     assert not checks["L8"].normative
     # in the normal basis the generator row packs with weight 3, not 9
-    dists = dict(component_min_distances(uni))
-    assert dists[1] == 3
+    assert component_min_distances(uni)[1] == 3
 
 
 def test_component_vectors_are_spans():
