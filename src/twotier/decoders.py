@@ -80,8 +80,7 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
                  *, allow_radius_override: bool = False) -> PacketVerdict:
     """Packet-level decode against the active union code."""
     packet = tuple(packet)
-    if len(packet) != union.ambient_len:
-        raise ValueError(f"packet length {len(packet)} != ambient {union.ambient_len}")
+    _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
     if packet in union:
@@ -98,13 +97,10 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
                 "pass allow_radius_override to experiment")
     if radius == 0:
         return PacketVerdict(REJECTED) if mode == CORRECT else PacketVerdict(ERASED)
-    dists = np.count_nonzero(union.matrix != np.array(packet, dtype=np.int16), axis=1)
-    best = int(dists.min())
+    best, hits = union.nearest(packet)
     if best <= radius:
-        hits = np.nonzero(dists == best)[0]
         if len(hits) == 1:
-            return PacketVerdict(CORRECTED, vector=union.vectors[int(hits[0])],
-                                 flips=best, candidates=1)
+            return PacketVerdict(CORRECTED, vector=hits[0], flips=best, candidates=1)
         if mode == CORRECT_OR_ERASE:
             return PacketVerdict(ERASED, candidates=len(hits))
         # a wrong correction is worse than a dropped packet
@@ -118,8 +114,8 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # picks the kernel from p: over GF(2), linalg.packed_rank eliminates a
 # copy of each block of the codebook's packed rows (Codebook.table, built
 # in set-up: one unsigned int of the narrowest dtype per row);
-# otherwise linalg.batched_rank reduces its int16 row stack mod p. Both
-# work in blocks of about linalg.RANK_CHUNK matrix rows. A distance grows
+# otherwise linalg.batched_rank reduces the codebook's digit rows mod p.
+# Both work in blocks of about linalg.RANK_CHUNK rows. A distance grows
 # with the rank, so _select picks on the ranks and maps only its picks.
 
 def _check_kind(codebook: Codebook, kind: str):

@@ -25,27 +25,26 @@ class Spans:
     """The distinct span vectors of a codebook, shared by every union over it.
 
     Vector u is the u-th distinct one in order of first occurrence
-    (codewords in order, each span in coefficient order). It is held as the
-    tuple ``vectors[u]``, for hashed membership, and as row u of the int16
-    ``matrix``, for the nearest-vector scan. Row i of the int32 ``ids``
-    lists the vectors of codeword i's span, in coefficient order, and
-    ``min_weights[i]`` is the least weight of a nonzero one (width + 1
-    when the span is {0}). The arrays are read-only.
+    (codewords in order, each span in coefficient order), held as row u of
+    the int16 ``matrix``: the one stored form of a union vector. Row i of
+    the int32 ``ids`` lists the vectors of codeword i's span, in
+    coefficient order, and ``min_weights[i]`` is the least weight of a
+    nonzero one (width + 1 when the span is {0}). The arrays are read-only.
     """
-    vectors: tuple
     matrix: np.ndarray
     ids: np.ndarray
     min_weights: np.ndarray
 
 
 class UnionCode:
-    """The valid packets of some components of a codebook, with constant-time membership.
+    """The valid packets of some components of a codebook, with hashed membership.
 
     ``provenance`` is the codebook's :class:`Spans` and ``components`` the
     read-only int array of the member codebook indices, in union order.
-    Its ``vectors`` (tuples) and ``matrix`` (their int16 rows, for scan
-    decoding) keep the first-occurrence order of the whole codebook's
-    union; a union with every component shares the record's.
+    ``matrix`` holds the union's vectors as int16 rows, in the
+    first-occurrence order of the whole codebook's union; a union with
+    every component shares the record's. Tier 1 asks ``in``, which tests
+    a set of the row tuples formed on first use, and :meth:`nearest`.
     """
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
@@ -56,19 +55,28 @@ class UnionCode:
         self.p = p
         self._min_distance = None
         if len(self.components) == len(provenance.ids):
-            self.vectors, self.matrix = provenance.vectors, provenance.matrix
+            self.matrix = provenance.matrix
         else:
-            ids = np.unique(provenance.ids[self.components])
-            self.vectors = tuple(map(provenance.vectors.__getitem__, ids.tolist()))
-            self.matrix = provenance.matrix[ids]
-        self._members = frozenset(self.vectors)
+            self.matrix = provenance.matrix[np.unique(provenance.ids[self.components])]
 
     @property
     def cardinality(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
+
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(map(tuple, self.matrix.tolist()))
 
     def __contains__(self, vector) -> bool:
         return tuple(vector) in self._members
+
+    def nearest(self, packet) -> tuple[int, list]:
+        """The least Hamming distance from `packet` (digits in [0, p)) to a
+        union vector, and every union vector at that distance, as digit
+        tuples in union order."""
+        dists = np.count_nonzero(self.matrix != np.array(packet, dtype=np.int16), axis=1)
+        best = dists.min()
+        return int(best), list(map(tuple, self.matrix[dists == best].tolist()))
 
     def min_distance(self) -> int:
         if self.cardinality < 2:
@@ -148,7 +156,7 @@ def _distinct_spans(codebook: Codebook) -> Spans:
     min_weights = weights[ids].min(axis=1)
     for array in (matrix, ids, min_weights):
         array.flags.writeable = False
-    return Spans(tuple(map(tuple, matrix.tolist())), matrix, ids, min_weights)
+    return Spans(matrix, ids, min_weights)
 
 
 def _xor_spans(table) -> np.ndarray:
@@ -183,11 +191,12 @@ def owners(union: UnionCode) -> dict:
     """Each vector of the union, in union order, with the set of its
     components whose span holds it."""
     spans = union.provenance
-    sets = {u: set() for u in range(len(spans.vectors))}
+    sets = {u: set() for u in range(len(spans.matrix))}
     for index, row in zip(union.components.tolist(), spans.ids[union.components].tolist()):
         for u in row:
             sets[u].add(index)
-    return {spans.vectors[u]: owned for u, owned in sets.items() if owned}
+    vectors = spans.matrix.tolist()
+    return {tuple(vectors[u]): owned for u, owned in sets.items() if owned}
 
 
 def component_min_distances(union: UnionCode) -> np.ndarray:

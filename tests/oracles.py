@@ -249,6 +249,34 @@ def reference_spans(stack, p):
     return list(number), ids, min_weights
 
 
+
+def reference_tier1(packet, vectors, p, radius, mode):
+    """Tier 1's verdict on `packet` against the union `vectors`, a set of
+    digit tuples, as a dict of the verdict's fields, from the weights of
+    the differences. A member is valid, and detect-only rejects anything
+    else. Otherwise a single nearest vector within the radius corrects,
+    several erase in correct-or-erase mode and reject in correct mode, and
+    beyond the radius correct mode rejects and the other erases."""
+    def verdict(outcome, vector=None, flips=0, candidates=0):
+        return {"outcome": outcome, "vector": vector, "flips": flips,
+                "candidates": candidates}
+
+    packet = tuple(packet)
+    if packet in vectors:
+        return verdict("valid", packet, 0, 1)
+    if mode == "detect-only":
+        return verdict("rejected")
+    dists = {v: weight(vadd(packet, scalar_mul(p - 1, v, p), p)) for v in vectors}
+    best = min(dists.values())
+    nearest = [v for v, d in dists.items() if d == best]
+    if best > radius:
+        return verdict("rejected" if mode == "correct" else "erased")
+    if len(nearest) == 1:
+        return verdict("corrected", nearest[0], best, 1)
+    return verdict("erased" if mode == "correct-or-erase" else "rejected",
+                   candidates=len(nearest))
+
+
 # ---------------------------------------------------------------- lemma checks
 #
 # The scalar lemma checks, one Python value per component: a component's

@@ -15,7 +15,7 @@ from twotier.fields import FieldContext
 from twotier.metrics import rank_distance
 from twotier.sim import (TIER2_ONLY, TWO_TIER, CodeSetup, ErrorModel, Topology,
                          run_experiment)
-from twotier.union import build_union, component_min_distances, verify_lemmas
+from twotier.union import build_union, component_min_distances, owners, verify_lemmas
 
 import oracles
 
@@ -193,7 +193,7 @@ def test_criterion_7_tier1_single_flip_soundness():
     assert uni.min_distance() == 3
     corrected = 0
     miscorrected = 0
-    for v in uni.vectors:
+    for v in owners(uni):
         for pos in range(9):
             pkt = list(v)
             pkt[pos] ^= 1

@@ -12,7 +12,7 @@ from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY,
                               tier2_subspace_decode, two_tier_decode)
 from twotier.fields import FieldContext, FieldElement
 from twotier.metrics import hamming_distance, rank_distance
-from twotier.union import build_union
+from twotier.union import build_union, owners
 
 import oracles
 
@@ -56,7 +56,7 @@ def flip(vec, positions):
 
 def test_tier1_members_pass_unchanged():
     _, _, uni = mv1()
-    for v in uni.vectors:
+    for v in owners(uni):
         verdict = tier1_decode(v, uni, radius=1)
         assert verdict.outcome == "valid"
         assert verdict.vector == v
@@ -65,7 +65,7 @@ def test_tier1_members_pass_unchanged():
 
 def test_tier1_single_flip_corrections():
     _, _, uni = mv1()
-    for v in uni.vectors:
+    for v in owners(uni):
         for pos in range(9):
             verdict = tier1_decode(flip(v, [pos]), uni, radius=1)
             assert verdict.outcome == "corrected"
@@ -75,7 +75,7 @@ def test_tier1_single_flip_corrections():
 
 def test_tier1_detect_only_rejects():
     _, _, uni = mv1()
-    pkt = flip(next(iter(uni.vectors)), [0])
+    pkt = flip(next(iter(owners(uni))), [0])
     verdict = tier1_decode(pkt, uni, radius=1, mode=DETECT_ONLY)
     assert verdict.outcome == "rejected"
     assert verdict.vector is None
@@ -83,7 +83,7 @@ def test_tier1_detect_only_rejects():
 
 def test_tier1_beyond_radius():
     _, _, uni = mv1()
-    v = next(v for v in uni.vectors if sum(v) == 3)
+    v = next(v for v in owners(uni) if sum(v) == 3)
     pkt = flip(v, [0, 3])  # distance 2 from v, further from the others
     assert tier1_decode(pkt, uni, radius=1, mode=CORRECT_OR_ERASE).outcome == "erased"
     assert tier1_decode(pkt, uni, radius=1, mode=CORRECT,
@@ -92,7 +92,7 @@ def test_tier1_beyond_radius():
 
 def test_tier1_tie_handling():
     _, _, uni = mv1()
-    vectors = list(uni.vectors)
+    vectors = list(owners(uni))
     # find a packet with two equally-near union vectors by scanning the ambient
     tie_pkt = None
     for bits in itertools.product((0, 1), repeat=9):
@@ -113,7 +113,7 @@ def test_tier1_tie_handling():
 
 def test_tier1_radius_enforcement():
     _, _, uni = mv1()  # d = 3, so the unique-decoding radius is 1
-    pkt = flip(next(iter(uni.vectors)), [0])
+    pkt = flip(next(iter(owners(uni))), [0])
     with pytest.raises(ValueError, match="unique-decoding"):
         tier1_decode(pkt, uni, radius=2, mode=CORRECT)
     # override allows the experiment, erase mode does not enforce
@@ -125,7 +125,7 @@ def test_tier1_kk_radius_zero_membership_only():
     _, _, uni = kk()
     assert uni.min_distance() == 1
     assert default_radius(uni.min_distance()) == 0
-    member = next(iter(uni.vectors))
+    member = next(iter(owners(uni)))
     assert tier1_decode(member, uni, radius=0, mode=CORRECT).outcome == "valid"
     non_member = next(v for v in itertools.product((0, 1), repeat=6)
                       if tuple(v) not in uni)
@@ -419,6 +419,16 @@ def test_digits_outside_base_field_are_rejected():
         tier2_subspace_decode([good, bad], cb)
     with pytest.raises(ValueError, match=r"\[0, 2\)"):
         tier2_list_decode([bad], cb, radius=1)
+    for mode in (DETECT_ONLY, CORRECT, CORRECT_OR_ERASE):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            tier1_decode(bad, uni, radius=0, mode=mode)
+    # a digit 5 at a union vector's position 0 is not a flip of it
+    _, _, _, gab_uni = load_config(CONFIGS / "gabidulin_gf8.json").build_all()
+    member = next(iter(owners(gab_uni)))
+    for mode in (DETECT_ONLY, CORRECT, CORRECT_OR_ERASE):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            tier1_decode((5,) + member[1:], gab_uni, radius=1, mode=mode,
+                         allow_radius_override=True)
 
 
 def test_rank_decode_rejects_symbol_digits_outside_base_field():

@@ -15,6 +15,7 @@ from twotier import linalg
 from twotier.cli import main
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
+from twotier.decoders import TIER1_MODES, tier1_decode
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.union import (UnionCode, build_union, component_min_distances, owners,
@@ -58,7 +59,7 @@ def test_zero_dimensional_component():
     spec, cb, _ = gab_union()
     zero = Codebook(spec, cb.stack[:1])  # zero message only
     uni = build_union(zero)
-    assert set(uni.vectors) == {(0, 0, 0)}
+    assert set(owners(uni)) == {(0, 0, 0)}
     assert zero.ranks[uni.components[0]] == 0
 
 
@@ -76,13 +77,13 @@ def test_kk_union_matches_brute_force():
     brute = set()
     for cw in cb:
         brute |= oracles.span(cw.rows, 2)
-    assert set(uni.vectors) == brute
+    assert set(owners(uni)) == brute
 
 
 def test_mv1_union_vectors():
     spec, cb, uni = mv1_union()
     g5 = (1, 1, 1)
-    assert set(uni.vectors) == {(0,) * 9, g5 + (0, 0, 0) + (0, 0, 0), g5 * 3}
+    assert set(owners(uni)) == {(0,) * 9, g5 + (0, 0, 0) + (0, 0, 0), g5 * 3}
     assert uni.min_distance() == 3
 
 
@@ -141,7 +142,6 @@ def lent_codebook(stack, p):
 
 def check_reference_spans(spans, stack, p):
     vectors, ids, min_weights = oracles.reference_spans(stack.tolist(), p)
-    assert spans.vectors == tuple(vectors)
     assert spans.matrix.tolist() == [list(v) for v in vectors]
     assert spans.ids.tolist() == ids
     assert spans.min_weights.tolist() == min_weights
@@ -194,18 +194,91 @@ def test_union_of_random_stacks_matches_enumeration(case):
         codebook = lent_codebook(stack, p)
         assert codebook.table.shape == stack.shape[1::-1]
         warm = build_union(codebook).provenance
-        assert warm.vectors == spans.vectors
         for name in ("matrix", "ids", "min_weights"):
             got, expected = getattr(warm, name), getattr(spans, name)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
 
+
+PACKET_KINDS = ("member", "near", "midpoint", "random")
+
+
+@st.composite
+def tier1_cases(draw):
+    """(union, its vectors by span enumeration, packets): the full union of
+    one to five random codewords over GF(2) or GF(3), or its restriction
+    to drawn components, and packets that are members, members with one or
+    two digits changed, midpoints between two members (equidistant when
+    they differ in an even number of positions), or random."""
+    p = draw(st.sampled_from((2, 3)))
+    rows = draw(st.integers(1, 3 if p == 2 else 2))
+    width = draw(st.integers(2, 6 if p == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.integers(0, p, size=(draw(st.integers(1, 5)), rows, width), dtype=np.int8)
+    uni = build_union(lent_codebook(stack, p))
+    kept = draw(st.sets(st.integers(0, len(stack) - 1), min_size=1))
+    if len(kept) < len(stack):
+        uni = uni.restrict(kept)
+    vectors = set().union(*(oracles.span(stack[i].tolist(), p) for i in kept))
+    members = sorted(vectors)
+    packets = []
+    for kind in draw(st.lists(st.sampled_from(PACKET_KINDS), min_size=1, max_size=5)):
+        packet = list(members[rng.integers(len(members))])
+        if kind == "near":
+            for at in rng.choice(width, size=rng.integers(1, 3), replace=False):
+                packet[at] = int(rng.integers(p))
+        elif kind == "midpoint" and len(members) > 1:
+            other = members[rng.integers(len(members))]
+            differ = [at for at in range(width) if packet[at] != other[at]]
+            for at in rng.permutation(differ)[:len(differ) // 2]:
+                packet[at] = other[at]
+        elif kind == "random":
+            packet = rng.integers(0, p, size=width).tolist()
+        packets.append(tuple(packet))
+    return uni, vectors, packets
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tier1_cases())
+def test_tier1_matches_the_reference(case):
+    """Every field of ``tier1_decode``'s verdict, in every mode and at every
+    radius from 0 to the width, against the scalar reference on the union
+    formed by span enumeration: membership, nearest vectors, ties and
+    packets beyond the radius."""
+    uni, vectors, packets = case
+    assert uni.cardinality == len(vectors)
+    for packet in packets:
+        for mode in TIER1_MODES:
+            for radius in range(uni.ambient_len + 1):
+                got = tier1_decode(packet, uni, radius, mode, allow_radius_override=True)
+                assert asdict(got) == oracles.reference_tier1(packet, vectors, uni.p,
+                                                              radius, mode)
+
+
+def test_membership_set_is_formed_once_by_tier_1():
+    """Only tier 1 asks membership: building, a fresh union, the lemma
+    checks and a restriction form no set, and tier 1 forms it once."""
+    _, spec, codebook, _ = load_config(ROOT / "configs" / "kk_example.json").build_all()
+    uni = build_union(codebook)
+    fresh = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    verify_lemmas(spec, fresh)
+    restricted = uni.restrict({1, 2})
+    for union in (uni, fresh, restricted):
+        assert "_members" not in union.__dict__
+    member, *others = owners(uni)
+    assert tier1_decode(member, uni, radius=0).outcome == "valid"
+    members = uni.__dict__["_members"]
+    for vector in others:
+        assert tier1_decode(vector, uni, radius=0).outcome == "valid"
+    assert uni.__dict__["_members"] is members
+    assert "_members" not in fresh.__dict__ and "_members" not in restricted.__dict__
+
 def test_provenance_soundness_spot_check():
     spec, cb, uni = kk_union()
     rng = random.Random(21)
-    vectors = list(uni.vectors)
     owned = owners(uni)
+    vectors = list(owned)
     for _ in range(30):
         v = rng.choice(vectors)
         for index in uni.components.tolist():
@@ -220,14 +293,14 @@ def test_provenance_soundness_spot_check():
 def test_restrict_to_all_is_identity():
     spec, cb, uni = kk_union()
     full = uni.restrict(range(len(cb)))
-    assert set(full.vectors) == set(uni.vectors)
+    assert set(owners(full)) == set(owners(uni))
     assert full.min_distance() == uni.min_distance()
 
 
 def test_restrict_to_single_component_is_that_code():
     spec, cb, uni = kk_union()
     only = uni.restrict({3})
-    assert set(only.vectors) == oracles.span(cb[3].rows, 2)
+    assert set(owners(only)) == oracles.span(cb[3].rows, 2)
 
 
 def test_restrict_mv1_distance_grows():
@@ -244,7 +317,7 @@ def test_restrict_monotone_and_contained():
         k = rng.randint(1, len(cb))
         subset = set(rng.sample(range(len(cb)), k))
         r = uni.restrict(subset)
-        assert set(r.vectors) <= set(uni.vectors)
+        assert set(owners(r)) <= set(owners(uni))
         if r.cardinality >= 2:
             assert r.min_distance() >= uni.min_distance()
 
@@ -259,7 +332,7 @@ def test_one_component_distance_is_its_min_weight(config):
         only = uni.restrict({index})
         if only.cardinality < 2:
             continue
-        assert only.min_distance() == oracles.naive_min_pairwise(only.vectors, uni.p)
+        assert only.min_distance() == oracles.naive_min_pairwise(list(owners(only)), uni.p)
         checked += 1
     assert checked >= len(codebook) - 1   # only a zero codeword spans one vector
 
@@ -271,7 +344,7 @@ def test_one_component_distance_is_its_min_weight(config):
 def test_full_union_distance_matches_pairwise_oracle(config):
     # the full union scans the span record's rows in first-occurrence order
     _, _, _, uni = load_config(config).build_all()
-    assert uni.min_distance() == oracles.naive_min_pairwise(uni.vectors, uni.p)
+    assert uni.min_distance() == oracles.naive_min_pairwise(list(owners(uni)), uni.p)
 
 
 def test_restrict_validation():
@@ -320,7 +393,7 @@ def check_restriction(got, provenance, wanted, order):
     """`got` is the reference restriction of `provenance` to `wanted`, its
     components in `order` (component indices, those outside `wanted` skipped)."""
     expected = oracles.reference_restrict(provenance, wanted)
-    assert set(got.vectors) == set(expected)
+    assert set(owners(got)) == set(expected)
     assert all((v in got) == (v in expected) for v in provenance)
     assert owners(got) == expected
     assert got.cardinality == len(expected)
