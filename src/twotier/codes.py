@@ -33,10 +33,6 @@ class PacketLayout:
     name: str
     blocks: tuple
 
-    @property
-    def width(self) -> int:
-        return sum(b.width for b in self.blocks)
-
     @classmethod
     def gabidulin(cls, m: int) -> "PacketLayout":
         return cls("gabidulin", (BlockSpec(m),))
@@ -299,24 +295,6 @@ class MVSpec(_Spec):
         if self.layout_name not in ("uncompressed", "compressed"):
             raise ValueError(f"unknown layout {self.layout_name!r}")
         object.__setattr__(self, "alphas", _checked_points(self.field, self.alphas, self.l, "alpha"))
-        self._validate_subfield_membership()
-
-    def _validate_subfield_membership(self):
-        """Every ratio row entry must land in GF(q^m), for every message."""
-        if self.l == 1:
-            return      # only rows after the first carry ratios
-        # x lies in GF(q^m) exactly when x^(q^m) = x
-        frobenius = self.field.frobenius_matrix(self.m)
-        count = self.message_count()
-        for start in range(0, count, SETUP_CHUNK):
-            messages = message_digits(self, np.arange(start, min(start + SETUP_CHUNK, count)))
-            ratios = np.stack(self._blocks(messages)[1:], axis=2)[:, 1:]     # (N, l-1, L, n)
-            outside = (ratios @ frobenius % self.q != ratios).any(axis=3)
-            if outside.any():
-                n, i, j = (int(x) for x in np.unravel_index(outside.argmax(), outside.shape))
-                raise ValueError(
-                    f"alpha set malformed: u^({j + 1})(alpha_{i + 1})/alpha_{i + 1} is outside "
-                    f"GF({self.q}^{self.m}) for message {tuple(messages[n].tolist())}")
 
     @functools.cached_property
     def _poly_maps(self):
@@ -334,7 +312,9 @@ class MVSpec(_Spec):
         u^(j)(alpha_i) for j = 1..L, divided by alpha_i in every row but the first.
 
         u(x) = sum_i d_i x^(q^i) has the message digits d_i as coefficients,
-        so each message's u is one (n, n) matrix over GF(p).
+        so each message's u is one (n, n) matrix over GF(p). A ratio outside
+        GF(q^m) means a malformed alpha set: ValueError at the first such
+        message of the block.
         """
         n, p = self.field.n, self.q
         u = (messages @ self._poly_maps % p).reshape(len(messages), n, n)
@@ -344,7 +324,15 @@ class MVSpec(_Spec):
             value = value @ u % p
             blocks.append(value)
         if self.l > 1:
-            ratios = np.stack(blocks[1:], axis=2) @ self._ratio_maps % p
+            ratios = np.stack(blocks[1:], axis=2) @ self._ratio_maps % p     # (N, l, L, n)
+            # every ratio must lie in GF(q^m), and x does exactly when x^(q^m) = x
+            x = ratios[:, 1:]
+            outside = (x @ self.field.frobenius_matrix(self.m) % p != x).any(axis=3)
+            if outside.any():
+                first, i, j = (int(v) for v in np.unravel_index(outside.argmax(), outside.shape))
+                raise ValueError(
+                    f"alpha set malformed: u^({j + 1})(alpha_{i + 1})/alpha_{i + 1} is outside "
+                    f"GF({p}^{self.m}) for message {tuple(messages[first].tolist())}")
             blocks[1:] = [ratios[:, :, j] for j in range(self.big_l)]
         return blocks
 

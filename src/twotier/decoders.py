@@ -253,7 +253,6 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
     packets = [tuple(p) for p in packets]
     if not packets:
         raise ValueError("no packets to decode")
-    _check_packets(packets, union.p, union.ambient_len)
     audit = {"tier1_enabled": options.tier1_enabled, "packets": len(packets)}
 
     if options.tier1_enabled:

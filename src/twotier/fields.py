@@ -317,10 +317,6 @@ class FieldElement:
         p = self.ctx.p
         return FieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
-
     def __mul__(self, other):
         self._check(other)
         return FieldElement(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))

@@ -356,10 +356,7 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
     verdict_counts = _verdict_counts()
     metric_values = []
     for sink in topology.sinks:
-        packets = net.buffers.get(sink, [])
-        if not packets:
-            sink_success[sink] = False
-            continue
+        packets = net.buffers[sink]
         if strategy == TIER2_ONLY:
             result = tier2_subspace_decode(packets, setup.codebook, setup.options.metric)
         else:

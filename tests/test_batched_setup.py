@@ -12,6 +12,7 @@ compressed (subfield coordinates) and an MV code over GF(2^17).
 
 import functools
 import itertools
+import json
 import random
 import re
 from pathlib import Path
@@ -22,8 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotier import codes, linalg
+from twotier.cli import main
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook, encode
 from twotier.config import load_config
+from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.metrics import Subspace
 from twotier.union import build_union, component_min_distances, owners
@@ -290,9 +293,33 @@ def test_duplicate_subspace_raises_at_the_first_repeat():
 
 def test_mv_malformed_alphas_raise_with_the_first_failure():
     ctx = FieldContext(3, 6)
-    with pytest.raises(ValueError, match=re.escape(
-            "alpha set malformed: u^(1)(alpha_1)/alpha_1 is outside GF(3^3) for message (0, 1)")):
-        MVSpec(field=ctx, m=3, l=2, big_l=1, k=2, alphas=(ctx.gamma, ctx.gamma_pow(2)))
+    spec = MVSpec(field=ctx, m=3, l=2, big_l=1, k=2, alphas=(ctx.gamma, ctx.gamma_pow(2)))
+    message = re.escape(
+        "alpha set malformed: u^(1)(alpha_1)/alpha_1 is outside GF(3^3) for message (0, 1)")
+    with pytest.raises(ValueError, match=message):
+        build_codebook(spec)
+    with pytest.raises(ValueError, match=message):
+        encode(spec, (0, 1))
+
+
+def test_mv_spec_forms_no_blocks_and_the_budget_comes_first(tmp_path, monkeypatch, capsys):
+    """mv2 with k = 30 has 3^30 messages: making the spec encodes none of
+    them, and the codebook budget stops the set-up before any block."""
+    cfg = json.loads((ROOT / "configs" / "mv2_uncompressed.json").read_text())
+    cfg["code"]["k"] = 30
+    path = tmp_path / "mv2_k30.json"
+    path.write_text(json.dumps(cfg))
+
+    def no_blocks(self, messages):
+        raise AssertionError("an encoder block was formed")
+
+    monkeypatch.setattr(MVSpec, "_blocks", no_blocks)
+    config = load_config(path)
+    spec = config.build_spec(config.build_field())
+    with pytest.raises(BudgetError, match=f"message space of size {3 ** 30}"):
+        build_codebook(spec)
+    assert main(["verify-lemmas", "--config", str(path)]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 @SETTINGS

@@ -245,8 +245,11 @@ def test_mv_subfield_validation_catches_bad_alphas():
     # with k = 2, u(x) = x^3 gives ratio alpha^2, which escapes GF(27)
     # for alpha = gamma (only exponents divisible by 28 stay inside)
     ctx = FieldContext(3, 6)
+    spec = MVSpec(field=ctx, m=3, l=2, big_l=1, k=2, alphas=(ctx.gamma, ctx.gamma_pow(2)))
     with pytest.raises(ValueError, match="malformed"):
-        MVSpec(field=ctx, m=3, l=2, big_l=1, k=2, alphas=(ctx.gamma, ctx.gamma_pow(2)))
+        build_codebook(spec)
+    with pytest.raises(ValueError, match="malformed"):
+        encode(spec, (0, 1))
 
 
 def test_mv_spec_validation():

@@ -1,12 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
-from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY,
+from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE,
                               DecodeOptions, DecodeResult, default_radius,
                               tier1_decode, tier2_list_decode, tier2_rank_decode,
                               tier2_subspace_decode, two_tier_decode)
@@ -17,6 +18,7 @@ from twotier.union import build_union, owners
 import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 def gf8():
@@ -136,6 +138,19 @@ def test_tier1_length_mismatch():
     _, _, uni = mv1()
     with pytest.raises(ValueError, match="length"):
         tier1_decode((0, 1), uni, radius=1)
+
+
+def test_tier1_rejects_an_unknown_mode_and_a_negative_radius():
+    _, _, uni = mv1()
+    member = next(iter(owners(uni)))
+    with pytest.raises(ValueError, match="unknown tier-1 mode 'bogus'"):
+        tier1_decode(member, uni, radius=1, mode="bogus")
+    # the radius is read only for a packet outside the union
+    outside = flip(member, [0])
+    assert outside not in uni
+    for mode in (CORRECT, CORRECT_OR_ERASE):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            tier1_decode(outside, uni, radius=-1, mode=mode)
 
 
 # ---------------------------------------------------------------- tier 2 subspace
@@ -272,6 +287,12 @@ def test_rank_decode_punctured_positions():
         tier2_rank_decode(word, cb, positions=[])
 
 
+def test_rank_decode_rejects_a_word_of_the_wrong_length():
+    _, cb, _ = gab(n=3, k=1)
+    with pytest.raises(ValueError, match="word length 2 != code length 3"):
+        tier2_rank_decode(cb[5].rows[:2], cb)
+
+
 # ---------------------------------------------------------------- pipeline
 
 def test_two_tier_equals_tier2_when_disabled():
@@ -280,6 +301,12 @@ def test_two_tier_equals_tier2_when_disabled():
     outcome = two_tier_decode(packets, uni, cb, DecodeOptions(tier1_enabled=False))
     assert outcome.result == tier2_subspace_decode(packets, cb)
     assert outcome.verdicts == []
+
+
+def test_two_tier_needs_a_packet():
+    _, cb, uni = mv1()
+    with pytest.raises(ValueError, match="no packets to decode"):
+        two_tier_decode([], uni, cb)
 
 
 def test_two_tier_single_flip_exhaustive():
@@ -402,6 +429,26 @@ def test_feedback_on_one_vector_restricted_union_keeps_first_pass():
         "skipped": "restricted union has fewer than two vectors"}
     assert outcome.audit["final"] == outcome.audit["first_pass"]
     assert [v.outcome for v in outcome.verdicts] == ["valid", "valid"]
+
+
+def test_feedback_pass_that_drops_every_packet_fails_the_decode():
+    # gab-gf64's full union is all of GF(2)^6, so only the feedback pass, on
+    # the union restricted to the listed codeword, can drop every packet; the
+    # rank lane is then left with no position and the decode fails
+    cfg = load_config(PERFBENCH_CONFIGS / "gab-gf64.json")
+    _, _, cb, uni = cfg.build_all()
+    options = cfg.decode_options()
+    assert (options.list_radius, options.feedback) == (1, True)
+    # codeword 2650 with each row flipped in one bit
+    packets = [(1, 1, 1, 0, 1, 1), (0, 0, 1, 0, 1, 0), (1, 0, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1)]
+    assert [hamming_distance(a, b) for a, b in zip(packets, cb[2650].rows)] == [1, 1, 1, 1]
+    for mode in (CORRECT, CORRECT_OR_ERASE):
+        outcome = two_tier_decode(packets, uni, cb, replace(options, mode=mode))
+        feedback = outcome.audit["feedback"]
+        assert feedback["list"] == [166] and feedback["tier1_radius"] == 0
+        assert feedback["second_pass"] is None
+        assert {v.outcome for v in outcome.verdicts} <= {"erased", "rejected"}
+        assert outcome.result.chosen is None and outcome.result == FAILURE
 
 
 # ---------------------------------------------------------------- input digits
