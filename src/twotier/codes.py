@@ -65,10 +65,12 @@ class Codebook:
 
     :attr:`stack` is the read-only (N, rows, width) int8 array of every
     codeword's packed rows; over GF(2), :attr:`table` holds the same rows
-    as one integer each, and the codebook keeps no other form.
+    as one integer each, and the codebook keeps no other form of them.
+    :attr:`spans` is its ``union.Spans`` record, None until
+    ``union.spans_of`` forms it for the union or for subspace tier 2.
     Message i has the base-p digits of i, lowest first, so ``codebook[i]``
     builds its :class:`Codeword` on demand and :meth:`index` is arithmetic.
-    Tier-2 decoding ranks every codeword's rows at once with
+    Rank-metric tier 2 ranks every codeword's rows at once with
     :meth:`batched_rank`, and the union takes its component dimensions from
     :attr:`ranks`. A subspace codebook is checked on construction: every
     codeword's rows are independent and no two span the same subspace.
@@ -80,6 +82,7 @@ class Codebook:
         self._length = spec.message_length
         self.stack = stack.view()
         self.stack.flags.writeable = False
+        self.spans = None
         if self.kind == SUBSPACE:
             _check_subspaces(self)
 
@@ -128,28 +131,17 @@ class Codebook:
             return np.full(len(self), self.stack.shape[1])
         return self.batched_rank()
 
-    def basis_of(self, rows) -> tuple:
-        """(basis, a): a basis of the span of digit rows, in the form
-        :meth:`batched_rank` takes, and its rank a. Over GF(2) it is a
-        ``linalg.packed_basis``, so no RREF is built; otherwise an ``rref``."""
-        if self.p == 2:
-            basis = linalg.packed_basis(linalg.pack_digits(rows, 2))
-            return basis, len(basis)
-        basis = linalg.rref(rows, self.p)
-        return basis, len(basis[1])
-
-    def batched_rank(self, positions=None, offset=None, basis=None) -> np.ndarray:
+    def batched_rank(self, positions=None, offset=None) -> np.ndarray:
         """``linalg.batched_rank`` of every codeword's rows, or of its rows at
-        `positions` only, with `basis` from :meth:`basis_of`. Over GF(2) it
-        is ``linalg.packed_rank`` on :attr:`table`, and the offset rows are
-        packed here."""
+        `positions` only. Over GF(2) it is ``linalg.packed_rank`` on
+        :attr:`table`, and the offset rows are packed here."""
         if self.p == 2:
             packed = self.table if positions is None else self.table[positions]
             if offset is not None:
                 offset = linalg.pack_digits(offset, 2)
-            return linalg.packed_rank(packed, offset, basis or ())
+            return linalg.packed_rank(packed, offset)
         stack = self.stack if positions is None else self.stack[:, positions, :]
-        return linalg.batched_rank(stack, self.p, offset, basis)
+        return linalg.batched_rank(stack, self.p, offset)
 
 
 # ---------------------------------------------------------------- specs

@@ -2,12 +2,16 @@
 
 Tier 1 scrubs individual packets against the union code: membership pass,
 nearest-vector correction within a radius, or erasure on ambiguity. Tier 2
-is brute-force nearest-codeword search over the full codebook, in the
-injection or subspace metric for subspace codes and in the rank metric for
-Gabidulin codes. Erased packets are excluded from the tier-2 input (span
-rows for subspace codes, punctured positions for rank codes). When tier 2
-runs in list mode, the list can feed back: tier 1 re-decodes against the
-union restricted to the listed components, whose minimum distance is never
+is exact nearest-codeword search over the full codebook, in the injection
+or subspace metric for subspace codes and in the rank metric for Gabidulin
+codes. For a subspace code it reads the union's owner index: a codeword's
+distance depends only on how many union vectors it owns in the received
+space, so only the owners of those vectors are counted, and every other
+codeword is at the largest distance. For a Gabidulin code it ranks every
+codeword. Erased packets are excluded from the tier-2 input (span rows for
+subspace codes, punctured positions for rank codes). When tier 2 runs in
+list mode, the list can feed back: tier 1 re-decodes against the union
+restricted to the listed components, whose minimum distance is never
 smaller.
 """
 
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .codes import GABIDULIN, SUBSPACE, Codebook
-from .union import UnionCode
+from .union import UnionCode, spans_of
 
 VALID = "valid"
 CORRECTED = "corrected"
@@ -110,13 +115,21 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 
 # ---------------------------------------------------------------- tier 2
 #
-# Both lanes rank every codeword in one Codebook.batched_rank call, which
-# picks the kernel from p: over GF(2), linalg.packed_rank eliminates a
-# copy of each block of the codebook's packed rows (Codebook.table, built
-# in set-up: one unsigned int of the narrowest dtype per row);
-# otherwise linalg.batched_rank reduces the codebook's digit rows mod p.
-# Both work in blocks of about linalg.RANK_CHUNK rows. A distance grows
-# with the rank, so _select picks on the ranks and maps only its picks.
+# The subspace lane counts, for each codeword U, the nonzero vectors of
+# U ∩ V, V the span of the kept packets. Each is a union vector that U
+# owns, so Spans.meeting finds the union vectors in V and counts their
+# owners from the owner index of the codebook's Spans record, formed on
+# the first subspace decode. Over GF(2), when V has no more vectors than
+# the union, it looks each vector of V up (the packets are packed and
+# echelonised as Python ints, linalg.span_basis); otherwise it ranks the
+# union's nonzero vectors, as one-row matrices, against a basis of V
+# (linalg.packed_rank, or linalg.batched_rank over GF(p)). A codeword
+# owning none has U ∩ V = {0}, the largest distance, and is never looked
+# at unless the list takes it. The rank lane ranks every codeword in one
+# Codebook.batched_rank call (packed_rank on Codebook.table over GF(2),
+# batched_rank on the digit rows otherwise), in blocks of about
+# linalg.RANK_CHUNK rows. A distance grows with the rank, so _select
+# picks on the ranks and maps only its picks.
 
 def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
@@ -132,29 +145,38 @@ def _check_packets(rows, p: int, width: int):
             raise ValueError(f"packet digits must lie in [0, {p}), got {tuple(row)}")
 
 
-def _subspace_ranks(packets, codebook, metric: str):
-    """(r, scale, shift): every codeword's rank r against the packets, and
-    the map ``scale * r + shift`` that makes r its distance in the metric."""
+def _subspace_decode(packets, codebook, metric: str, list_radius) -> DecodeResult:
+    """``_select`` on the ranks of the codewords against the row space of
+    the packets, each read from the union vectors its span shares with it."""
     if not packets:
         raise ValueError("tier-2 decoding needs at least one packet")
     _check_kind(codebook, SUBSPACE)
     if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
-    _check_packets(packets, codebook.p, codebook.stack.shape[2])
-    basis, a = codebook.basis_of(packets)
-    # With r the rank of the codeword rows reduced against the received
-    # basis (rank a) and b the codeword dimension, dim(U+V) = a + r and
-    # dim(U∩V) = a + b - dim(U+V) = b - r.
-    b = codebook.stack.shape[1]
-    r = codebook.batched_rank(basis=basis)
+    p, (b, width) = codebook.p, codebook.stack.shape[1:]
+    _check_packets(packets, p, width)
+    spans = spans_of(codebook)
+    basis, a = linalg.span_basis(packets, p)
+    # With U a codeword's span, of dimension b (its row count), and V the
+    # packets' span, of dimension a, U's rows reduced against V have rank
+    # r = dim(U+V) - a = b - dim(U∩V): b for a codeword that meets V in 0.
+    at, r = spans.meeting(basis)
     if metric == "injection":
-        return r, 1, max(a, b) - b      # max(a, b) - dim(U∩V)
-    return r, 2, a - b                  # dim(U+V) - dim(U∩V)
+        scale, shift = 1, max(a, b) - b     # max(a, b) - dim(U∩V)
+    else:
+        scale, shift = 2, a - b             # dim(U+V) - dim(U∩V)
+    return _select(r, list_radius, scale, shift, at=at, rest=(len(codebook), b))
 
 
-def _select(ranks, list_radius, scale: int = 1, shift: int = 0) -> DecodeResult:
+def _select(ranks, list_radius, scale: int = 1, shift: int = 0, *, at=None,
+            rest=None) -> DecodeResult:
     """Nearest codeword, or with a list radius every codeword within it,
     where a codeword's distance is ``scale * rank + shift`` (scale > 0).
+
+    `ranks` are every codeword's, in index order, or with `at` those of
+    the codewords at the ascending indices `at` only; `rest` is then
+    (N, rank): each other codeword of the N has that rank, above every
+    rank in `ranks`.
 
     Candidates run in ascending distance, then index; the first is chosen,
     and a tie means the runner-up is as near. The distance grows with the
@@ -162,9 +184,14 @@ def _select(ranks, list_radius, scale: int = 1, shift: int = 0) -> DecodeResult:
     the chosen rank is mapped to a distance.
     """
     if list_radius is None:
-        chosen = int(ranks.argmin())
-        best = ranks[chosen]
-        tie = bool((ranks[chosen + 1:] == best).any())
+        if len(ranks) or at is None:
+            k = int(ranks.argmin())
+            best = ranks[k]
+            tie = bool((ranks[k + 1:] == best).any())
+            chosen = k if at is None else int(at[k])
+        else:
+            # every codeword has the rest's rank, so the lowest index wins
+            chosen, best, tie = 0, rest[1], rest[0] > 1
         return DecodeResult(chosen=chosen, metric_value=scale * int(best) + shift, tie=tie)
     if list_radius < 0:
         raise ValueError("list radius must be nonnegative")
@@ -172,24 +199,30 @@ def _select(ranks, list_radius, scale: int = 1, shift: int = 0) -> DecodeResult:
     # no rank is negative, so a negative limit lists nothing
     order = np.flatnonzero(ranks <= limit) if limit >= 0 else ranks[:0]
     order = order[np.argsort(ranks[order], kind="stable")]
-    if not len(order):
+    listed, listed_ranks = (order if at is None else at[order]), ranks[order]
+    if at is not None and limit >= rest[1]:
+        # the rest are listed too, after every ranked codeword
+        others = np.ones(rest[0], dtype=bool)
+        others[at] = False
+        others = np.flatnonzero(others)
+        listed = np.concatenate([listed, others])
+        listed_ranks = np.concatenate([listed_ranks, np.full(len(others), rest[1])])
+    if not len(listed):
         return DecodeResult(chosen=None, metric_value=None, tie=False, list=())
-    best = ranks[order[0]]
-    tie = len(order) > 1 and ranks[order[1]] == best
-    return DecodeResult(chosen=int(order[0]), metric_value=scale * int(best) + shift,
-                        tie=bool(tie), list=tuple(order.tolist()))
+    best = listed_ranks[0]
+    tie = len(listed) > 1 and listed_ranks[1] == best
+    return DecodeResult(chosen=int(listed[0]), metric_value=scale * int(best) + shift,
+                        tie=bool(tie), list=tuple(listed.tolist()))
 
 
 def tier2_subspace_decode(packets, codebook, metric: str = "injection") -> DecodeResult:
     """Nearest codeword to the row space of the packets; ties pick the lowest index."""
-    r, scale, shift = _subspace_ranks(packets, codebook, metric)
-    return _select(r, None, scale, shift)
+    return _subspace_decode(packets, codebook, metric, None)
 
 
 def tier2_list_decode(packets, codebook, radius: int, metric: str = "injection") -> DecodeResult:
     """All codewords within the metric radius, ascending distance then index."""
-    r, scale, shift = _subspace_ranks(packets, codebook, metric)
-    return _select(r, radius, scale, shift)
+    return _subspace_decode(packets, codebook, metric, radius)
 
 
 def _rank_distances(rows, codebook, positions):

@@ -9,6 +9,7 @@ sorting and comparing integers, and over GF(2) adding two is an XOR.
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -115,8 +116,29 @@ def packed_rank(packed, offset=None, basis=()) -> np.ndarray:
 
 def packed_basis(rows) -> tuple:
     """A basis of the span of packed GF(2) rows, for ``packed_rank``: the
-    nonzero rows of their ``_echelon``, so its length is their rank."""
-    return tuple(x for x in _echelon(np.array(rows)[:, None])[:, 0].tolist() if x)
+    nonzero rows of their ``_echelon``, as Python ints, so its length is
+    their rank. A few rows are echelonised faster one int at a time than
+    as numpy columns."""
+    basis = []
+    for x in rows:
+        x = int(x)
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    return tuple(basis)
+
+
+def span_basis(rows, p: int) -> tuple:
+    """(basis, a): a basis of the span of digit rows over GF(p), in the
+    form the rank kernels take, and its rank a: over GF(2) the
+    ``packed_basis`` of their ``pack_ints``, so no RREF is built, and
+    otherwise their ``rref``."""
+    if p == 2:
+        basis = packed_basis(pack_ints(rows, 2))
+        return basis, len(basis)
+    basis = rref(rows, p)
+    return basis, len(basis[1])
 
 
 def packed_rref(packed) -> np.ndarray:
@@ -272,6 +294,22 @@ def pack_digits(digits, p: int) -> np.ndarray:
                           for start in range(0, width, per)], axis=-1)
     # above 64 bits: the words of `per` digits each, summed as Python ints
     return pack_words(words, p, per)
+
+
+def pack_ints(rows, p: int) -> list:
+    """``pack_digits`` of a few digit rows of one width, as a list of
+    Python ints: one sum per row and no numpy call, which on the handful
+    of packets of one request costs less than the fixed price of
+    ``pack_digits``' array calls. Digits may be numpy integers; each is
+    taken as a Python int, so no product overflows."""
+    weights = _weights(p, len(rows[0])) if len(rows) else ()
+    return [sum(map(operator.mul, map(int, row), weights)) for row in rows]
+
+
+@functools.cache
+def _weights(p: int, width: int) -> tuple:
+    """p^c for each digit c of a row of `width` digits, as Python ints."""
+    return tuple(p ** c for c in range(width))
 
 
 def pack_words(words, p: int, per: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The union code: every packet that is valid for some codeword.
 
 Built by exact enumeration of each component code's span, deduplicated
-into one read-only :class:`Spans` record per codebook. A union over some
-of the components is that shared record plus the array of their codebook
-indices. The union of linear codes is generally nonlinear, so distance
-work goes through the pairwise path in :mod:`twotier.metrics`.
+into one read-only :class:`Spans` record per codebook, which the codebook
+keeps (:func:`spans_of`). A union over some of the components is that
+shared record plus the array of their codebook indices. The union of
+linear codes is generally nonlinear, so distance work goes through the
+pairwise path in :mod:`twotier.metrics`.
 """
 
 import functools
@@ -22,18 +23,106 @@ DEFAULT_UNION_BUDGET = 1 << 26
 
 @dataclass(frozen=True, eq=False)
 class Spans:
-    """The distinct span vectors of a codebook, shared by every union over it.
+    """The distinct span vectors of a codebook over GF(p), shared by every
+    union over it and by tier 2.
 
     Vector u is the u-th distinct one in order of first occurrence
     (codewords in order, each span in coefficient order), held as row u of
-    the int16 ``matrix``: the one stored form of a union vector. Row i of
-    the int32 ``ids`` lists the vectors of codeword i's span, in
-    coefficient order, and ``min_weights[i]`` is the least weight of a
-    nonzero one (width + 1 when the span is {0}). The arrays are read-only.
+    the int16 ``matrix``: the one stored form of a union vector. Vector 0
+    is the zero vector, codeword 0's first. Row i of the int32 ``ids``
+    lists the vectors of codeword i's span, in coefficient order, and
+    ``min_weights[i]`` is the least weight of a nonzero one (width + 1 when
+    the span is {0}). The arrays are read-only. Subspace tier 2 reads
+    :meth:`meeting`, whose owner index is formed on its first call.
     """
     matrix: np.ndarray
     ids: np.ndarray
     min_weights: np.ndarray
+    p: int
+
+    @functools.cached_property
+    def owner_index(self) -> tuple:
+        """(starts, owners), formed on first use: ``owners[starts[u]:starts[u + 1]]``
+        are the codewords whose span holds vector u, ascending, as
+        read-only int32. It has one entry per entry of ``ids``, N·p^rows in
+        all, as a codeword's span holds each of its vectors once.
+        ``starts`` is a list of Python ints."""
+        return _owner_index(self.ids, len(self.matrix))
+
+    @functools.cached_property
+    def _keys(self) -> dict:
+        """Over GF(2): each vector's ``linalg.pack_digits`` integer, as a
+        Python int, mapped to its number."""
+        return {key: u for u, key in enumerate(linalg.pack_digits(self.matrix, 2).tolist())}
+
+    @functools.cached_property
+    def _probes(self) -> np.ndarray:
+        """The nonzero vectors as one-row matrices for the rank kernels: a
+        (1, |U| - 1) array of ``linalg.pack_digits`` rows over GF(2), in
+        the dtype of ``Codebook.table``, otherwise an int16 digit stack."""
+        if self.p == 2:
+            return linalg.pack_digits(self.matrix[1:], 2)[None, :]
+        return self.matrix[1:, None, :]
+
+    @functools.cached_property
+    def _rank_by_count(self) -> np.ndarray:
+        """Entry c is rows - log_p(c + 1) where c + 1 is a power of p: the
+        rank against V of a codeword owning c nonzero vectors of V."""
+        powers = [1]
+        while powers[-1] < self.ids.shape[1]:
+            powers.append(powers[-1] * self.p)
+        ranks = np.zeros(powers[-1], dtype=np.int64)
+        ranks[np.array(powers) - 1] = np.arange(len(powers))[::-1]
+        return ranks
+
+    def meeting(self, basis) -> tuple:
+        """(codewords, ranks) for the space V spanned by `basis` (a
+        ``linalg.packed_basis`` over GF(2), otherwise an ``rref``): the
+        codewords whose span U meets V outside 0, ascending, and the rank
+        of each one's rows reduced against V, rows - dim(U ∩ V). Every
+        other codeword has rank rows.
+
+        Each of the p^dim - 1 nonzero vectors of U ∩ V is a union vector
+        that U owns, so a codeword's count among the owners of the union
+        vectors in V gives its dimension, and only those owners are read.
+        Over GF(2), when V has no more vectors than the union, each vector
+        of V is looked up; otherwise the union's nonzero vectors are
+        ranked against V as one-row matrices, and those of rank 0 lie in it.
+        """
+        if self.p == 2 and 2 ** len(basis) <= len(self.matrix):
+            vectors = [0]
+            for b in basis:
+                vectors += [v ^ b for v in vectors]
+            keys = self._keys
+            hits = [keys[v] for v in vectors[1:] if v in keys]
+        else:
+            if self.p == 2:
+                ranks = linalg.packed_rank(self._probes, basis=basis)
+            else:
+                ranks = linalg.batched_rank(self._probes, self.p, basis=basis)
+            hits = ((ranks == 0).nonzero()[0] + 1).tolist()
+        # few numpy calls, and array methods over module functions: the
+        # arrays are small, so a request costs about a fixed price per call
+        starts, owners = self.owner_index
+        touched = np.concatenate([owners[:0]] + [owners[starts[u]:starts[u + 1]] for u in hits])
+        touched.sort()
+        # each codeword's run in the sorted owners: its start, and the end
+        bounds = np.empty(len(touched) + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(touched[1:], touched[:-1], out=bounds[1:-1])
+        bounds = bounds.nonzero()[0]
+        return touched[bounds[:-1]], self._rank_by_count[bounds[1:] - bounds[:-1]]
+
+
+def _owner_index(ids: np.ndarray, count: int) -> tuple:
+    """``Spans.owner_index`` of the (N, p^rows) span ids of `count` vectors,
+    from one stable sort of the ids, which lists each vector's entries in
+    codeword order."""
+    flat = ids.ravel()
+    owners = (np.argsort(flat, kind="stable") // ids.shape[1]).astype(np.int32)
+    owners.flags.writeable = False
+    starts = [0] + np.cumsum(np.bincount(flat, minlength=count)).tolist()
+    return starts, owners
 
 
 class UnionCode:
@@ -108,14 +197,24 @@ class UnionCode:
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
     """Every span vector of every codeword, deduplicated, in order of first
     occurrence (codewords in order, each span in coefficient order)."""
+    spans = spans_of(codebook, budget)
+    return UnionCode(spans, np.arange(len(codebook), dtype=np.int32),
+                     codebook.stack.shape[2], codebook.p)
+
+
+def spans_of(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Spans:
+    """The codebook's :class:`Spans`, formed on first use and kept as
+    ``codebook.spans``; BudgetError when its N·p^rows span vectors exceed
+    the budget, whether the record exists or not."""
     if not codebook:
         raise ValueError("empty codebook")
     stack, p = codebook.stack, codebook.p
     total = len(stack) * p ** stack.shape[1]
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
-    return UnionCode(_distinct_spans(codebook), np.arange(len(stack), dtype=np.int32),
-                     stack.shape[2], p)
+    if codebook.spans is None:
+        codebook.spans = _distinct_spans(codebook)
+    return codebook.spans
 
 
 def _distinct_spans(codebook: Codebook) -> Spans:
@@ -156,7 +255,7 @@ def _distinct_spans(codebook: Codebook) -> Spans:
     min_weights = weights[ids].min(axis=1)
     for array in (matrix, ids, min_weights):
         array.flags.writeable = False
-    return Spans(matrix, ids, min_weights)
+    return Spans(matrix, ids, min_weights, p)
 
 
 def _xor_spans(table) -> np.ndarray:

@@ -3,9 +3,10 @@
 Nothing here imports the package under test: polynomial arithmetic is done
 directly on coefficient lists, ranks by plain-python elimination, distances
 by literal pairwise scans. Expected values in the tests are computed (or
-were frozen) from these. Two exceptions call the package: the simulator
-reference uses its decoders, and ``pack_vector``, at the end, packs one
-vector with its batched packer (see there).
+were frozen) from these. Three exceptions call the package: the simulator
+reference uses its decoders, and at the end ``pack_vector`` packs one
+vector with its batched packer and ``scan_ranks`` ranks a whole codebook
+with its batched kernels (see there).
 """
 
 import hashlib
@@ -555,3 +556,19 @@ def pack_vector(entries, layout, ctx) -> tuple:
             raise ValueError("full block width does not match field degree")
     blocks = [np.array([[entry.coeffs]], dtype=np.int64) for entry in entries]
     return tuple(_pack(blocks, layout, ctx)[0, 0].tolist())
+
+
+def scan_ranks(codebook, packets):
+    """Every codeword's rank against the span V of the packets,
+    rank([V; U]) - dim V = dim U - dim(U ∩ V), by the package's batched
+    kernels over the whole codebook: ``linalg.packed_rank`` on
+    ``Codebook.table`` reduced by a ``packed_basis`` over GF(2), and
+    ``linalg.batched_rank`` on the digit stack reduced by an ``rref``
+    otherwise. The subspace tier-2 lane ranked every codeword this way
+    before it read the union's owner index."""
+    from twotier import linalg
+
+    basis, _ = linalg.span_basis(packets, codebook.p)
+    if codebook.p == 2:
+        return linalg.packed_rank(codebook.table, basis=basis)
+    return linalg.batched_rank(codebook.stack, codebook.p, basis=basis)

@@ -1,33 +1,44 @@
-"""The batched tier-2 kernels against per-codeword reference scans.
+"""The tier-2 lanes against per-codeword reference scans.
 
-Tier 2 computes every codeword's distance in one ``Codebook.batched_rank``
-call: ``linalg.packed_rank`` on the codebook's bit-packed rows, in the
-narrowest unsigned dtype that holds one, over GF(2), and
-``linalg.batched_rank`` on int16 digits otherwise. These
-properties rebuild each distance one codeword at a time with
-``metrics.injection_distance``, ``subspace_distance`` and
-``rank_distance``, pick from them as a plain sorted scan would, and require
-the same ``DecodeResult`` on every shipped fixture and on a hand-made code
-whose rows are wider than 64 bits, with the kernel's chunk size at its
-default and small enough to split each codebook. The packed kernel is also
-checked against ``oracles.naive_rank`` and the int16 kernel at every dtype
-and word boundary, and the GF(2) subspace lane against calls to ``linalg.rref``.
+The rank lane computes every codeword's distance in one
+``Codebook.batched_rank`` call: ``linalg.packed_rank`` on the codebook's
+bit-packed rows, in the narrowest unsigned dtype that holds one, over
+GF(2), and ``linalg.batched_rank`` on int16 digits otherwise. The subspace
+lane finds the union vectors in the received space, by looking each of its
+vectors up over GF(2) when there are no more of them than union vectors,
+and otherwise by ranking the union's nonzero vectors against it as
+one-row matrices, and counts their owners through the owner index of the
+codebook's ``union.Spans``. These properties rebuild
+each distance one codeword at a time with ``metrics.injection_distance``,
+``subspace_distance`` and ``rank_distance``, pick from them as a plain
+sorted scan would, and require the same ``DecodeResult`` on every shipped
+fixture, on the GF(2^7) KK benchmark code, on GF(2) and GF(3) codes whose
+vectors have many owners and on a hand-made code whose rows are wider than
+64 bits, with the kernel's chunk size at its default and small enough to
+split each array. The packed kernel is also checked against
+``oracles.naive_rank`` and the int16 kernel at every dtype and word
+boundary, the GF(2) subspace lane against calls to ``linalg.rref``, and
+the subspace lane against reading ``Codebook.table`` or forming the owner
+index more than once per codebook.
 """
 
 import functools
+import itertools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from twotier import linalg
+from twotier import linalg, union
 from twotier.codes import SETUP_CHUNK, Codebook, GabidulinSpec, build_codebook
 from twotier.config import load_config
 from twotier.decoders import (DecodeOptions, DecodeResult, tier2_list_decode,
                               tier2_rank_decode, tier2_subspace_decode, two_tier_decode)
+from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.metrics import Subspace, injection_distance, rank_distance, subspace_distance
 
@@ -36,6 +47,10 @@ import oracles
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 SUBSPACE_FIXTURES = ("kk_example", "mv1", "mv2_uncompressed", "mv2_compressed")
+# the subspace lane's drawn codes: the fixtures and two codes whose vectors
+# have many owners (the KK benchmark code takes explicit requests only, as
+# its per-codeword reference scan takes most of a second)
+SUBSPACE_SOURCES = SUBSPACE_FIXTURES + ("gf2-owners", "gf3-owners")
 CHUNKS = (linalg.RANK_CHUNK, 1, 3)
 REFERENCE = {"injection": injection_distance, "subspace": subspace_distance}
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -51,6 +66,44 @@ def fixture(name, where=CONFIGS):
 
 def fixture_codebook(name, where=CONFIGS):
     return fixture(name, where)[1]
+
+
+@functools.cache
+def many_owner_codebook(p, width):
+    """Every 2-dimensional subspace of GF(p)^width as a codeword, each from
+    a random basis of it, in a seeded random order: over GF(2) at width 5,
+    155 codewords, and each nonzero vector has 15 owners; over GF(3) at
+    width 4, 130 codewords, and 13 owners. The spec lends only the kind,
+    the field size and a message length."""
+    rng = random.Random(p * width)
+    seen, stack = set(), []
+    for pair in itertools.combinations(itertools.product(range(p), repeat=width), 2):
+        span = frozenset(oracles.span(pair, p))
+        if len(span) == p * p and span not in seen:
+            seen.add(span)
+            basis = rng.sample(sorted(span), 2)
+            while oracles.naive_rank(basis, p) < 2:
+                basis = rng.sample(sorted(span), 2)
+            stack.append(basis)
+    rng.shuffle(stack)
+    length = next(n for n in itertools.count(1) if p ** n >= len(stack))
+    spec = SimpleNamespace(kind="subspace", q=p, message_length=length)
+    return Codebook(spec, np.array(stack, dtype=np.int8))
+
+
+def source_codebook(name):
+    """The codebook of a name in ``SUBSPACE_SOURCES``, or of "kk-gf128"."""
+    if name.endswith("-owners"):
+        return many_owner_codebook(*{"gf2-owners": (2, 5), "gf3-owners": (3, 4)}[name])
+    if name == "kk-gf128":
+        return fixture_codebook(name, BENCH_CONFIGS)
+    return fixture_codebook(name)
+
+
+@functools.cache
+def codeword_spaces(codebook):
+    """The ``metrics.Subspace`` of every codeword, the reference scan's operands."""
+    return tuple(Subspace.from_rows(cw.rows, codebook.p) for cw in codebook)
 
 
 @functools.cache
@@ -116,27 +169,58 @@ def assert_plain(result):
 
 @st.composite
 def subspace_requests(draw):
-    name = draw(st.sampled_from(SUBSPACE_FIXTURES))
-    codebook = fixture_codebook(name)
+    codebook = source_codebook(draw(st.sampled_from(SUBSPACE_SOURCES)))
     p = codebook.p
     width = codebook.stack.shape[2]
     rows = codebook[draw(st.integers(0, len(codebook) - 1))].rows
     digit = st.integers(0, p - 1)
     packets = []
-    # up to three more packets than rows: zero, in the sent span, or anywhere
-    for _ in range(draw(st.integers(1, len(rows) + 3))):
-        kind = draw(st.sampled_from(("zero", "span", "random")))
+    # up to two more packets than the ambient dimension, so the received
+    # space runs from {0} to the whole ambient space: zero, in the sent
+    # span, anywhere (in the union or outside it) or a unit vector
+    for _ in range(draw(st.integers(1, width + 2))):
+        kind = draw(st.sampled_from(("zero", "span", "random", "unit")))
         if kind == "zero":
             packets.append((0,) * width)
         elif kind == "span":
             coeffs = draw(st.lists(digit, min_size=len(rows), max_size=len(rows)))
             packets.append(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p
                                  for i in range(width)))
-        else:
+        elif kind == "random":
             packets.append(tuple(draw(st.lists(digit, min_size=width, max_size=width))))
+        else:
+            at = draw(st.integers(0, width - 1))
+            packets.append(tuple(int(i == at) for i in range(width)))
     metric = draw(st.sampled_from(("injection", "subspace")))
-    list_radius = draw(st.sampled_from((None, 0, 1, 2)))
+    # radii below a codeword's dimension and at or above it, up to one
+    # that lists every codeword
+    list_radius = draw(st.sampled_from((None, 0, 1, 2, 3, 5, 2 * width)))
     return codebook, packets, metric, list_radius
+
+
+def explicit_requests():
+    """Received spaces at both ends, {0} (all-zero packets) and the whole
+    ambient space (unit vectors), nearest and with a radius that lists
+    every codeword; a packet outside the union; and the KK benchmark code."""
+    requests = []
+    for name in ("kk_example", "gf2-owners", "gf3-owners"):
+        codebook = source_codebook(name)
+        width = codebook.stack.shape[2]
+        units = [tuple(int(i == at) for i in range(width)) for at in range(width)]
+        for packets in ([(0,) * width] * 2, units):
+            for metric, list_radius in (("injection", None), ("subspace", 2 * width),
+                                        ("injection", 1)):
+                requests.append((codebook, packets, metric, list_radius))
+    # kk_example's union holds 25 of the 64 vectors, and not this one
+    requests.append((source_codebook("kk_example"), [(1, 1, 1, 1, 1, 1)], "injection", None))
+    # a request in the benchmark's shape on its code: combinations of a
+    # codeword's rows, one with a digit changed
+    kk = source_codebook("kk-gf128")
+    first, second = kk[5].rows
+    packets = [first, tuple(a ^ b for a, b in zip(first, second)), second]
+    packets[2] = packets[2][:3] + (1 - packets[2][3],) + packets[2][4:]
+    requests += [(kk, packets, "injection", None), (kk, packets, "subspace", 28)]
+    return requests
 
 
 @st.composite
@@ -152,14 +236,23 @@ def rank_requests(draw):
     return codebook, word, positions, list_radius
 
 
+def with_examples(requests):
+    """The hypothesis test with each request as an explicit example too."""
+    def decorate(test):
+        for request in requests:
+            test = example(request=request)(test)
+        return test
+    return decorate
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @SETTINGS
 @given(request=subspace_requests())
+@with_examples(explicit_requests())
 def test_subspace_lane_matches_per_codeword_scan(chunk, request):
     codebook, packets, metric, list_radius = request
-    p = codebook.p
-    received = Subspace.from_rows(packets, p, codebook.stack.shape[2])
-    dists = [REFERENCE[metric](received, Subspace.from_rows(cw.rows, p)) for cw in codebook]
+    received = Subspace.from_rows(packets, codebook.p, codebook.stack.shape[2])
+    dists = [REFERENCE[metric](received, space) for space in codeword_spaces(codebook)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "RANK_CHUNK", chunk)
         if list_radius is None:
@@ -382,6 +475,155 @@ def test_gf2_tier2_builds_no_received_rref():
     assert calls == []
 
 
+def kk_gf128_requests(codebook, count, seed, spread=0):
+    """Benchmark-shaped packets for the KK benchmark code: a few
+    combinations of a codeword's rows, some with a digit changed, and
+    `spread` random packets, which make the received space larger."""
+    rng = random.Random(seed)
+    width = codebook.stack.shape[2]
+    requests = []
+    for _ in range(count):
+        rows = codebook[rng.randrange(len(codebook))].rows
+        packets = [[sum(rng.randrange(2) * r[c] for r in rows) % 2 for c in range(width)]
+                   for _ in range(len(rows) + 2)]
+        for pkt in packets:
+            if rng.random() < 0.3:
+                pkt[rng.randrange(width)] ^= 1
+        packets += [[rng.randrange(2) for _ in range(width)] for _ in range(spread)]
+        requests.append(packets)
+    return requests
+
+
+def test_kk_subspace_lane_ranks_union_vectors_not_the_table():
+    """A subspace decode of the 16,384-codeword KK benchmark code hands
+    ``linalg.packed_rank`` no block of ``Codebook.table``: nearest, list,
+    two-tier and feedback decodes. A received space with fewer vectors
+    than the union (|U| = 385) has each vector looked up, so the kernel
+    sees nothing; a larger one has the union's nonzero vectors ranked
+    against it, as one-row matrices. Both give the injection distances
+    of ``oracles.scan_ranks``, the whole-table scan."""
+    _, _, codebook, union_code = load_config(BENCH_CONFIGS / "kk-gf128.json").build_all()
+    b = codebook.stack.shape[1]
+    requests = {spread: kk_gf128_requests(codebook, 8, 3 + spread, spread) for spread in (0, 10)}
+    nearest = {}
+    for spread, batch in requests.items():
+        for i, packets in enumerate(batch):
+            a = oracles.naive_rank(packets, 2)
+            dists = (oracles.scan_ranks(codebook, packets) + max(a, b) - b).tolist()
+            nearest[spread, i] = reference_select(dists, None)
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "packed_rank",
+                   lambda packed, *args, rank=linalg.packed_rank, **kwargs:
+                   shapes.append(packed.shape) or rank(packed, *args, **kwargs))
+        for spread, batch in requests.items():
+            for i, packets in enumerate(batch):
+                assert tier2_subspace_decode(packets, codebook) == nearest[spread, i]
+                # numpy digits pack as Python ints too (int8 would overflow at 2^7)
+                int8 = [np.array(packet, dtype=np.int8) for packet in packets]
+                assert tier2_subspace_decode(int8, codebook) == nearest[spread, i]
+                tier2_list_decode(packets, codebook, 1, "subspace")
+                for options in (DecodeOptions(), DecodeOptions(list_radius=1, feedback=True)):
+                    two_tier_decode(packets, union_code, codebook, options)
+            if spread == 0:
+                assert shapes == []
+    assert shapes and set(shapes) == {(1, union_code.cardinality - 1)}
+
+
+def count_owner_indices(mp):
+    """Calls of ``union._owner_index``, counted from now on."""
+    calls = []
+    mp.setattr(union, "_owner_index",
+               lambda *args, index=union._owner_index: calls.append(1) or index(*args))
+    return calls
+
+
+def test_owner_index_is_formed_once_per_codebook():
+    """The set-up forms no owner index, so the union keeps no more per
+    codeword; the first subspace tier-2 decode forms it on the codebook's
+    one ``Spans`` record, which the union shares, and later decodes and
+    union builds read it."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_owner_indices(mp)
+        for name, where in (("kk_example", CONFIGS), ("mv1", CONFIGS),
+                            ("mv2_uncompressed", CONFIGS), ("kk-gf128", BENCH_CONFIGS)):
+            _, _, codebook, union_code = load_config(where / f"{name}.json").build_all()
+            assert codebook.spans is union_code.provenance
+            assert union.build_union(codebook).provenance is codebook.spans
+            assert calls == [] and "owner_index" not in codebook.spans.__dict__
+            rows = [list(r) for r in codebook[1].rows]
+            for options in (DecodeOptions(), DecodeOptions(tier1_enabled=False),
+                            DecodeOptions(list_radius=1, feedback=True)):
+                for _ in range(3):
+                    two_tier_decode(rows, union_code, codebook, options)
+            tier2_list_decode(rows, codebook, 1)
+            assert union.build_union(codebook).provenance is codebook.spans
+            assert len(calls) == 1
+            calls.clear()
+
+
+def test_owner_index_lists_each_vectors_owners():
+    """Against ``union.owners``, the per-vector owner sets of the dump: the
+    index lists, in ascending order, exactly the codewords whose span holds
+    each vector."""
+    for name, where in (("kk_example", CONFIGS), ("mv2_compressed", CONFIGS),
+                        ("kk-gf128", BENCH_CONFIGS)):
+        _, _, codebook, union_code = load_config(where / f"{name}.json").build_all()
+        starts, owners = union_code.provenance.owner_index
+        assert owners.dtype == np.int32 and not owners.flags.writeable
+        assert len(owners) == codebook.spans.ids.size
+        assert [owners[lo:hi].tolist() for lo, hi in zip(starts, starts[1:])] == \
+            [sorted(owned) for owned in union.owners(union_code).values()]
+
+
+def test_gabidulin_never_forms_the_owner_index():
+    """The rank lane reads no owner index: a Gabidulin set-up and its
+    decodes, with and without list feedback, never form one."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_owner_indices(mp)
+        for name, where in (("gabidulin_gf8", CONFIGS), ("gab-gf64", BENCH_CONFIGS)):
+            _, _, codebook, union_code = load_config(where / f"{name}.json").build_all()
+            for index in range(1, min(len(codebook), 20)):
+                rows = [list(r) for r in codebook[index].rows]
+                rows[0][0] ^= 1
+                for options in (DecodeOptions(), DecodeOptions(tier1_enabled=False),
+                                DecodeOptions(list_radius=1, feedback=True)):
+                    two_tier_decode(rows, union_code, codebook, options)
+                tier2_rank_decode(rows, codebook, list_radius=2)
+            assert "owner_index" not in codebook.spans.__dict__
+    assert calls == []
+
+
+def test_direct_subspace_decode_forms_the_span_record_within_the_budget():
+    """A tier-2 call on a codebook that no union was built from forms its
+    ``Spans`` record, which ``build_union`` then shares; past the default
+    union budget it raises BudgetError, and forms nothing."""
+    spec, book = fixture("kk_example")
+    codebook = Codebook(spec, book.stack)
+    assert codebook.spans is None
+    packets = [codebook[3].rows[0]]
+    assert tier2_subspace_decode(packets, codebook) == tier2_subspace_decode(packets, book)
+    spans = codebook.spans
+    assert spans is not None and union.build_union(codebook).provenance is spans
+    with pytest.raises(BudgetError):
+        union.build_union(codebook, budget=8 * 4 - 1)
+    # 65 codewords of 20 independent GF(2) rows: 65 * 2^20 span vectors,
+    # just past the default budget of 2^26
+    rng = np.random.default_rng(7)
+    stack = []
+    while len(stack) < 65:
+        rows = rng.integers(0, 2, size=(20, 24), dtype=np.int8)
+        if oracles.naive_rank(rows.tolist(), 2) == 20:
+            stack.append(rows)
+    large = Codebook(spec, np.array(stack))
+    assert len(large) * 2 ** 20 > union.DEFAULT_UNION_BUDGET
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(union, "_distinct_spans", lambda *args: pytest.fail("spans formed"))
+        with pytest.raises(BudgetError):
+            tier2_subspace_decode([tuple(stack[0][0])], large)
+    assert large.spans is None
+
+
 def test_codebook_words_are_built_once_and_read_only():
     """The packed rows of a GF(2) codebook, ``Codebook.table``: one
     read-only (rows, N) array in the narrowest unsigned dtype, built once
@@ -465,7 +707,8 @@ def test_packed_rref_is_a_canonical_basis(rows, width, seed):
 def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
     """``pack_digits`` over GF(2) and GF(3): digit c weighs p^c, in uint8 to
     uint64 or Python ints above 64 bits, for an empty width, each side of
-    every dtype edge and a list input. Over GF(2) digit c is bit c."""
+    every dtype edge and a list input. Over GF(2) digit c is bit c.
+    ``pack_ints`` gives the same integers as Python ints."""
     for p in (2, 3):
         digits = np.random.default_rng(width).integers(0, p, size=(3, 5, width), dtype=np.int8)
         digits[0, 0] = p - 1                    # the largest vector of its width
@@ -475,6 +718,8 @@ def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
                                    for matrix in digits.tolist()]
         assert packed[0, 0] == p ** width - 1
         assert linalg.pack_digits(digits[0].tolist(), p).tolist() == packed[0].tolist()
+        assert linalg.pack_ints([tuple(row) for row in digits[0].tolist()], p) == \
+            packed[0].tolist()
 
 
 def test_gf2_gabidulin_ranks_are_unchanged():
@@ -501,7 +746,7 @@ def test_packed_and_int16_kernels_agree_on_benchmark_codes():
             if rng.random() < 0.3:
                 pkt[rng.randrange(width)] ^= 1
         received = linalg.rref(packets, 2)
-        assert kk.batched_rank(basis=kk.basis_of(packets)[0]).tolist() == \
+        assert oracles.scan_ranks(kk, packets).tolist() == \
             linalg.batched_rank(kk.stack, 2, basis=received).tolist()
     gab = fixture_codebook("gab-gf64", BENCH_CONFIGS)
     n, m = gab.stack.shape[1:]

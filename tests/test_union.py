@@ -500,27 +500,39 @@ def test_mv_lemmas_pass():
     assert checks["L9"].passed
 
 
-# Over GF(3^2) with modulus x^2+x+2, MV with m=1, l=2, L=1 and alphas 1+x
-# and 1 breaks the L9 bound once k >= 2: row 0 is not divided by its alpha,
-# so with a Frobenius term in u the tail u(alpha_0) leaves GF(q^m). Whether
-# the code or the bound is wrong is open; the check stays normative.
-L9_CASE = {"field": {"p": 3, "n": 2, "modulus": [2, 1, 1]},
-           "code": {"kind": "mv", "m": 1, "l": 2, "L": 1, "k": 2, "alphas": ["11", "10"],
-                    "layout": "uncompressed"}}
+# Two MV shapes break the L9 bound once k > m, both with l=2, L=1 and the
+# uncompressed layout. Over GF(3^2) with modulus x^2+x+2, m=1 and alphas
+# 1+x and 1, it fails from k=2: row 0 is not divided by its alpha, so with
+# a Frobenius term in u the tail u(alpha_0) leaves GF(q^m). Over GF(3^4)
+# with modulus x^4+x^3+2, m=2 and alphas g^3 and g^40, it fails from k=3.
+# Whether the code or the bound is wrong is open; the check stays normative.
+# Each shape: (config with k left out, bound, [(k, |U|, L9 passes)]).
+L9_CASES = (
+    ({"field": {"p": 3, "n": 2, "modulus": [2, 1, 1]},
+      "code": {"kind": "mv", "m": 1, "l": 2, "L": 1, "alphas": ["11", "10"],
+               "layout": "uncompressed"}},
+     25, [(2, 49, False), (1, 25, True)]),
+    ({"field": {"p": 3, "n": 4, "modulus": [2, 0, 0, 1, 1]},
+      "code": {"kind": "mv", "m": 2, "l": 2, "L": 1, "alphas": ["g^3", "g^40"],
+               "layout": "uncompressed"}},
+     73, [(3, 169, False), (2, 61, True), (1, 25, True)]),
+)
 
 
 def test_mv_l9_counterexample_is_reported_failed(tmp_path):
-    for k, cardinality, passed in ((2, 49, False), (1, 25, True)):
-        path = tmp_path / f"k{k}.json"
-        path.write_text(json.dumps({**L9_CASE, "code": {**L9_CASE["code"], "k": k}}))
-        _, spec, codebook, uni = load_config(path).build_all()
-        check_reference_lemmas(spec, codebook, uni)
-        l9 = {c.lemma: c for c in verify_lemmas(spec, uni)}["L9"]
-        assert l9.normative and l9.passed is passed
-        assert l9.measured == str(cardinality)
-        assert "(q^l-1)q^(Lm)+1 = 25" in l9.claimed
-        assert main(["verify-lemmas", "--config", str(path),
-                     "--out", str(tmp_path / f"k{k}.report.json")]) == (0 if passed else 1)
+    for shape, (case, bound, runs) in enumerate(L9_CASES):
+        for k, cardinality, passed in runs:
+            path = tmp_path / f"shape{shape}-k{k}.json"
+            path.write_text(json.dumps({**case, "code": {**case["code"], "k": k}}))
+            _, spec, codebook, uni = load_config(path).build_all()
+            check_reference_lemmas(spec, codebook, uni)
+            l9 = {c.lemma: c for c in verify_lemmas(spec, uni)}["L9"]
+            assert l9.normative and l9.passed is passed
+            assert l9.measured == str(cardinality)
+            assert f"(q^l-1)q^(Lm)+1 = {bound}" in l9.claimed
+            assert main(["verify-lemmas", "--config", str(path),
+                         "--out", str(tmp_path / f"shape{shape}-k{k}.report.json")]) == \
+                (0 if passed else 1)
 
 
 def check_reference_lemmas(spec, codebook, uni):
