@@ -9,7 +9,6 @@ sorting and comparing integers, and over GF(2) adding two is an XOR.
 """
 
 import functools
-import operator
 
 import numpy as np
 
@@ -132,10 +131,10 @@ def packed_basis(rows) -> tuple:
 def span_basis(rows, p: int) -> tuple:
     """(basis, a): a basis of the span of digit rows over GF(p), in the
     form the rank kernels take, and its rank a: over GF(2) the
-    ``packed_basis`` of their ``pack_ints``, so no RREF is built, and
-    otherwise their ``rref``."""
+    ``packed_basis`` of their ``pack_digits`` integers, so no RREF is
+    built, and otherwise their ``rref``."""
     if p == 2:
-        basis = packed_basis(pack_ints(rows, 2))
+        basis = packed_basis(pack_digits(rows, 2).tolist())
         return basis, len(basis)
     basis = rref(rows, p)
     return basis, len(basis[1])
@@ -294,22 +293,6 @@ def pack_digits(digits, p: int) -> np.ndarray:
                           for start in range(0, width, per)], axis=-1)
     # above 64 bits: the words of `per` digits each, summed as Python ints
     return pack_words(words, p, per)
-
-
-def pack_ints(rows, p: int) -> list:
-    """``pack_digits`` of a few digit rows of one width, as a list of
-    Python ints: one sum per row and no numpy call, which on the handful
-    of packets of one request costs less than the fixed price of
-    ``pack_digits``' array calls. Digits may be numpy integers; each is
-    taken as a Python int, so no product overflows."""
-    weights = _weights(p, len(rows[0])) if len(rows) else ()
-    return [sum(map(operator.mul, map(int, row), weights)) for row in rows]
-
-
-@functools.cache
-def _weights(p: int, width: int) -> tuple:
-    """p^c for each digit c of a row of `width` digits, as Python ints."""
-    return tuple(p ** c for c in range(width))
 
 
 def pack_words(words, p: int, per: int) -> np.ndarray:

@@ -119,7 +119,12 @@ def _owner_index(ids: np.ndarray, count: int) -> tuple:
     from one stable sort of the ids, which lists each vector's entries in
     codeword order."""
     flat = ids.ravel()
-    owners = (np.argsort(flat, kind="stable") // ids.shape[1]).astype(np.int32)
+    # at most 12 bytes per entry at once, 4 kept: the int64 order, divided
+    # in place, beside the owners; then bincount's int64 copy of the ids
+    order = np.argsort(flat, kind="stable")
+    order //= ids.shape[1]
+    owners = order.astype(np.int32)
+    del order
     owners.flags.writeable = False
     starts = [0] + np.cumsum(np.bincount(flat, minlength=count)).tolist()
     return starts, owners
@@ -196,25 +201,34 @@ class UnionCode:
 
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
     """Every span vector of every codeword, deduplicated, in order of first
-    occurrence (codewords in order, each span in coefficient order)."""
-    spans = spans_of(codebook, budget)
-    return UnionCode(spans, np.arange(len(codebook), dtype=np.int32),
+    occurrence (codewords in order, each span in coefficient order).
+    BudgetError when the N·p^rows span vectors exceed the budget, whether
+    the codebook's record exists or not."""
+    _check_budget(codebook, budget)
+    return UnionCode(spans_of(codebook, budget), np.arange(len(codebook), dtype=np.int32),
                      codebook.stack.shape[2], codebook.p)
 
 
-def spans_of(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Spans:
-    """The codebook's :class:`Spans`, formed on first use and kept as
-    ``codebook.spans``; BudgetError when its N·p^rows span vectors exceed
-    the budget, whether the record exists or not."""
+def spans_of(codebook: Codebook, budget: int | None = None) -> Spans:
+    """The codebook's :class:`Spans`, kept as ``codebook.spans``. Formed on
+    first use, under the budget (``DEFAULT_UNION_BUDGET`` when None): a
+    record that exists is returned whatever the budget, so tier 2 decodes
+    on a union built under a larger one."""
+    if codebook.spans is None:
+        _check_budget(codebook, DEFAULT_UNION_BUDGET if budget is None else budget)
+        codebook.spans = _distinct_spans(codebook)
+    return codebook.spans
+
+
+def _check_budget(codebook: Codebook, budget: int):
+    """ValueError on an empty codebook; BudgetError when its N·p^rows span
+    vectors exceed the budget."""
     if not codebook:
         raise ValueError("empty codebook")
     stack, p = codebook.stack, codebook.p
     total = len(stack) * p ** stack.shape[1]
     if total > budget:
         raise BudgetError(f"union enumeration of {total} vectors exceeds the budget {budget}")
-    if codebook.spans is None:
-        codebook.spans = _distinct_spans(codebook)
-    return codebook.spans
 
 
 def _distinct_spans(codebook: Codebook) -> Spans:

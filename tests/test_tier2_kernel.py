@@ -624,6 +624,26 @@ def test_direct_subspace_decode_forms_the_span_record_within_the_budget():
     assert large.spans is None
 
 
+def test_subspace_decode_reads_a_union_built_past_the_default_budget(monkeypatch):
+    """The union budget is checked where the span record is formed: a union
+    built under a budget above ``DEFAULT_UNION_BUDGET`` leaves a record that
+    tier 2 decodes on, while a codebook with no union still raises."""
+    spec, book = fixture("kk_example")
+    total = len(book) * 2 ** book.stack.shape[1]
+    monkeypatch.setattr(union, "DEFAULT_UNION_BUDGET", total - 1)
+    with pytest.raises(BudgetError):
+        tier2_subspace_decode([book[3].rows[0]], Codebook(spec, book.stack))
+    codebook = Codebook(spec, book.stack)
+    spans = union.build_union(codebook, budget=total).provenance
+    assert union.spans_of(codebook, budget=1) is spans
+    for packets in ([book[3].rows[0]], list(book[5].rows), [(0,) * book.stack.shape[2]]):
+        for metric in ("injection", "subspace"):
+            assert tier2_subspace_decode(packets, codebook, metric) == \
+                tier2_subspace_decode(packets, book, metric)
+            assert tier2_list_decode(packets, codebook, 1, metric) == \
+                tier2_list_decode(packets, book, 1, metric)
+
+
 def test_codebook_words_are_built_once_and_read_only():
     """The packed rows of a GF(2) codebook, ``Codebook.table``: one
     read-only (rows, N) array in the narrowest unsigned dtype, built once
@@ -707,8 +727,8 @@ def test_packed_rref_is_a_canonical_basis(rows, width, seed):
 def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
     """``pack_digits`` over GF(2) and GF(3): digit c weighs p^c, in uint8 to
     uint64 or Python ints above 64 bits, for an empty width, each side of
-    every dtype edge and a list input. Over GF(2) digit c is bit c.
-    ``pack_ints`` gives the same integers as Python ints."""
+    every dtype edge and a list input, of lists or of tuples. Over GF(2)
+    digit c is bit c."""
     for p in (2, 3):
         digits = np.random.default_rng(width).integers(0, p, size=(3, 5, width), dtype=np.int8)
         digits[0, 0] = p - 1                    # the largest vector of its width
@@ -718,7 +738,7 @@ def test_pack_bits_is_the_narrowest_unsigned_dtype(width):
                                    for matrix in digits.tolist()]
         assert packed[0, 0] == p ** width - 1
         assert linalg.pack_digits(digits[0].tolist(), p).tolist() == packed[0].tolist()
-        assert linalg.pack_ints([tuple(row) for row in digits[0].tolist()], p) == \
+        assert linalg.pack_digits([tuple(row) for row in digits[0].tolist()], p).tolist() == \
             packed[0].tolist()
 
 
