@@ -12,7 +12,8 @@ codeword. Erased packets are excluded from the tier-2 input (span rows for
 subspace codes, punctured positions for rank codes). When tier 2 runs in
 list mode, the list can feed back: tier 1 re-decodes against the union
 restricted to the listed components, whose minimum distance is never
-smaller.
+smaller; when that pass keeps the tier-2 input of the first, the head of
+the first pass's list is the answer and tier 2 is not run again.
 """
 
 from dataclasses import dataclass
@@ -282,6 +283,14 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
 
     With tier 1 disabled the DecodeResult is exactly what tier 2 alone
     produces on the raw packets.
+
+    The feedback pass runs tier 1 again on the union restricted to the
+    listed components. When it keeps the same tier-2 input as the first
+    pass (the same packets or vectors, and for a rank code the same
+    positions), tier 2 is not run again: the nearest codeword is the head
+    of the first pass's list, at its distance and with its tie, since that
+    list holds every codeword at the least distance in (distance, index)
+    order. Otherwise tier 2 runs on the new input.
     """
     packets = [tuple(p) for p in packets]
     if not packets:
@@ -295,8 +304,8 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
     else:
         verdicts = []
 
-    first = _tier2_pass(packets, verdicts, codebook, options,
-                        list_radius=options.list_radius)
+    word = _tier2_word(packets, verdicts, codebook.kind)
+    first = _tier2_pass(word, codebook, options, list_radius=options.list_radius)
     audit["first_pass"] = _audit(first)
     if first is None:
         first = FAILURE
@@ -313,7 +322,15 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
             feedback["skipped"] = "restricted union has fewer than two vectors"
         else:
             verdicts, radius = _run_tier1(packets, restricted, options)
-            second = _tier2_pass(packets, verdicts, codebook, options, list_radius=None)
+            again = _tier2_word(packets, verdicts, codebook.kind)
+            if again == word:
+                # tier 2 would rank as it did: the list holds every codeword
+                # at the least distance, in (distance, index) order, so its
+                # head and tie are the nearest codeword's
+                second = DecodeResult(chosen=first.chosen, metric_value=first.metric_value,
+                                      tie=first.tie)
+            else:
+                second = _tier2_pass(again, codebook, options, list_radius=None)
             feedback["restricted_min_distance"] = restricted.min_distance()
             feedback["tier1_radius"] = radius
             feedback["second_pass"] = _audit(second)
@@ -324,26 +341,32 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
     return TwoTierResult(result=final, verdicts=verdicts, audit=audit)
 
 
-def _tier2_pass(packets, verdicts, codebook, options: DecodeOptions, list_radius):
-    """One tier-2 run on the packets tier 1 kept; None when nothing survives."""
-    if codebook.kind == SUBSPACE:
-        if verdicts:
-            kept = [v.vector for v in verdicts if v.outcome in (VALID, CORRECTED)]
-        else:
-            kept = packets
-        if not kept:
-            return None
-        if list_radius is not None:
-            return tier2_list_decode(kept, codebook, list_radius, options.metric)
-        return tier2_subspace_decode(kept, codebook, options.metric)
+def _tier2_word(packets, verdicts, kind: str):
+    """The tier-2 input as (rows, positions); None when nothing survives.
 
-    # rank-metric lane: packets are the codeword rows in position order
-    positions = None
-    rows = packets
-    if verdicts:
-        positions = [i for i, v in enumerate(verdicts) if v.outcome in (VALID, CORRECTED)]
-        if not positions:
-            return None
-        # a corrected packet stands in for the one received
-        rows = [v.vector or pkt for v, pkt in zip(verdicts, packets)]
+    For a subspace code the rows are the packets tier 1 kept (every packet
+    with tier 1 off). For a rank code they are the codeword rows in
+    position order, a corrected packet standing in for the one received,
+    and `positions` are those tier 1 kept (None with tier 1 off).
+    """
+    if not verdicts:
+        return packets, None
+    if kind == SUBSPACE:
+        kept = [v.vector for v in verdicts if v.outcome in (VALID, CORRECTED)]
+        return (kept, None) if kept else None
+    positions = [i for i, v in enumerate(verdicts) if v.outcome in (VALID, CORRECTED)]
+    if not positions:
+        return None
+    return [v.vector or pkt for v, pkt in zip(verdicts, packets)], positions
+
+
+def _tier2_pass(word, codebook, options: DecodeOptions, list_radius):
+    """One tier-2 run on a :func:`_tier2_word`; None when nothing survives."""
+    if word is None:
+        return None
+    rows, positions = word
+    if codebook.kind == SUBSPACE:
+        if list_radius is not None:
+            return tier2_list_decode(rows, codebook, list_radius, options.metric)
+        return tier2_subspace_decode(rows, codebook, options.metric)
     return tier2_rank_decode(rows, codebook, positions, list_radius=list_radius)

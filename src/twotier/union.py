@@ -139,6 +139,10 @@ class UnionCode:
     first-occurrence order of the whole codebook's union; a union with
     every component shares the record's. Tier 1 asks ``in``, which tests
     a set of the row tuples formed on first use, and :meth:`nearest`.
+    :meth:`restrict` reads each listed index's position in ``components``
+    from an int32 array over the codebook's indices, 4 B per index, formed
+    on the union's first restriction, so a restriction costs the length
+    of its list, not N.
     """
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
@@ -184,18 +188,28 @@ class UnionCode:
                 self._min_distance = metrics.pairwise_min_distance(self.matrix)
         return self._min_distance
 
+    @functools.cached_property
+    def _positions(self) -> np.ndarray:
+        """Each codebook index's position in ``components``, or -1 when
+        absent: int32, 4 B per codebook index, formed on the first
+        :meth:`restrict`."""
+        at = np.full(len(self.provenance.ids), -1, dtype=np.int32)
+        at[self.components] = np.arange(len(self.components), dtype=np.int32)
+        return at
+
     def restrict(self, indices) -> "UnionCode":
-        """Union over the listed components only; distance never decreases."""
+        """Union over the listed components only, in union order; distance
+        never decreases."""
         wanted = set(indices)
         if not wanted:
             raise ValueError("cannot restrict to an empty component list")
-        # membership over the codebook's indices; one outside them is unknown
-        listed = np.zeros(len(self.provenance.ids), dtype=bool)
-        listed[np.array([i for i in wanted if 0 <= i < len(listed)], dtype=np.intp)] = True
-        kept = self.components[listed[self.components]]
-        unknown = wanted.difference(kept.tolist())
+        # an index outside the codebook's, negative or not, is unknown
+        at = self._positions
+        found = {i: int(at[i]) if 0 <= i < len(at) else -1 for i in wanted}
+        unknown = sorted(i for i, k in found.items() if k < 0)
         if unknown:
-            raise ValueError(f"unknown component indices {sorted(unknown)}")
+            raise ValueError(f"unknown component indices {unknown}")
+        kept = self.components[sorted(found.values())]
         return UnionCode(self.provenance, kept, self.ambient_len, self.p)
 
 

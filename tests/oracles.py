@@ -3,10 +3,11 @@
 Nothing here imports the package under test: polynomial arithmetic is done
 directly on coefficient lists, ranks by plain-python elimination, distances
 by literal pairwise scans. Expected values in the tests are computed (or
-were frozen) from these. Three exceptions call the package: the simulator
+were frozen) from these. Four exceptions call the package: the simulator
 reference uses its decoders, and at the end ``pack_vector`` packs one
-vector with its batched packer and ``scan_ranks`` ranks a whole codebook
-with its batched kernels (see there).
+vector with its batched packer, ``scan_ranks`` ranks a whole codebook
+with its batched kernels and ``reference_two_tier`` chains its public
+tier-1 and tier-2 decoders (see there).
 """
 
 import hashlib
@@ -572,3 +573,74 @@ def scan_ranks(codebook, packets):
     if codebook.p == 2:
         return linalg.packed_rank(codebook.table, basis=basis)
     return linalg.batched_rank(codebook.stack, codebook.p, basis=basis)
+
+
+def reference_two_tier(packets, union, codebook, options):
+    """``decoders.two_tier_decode`` as (result, verdicts, audit, same), by
+    the pipeline that runs tier 2 on every feedback pass, built from the
+    public ``tier1_decode`` and ``tier2_*`` calls. `same` tells whether the
+    feedback pass handed tier 2 the input of the first pass: the same kept
+    packets, and for a rank code the same kept positions; None when no
+    feedback pass ran tier 1."""
+    from twotier import decoders
+
+    packets = [tuple(p) for p in packets]
+
+    def tier1(uni):
+        radius = options.radius
+        if radius is None:
+            radius = (uni.min_distance() - 1) // 2
+        return [decoders.tier1_decode(p, uni, radius, options.mode,
+                                      allow_radius_override=options.allow_radius_override)
+                for p in packets], radius
+
+    def tier2(verdicts, list_radius):
+        """(result or None, the input as (positions, rows)) for the verdicts."""
+        if verdicts:
+            keep = [i for i, v in enumerate(verdicts) if v.outcome in ("valid", "corrected")]
+            rows = [v.vector if v.vector is not None else p for v, p in zip(verdicts, packets)]
+        else:
+            keep, rows = list(range(len(packets))), packets
+        word = (keep, [rows[i] for i in keep])
+        if not keep:
+            return None, word
+        if codebook.kind == "subspace":
+            if list_radius is None:
+                return decoders.tier2_subspace_decode(word[1], codebook, options.metric), word
+            return decoders.tier2_list_decode(word[1], codebook, list_radius, options.metric), word
+        return decoders.tier2_rank_decode(rows, codebook, keep, list_radius=list_radius), word
+
+    def fields(result):
+        if result is None:
+            return None
+        return {"chosen": result.chosen, "metric_value": result.metric_value,
+                "tie": result.tie, "list": result.list}
+
+    audit = {"tier1_enabled": options.tier1_enabled, "packets": len(packets)}
+    verdicts = []
+    if options.tier1_enabled:
+        verdicts, radius = tier1(union)
+        audit["tier1_radius"] = radius
+        audit["tier1_mode"] = options.mode
+    first, word = tier2(verdicts, options.list_radius)
+    audit["first_pass"] = fields(first)
+    final = first if first is not None else decoders.FAILURE
+    audit["feedback"] = None
+    same = None
+    if options.feedback and final.list:
+        restricted = union.restrict(set(final.list))
+        feedback = {"list": list(final.list), "restricted_cardinality": restricted.cardinality}
+        if restricted.cardinality < 2:
+            feedback["skipped"] = "restricted union has fewer than two vectors"
+        else:
+            verdicts, radius = tier1(restricted)
+            second, again = tier2(verdicts, None)
+            # a subspace code's input is the kept packets, whatever their positions
+            same = again == word if codebook.kind != "subspace" else again[1] == word[1]
+            feedback["restricted_min_distance"] = restricted.min_distance()
+            feedback["tier1_radius"] = radius
+            feedback["second_pass"] = fields(second)
+            final = second if second is not None else decoders.FAILURE
+        audit["feedback"] = feedback
+    audit["final"] = fields(final)
+    return final, verdicts, audit, same

@@ -1,13 +1,16 @@
+import functools
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook
+from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
-from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE,
+from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE, TIER1_MODES,
                               DecodeOptions, DecodeResult, default_radius,
                               tier1_decode, tier2_list_decode, tier2_rank_decode,
                               tier2_subspace_decode, two_tier_decode)
@@ -19,6 +22,7 @@ import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+GOLDEN_DECODE = Path(__file__).resolve().parent / "golden" / "decode"
 
 
 def gf8():
@@ -449,6 +453,126 @@ def test_feedback_pass_that_drops_every_packet_fails_the_decode():
         assert feedback["second_pass"] is None
         assert {v.outcome for v in outcome.verdicts} <= {"erased", "rejected"}
         assert outcome.result.chosen is None and outcome.result == FAILURE
+
+
+# ---------------------------------------------------------------- feedback shortcut
+
+FEEDBACK_CODES = ("gab-gf64", "gabidulin_gf8-feedback", "kk_example-feedback", "gf9-kk")
+
+
+@functools.cache
+def feedback_code(name):
+    """(codebook, union, options) of a code decoded with list feedback:
+    gab-gf64 (list radius 1), the two golden feedback configs, and a KK
+    code over GF(3) (9 codewords in GF(3)^4)."""
+    if name == "gf9-kk":
+        ctx = FieldContext(3, 2, oracles.MOD_GF9)
+        cb = build_codebook(KKSpec(field=ctx, l=2, k=1, alphas=(ctx.gamma, ctx.gamma_pow(2))))
+        return cb, build_union(cb), DecodeOptions(list_radius=1, feedback=True)
+    where = PERFBENCH_CONFIGS if name == "gab-gf64" else GOLDEN_DECODE
+    cfg = load_config(where / f"{name}.json")
+    _, _, cb, uni = cfg.build_all()
+    return cb, uni, cfg.decode_options()
+
+
+@st.composite
+def feedback_requests(draw):
+    """A codeword's rows sent clean, with a rank-1 error (one vector added,
+    times a nonzero digit, to some rows), with digits changed, or with a
+    row replaced by any vector (which tier 1 may erase); decoded in any
+    tier-1 mode and, for a subspace code, either metric."""
+    name = draw(st.sampled_from(FEEDBACK_CODES))
+    codebook, union, options = feedback_code(name)
+    p, width = codebook.p, codebook.stack.shape[2]
+    packets = [tuple(r) for r in codebook[draw(st.integers(0, len(codebook) - 1))].rows]
+    row = st.integers(0, len(packets) - 1)
+    nonzero = st.integers(1, p - 1)
+    vector = st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(tuple)
+    kind = draw(st.sampled_from(("clean", "rank-1", "flips", "erasure")))
+    if kind == "rank-1":
+        error = draw(vector.filter(any))
+        for i in draw(st.sets(row, min_size=1)):
+            c = draw(nonzero)
+            packets[i] = tuple((a + c * e) % p for a, e in zip(packets[i], error))
+    elif kind == "flips":
+        for _ in range(draw(st.integers(1, len(packets)))):
+            i, at = draw(row), draw(st.integers(0, width - 1))
+            digits = list(packets[i])
+            digits[at] = (digits[at] + draw(nonzero)) % p
+            packets[i] = tuple(digits)
+    elif kind == "erasure":
+        packets[draw(row)] = draw(vector)
+    options = replace(options, mode=draw(st.sampled_from(TIER1_MODES)))
+    if codebook.kind == "subspace":
+        options = replace(options, metric=draw(st.sampled_from(("injection", "subspace"))))
+    return name, packets, options
+
+
+def test_feedback_shortcut_matches_the_rescanning_reference():
+    """When the feedback pass keeps the first pass's word, two_tier_decode
+    reads the second result off the first pass's list; the reference runs
+    tier 2 again. Result, verdicts and the whole audit agree, and both
+    branches, the same word and a changed one, are drawn."""
+    branches = set()
+    # the golden feedback packet files, and a gab-gf64 row with one bit
+    # flipped that only the feedback pass corrects, at the same positions
+    golden = [(path.name.split(".")[0], [tuple(map(int, line)) for line in
+                                          path.read_text().split()])
+              for path in sorted(GOLDEN_DECODE.glob("*-feedback.*.txt"))]
+    gab = feedback_code("gab-gf64")[0]
+    corrected = [(1, 0, 0, 1, 1, 1)] + [tuple(r) for r in gab[316].rows[1:]]
+    examples = [(name, packets, feedback_code(name)[2]) for name, packets in golden]
+    examples.append(("gab-gf64", corrected, feedback_code("gab-gf64")[2]))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(request=feedback_requests())
+    def check(request):
+        name, packets, options = request
+        codebook, union, _ = feedback_code(name)
+        outcome = two_tier_decode(packets, union, codebook, options)
+        result, verdicts, audit, same = oracles.reference_two_tier(packets, union, codebook,
+                                                                   options)
+        assert asdict(outcome.result) == asdict(result)
+        assert outcome.verdicts == verdicts
+        assert outcome.audit == audit
+        branches.add(same)
+
+    for request in examples:
+        check = example(request=request)(check)
+    check()
+    assert len(examples) == 6
+    assert {True, False} <= branches
+
+
+def test_feedback_pass_ranks_again_only_for_a_changed_word(monkeypatch):
+    """A clean gab-gf64 word ranks the codebook once: the feedback pass keeps
+    every packet. With one bit of a row flipped, the feedback pass corrects
+    that row and ranks the codebook a second time."""
+    cb, uni, options = feedback_code("gab-gf64")
+    calls = []
+    batched_rank = Codebook.batched_rank
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return batched_rank(self, *args, **kwargs)
+
+    monkeypatch.setattr(Codebook, "batched_rank", counted)
+    clean = [tuple(r) for r in cb[316].rows]
+    outcome = two_tier_decode(clean, uni, cb, options)
+    assert outcome.audit["feedback"]["second_pass"] == {
+        "chosen": 316, "metric_value": 0, "tie": False, "list": None}
+    assert [v.outcome for v in outcome.verdicts] == ["valid"] * 4
+    assert len(calls) == 1
+
+    calls.clear()
+    corrupt = [(1, 0, 0, 1, 1, 1)] + clean[1:]
+    assert hamming_distance(corrupt[0], clean[0]) == 1
+    outcome = two_tier_decode(corrupt, uni, cb, options)
+    assert outcome.audit["feedback"]["tier1_radius"] == 1
+    assert [v.outcome for v in outcome.verdicts] == ["corrected"] + ["valid"] * 3
+    assert outcome.result == DecodeResult(chosen=316, metric_value=0, tie=False)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- input digits

@@ -258,21 +258,32 @@ def test_tier1_matches_the_reference(case):
 
 def test_membership_set_is_formed_once_by_tier_1():
     """Only tier 1 asks membership: building, a fresh union, the lemma
-    checks and a restriction form no set, and tier 1 forms it once."""
+    checks and a restriction form no set, and tier 1 forms it once. Only
+    restrict reads the position array: building, a fresh union, the lemma
+    checks and tier 1 form none, and a union's first restriction forms
+    it once, int32 with one entry per codebook index."""
     _, spec, codebook, _ = load_config(ROOT / "configs" / "kk_example.json").build_all()
     uni = build_union(codebook)
     fresh = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
     verify_lemmas(spec, fresh)
-    restricted = uni.restrict({1, 2})
-    for union in (uni, fresh, restricted):
-        assert "_members" not in union.__dict__
+    for union in (uni, fresh):
+        assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
     member, *others = owners(uni)
     assert tier1_decode(member, uni, radius=0).outcome == "valid"
     members = uni.__dict__["_members"]
     for vector in others:
         assert tier1_decode(vector, uni, radius=0).outcome == "valid"
     assert uni.__dict__["_members"] is members
-    assert "_members" not in fresh.__dict__ and "_members" not in restricted.__dict__
+    assert "_positions" not in uni.__dict__
+    restricted = uni.restrict({1, 2})
+    positions = uni.__dict__["_positions"]
+    assert positions.dtype == np.int32 and positions.shape == (len(codebook),)
+    assert uni.restrict({3, 2}).components.tolist() == [2, 3]
+    assert uni.__dict__["_positions"] is positions
+    assert uni.__dict__["_members"] is members
+    for union in (fresh, restricted):
+        assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
+
 
 def test_provenance_soundness_spot_check():
     spec, cb, uni = kk_union()
