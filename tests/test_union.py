@@ -268,6 +268,9 @@ def test_membership_set_is_formed_once_by_tier_1():
     verify_lemmas(spec, fresh)
     for union in (uni, fresh):
         assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
+    fresh_restricted = fresh.restrict({1, 2})
+    assert "_members" not in fresh.__dict__ and "_positions" in fresh.__dict__
+    assert "_members" not in fresh_restricted.__dict__
     member, *others = owners(uni)
     assert tier1_decode(member, uni, radius=0).outcome == "valid"
     members = uni.__dict__["_members"]
@@ -281,7 +284,8 @@ def test_membership_set_is_formed_once_by_tier_1():
     assert uni.restrict({3, 2}).components.tolist() == [2, 3]
     assert uni.__dict__["_positions"] is positions
     assert uni.__dict__["_members"] is members
-    for union in (fresh, restricted):
+    assert "_members" not in fresh.__dict__
+    for union in (fresh_restricted, restricted):
         assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
 
 
