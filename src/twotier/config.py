@@ -154,7 +154,11 @@ class RunConfig:
 
     def sim_params(self) -> dict:
         section = self._section("sim")
-        strategies = tuple(section.get("strategies", STRATEGIES))
+        strategies = section.get("strategies", STRATEGIES)
+        if not isinstance(strategies, (list, tuple)):
+            raise ConfigError(f"sim: strategies must be a list of strategy names, "
+                              f"got {strategies!r}")
+        strategies = tuple(strategies)
         unknown = set(strategies) - set(STRATEGIES)
         if unknown:
             raise ConfigError(f"sim: unknown strategies {sorted(unknown)}")

@@ -4,10 +4,18 @@ Every random draw comes from a named stream derived from
 (base seed, trial, attempt, edge-or-node, purpose) via SHA-256, so a
 report is a pure function of (config, seed). Channel corruption and
 mixing use disjoint streams and never depend on the decoding strategy,
-which makes per-trial comparisons between strategies paired. An experiment
-therefore runs trial by trial, and the strategies of one trial share its
-draws and, where intermediate nodes treat packets alike, its network pass
-(:class:`TrialDraws`).
+which makes per-trial comparisons between strategies paired.
+
+An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
+(:class:`TrialBlock`), and the strategies share what they can:
+
+* per trial, each draw is made once, whichever strategies read it;
+* per block, one numpy network pass carries every trial's packets for each
+  filtering flag (at most two passes, since the strategies differ in the
+  network only by whether intermediate nodes filter), and a filtering node
+  runs tier 1 once per distinct packet;
+* per trial and strategy, :func:`run_trial` reads the trial's sink words,
+  and the block decodes each distinct (decoder, sink word) once.
 """
 
 import functools
@@ -15,6 +23,8 @@ import graphlib
 import hashlib
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg
 from .codes import SUBSPACE, Codebook
@@ -36,6 +46,7 @@ SINK = "sink"
 SEED_DERIVATION = "sha256(base|trial|attempt|edge-or-node|purpose) -> 64-bit stream seed"
 MAX_TRIALS = 1_000_000
 MAX_ATTEMPTS = 20       # network passes a trial makes at most when retry_full_rank reruns it
+BLOCK_TRIALS = 1024     # trials whose draws, network passes and decodes run together
 
 
 def stream(base_seed: int, *parts) -> random.Random:
@@ -194,188 +205,292 @@ def _corruption(model: ErrorModel, rng: random.Random, p: int, n: int):
     return tuple((i, 1 if p == 2 else rng.randrange(1, p)) for i in positions)
 
 
-def _corrupt(pkt, flips, p: int):
-    if flips is None:
-        return pkt
-    pkt = list(pkt)
-    for i, offset in flips:
-        pkt[i] = (pkt[i] + offset) % p
-    return tuple(pkt)
+def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel):
+    """The checks on the error model that come before any draw."""
+    if error_model.injection_node is not None and \
+            error_model.injection_node not in topology._roles:
+        raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
+    if error_model.fixed_flips is not None and error_model.fixed_flips > setup.ambient_len:
+        raise ValueError("fixed_flips exceeds the packet length")
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a network pass keeps its packets: one (trials, slots, n) array.
+
+    Each node's buffer is a run of slots: the codeword's rows at the
+    source, otherwise one slot per in-edge in the order the packets
+    arrive, then the injected packets. A node sends over its out-edges in
+    `edges` order, which is the order of the nodes, and each packet goes
+    straight to its slot at the edge's head.
+    """
+    edges: tuple        # edge names "u->v", in sending order
+    mix: tuple          # coefficients each edge draws: its tail's buffer width
+    width: int          # the widest buffer that sends
+    slots: int
+    source: int         # the slot of the source's first row
+    injected: int       # packets injected per trial and attempt
+    steps: tuple        # per node in order: (lo, hi, injects, filters, edges, heads)
+    sinks: dict         # sink -> (lo, hi), in node order
+
+
+def _layout(topology: Topology, rows: int, error_model: ErrorModel) -> _Layout:
+    order = topology.topo_order()
+    sent = [e for u in order for e in topology.out_edges(u)]
+    incoming = {v: [] for v in order}
+    for e in sent:
+        incoming[e[1]].append(e)
+    injected = error_model.injected_packets
+    inject_at = error_model.injection_node if injected else None
+    bounds, head, slots = {}, {}, 0
+    for v in order:
+        lo = slots
+        if v == topology.source:
+            slots += rows
+        for e in incoming[v]:
+            head[e] = slots
+            slots += 1
+        if v == inject_at:
+            slots += injected
+        bounds[v] = (lo, slots)
+    steps, first = [], 0
+    for u in order:
+        out = topology.out_edges(u)
+        steps.append((*bounds[u], u == inject_at, topology.role(u) == INTERMEDIATE,
+                      slice(first, first + len(out)), [head[e] for e in out]))
+        first += len(out)
+    mix = tuple(bounds[u][1] - bounds[u][0] for u, _ in sent)
+    sinks = {v: bounds[v] for v in order if topology.role(v) == SINK}
+    return _Layout(edges=tuple(f"{u}->{v}" for u, v in sent), mix=mix,
+                   width=max(mix, default=0), slots=slots,
+                   source=bounds[topology.source][0], injected=injected, steps=tuple(steps),
+                   sinks=sinks)
 
 
 @dataclass
 class _Network:
-    buffers: dict
-    filtered_drops: int
-    attempts: int
-    rank_deficient: bool
-    deliveries: dict
+    words: dict             # sink -> each trial's packets there, a tuple of tuples
+    filtered_drops: list
+    attempts: list
+    rank_deficient: list
 
 
-class TrialDraws:
-    """One trial's random draws and network passes, shared by every strategy.
+class TrialBlock:
+    """A block of trials of one experiment, with their draws, network
+    passes and decodes, shared by every strategy.
 
-    No draw depends on the strategy: injected packets are made per
-    (attempt, node); a node that forwards k packets over an edge reads the
-    first k draws of that edge's mix stream, which a filtering node with a
-    shorter buffer shares as a prefix; the corruption pattern of an edge
-    does not read the packet. The network itself depends on the strategy
-    only through whether intermediate nodes filter, so ``networks`` holds
-    at most two passes. One instance serves one trial of one experiment.
+    No draw depends on the strategy. An edge draws as many mixing
+    coefficients as its tail's buffer can hold, and a node that forwards
+    k packets reads the first k of them, so a filtering node with a
+    shorter buffer reads a prefix of the same draws; the corruption
+    pattern of an edge does not read the packet; injected packets are made
+    per (attempt, node). Each trial's draws at each attempt are made once.
+    The network depends on the strategy only through whether intermediate
+    nodes filter, so ``networks`` holds at most two passes, each run for
+    the whole block at once; a filtering node runs tier 1 once per
+    distinct packet. Each distinct (decoder, sink word) is decoded once.
+    One instance serves one block of one experiment and is dropped with it.
     """
 
-    def __init__(self, base_seed: int, trial: int, p: int, n: int):
+    def __init__(self, topology: Topology, setup: CodeSetup, error_model: ErrorModel,
+                 base_seed: int, trials, indices, *, node_filter_mode: str = DETECT_ONLY,
+                 retry_full_rank: bool = False):
+        self.topology = topology
+        self.setup = setup
+        self.error_model = error_model
         self.base_seed = base_seed
-        self.trial = trial
-        self.p = p
-        self.n = n
-        self.networks = {}      # intermediate nodes filter -> _Network
-        self.index = None       # the sent message's codebook index, once read
-        self._inject = {}
-        self._mix = {}
-        self._chan = {}
+        self.trials = trials            # trial numbers: a range or a tuple
+        self.indices = indices          # each trial's message index
+        self.node_filter_mode = node_filter_mode
+        self.retry_full_rank = retry_full_rank
+        self.layout = _layout(topology, setup.codebook.stack.shape[1], error_model)
+        self.networks = {}              # intermediate nodes filter -> _Network
+        self._draws = {}                # (attempt, position) -> one trial's draws
+        self._kept = {}                 # packet -> what a filtering node forwards, or None
+        self._decodes = {}              # (tier2-only, sink word) -> what decode returns
+        self._radius = 0
 
-    def injected(self, attempt: int, node: str, count: int):
-        key = (attempt, node)
-        if key not in self._inject:
-            rng = stream(self.base_seed, self.trial, attempt, node, "inject")
-            self._inject[key] = [tuple(rng.randrange(self.p) for _ in range(self.n))
-                                 for _ in range(count)]
-        return self._inject[key]
+    def _draw(self, attempt: int, pos: int):
+        """The draws of the trial at `pos` at one attempt, flattened: each
+        edge's coefficients padded to the layout's width, each edge's
+        corruption pattern, and the injected packets' digits."""
+        key = (attempt, pos)
+        drawn = self._draws.get(key)
+        if drawn is None:
+            lay, p, n = self.layout, self.setup.p, self.setup.ambient_len
+            base, trial = self.base_seed, self.trials[pos]
+            coeffs, flips = [], []
+            for name, k in zip(lay.edges, lay.mix):
+                rng = stream(base, trial, attempt, name, "mix")
+                coeffs += [rng.randrange(p) for _ in range(k)]
+                coeffs += [0] * (lay.width - k)
+                flips.append(_corruption(self.error_model,
+                                         stream(base, trial, attempt, name, "chan"), p, n))
+            injected = []
+            if lay.injected:
+                rng = stream(base, trial, attempt, self.error_model.injection_node, "inject")
+                injected = [rng.randrange(p) for _ in range(lay.injected * n)]
+            drawn = self._draws[key] = (coeffs, flips, injected)
+        return drawn
 
-    def coefficients(self, attempt: int, edge: str, k: int):
-        """The first k draws of the edge's mix stream."""
-        key = (attempt, edge)
-        entry = self._mix.get(key)
-        if entry is None:
-            entry = self._mix[key] = (stream(self.base_seed, self.trial, attempt, edge, "mix"), [])
-        rng, coeffs = entry
-        while len(coeffs) < k:
-            coeffs.append(rng.randrange(self.p))
-        return coeffs[:k]
+    def _arrays(self, attempt: int, positions):
+        """Coefficients (trials, edges, width), corruption offsets
+        (trials, edges, n) and injected packets (trials, injected, n)."""
+        lay, n = self.layout, self.setup.ambient_len
+        drawn = [self._draw(attempt, pos) for pos in positions]
+        count, edges = len(drawn), len(lay.edges)
+        coeffs = np.array([d[0] for d in drawn], dtype=np.int64).reshape(count, edges, lay.width)
+        offsets = np.zeros((count, edges, n), dtype=np.int64)
+        at = [(i, e, j, offset) for i, d in enumerate(drawn) for e, flips in enumerate(d[1])
+              if flips is not None for j, offset in flips]
+        if at:
+            i, e, j, offset = map(list, zip(*at))
+            offsets[i, e, j] = offset
+        injected = np.array([d[2] for d in drawn], dtype=np.int64).reshape(count, lay.injected, n)
+        return coeffs, offsets, injected
 
-    def corruption(self, attempt: int, edge: str, model: ErrorModel):
-        key = (attempt, edge)
-        if key not in self._chan:
-            rng = stream(self.base_seed, self.trial, attempt, edge, "chan")
-            self._chan[key] = _corruption(model, rng, self.p, self.n)
-        return self._chan[key]
+    def _forwarded(self, packet):
+        """The vector a filtering node forwards for a packet, or None when it
+        drops it; tier 1 runs once per distinct packet of the block."""
+        if packet not in self._kept:
+            verdict = tier1_decode(packet, self.setup.union, self._radius, self.node_filter_mode)
+            self._kept[packet] = verdict.vector if verdict.outcome in (VALID, CORRECTED) else None
+        return self._kept[packet]
 
+    def _filter(self, buf):
+        """Tier 1 on each packet of a (trials, width, n) buffer: each trial's
+        kept vectors moved to the front in order, and how many each keeps."""
+        count, width, n = buf.shape
+        vectors = [self._forwarded(pkt) for pkt in map(tuple, buf.reshape(-1, n).tolist())]
+        keep = np.array([v is not None for v in vectors], dtype=bool).reshape(count, width)
+        kept = np.array([v for v in vectors if v is not None], dtype=np.int64).reshape(-1, n)
+        out = np.zeros_like(buf)
+        trial, slot = np.nonzero(keep)
+        out[trial, (np.cumsum(keep, axis=1) - 1)[trial, slot]] = kept
+        return out, keep.sum(axis=1)
 
-def _network(topology: Topology, setup: CodeSetup, rows, error_model: ErrorModel,
-             draws: TrialDraws, filtering: bool, node_filter_mode: str,
-             retry_full_rank: bool) -> _Network:
-    """Inject the codeword basis, mix, corrupt; retry rank-deficient clean runs."""
-    p = setup.p
-    zero_packet = (0,) * setup.ambient_len
-    radius = 0
-    if filtering and node_filter_mode != DETECT_ONLY and \
-            INTERMEDIATE in topology._roles.values():
-        radius = setup.options.radius
-        if radius is None:
-            radius = default_radius(setup.union.min_distance())
+    def _pass(self, attempt: int, positions, filtering: bool):
+        """One network pass of the trials at `positions`: every slot's packet
+        and each trial's filtered drops."""
+        lay, p, stack = self.layout, self.setup.p, self.setup.codebook.stack
+        coeffs, offsets, injected = self._arrays(attempt, positions)
+        packets = np.zeros((len(positions), lay.slots, self.setup.ambient_len), dtype=np.int64)
+        packets[:, lay.source:lay.source + stack.shape[1]] = \
+            stack[[self.indices[pos] for pos in positions]]
+        drops = np.zeros(len(positions), dtype=np.int64)
+        for lo, hi, injects, filters, edges, heads in lay.steps:
+            if injects:
+                packets[:, hi - lay.injected:hi] = injected
+            buf = packets[:, lo:hi]
+            if filtering and filters:
+                # the slots past a trial's kept packets hold zeros, so they
+                # add nothing, whatever coefficients they meet
+                buf, kept = self._filter(buf)
+                drops += hi - lo - kept
+            if heads:
+                packets[:, heads] = (coeffs[:, edges, :hi - lo] @ buf + offsets[:, edges]) % p
+        return packets, drops
 
-    attempts = 0
-    rank_deficient = False
-    while True:
-        attempts += 1
-        attempt = attempts - 1
-        buffers = {topology.source: list(rows)}
-        filtered_drops = 0
-        deliveries = {}
-        for node in topology.topo_order():
-            buf = buffers.get(node, [])
-            if error_model.injected_packets and error_model.injection_node == node:
-                buf.extend(draws.injected(attempt, node, error_model.injected_packets))
-            if filtering and topology.role(node) == INTERMEDIATE:
-                kept = []
-                for pkt in buf:
-                    verdict = tier1_decode(pkt, setup.union, radius, node_filter_mode)
-                    if verdict.outcome in (VALID, CORRECTED):
-                        kept.append(verdict.vector)
-                    else:
-                        filtered_drops += 1
-                buf = kept
-            for edge in topology.out_edges(node):
-                name = f"{edge[0]}->{edge[1]}"
-                coeffs = draws.coefficients(attempt, name, len(buf))
-                if buf:
-                    pkt = tuple(sum(col) % p for col in
-                                zip(*[[c * x for x in row] for c, row in zip(coeffs, buf)]))
-                else:
-                    pkt = zero_packet
-                pkt = _corrupt(pkt, draws.corruption(attempt, name, error_model), p)
-                buffers.setdefault(edge[1], []).append(pkt)
-            if node in topology.sinks:
-                deliveries[node] = len(buffers.get(node, []))
+    def network(self, filtering: bool) -> _Network:
+        """The block's network pass with or without node filtering, run once."""
+        net = self.networks.get(filtering)
+        if net is None:
+            net = self.networks[filtering] = self._network(filtering)
+        return net
 
-        if not retry_full_rank or not error_model.error_free:
-            break
-        deficient = any(
-            linalg.rank(buffers.get(s, [zero_packet]), p) < len(rows)
-            for s in topology.sinks)
-        if not deficient:
-            break
-        rank_deficient = True
-        if attempts >= MAX_ATTEMPTS:
-            break
-    return _Network(buffers, filtered_drops, attempts, rank_deficient, deliveries)
+    def _network(self, filtering: bool) -> _Network:
+        """Inject the codeword basis, mix, corrupt; rerun the trials whose
+        clean run leaves a sink rank-deficient, at the next attempt."""
+        setup, lay = self.setup, self.layout
+        if filtering and self.node_filter_mode != DETECT_ONLY and \
+                INTERMEDIATE in self.topology._roles.values():
+            self._radius = setup.options.radius
+            if self._radius is None:
+                self._radius = default_radius(setup.union.min_distance())
+        todo = np.arange(len(self.trials))
+        packets, drops = self._pass(0, todo, filtering)
+        attempts = np.ones(len(todo), dtype=np.int64)
+        deficient = np.zeros(len(todo), dtype=bool)
+        if self.retry_full_rank and self.error_model.error_free:
+            rows, current, attempt = setup.codebook.stack.shape[1], packets, 0
+            while True:
+                short = np.zeros(len(todo), dtype=bool)
+                for lo, hi in lay.sinks.values():
+                    short |= linalg.batched_rank(current[:, lo:hi], setup.p) < rows
+                todo = todo[short]
+                if not len(todo):
+                    break
+                deficient[todo] = True
+                attempt += 1
+                if attempt >= MAX_ATTEMPTS:
+                    break
+                current, drops[todo] = self._pass(attempt, todo, filtering)
+                packets[todo] = current
+                attempts[todo] = attempt + 1
+        words = {sink: [tuple(map(tuple, word)) for word in packets[:, lo:hi].tolist()]
+                 for sink, (lo, hi) in lay.sinks.items()}
+        return _Network(words, drops.tolist(), attempts.tolist(), deficient.tolist())
+
+    def decode(self, strategy: str, word):
+        """(chosen, metric value, tier-1 outcome of each packet) of the
+        strategy's decoder on a sink word, decoded once per block. A tier-2
+        list is not kept: a block holds one entry per distinct word."""
+        key = (strategy == TIER2_ONLY, word)
+        done = self._decodes.get(key)
+        if done is None:
+            setup = self.setup
+            if key[0]:
+                result = tier2_subspace_decode(list(word), setup.codebook, setup.options.metric)
+                outcomes = ()
+            else:
+                outcome = two_tier_decode(list(word), setup.union, setup.codebook, setup.options)
+                result, outcomes = outcome.result, tuple(v.outcome for v in outcome.verdicts)
+            done = self._decodes[key] = (result.chosen, result.metric_value, outcomes)
+        return done
 
 
 def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
               strategy: str, base_seed: int, trial: int, *,
               node_filter_mode: str = DETECT_ONLY,
               retry_full_rank: bool = False,
-              draws: TrialDraws | None = None) -> TrialOutcome:
+              block: TrialBlock | None = None) -> TrialOutcome:
     """One multicast: inject the codeword basis, mix, corrupt, decode at sinks.
 
-    `draws` carries this trial's draws and network passes from the other
-    strategies of a paired experiment; without it the trial makes its own.
+    `block` is the :class:`TrialBlock` of a paired experiment that holds
+    this trial, with its draws, network passes and decodes; the trial's
+    message is then the block's. Without it, the trial runs as a block of
+    one.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if error_model.injection_node is not None and \
-            error_model.injection_node not in topology._roles:
-        raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
-    if error_model.fixed_flips is not None and error_model.fixed_flips > setup.ambient_len:
-        raise ValueError("fixed_flips exceeds the packet length")
-    if draws is None:
-        draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
-    if draws.index is None:
-        draws.index = setup.codebook.index(message)
-    index = draws.index
-    filtering = strategy == TWO_TIER_FILTER
-    net = draws.networks.get(filtering)
-    if net is None:
-        rows = [tuple(r) for r in setup.codebook.stack[index].tolist()]
-        net = draws.networks[filtering] = _network(
-            topology, setup, rows, error_model, draws, filtering, node_filter_mode,
-            retry_full_rank)
+    _check_inputs(topology, setup, error_model)
+    if block is None:
+        block = TrialBlock(topology, setup, error_model, base_seed, (trial,),
+                           (setup.codebook.index(message),), node_filter_mode=node_filter_mode,
+                           retry_full_rank=retry_full_rank)
+    pos = block.trials.index(trial)
+    index = block.indices[pos]
+    net = block.network(strategy == TWO_TIER_FILTER)
 
     sink_success = {}
     verdict_counts = _verdict_counts()
     metric_values = []
     for sink in topology.sinks:
-        packets = net.buffers[sink]
-        if strategy == TIER2_ONLY:
-            result = tier2_subspace_decode(packets, setup.codebook, setup.options.metric)
-        else:
-            outcome = two_tier_decode(packets, setup.union, setup.codebook, setup.options)
-            result = outcome.result
-            for v in outcome.verdicts:
-                verdict_counts[v.outcome] += 1
-        if result.metric_value is not None:
-            metric_values.append(result.metric_value)
-        sink_success[sink] = result.chosen == index
+        chosen, metric_value, outcomes = block.decode(strategy, net.words[sink][pos])
+        for outcome in outcomes:
+            verdict_counts[outcome] += 1
+        if metric_value is not None:
+            metric_values.append(metric_value)
+        sink_success[sink] = chosen == index
     return TrialOutcome(
         success=all(sink_success.values()) and bool(sink_success),
         sink_success=sink_success,
         verdict_counts=verdict_counts,
         metric_values=metric_values,
-        filtered_drops=net.filtered_drops,
-        rank_deficient=net.rank_deficient,
-        attempts=net.attempts,
-        deliveries=dict(net.deliveries),
+        filtered_drops=net.filtered_drops[pos],
+        rank_deficient=net.rank_deficient[pos],
+        attempts=net.attempts[pos],
+        deliveries={sink: hi - lo for sink, (lo, hi) in block.layout.sinks.items()},
     )
 
 
@@ -383,17 +498,25 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
                    trials: int, base_seed: int, strategies=STRATEGIES, *,
                    node_filter_mode: str = DETECT_ONLY,
                    retry_full_rank: bool = False, config_echo=None) -> dict:
-    """Paired experiment: every strategy sees identical per-trial randomness."""
+    """Paired experiment: every strategy sees identical per-trial randomness.
+
+    Trials run in blocks of up to ``BLOCK_TRIALS``; each block makes its
+    draws and network passes before ``run_trial`` decodes its trials one
+    strategy after another.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise BudgetError(f"{trials} trials exceed the limit {MAX_TRIALS}")
     strategies = tuple(strategies)
+    if not strategies:
+        raise ValueError("no strategies to run")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     if node_filter_mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {node_filter_mode!r}")
+    _check_inputs(topology, setup, error_model)
 
     strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
     per_strategy = {s: {"trials": trials, "successes": 0, "success_by_trial": [],
@@ -402,22 +525,29 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
                         "rank_deficient_trials": 0}
                     for s in strategies}
     metric_values = {s: [] for s in strategies}
-    for trial in range(trials):
-        rng = stream(base_seed, trial, "message")
-        message = setup.codebook.message(rng.randrange(len(setup.codebook)))
-        draws = TrialDraws(base_seed, trial, setup.p, setup.ambient_len)
-        for strategy in strategies:
-            outcome = run_trial(topology, setup, message, error_model,
-                                strategy, base_seed, trial,
-                                node_filter_mode=node_filter_mode,
-                                retry_full_rank=retry_full_rank, draws=draws)
-            stats = per_strategy[strategy]
-            stats["success_by_trial"].append(1 if outcome.success else 0)
-            for k, v in outcome.verdict_counts.items():
-                stats["tier1_verdicts"][k] += v
-            metric_values[strategy] += outcome.metric_values
-            stats["filtered_drops"] += outcome.filtered_drops
-            stats["rank_deficient_trials"] += 1 if outcome.rank_deficient else 0
+    passes = dict.fromkeys(s == TWO_TIER_FILTER for s in strategies)
+    for start in range(0, trials, BLOCK_TRIALS):
+        block_trials = range(start, min(start + BLOCK_TRIALS, trials))
+        indices = [stream(base_seed, trial, "message").randrange(len(setup.codebook))
+                   for trial in block_trials]
+        block = TrialBlock(topology, setup, error_model, base_seed, block_trials, indices,
+                           node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
+        for filtering in passes:
+            block.network(filtering)
+        for trial, index in zip(block_trials, indices):
+            message = setup.codebook.message(index)
+            for strategy in strategies:
+                outcome = run_trial(topology, setup, message, error_model,
+                                    strategy, base_seed, trial,
+                                    node_filter_mode=node_filter_mode,
+                                    retry_full_rank=retry_full_rank, block=block)
+                stats = per_strategy[strategy]
+                stats["success_by_trial"].append(1 if outcome.success else 0)
+                for k, v in outcome.verdict_counts.items():
+                    stats["tier1_verdicts"][k] += v
+                metric_values[strategy] += outcome.metric_values
+                stats["filtered_drops"] += outcome.filtered_drops
+                stats["rank_deficient_trials"] += 1 if outcome.rank_deficient else 0
 
     for strategy, stats in per_strategy.items():
         stats["successes"] = sum(stats["success_by_trial"])

@@ -259,6 +259,18 @@ def test_unknown_node_filter_mode_is_rejected_before_any_trial(tmp_path, capsys)
     assert "unknown tier-1 mode 'bogus'" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_empty_or_string_strategy_list(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["sim"]["strategies"] = []
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "no strategies to run" in capsys.readouterr().err
+    # a single name is not a list of one
+    cfg["sim"]["strategies"] = "two-tier"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "string.json")]) == 2
+    err = capsys.readouterr().err
+    assert "strategies must be a list" in err and "'two-tier'" in err
+
+
 def test_simulate_requires_topology(tmp_path, capsys):
     cfg = kk_config()
     cfg["sim"] = {"trials": 5}

@@ -8,7 +8,8 @@ lists every vector with its owning components.
 
 The ``simulate`` snapshots were written by the strategy-major simulator
 (fresh streams per strategy, one network pass per strategy) that the
-trial-major one replaced, and the ``decode`` snapshots by the decoder whose
+trial-major one replaced, which the blocked one replaced in turn, and the
+``decode`` snapshots by the decoder whose
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report

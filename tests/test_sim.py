@@ -198,6 +198,27 @@ def test_experiment_validation():
                        strategies=("bogus",))
 
 
+def test_experiment_checks_the_error_model_before_any_draw(monkeypatch):
+    """run_experiment rejects what run_trial rejects, with the same
+    message, before it derives a single stream."""
+    from twotier import sim
+    setup = mv1_setup()
+    models = (ErrorModel(injected_packets=1, injection_node="zz"),
+              ErrorModel(corrupt_packet_prob=0.5, fixed_flips=setup.ambient_len + 1))
+    for model in models:
+        with pytest.raises(ValueError) as single:
+            run_trial(diamond(), setup, (1,), model, TIER2_ONLY, 1, 0)
+        seeded = []
+        monkeypatch.setattr(sim, "stream", lambda *parts: seeded.append(parts))
+        with pytest.raises(ValueError) as paired:
+            run_experiment(diamond(), setup, model, 10, 1)
+        monkeypatch.undo()
+        assert str(paired.value) == str(single.value)
+        assert seeded == []
+    with pytest.raises(ValueError, match="no strategies"):
+        run_experiment(diamond(), setup, ErrorModel(), 10, 1, strategies=())
+
+
 def test_simulator_rejects_rank_codebooks():
     from twotier.codes import GabidulinSpec
     ctx = FieldContext(2, 3)

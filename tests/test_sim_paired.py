@@ -1,20 +1,28 @@
-"""The trial-major simulator against the strategy-major reference.
+"""The blocked simulator against the strategy-major reference.
 
-``run_experiment`` runs each trial's strategies together and shares the
-trial's draws and network passes between them (``sim.TrialDraws``).
+``run_experiment`` runs its trials in blocks (``sim.TrialBlock``): each
+block makes every trial's draws once, runs one network pass per filtering
+flag for all its trials, and decodes each distinct (decoder, sink word)
+once, before ``run_trial`` reads each trial's outcome strategy by strategy.
 ``oracles.reference_run_experiment`` runs one strategy after another with
 fresh streams and its own network pass each. The reports must be equal,
 key order included, and a ``run_trial`` called on its own must give the
-reference's outcome, over three topologies, channel errors of every kind,
-the node-filter modes and strategy lists in any order, with repeats.
+reference's outcome, over four topologies, channel errors of every kind,
+the node-filter modes, strategy lists in any order, with repeats, and
+blocks of any size.
 """
 
+import contextlib
 import functools
 import json
+from collections import Counter
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twotier import sim
 from twotier.codes import KKSpec, MVSpec, build_codebook
 from twotier.decoders import CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, DecodeOptions
 from twotier.fields import FieldContext
@@ -38,6 +46,11 @@ TOPOLOGIES = {
                ("c", "intermediate"), ("t1", "sink"), ("t2", "sink")),
         edges=(("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("a", "t1"),
                ("c", "t1"), ("c", "t2"), ("b", "t2"))),
+    # a sink that forwards, and a node with no in-edge: it sends (corrupted)
+    # zero packets, and has an empty buffer unless packets are injected there
+    "relay-sink": Topology(
+        nodes=(("s", "source"), ("t1", "sink"), ("x", "intermediate"), ("t2", "sink")),
+        edges=(("s", "t1"), ("t1", "t2"), ("x", "t2"), ("s", "t2"))),
 }
 
 OPTIONS = (DecodeOptions(), DecodeOptions(mode=CORRECT),
@@ -110,3 +123,100 @@ def test_standalone_run_trial_matches_reference(exp):
                     got.filtered_drops, got.rank_deficient, got.attempts,
                     got.deliveries) == want
             assert report["strategies"][strategy]["success_by_trial"][trial] == got.success
+
+
+@SETTINGS
+@given(experiments(), st.integers(1, 4))
+def test_experiments_over_several_blocks_match_the_reference(exp, block_trials):
+    with mock.patch.object(sim, "BLOCK_TRIALS", block_trials):
+        got = run_experiment(*exp["args"], exp["strategies"], **exp["kwargs"])
+    want = oracles.reference_run_experiment(*exp["args"], exp["strategies"], **exp["kwargs"])
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("topology, model, mode", [
+    ("six-node", ErrorModel(corrupt_packet_prob=0.7, fixed_flips=1), DETECT_ONLY),
+    ("diamond", ErrorModel(injected_packets=2, injection_node="a"), CORRECT_OR_ERASE),
+], ids=["corrupt-six-node", "inject-diamond"])
+def test_filtering_nodes_that_drop_some_packets_match_the_reference(topology, model, mode):
+    """A filtering node that drops a packet and keeps a later one mixes the
+    kept ones with the first coefficients of its edges, as the reference
+    does with its shorter buffer."""
+    cb, union = codebook("kk-gf8")
+    args = (TOPOLOGIES[topology], CodeSetup(codebook=cb, union=union), model, 60, 11)
+    got = run_experiment(*args, STRATEGIES, node_filter_mode=mode)
+    assert json.dumps(got) == json.dumps(
+        oracles.reference_run_experiment(*args, STRATEGIES, node_filter_mode=mode))
+    assert got["strategies"]["two-tier+node-filter"]["filtered_drops"] > 0
+
+
+@pytest.mark.parametrize("block_trials", (7, sim.BLOCK_TRIALS))
+def test_retry_reruns_part_of_a_block(block_trials):
+    """A clean channel with retry_full_rank: some trials of a block reach a
+    sink rank-deficient and run again at the next attempt, the others keep
+    their first pass."""
+    cb, union = codebook("kk-gf8")
+    setup = CodeSetup(codebook=cb, union=union)
+    args = (TOPOLOGIES["diamond"], setup, ErrorModel(), 40, 5)
+    kwargs = {"node_filter_mode": CORRECT_OR_ERASE, "retry_full_rank": True}
+    with mock.patch.object(sim, "BLOCK_TRIALS", block_trials):
+        got = run_experiment(*args, STRATEGIES, **kwargs)
+    assert json.dumps(got) == json.dumps(
+        oracles.reference_run_experiment(*args, STRATEGIES, **kwargs))
+    for stats in got["strategies"].values():
+        assert 0 < stats["rank_deficient_trials"] < 40
+
+
+@contextlib.contextmanager
+def decoder_inputs():
+    """Yields the calls of each block: every input ``sim`` passes to a
+    decoder, as (decoder name, packet or word)."""
+    blocks = []
+
+    class MarkedBlock(sim.TrialBlock):
+        def __init__(self, *args, **kwargs):
+            blocks.append([])
+            super().__init__(*args, **kwargs)
+
+    def logged(name, fn):
+        def wrapper(packets, *args, **kwargs):
+            # tier 1 takes one packet, the sink decoders a word
+            key = tuple(packets) if name == "tier1_decode" else tuple(map(tuple, packets))
+            blocks[-1].append((name, key))
+            return fn(packets, *args, **kwargs)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sim, "TrialBlock", MarkedBlock))
+        for name in ("tier1_decode", "two_tier_decode", "tier2_subspace_decode"):
+            stack.enter_context(mock.patch.object(sim, name, logged(name, getattr(sim, name))))
+        yield blocks
+
+
+@pytest.mark.parametrize("block_trials", (16, sim.BLOCK_TRIALS))
+def test_a_block_decodes_each_distinct_input_once(block_trials):
+    """Sink decodes are keyed on (decoder, word) and node tier 1 on the
+    packet, per block: no input is decoded twice in a block, a block
+    decodes fewer words than it has (trial, strategy, sink) decodes, and
+    nothing is kept from one block or experiment to the next."""
+    cb, union = codebook("mv1")
+    setup = CodeSetup(codebook=cb, union=union)
+    args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
+            64, 3)
+    runs = []
+    for _ in range(2):
+        with mock.patch.object(sim, "BLOCK_TRIALS", block_trials), decoder_inputs() as blocks:
+            report = run_experiment(*args)
+        runs.append(blocks)
+        assert report == oracles.reference_run_experiment(*args, STRATEGIES)
+    assert runs[0] == runs[1]       # the second experiment decodes everything again
+    blocks = runs[0]
+    assert len(blocks) == -(-64 // block_trials)
+    for calls in blocks:
+        assert max(Counter(calls).values()) == 1
+        sink_decodes = [c for c in calls if c[0] != "tier1_decode"]
+        assert {c[0] for c in sink_decodes} == {"two_tier_decode", "tier2_subspace_decode"}
+        assert len(sink_decodes) < min(block_trials, 64) * len(STRATEGIES)
+    # a word met in two blocks is decoded in each
+    repeated = Counter(c for calls in blocks for c in calls)
+    assert len(blocks) == 1 or max(repeated.values()) > 1
