@@ -74,6 +74,10 @@ class Codebook:
     :meth:`batched_rank`, and the union takes its component dimensions from
     :attr:`ranks`. A subspace codebook is checked on construction: every
     codeword's rows are independent and no two span the same subspace.
+    :attr:`syndromes` maps a sorted tuple of positions to the rank
+    decoder's syndrome table there (None where it scans), each formed by
+    ``decoders`` on the first decode at those positions and freed with
+    the codebook.
     """
 
     def __init__(self, spec, stack):
@@ -83,6 +87,7 @@ class Codebook:
         self.stack = stack.view()
         self.stack.flags.writeable = False
         self.spans = None
+        self.syndromes = {}
         if self.kind == SUBSPACE:
             _check_subspaces(self)
 

@@ -37,6 +37,23 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _flag(section: dict, key: str, name: str, default: bool) -> bool:
+    """The JSON true or false at `key`; ConfigError naming `name` otherwise."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _optional_int(section: dict, key: str, name: str) -> int | None:
+    """The JSON integer or null at `key`; ConfigError naming `name` otherwise
+    (a bool is not an integer here)."""
+    value = section.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{name} must be an integer or null, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     raw: dict
@@ -113,17 +130,16 @@ class RunConfig:
     def decode_options(self) -> DecodeOptions:
         tier1 = self._section("tier1")
         tier2 = self._section("tier2")
-        radius = tier1.get("radius")
-        list_radius = tier2.get("list_radius")
         try:
             return DecodeOptions(
-                tier1_enabled=bool(tier1.get("enabled", True)),
+                tier1_enabled=_flag(tier1, "enabled", "tier1.enabled", True),
                 mode=tier1.get("mode", "correct-or-erase"),
-                radius=None if radius is None else int(radius),
+                radius=_optional_int(tier1, "radius", "tier1.radius"),
                 metric=tier2.get("metric", "injection"),
-                list_radius=None if list_radius is None else int(list_radius),
-                feedback=bool(self.raw.get("feedback", False)),
-                allow_radius_override=bool(tier1.get("allow_radius_override", False)))
+                list_radius=_optional_int(tier2, "list_radius", "tier2.list_radius"),
+                feedback=_flag(self.raw, "feedback", "feedback", False),
+                allow_radius_override=_flag(tier1, "allow_radius_override",
+                                            "tier1.allow_radius_override", False))
         except ValueError as exc:
             raise ConfigError(f"decoding options: {exc}") from exc
 

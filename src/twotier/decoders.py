@@ -7,15 +7,23 @@ or subspace metric for subspace codes and in the rank metric for Gabidulin
 codes. For a subspace code it reads the union's owner index: a codeword's
 distance depends only on how many union vectors it owns in the received
 space, so only the owners of those vectors are counted, and every other
-codeword is at the largest distance. For a Gabidulin code it ranks every
-codeword. Erased packets are excluded from the tier-2 input (span rows for
-subspace codes, punctured positions for rank codes). When tier 2 runs in
+codeword is at the largest distance. For a Gabidulin code it first asks
+the syndrome table of the kept positions P, formed on the codebook's first
+decode at P: a word within t = floor((|P| - k)/2) of a codeword, the
+unique-decoding radius of the MRD code at P, is decoded by one lookup; a
+nearest decode beyond t, a list radius above t, |P| < k and a table over
+its budget or refused for a shared syndrome rank every codeword instead.
+Erased packets are excluded from the tier-2 input (span rows for subspace
+codes, punctured positions for rank codes). When tier 2 runs in
 list mode, the list can feed back: tier 1 re-decodes against the union
 restricted to the listed components, whose minimum distance is never
 smaller; when that pass keeps the tier-2 input of the first, the head of
 the first pass's list is the answer and tier 2 is not run again.
 """
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +134,12 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # union's nonzero vectors, as one-row matrices, against a basis of V
 # (linalg.packed_rank, or linalg.batched_rank over GF(p)). A codeword
 # owning none has U ∩ V = {0}, the largest distance, and is never looked
-# at unless the list takes it. The rank lane ranks every codeword in one
-# Codebook.batched_rank call (packed_rank on Codebook.table over GF(2),
-# batched_rank on the digit rows otherwise), in blocks of about
-# linalg.RANK_CHUNK rows. A distance grows with the rank, so _select
-# picks on the ranks and maps only its picks.
+# at unless the list takes it. The rank lane's scan, where the syndrome
+# table cannot answer, ranks every codeword in one Codebook.batched_rank
+# call (packed_rank on Codebook.table over GF(2), batched_rank on the digit
+# rows otherwise), in blocks of about linalg.RANK_CHUNK rows. A distance
+# grows with the rank, so _select picks on the ranks and maps only its
+# picks.
 
 def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
@@ -226,7 +235,9 @@ def tier2_list_decode(packets, codebook, radius: int, metric: str = "injection")
     return _subspace_decode(packets, codebook, metric, radius)
 
 
-def _rank_distances(rows, codebook, positions):
+def _rank_word(rows, codebook, positions):
+    """(positions, received): the positions sorted and the word's rows at
+    them, checked."""
     _check_kind(codebook, GABIDULIN)
     _, n, width = codebook.stack.shape
     rows = list(rows)
@@ -235,17 +246,153 @@ def _rank_distances(rows, codebook, positions):
     positions = sorted(range(n) if positions is None else positions)
     if not positions:
         raise ValueError("tier-2 rank decoding needs at least one surviving position")
-    # coordinates are GF(p)-linear, so the coordinate rows of word - codeword
-    # are the differences of the rows, in any packet basis
     received = [rows[i] for i in positions]
     _check_packets(received, codebook.p, width)
-    return codebook.batched_rank(positions, offset=received)
+    return positions, received
 
 
 def tier2_rank_decode(rows, codebook, positions=None, list_radius: int | None = None) -> DecodeResult:
     """Minimum rank-distance decoding of a word given as its packet rows, one
-    per position; erased positions are excluded via `positions`."""
-    return _select(_rank_distances(rows, codebook, positions), list_radius)
+    per position; erased positions are excluded via `positions`.
+
+    A word the positions' syndrome table answers is decoded by one lookup;
+    any other is decoded by the scan, which ranks every codeword."""
+    positions, received = _rank_word(rows, codebook, positions)
+    table = _syndrome_table(codebook, positions)
+    if table is not None:
+        result = table.decode(received, list_radius)
+        if result is not None:
+            return result
+    # coordinates are GF(p)-linear, so the coordinate rows of word - codeword
+    # are the differences of the rows, in any packet basis
+    return _select(codebook.batched_rank(positions, offset=received), list_radius)
+
+
+# ---------------------------------------------------------------- syndrome tables
+#
+# A Gabidulin code is GF(p)-linear and MRD: at the positions P it has rank
+# distance d_P = |P| - k + 1. A word within t = floor((|P| - k) / 2) of a
+# codeword then has every other codeword at least d_P - t > t away, and the
+# codeword is found from the word's syndrome. A table holds the syndrome of
+# every error of rank <= t on P. Two such errors share a syndrome exactly
+# when their difference, of rank <= 2t, is a nonzero codeword at P, so the
+# table proves d_P > 2t as it is built, or is refused.
+
+# Most errors of rank <= t a syndrome table holds; a position set with more
+# keeps the scan. No t >= 2 comes within it: the fewest errors of rank <= 2,
+# those of a 5 x 5 matrix over GF(2), number 145,112.
+SYNDROME_ERRORS = 1 << 14
+
+@dataclass(frozen=True, eq=False)
+class _Syndromes:
+    """The syndrome table of one codebook at one position set P.
+
+    A word's digits at P, position by position, map to its image under an
+    invertible GF(p)-linear map: the low ``message_length`` digits are the
+    message, read through a right inverse R of the generator G_P (G_P R = I
+    takes the codeword x G_P to x), and the rest are the syndrome under a
+    parity-check matrix H_P of the code at P. The image is packed as
+    ``linalg.pack_digits`` packs, so ``divmod(image, split)`` is (syndrome,
+    message). Over GF(2) ``reads`` holds each digit's packed image, and a
+    word's image is the XOR of those of its ones; otherwise it is the map's
+    matrix. ``errors`` maps the packed syndrome of every error of rank <=
+    ``radius`` on P to the packed message of the error's image, and its rank.
+    """
+    p: int
+    radius: int
+    split: int
+    reads: object
+    errors: dict
+
+    def decode(self, received, list_radius) -> DecodeResult | None:
+        """The scan's result on the rows at P, or None where the table
+        cannot tell it: a list radius outside [0, radius], or a nearest
+        decode with no codeword within the radius."""
+        if list_radius is not None and not 0 <= list_radius <= self.radius:
+            return None
+        if self.p == 2:
+            image = functools.reduce(operator.xor, itertools.compress(
+                self.reads, itertools.chain.from_iterable(received)), 0)
+        else:
+            image = int(linalg.pack_digits(
+                np.asarray(received, dtype=np.int64).reshape(-1) @ self.reads % self.p, self.p))
+        syndrome, message = divmod(image, self.split)
+        hit = self.errors.get(syndrome)
+        if hit is None or list_radius is not None and hit[1] > list_radius:
+            # every codeword lies beyond the radius, or the one within it
+            # beyond the list radius and every other beyond the radius
+            return None if list_radius is None else _NOTHING
+        offset, rank = hit
+        index = message ^ offset if self.p == 2 else _digit_difference(message, offset, self.p)
+        return DecodeResult(index, rank, False, None if list_radius is None else (index,))
+
+
+_NOTHING = DecodeResult(chosen=None, metric_value=None, tie=False, list=())
+
+
+def _digit_difference(a: int, b: int, p: int) -> int:
+    """Digit by digit a - b mod p of two packed base-p integers."""
+    out, scale = 0, 1
+    while a or b:
+        (a, x), (b, y) = divmod(a, p), divmod(b, p)
+        out += (x - y) % p * scale
+        scale *= p
+    return out
+
+
+def _syndrome_table(codebook, positions) -> _Syndromes | None:
+    """The codebook's table at the sorted positions, built on first use and
+    kept in ``codebook.syndromes``."""
+    tables, key = codebook.syndromes, tuple(positions)
+    if key not in tables:
+        tables[key] = _build_syndromes(codebook, key)
+    return tables[key]
+
+
+def _build_syndromes(codebook, positions) -> _Syndromes | None:
+    """The table at the positions, or None where the scan decodes: fewer
+    positions than k, more errors of rank <= t than SYNDROME_ERRORS, a
+    generator of less than full rank at P, or two errors with one syndrome."""
+    p, (_, _, m) = codebook.p, codebook.stack.shape
+    length = len(codebook.message(0))           # k·m message digits
+    size, k = len(positions), length // m
+    radius = (size - k) // 2
+    # the errors of rank 1 are u v^T, v nonzero and u's leading digit 1
+    count = 1 + (radius > 0) * (p ** size - 1) // (p - 1) * (p ** m - 1)
+    if size < k or radius > 1 or count > SYNDROME_ERRORS:
+        return None
+    # the code is GF(p)-linear: generator row i is the codeword of message
+    # p^i, the unit message of digit i
+    width = size * m
+    gen = codebook.stack[[p ** i for i in range(length)]][:, list(positions)].reshape(length, width)
+    # One elimination of [G_P^T | I]: the rows T of its right half satisfy
+    # T G_P^T = its left half, which is [I; 0] exactly when G_P has full
+    # rank. Then w -> w T^T is invertible, its first `length` digits read a
+    # codeword's message (R = T[:length]^T), and the rest are the parity
+    # checks H_P = T[length:].
+    (reduced,), _ = linalg.batched_rref(np.hstack([gen.T, np.eye(width, dtype=gen.dtype)])[None], p)
+    if not np.array_equal(reduced[:length, :length], np.eye(length)):
+        return None
+    reads = reduced[:, length:].T.astype(np.int64)
+    ones = np.zeros((0, width), dtype=np.int64)
+    if radius:
+        u, v = _nonzero_vectors(size, p), _nonzero_vectors(m, p)
+        u = u[u[np.arange(len(u)), (u != 0).argmax(axis=1)] == 1]
+        ones = (u[:, None, :, None] * v[None, :, None, :]).reshape(-1, width)
+    images = np.vstack([np.zeros((1, width), dtype=np.int64), ones @ reads % p])
+    syndromes = linalg.pack_digits(images[:, length:], p).tolist()
+    errors = dict(zip(syndromes, zip(linalg.pack_digits(images[:, :length], p).tolist(),
+                                     [0] + [1] * (count - 1))))
+    if len(errors) < count:
+        return None
+    if p == 2:
+        reads = linalg.pack_digits(reads, 2).tolist()
+    return _Syndromes(p, radius, p ** length, reads, errors)
+
+
+def _nonzero_vectors(size: int, p: int) -> np.ndarray:
+    """Every nonzero vector of GF(p)^size, as digit rows."""
+    return np.array(list(itertools.product(range(p), repeat=size))[1:], dtype=np.int64)
 
 
 # ---------------------------------------------------------------- pipeline

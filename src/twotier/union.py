@@ -154,6 +154,10 @@ class UnionCode:
         self._min_distance = None
         if len(self.components) == len(provenance.ids):
             self.matrix = provenance.matrix
+        elif len(self.components) == 1:
+            # one span's ids, ascending: a set of a few Python ints is
+            # about twice as fast as np.unique
+            self.matrix = provenance.matrix[sorted(set(provenance.ids[self.components[0]].tolist()))]
         else:
             self.matrix = provenance.matrix[np.unique(provenance.ids[self.components])]
 

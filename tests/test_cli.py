@@ -192,6 +192,42 @@ def test_feedback_without_tier1_is_config_error(tmp_path, capsys):
     assert "feedback requires tier 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "feedback", "no"), (None, "feedback", 1), (None, "feedback", None),
+    ("tier1", "enabled", "false"), ("tier1", "enabled", 0),
+    ("tier1", "allow_radius_override", "true"), ("tier1", "allow_radius_override", None)])
+def test_decode_flags_must_be_json_booleans(tmp_path, capsys, section, key, value):
+    """``"feedback": "no"`` once turned feedback on (bool("no") is True)."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    assert main(["decode", "--config", write_config(tmp_path, cfg),
+                 "--packets", str(GOLDEN_DECODE / "mv1.clean.txt")]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"{name} must be true or false, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("tier1", "radius"), ("tier2", "list_radius")])
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True, False, [1]])
+def test_decode_radii_must_be_json_integers(tmp_path, capsys, section, key, value):
+    """``"list_radius": 1.5`` once became 1; a bool is not a radius."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg.setdefault(section, {})[key] = value
+    assert main(["decode", "--config", write_config(tmp_path, cfg),
+                 "--packets", str(GOLDEN_DECODE / "mv1.clean.txt")]) == 2
+    assert f"{section}.{key} must be an integer or null, got {value!r}" in \
+        capsys.readouterr().err
+
+
+def test_decode_options_take_json_booleans_integers_and_null(tmp_path):
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["tier1"].update(enabled=True, allow_radius_override=False, radius=1)
+    cfg["tier2"]["list_radius"] = None
+    cfg["feedback"] = False
+    assert main(["decode", "--config", write_config(tmp_path, cfg),
+                 "--packets", str(GOLDEN_DECODE / "mv1.clean.txt"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+
+
 def test_decode_has_no_format_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decode", "--config", str(CONFIGS / "mv1.json"),

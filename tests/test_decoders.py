@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from twotier import decoders
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
 from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE, TIER1_MODES,
@@ -541,38 +542,77 @@ def test_feedback_shortcut_matches_the_rescanning_reference():
     for request in examples:
         check = example(request=request)(check)
     check()
-    assert len(examples) == 6
+    assert len(examples) == 13
     assert {True, False} <= branches
 
 
-def test_feedback_pass_ranks_again_only_for_a_changed_word(monkeypatch):
-    """A clean gab-gf64 word ranks the codebook once: the feedback pass keeps
-    every packet. With one bit of a row flipped, the feedback pass corrects
-    that row and ranks the codebook a second time."""
-    cb, uni, options = feedback_code("gab-gf64")
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from here on."""
     calls = []
-    batched_rank = Codebook.batched_rank
+    original = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return batched_rank(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(Codebook, "batched_rank", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_feedback_pass_ranks_again_only_for_a_changed_word(monkeypatch):
+    """A clean gab-gf64 word runs tier 2 once: the feedback pass keeps every
+    packet. With one bit of a row flipped, the feedback pass corrects that
+    row and runs tier 2 a second time. Both words lie within the syndrome
+    tables' radius at their positions, so neither ranks the codebook."""
+    cb, uni, options = feedback_code("gab-gf64")
+    passes = count_calls(monkeypatch, decoders, "_tier2_pass")
+    ranked = count_calls(monkeypatch, Codebook, "batched_rank")
     clean = [tuple(r) for r in cb[316].rows]
     outcome = two_tier_decode(clean, uni, cb, options)
     assert outcome.audit["feedback"]["second_pass"] == {
         "chosen": 316, "metric_value": 0, "tie": False, "list": None}
     assert [v.outcome for v in outcome.verdicts] == ["valid"] * 4
-    assert len(calls) == 1
+    assert len(passes) == 1
 
-    calls.clear()
+    passes.clear()
     corrupt = [(1, 0, 0, 1, 1, 1)] + clean[1:]
     assert hamming_distance(corrupt[0], clean[0]) == 1
     outcome = two_tier_decode(corrupt, uni, cb, options)
     assert outcome.audit["feedback"]["tier1_radius"] == 1
     assert [v.outcome for v in outcome.verdicts] == ["corrected"] + ["valid"] * 3
     assert outcome.result == DecodeResult(chosen=316, metric_value=0, tie=False)
-    assert len(calls) == 2
+    assert len(passes) == 2
+    assert ranked == []
+
+
+def test_rank_decodes_the_syndrome_tables_leave_to_the_scan(monkeypatch):
+    """On gab-gf64 (k = 2) all four positions have syndrome radius t = 1.
+    A list radius of t + 1, a nearest decode with no codeword within t,
+    and fewer positions than k each rank the codebook once, and agree with
+    the per-codeword rank distances."""
+    cb = feedback_code("gab-gf64")[0]
+    clean = [tuple(r) for r in cb[316].rows]
+    # a rank-2 error on every row: no codeword lies within 1 of the word
+    far = [(1, 0, 0, 1, 1, 0), (1, 0, 0, 1, 0, 1), (0, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 1)]
+    ranked = count_calls(monkeypatch, Codebook, "batched_rank")
+    for word, positions, list_radius in ((clean, None, 2), (far, None, None),
+                                         (clean, [2], 1), (far, [1], None)):
+        result = tier2_rank_decode(word, cb, positions, list_radius)
+        assert len(ranked) == 1
+        ranked.clear()
+        kept = range(4) if positions is None else positions
+        dists = [oracles.naive_rank([[(a - b) % 2 for a, b in zip(word[i], cw.rows[i])]
+                                     for i in kept], 2) for cw in cb]
+        best = min(dists)
+        if list_radius is None:
+            assert result == DecodeResult(dists.index(best), best, dists.count(best) > 1)
+        else:
+            listed = sorted((d, i) for i, d in enumerate(dists) if d <= list_radius)
+            assert result.list == tuple(i for _, i in listed)
+            assert (result.chosen, result.metric_value) == listed[0][::-1]
+            assert result.tie == (len(listed) > 1 and listed[1][0] == listed[0][0])
+    assert tier2_rank_decode(far, cb, list_radius=1) == DecodeResult(None, None, False, ())
+    assert ranked == []
 
 
 # ---------------------------------------------------------------- input digits

@@ -13,7 +13,11 @@ trial-major one replaced, which the blocked one replaced in turn, and the
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report
-is ``decode/<config>.<case>.decode.json``.
+is ``decode/<config>.<case>.decode.json``. The ``gab-gf64-feedback``
+reports (the GF(2^6) benchmark code: clean words, rank-1 and rank-2
+errors, erased positions, and fewer kept positions than k) were written by
+the rank decoder that ranked every codeword, before the syndrome tables
+answered most of those decodes.
 """
 
 from pathlib import Path

@@ -30,10 +30,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from twotier import linalg, union
+from twotier import decoders, linalg, union
 from twotier.codes import SETUP_CHUNK, Codebook, GabidulinSpec, build_codebook
 from twotier.config import load_config
 from twotier.decoders import (DecodeOptions, DecodeResult, tier2_list_decode,
@@ -779,3 +779,178 @@ def test_packed_and_int16_kernels_agree_on_benchmark_codes():
         received = [word[i] for i in positions]
         assert gab.batched_rank(positions, offset=received).tolist() == \
             linalg.batched_rank(gab.stack[:, positions, :], 2, offset=received).tolist()
+
+
+# ---------------------------------------------------------------- syndrome tables
+
+SYNDROME_CODES = ("gab-gf64", "gabidulin_gf8", "skew-gabidulin", "gf729-gabidulin",
+                  "gf27-gabidulin")
+
+
+@functools.cache
+def syndrome_code(name):
+    """(spec, codebook) of a Gabidulin code the syndrome tables are drawn
+    on: the GF(2^6) benchmark code (k = 2, radius 1 on all four positions),
+    the shipped GF(2^3) fixture, the non-polynomial basis and GF(3^6) codes
+    of ``rank_fixtures``, and a GF(3^3) code with n = 3, k = 1 (radius 1
+    over GF(3))."""
+    if name == "gab-gf64":
+        return fixture(name, BENCH_CONFIGS)
+    if name == "gf27-gabidulin":
+        gf27 = FieldContext(3, 3, [1, 2, 0, 1])      # x^3 + 2x + 1
+        spec = GabidulinSpec(field=gf27, n=3, k=1,
+                             generators=[gf27.one, gf27.gamma, gf27.gamma_pow(2)])
+        return spec, build_codebook(spec)
+    return rank_fixtures()[SYNDROME_CODES.index(name) - 1]
+
+
+@functools.cache
+def codeword_symbols(spec, codebook):
+    """Every codeword's rows as field elements, the reference scan's operands."""
+    return tuple(tuple(map(spec.field.from_vector, cw.rows)) for cw in codebook)
+
+
+def rank_error(draw, rows, cols, rank, p):
+    """A rows x cols digit matrix of rank exactly `rank`: U V with U = [I; X]
+    and V = [I | Y], rows and columns permuted."""
+    digits = lambda count: draw(st.lists(st.integers(0, p - 1), min_size=count, max_size=count))
+    left = np.vstack([np.eye(rank, dtype=np.int64),
+                      np.array(digits((rows - rank) * rank), dtype=np.int64).reshape(rows - rank, rank)])
+    right = np.hstack([np.eye(rank, dtype=np.int64),
+                       np.array(digits(rank * (cols - rank)), dtype=np.int64).reshape(rank, cols - rank)])
+    error = left @ right % p
+    error = error[draw(st.permutations(range(rows)))][:, draw(st.permutations(range(cols)))]
+    assert oracles.naive_rank(error.tolist(), p) == rank
+    return error
+
+
+@st.composite
+def syndrome_requests(draw, name):
+    """A word at rank distance 0 to t + 1 from a codeword at the positions P,
+    any digits elsewhere, with |P| anywhere from 1 (below k when k > 1) to
+    n, and list radius None, 0 to t, or t + 1; t = floor((|P| - k) / 2)."""
+    spec, codebook = syndrome_code(name)
+    p, n, m, k = codebook.p, spec.n, spec.field.n, spec.k
+    # all n positions half the time, where t is largest
+    size = n if draw(st.booleans()) else draw(st.integers(1, n))
+    positions = sorted(draw(st.permutations(range(n)))[:size])
+    radius = max((len(positions) - k) // 2, 0)
+    rank = draw(st.integers(0, min(radius + 1, len(positions))))
+    sent = codebook[draw(st.integers(0, len(codebook) - 1))].rows
+    word = [tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+            for _ in range(n)]
+    error = rank_error(draw, len(positions), m, rank, p)
+    for i, e in zip(positions, error.tolist()):
+        word[i] = tuple((a + b) % p for a, b in zip(sent[i], e))
+    list_radius = draw(st.sampled_from((None,) + tuple(range(radius + 2))))
+    given = len(positions) < n or draw(st.booleans())
+    return spec, codebook, word, positions if given else None, list_radius
+
+
+@pytest.mark.parametrize("name", SYNDROME_CODES)
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_syndrome_tables_match_per_codeword_scan(name, data):
+    """Every field of ``tier2_rank_decode`` against the per-codeword
+    ``metrics.rank_distance`` scan, on p = 2, p = 3 and a non-polynomial
+    basis. The codebook is ranked exactly when the table cannot answer:
+    fewer positions than k, a list radius above t, or a nearest decode with
+    no codeword within t."""
+    spec, codebook, word, positions, list_radius = data.draw(syndrome_requests(name))
+    kept = range(len(word)) if positions is None else positions
+    ctx = spec.field
+    received = [ctx.from_vector(word[i]) for i in kept]
+    dists = [rank_distance(received, [symbols[i] for i in kept])
+             for symbols in codeword_symbols(spec, codebook)]
+    size, k = len(kept), spec.k
+    radius = (size - k) // 2
+    scans = size < k or (min(dists) > radius if list_radius is None else list_radius > radius)
+    event(f"p = {codebook.p}, t = {radius}: {'scan' if scans else 'table'}")
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        batched_rank = Codebook.batched_rank
+        mp.setattr(Codebook, "batched_rank",
+                   lambda *args, **kwargs: calls.append(1) or batched_rank(*args, **kwargs))
+        result = tier2_rank_decode(word, codebook, positions, list_radius)
+    assert result == reference_select(dists, list_radius)
+    assert_plain(result)
+    assert len(calls) == scans
+
+
+def linear_codebook(generator, p, n, m):
+    """The GF(p)-linear code of a (length, n·m) generator as a Gabidulin
+    codebook: message i encodes its base-p digits, lowest first."""
+    length = len(generator)
+    digits = np.array([[i // p ** j % p for j in range(length)] for i in range(p ** length)])
+    stack = (digits @ np.asarray(generator) % p).astype(np.int8).reshape(-1, n, m)
+    spec = SimpleNamespace(kind="gabidulin", q=p, message_length=length)
+    return Codebook(spec, stack)
+
+
+def test_syndrome_collision_falls_back_to_the_scan():
+    """A linear code at rank distance 2 on gab-gf64's four positions, with
+    radius t = 1 taken from n and k as for an MRD code: two errors of rank 1
+    share a syndrome, so the table is refused and every decode ranks the
+    codebook, with the scan's result. The same construction on gab-gf64's
+    own generator answers from the table."""
+    spec, gab = fixture("gab-gf64", BENCH_CONFIGS)
+    generator = gab.stack[[2 ** i for i in range(12)]].reshape(12, 24).astype(np.int64)
+    weak = generator.copy()
+    weak[0] = 0
+    weak[0, [0, 7]] = 1                  # a codeword of rank 2: bit 0 of rows 0 and 1
+    rng = random.Random(21)
+    for generator, tabled in ((generator, True), (weak, False)):
+        codebook = linear_codebook(generator, 2, 4, 6)
+        if tabled:
+            assert np.array_equal(codebook.stack, gab.stack)
+        else:
+            assert oracles.naive_rank(codebook[1].rows, 2) == 2
+        symbols = codeword_symbols(spec, codebook)
+        for _ in range(4):
+            sent = codebook[rng.randrange(len(codebook))].rows
+            error = [rng.randrange(2) for _ in range(6)]
+            word = [tuple(a ^ (b & mask) for a, b in zip(row, error))
+                    for row, mask in zip(sent, [rng.randrange(2) for _ in range(4)])]
+            received = [spec.field.from_vector(row) for row in word]
+            dists = [rank_distance(received, s) for s in symbols]
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                batched_rank = Codebook.batched_rank
+                mp.setattr(Codebook, "batched_rank",
+                           lambda *args, **kwargs: calls.append(1) or batched_rank(*args, **kwargs))
+                result = tier2_rank_decode(word, codebook, list_radius=1)
+            assert result == reference_select(dists, 1)
+            assert len(calls) == (0 if tabled else 1)
+
+
+def test_position_sets_over_the_error_budget_keep_the_scan(monkeypatch):
+    """A GF(2^5) code with n = 5, k = 1 has t = 2 on all five positions:
+    145,112 errors of rank <= 2, past ``SYNDROME_ERRORS``, so a word at rank
+    distance 2 is decoded by the scan, as is a gab-gf64 word once the
+    budget is below its table's 946 errors; both match the per-codeword
+    reference."""
+    gf32 = FieldContext(2, 5, [1, 0, 1, 0, 0, 1])        # x^5 + x^2 + 1
+    spec = GabidulinSpec(field=gf32, n=5, k=1, generators=[gf32.gamma_pow(i) for i in range(5)])
+    wide = (spec, build_codebook(spec))
+    ranked = []
+    batched_rank = Codebook.batched_rank
+    monkeypatch.setattr(Codebook, "batched_rank",
+                        lambda *args, **kwargs: ranked.append(1) or batched_rank(*args, **kwargs))
+    rng = random.Random(5)
+    gab_spec, gab = fixture("gab-gf64", BENCH_CONFIGS)
+    # a codebook of its own: the tables are kept per codebook
+    for (spec, codebook), budget in ((wide, decoders.SYNDROME_ERRORS),
+                                     ((gab_spec, Codebook(gab_spec, gab.stack)), 945)):
+        monkeypatch.setattr(decoders, "SYNDROME_ERRORS", budget)
+        n, m = codebook.stack.shape[1:]
+        for list_radius in (None, 1, 2):
+            sent = codebook[rng.randrange(1, len(codebook))].rows
+            error = np.array([[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)]).T @ \
+                np.array([[rng.randrange(2) for _ in range(m)] for _ in range(2)]) % 2
+            word = [tuple(((np.array(row) + e) % 2).tolist()) for row, e in zip(sent, error)]
+            received = [spec.field.from_vector(row) for row in word]
+            dists = [rank_distance(received, symbols) for symbols in codeword_symbols(spec, codebook)]
+            ranked.clear()
+            result = tier2_rank_decode(word, codebook, list_radius=list_radius)
+            assert result == reference_select(dists, list_radius)
+            assert ranked == [1]

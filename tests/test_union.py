@@ -468,6 +468,20 @@ def test_restrict_on_every_config_matches_the_reference(name, where):
                 base.restrict(bad)
 
 
+@pytest.mark.parametrize("name, where", [("kk_example", ROOT / "configs"),
+                                         ("gab-gf64", ROOT / "perfbench" / "configs")])
+def test_restrict_to_each_component_matches_the_reference(name, where):
+    """A union of one component, every component in turn, holds the
+    reference restriction's vectors in union order."""
+    codebook, uni, provenance = restrict_case(name, where)
+    order = list(map(tuple, uni.matrix.tolist()))
+    for index in range(len(codebook)):
+        got = uni.restrict({index})
+        expected = oracles.reference_restrict(provenance, {index})
+        assert list(map(tuple, got.matrix.tolist())) == [v for v in order if v in expected]
+        assert got.components.tolist() == [index]
+
+
 # |U| = (q^l-1)q^m+1 (L6) with q = 2, l = 2, m = 7 and 8
 @pytest.mark.parametrize("config, cardinality, per_codeword",
                          (("kk-gf128", 385, 64), ("kk-gf256", 769, 32)))
