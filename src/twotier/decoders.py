@@ -278,10 +278,13 @@ def tier2_rank_decode(rows, codebook, positions=None, list_radius: int | None = 
 # when their difference, of rank <= 2t, is a nonzero codeword at P, so the
 # table proves d_P > 2t as it is built, or is refused.
 
-# Most errors of rank <= t a syndrome table holds; a position set with more
-# keeps the scan. No t >= 2 comes within it: the fewest errors of rank <= 2,
-# those of a 5 x 5 matrix over GF(2), number 145,112.
+# Most errors of rank <= t that the syndrome tables of one codebook hold
+# together, which bounds their memory (about 2.2 MiB) whatever the erasure
+# patterns: a position set whose table would pass it keeps the scan. No
+# t >= 2 comes within it: the fewest errors of rank <= 2, those of a 5 x 5
+# matrix over GF(2), number 145,112.
 SYNDROME_ERRORS = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class _Syndromes:
@@ -341,25 +344,27 @@ def _digit_difference(a: int, b: int, p: int) -> int:
 
 
 def _syndrome_table(codebook, positions) -> _Syndromes | None:
-    """The codebook's table at the sorted positions, built on first use and
-    kept in ``codebook.syndromes``."""
+    """The codebook's table at the sorted positions, built on first use, in
+    what its other tables leave of SYNDROME_ERRORS, and kept in
+    ``codebook.syndromes``."""
     tables, key = codebook.syndromes, tuple(positions)
     if key not in tables:
-        tables[key] = _build_syndromes(codebook, key)
+        held = sum(len(table.errors) for table in tables.values() if table is not None)
+        tables[key] = _build_syndromes(codebook, key, SYNDROME_ERRORS - held)
     return tables[key]
 
 
-def _build_syndromes(codebook, positions) -> _Syndromes | None:
+def _build_syndromes(codebook, positions, budget: int) -> _Syndromes | None:
     """The table at the positions, or None where the scan decodes: fewer
-    positions than k, more errors of rank <= t than SYNDROME_ERRORS, a
-    generator of less than full rank at P, or two errors with one syndrome."""
+    positions than k, more errors of rank <= t than the budget, a generator
+    of less than full rank at P, or two errors with one syndrome."""
     p, (_, _, m) = codebook.p, codebook.stack.shape
     length = len(codebook.message(0))           # k·m message digits
     size, k = len(positions), length // m
     radius = (size - k) // 2
     # the errors of rank 1 are u v^T, v nonzero and u's leading digit 1
-    count = 1 + (radius > 0) * (p ** size - 1) // (p - 1) * (p ** m - 1)
-    if size < k or radius > 1 or count > SYNDROME_ERRORS:
+    count = 1 + ((p ** size - 1) // (p - 1) * (p ** m - 1) if radius else 0)
+    if size < k or radius > 1 or count > budget:
         return None
     # the code is GF(p)-linear: generator row i is the codeword of message
     # p^i, the unit message of digit i
@@ -374,12 +379,12 @@ def _build_syndromes(codebook, positions) -> _Syndromes | None:
     if not np.array_equal(reduced[:length, :length], np.eye(length)):
         return None
     reads = reduced[:, length:].T.astype(np.int64)
-    ones = np.zeros((0, width), dtype=np.int64)
+    rank_one = np.zeros((0, width), dtype=np.int64)
     if radius:
         u, v = _nonzero_vectors(size, p), _nonzero_vectors(m, p)
         u = u[u[np.arange(len(u)), (u != 0).argmax(axis=1)] == 1]
-        ones = (u[:, None, :, None] * v[None, :, None, :]).reshape(-1, width)
-    images = np.vstack([np.zeros((1, width), dtype=np.int64), ones @ reads % p])
+        rank_one = (u[:, None, :, None] * v[None, :, None, :]).reshape(-1, width)
+    images = np.vstack([np.zeros((1, width), dtype=np.int64), rank_one @ reads % p])
     syndromes = linalg.pack_digits(images[:, length:], p).tolist()
     errors = dict(zip(syndromes, zip(linalg.pack_digits(images[:, :length], p).tolist(),
                                      [0] + [1] * (count - 1))))

@@ -157,7 +157,8 @@ class UnionCode:
         elif len(self.components) == 1:
             # one span's ids, ascending: a set of a few Python ints is
             # about twice as fast as np.unique
-            self.matrix = provenance.matrix[sorted(set(provenance.ids[self.components[0]].tolist()))]
+            ids = provenance.ids[self.components[0]].tolist()
+            self.matrix = provenance.matrix[sorted(set(ids))]
         else:
             self.matrix = provenance.matrix[np.unique(provenance.ids[self.components])]
 

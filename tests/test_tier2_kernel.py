@@ -1,9 +1,11 @@
 """The tier-2 lanes against per-codeword reference scans.
 
-The rank lane computes every codeword's distance in one
-``Codebook.batched_rank`` call: ``linalg.packed_rank`` on the codebook's
-bit-packed rows, in the narrowest unsigned dtype that holds one, over
-GF(2), and ``linalg.batched_rank`` on int16 digits otherwise. The subspace
+The rank lane answers a word within the unique-decoding radius of its
+kept positions from their syndrome table, and otherwise computes every
+codeword's distance in one ``Codebook.batched_rank`` call:
+``linalg.packed_rank`` on the codebook's bit-packed rows, in the narrowest
+unsigned dtype that holds one, over GF(2), and ``linalg.batched_rank`` on
+int16 digits otherwise. The subspace
 lane finds the union vectors in the received space, by looking each of its
 vectors up over GF(2) when there are no more of them than union vectors,
 and otherwise by ranking the union's nonzero vectors against it as
@@ -15,7 +17,11 @@ sorted scan would, and require the same ``DecodeResult`` on every shipped
 fixture, on the GF(2^7) KK benchmark code, on GF(2) and GF(3) codes whose
 vectors have many owners and on a hand-made code whose rows are wider than
 64 bits, with the kernel's chunk size at its default and small enough to
-split each array. The packed kernel is also checked against
+split each array. The syndrome tables are drawn on words at each rank
+distance up to one past their radius, with too few positions, refused for
+a shared syndrome, and over their error budget, and must rank the
+codebook exactly where they cannot answer. The packed kernel is also
+checked against
 ``oracles.naive_rank`` and the int16 kernel at every dtype and word
 boundary, the GF(2) subspace lane against calls to ``linalg.rref``, and
 the subspace lane against reading ``Codebook.table`` or forming the owner
@@ -804,6 +810,16 @@ def syndrome_code(name):
     return rank_fixtures()[SYNDROME_CODES.index(name) - 1]
 
 
+def counted_ranks(monkeypatch):
+    """A list that grows by one on each ``Codebook.batched_rank`` call, the
+    scan, from here on."""
+    calls = []
+    batched_rank = Codebook.batched_rank
+    monkeypatch.setattr(Codebook, "batched_rank",
+                        lambda *args, **kwargs: calls.append(1) or batched_rank(*args, **kwargs))
+    return calls
+
+
 @functools.cache
 def codeword_symbols(spec, codebook):
     """Every codeword's rows as field elements, the reference scan's operands."""
@@ -813,11 +829,13 @@ def codeword_symbols(spec, codebook):
 def rank_error(draw, rows, cols, rank, p):
     """A rows x cols digit matrix of rank exactly `rank`: U V with U = [I; X]
     and V = [I | Y], rows and columns permuted."""
-    digits = lambda count: draw(st.lists(st.integers(0, p - 1), min_size=count, max_size=count))
-    left = np.vstack([np.eye(rank, dtype=np.int64),
-                      np.array(digits((rows - rank) * rank), dtype=np.int64).reshape(rows - rank, rank)])
-    right = np.hstack([np.eye(rank, dtype=np.int64),
-                       np.array(digits(rank * (cols - rank)), dtype=np.int64).reshape(rank, cols - rank)])
+    def digits(shape):
+        count = shape[0] * shape[1]
+        drawn = draw(st.lists(st.integers(0, p - 1), min_size=count, max_size=count))
+        return np.array(drawn, dtype=np.int64).reshape(shape)
+
+    left = np.vstack([np.eye(rank, dtype=np.int64), digits((rows - rank, rank))])
+    right = np.hstack([np.eye(rank, dtype=np.int64), digits((rank, cols - rank))])
     error = left @ right % p
     error = error[draw(st.permutations(range(rows)))][:, draw(st.permutations(range(cols)))]
     assert oracles.naive_rank(error.tolist(), p) == rank
@@ -866,11 +884,8 @@ def test_syndrome_tables_match_per_codeword_scan(name, data):
     radius = (size - k) // 2
     scans = size < k or (min(dists) > radius if list_radius is None else list_radius > radius)
     event(f"p = {codebook.p}, t = {radius}: {'scan' if scans else 'table'}")
-    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        batched_rank = Codebook.batched_rank
-        mp.setattr(Codebook, "batched_rank",
-                   lambda *args, **kwargs: calls.append(1) or batched_rank(*args, **kwargs))
+        calls = counted_ranks(mp)
         result = tier2_rank_decode(word, codebook, positions, list_radius)
     assert result == reference_select(dists, list_radius)
     assert_plain(result)
@@ -913,11 +928,8 @@ def test_syndrome_collision_falls_back_to_the_scan():
                     for row, mask in zip(sent, [rng.randrange(2) for _ in range(4)])]
             received = [spec.field.from_vector(row) for row in word]
             dists = [rank_distance(received, s) for s in symbols]
-            calls = []
             with pytest.MonkeyPatch.context() as mp:
-                batched_rank = Codebook.batched_rank
-                mp.setattr(Codebook, "batched_rank",
-                           lambda *args, **kwargs: calls.append(1) or batched_rank(*args, **kwargs))
+                calls = counted_ranks(mp)
                 result = tier2_rank_decode(word, codebook, list_radius=1)
             assert result == reference_select(dists, 1)
             assert len(calls) == (0 if tabled else 1)
@@ -932,10 +944,7 @@ def test_position_sets_over_the_error_budget_keep_the_scan(monkeypatch):
     gf32 = FieldContext(2, 5, [1, 0, 1, 0, 0, 1])        # x^5 + x^2 + 1
     spec = GabidulinSpec(field=gf32, n=5, k=1, generators=[gf32.gamma_pow(i) for i in range(5)])
     wide = (spec, build_codebook(spec))
-    ranked = []
-    batched_rank = Codebook.batched_rank
-    monkeypatch.setattr(Codebook, "batched_rank",
-                        lambda *args, **kwargs: ranked.append(1) or batched_rank(*args, **kwargs))
+    ranked = counted_ranks(monkeypatch)
     rng = random.Random(5)
     gab_spec, gab = fixture("gab-gf64", BENCH_CONFIGS)
     # a codebook of its own: the tables are kept per codebook
@@ -949,8 +958,27 @@ def test_position_sets_over_the_error_budget_keep_the_scan(monkeypatch):
                 np.array([[rng.randrange(2) for _ in range(m)] for _ in range(2)]) % 2
             word = [tuple(((np.array(row) + e) % 2).tolist()) for row, e in zip(sent, error)]
             received = [spec.field.from_vector(row) for row in word]
-            dists = [rank_distance(received, symbols) for symbols in codeword_symbols(spec, codebook)]
+            dists = [rank_distance(received, symbols)
+                     for symbols in codeword_symbols(spec, codebook)]
             ranked.clear()
             result = tier2_rank_decode(word, codebook, list_radius=list_radius)
             assert result == reference_select(dists, list_radius)
             assert ranked == [1]
+
+
+def test_syndrome_tables_of_one_codebook_share_the_error_budget(monkeypatch):
+    """On the GF(2^5) code with n = 5, k = 1, three positions have t = 1 and
+    1 + 7 * 31 = 218 errors. With room for one such table and a little
+    more, the first three-position set gets its table and the second
+    keeps the scan; decodes at the first stay on its table."""
+    gf32 = FieldContext(2, 5, [1, 0, 1, 0, 0, 1])        # x^5 + x^2 + 1
+    spec = GabidulinSpec(field=gf32, n=5, k=1, generators=[gf32.gamma_pow(i) for i in range(5)])
+    codebook = build_codebook(spec)
+    monkeypatch.setattr(decoders, "SYNDROME_ERRORS", 2 * 218 - 1)
+    ranked = counted_ranks(monkeypatch)
+    word = [tuple(row) for row in codebook[9].rows]
+    for positions, scans in (([0, 1, 2], 0), ([2, 3, 4], 1), ([0, 1, 2], 0), ([3, 4], 0)):
+        ranked.clear()
+        assert tier2_rank_decode(word, codebook, positions) == DecodeResult(9, 0, False)
+        assert len(ranked) == scans
+    assert sorted(len(t.errors) for t in codebook.syndromes.values() if t) == [1, 218]
