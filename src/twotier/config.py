@@ -6,6 +6,7 @@ map it to a stable exit code. Elements in configuration are base-p digit
 strings (low-order digit first) or powers of gamma like ``"g^3"``.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -37,21 +38,22 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _flag(section: dict, key: str, name: str, default: bool) -> bool:
-    """The JSON true or false at `key`; ConfigError naming `name` otherwise."""
+def _typed(section: dict, key: str, name: str, default, types: tuple, what: str):
+    """The value at `key`, or `default`, when its JSON type is one of
+    `types`; ConfigError naming `name` otherwise. A bool is not a number
+    here unless `types` holds bool."""
     value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
 
 
-def _optional_int(section: dict, key: str, name: str) -> int | None:
-    """The JSON integer or null at `key`; ConfigError naming `name` otherwise
-    (a bool is not an integer here)."""
-    value = section.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{name} must be an integer or null, got {value!r}")
-    return value
+# JSON true or false; integer; integer or null; number, integer or not
+_flag = functools.partial(_typed, types=(bool,), what="true or false")
+_int = functools.partial(_typed, types=(int,), what="an integer")
+_optional_int = functools.partial(_typed, default=None, types=(int, type(None)),
+                                  what="an integer or null")
+_number = functools.partial(_typed, types=(int, float), what="a number")
 
 
 @dataclass
@@ -72,7 +74,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return _int(self.raw, "seed", "seed", 0)
 
     @property
     def union_budget(self) -> int:
@@ -159,12 +161,13 @@ class RunConfig:
         section = self._section("errors")
         try:
             return ErrorModel(
-                bit_flip_prob=float(section.get("bit_flip_prob", 0.0)),
-                fixed_flips=(None if section.get("fixed_flips") is None
-                             else int(section["fixed_flips"])),
-                corrupt_packet_prob=float(section.get("corrupt_packet_prob", 0.0)),
-                injected_packets=int(section.get("injected_packets", 0)),
-                injection_node=section.get("injection_node"))
+                bit_flip_prob=_number(section, "bit_flip_prob", "errors.bit_flip_prob", 0.0),
+                fixed_flips=_optional_int(section, "fixed_flips", "errors.fixed_flips"),
+                corrupt_packet_prob=_number(section, "corrupt_packet_prob",
+                                            "errors.corrupt_packet_prob", 0.0),
+                injected_packets=_int(section, "injected_packets", "errors.injected_packets", 0),
+                injection_node=_typed(section, "injection_node", "errors.injection_node", None,
+                                      (str, type(None)), "a node name or null"))
         except ValueError as exc:
             raise ConfigError(f"errors: {exc}") from exc
 
@@ -175,17 +178,17 @@ class RunConfig:
             raise ConfigError(f"sim: strategies must be a list of strategy names, "
                               f"got {strategies!r}")
         strategies = tuple(strategies)
-        unknown = set(strategies) - set(STRATEGIES)
+        unknown = [s for s in strategies if s not in STRATEGIES]
         if unknown:
-            raise ConfigError(f"sim: unknown strategies {sorted(unknown)}")
-        trials = int(section.get("trials", 100))
+            raise ConfigError(f"sim: unknown strategies {unknown}")
+        trials = _int(section, "trials", "sim.trials", 100)
         if trials < 1:
             raise ConfigError("sim: trials must be at least 1")
         return {
             "trials": trials,
             "strategies": strategies,
             "node_filter_mode": section.get("node_filter_mode", DETECT_ONLY),
-            "retry_full_rank": bool(section.get("retry_full_rank", False)),
+            "retry_full_rank": _flag(section, "retry_full_rank", "sim.retry_full_rank", False),
         }
 
     def message_digits(self):

@@ -246,6 +246,8 @@ def _rank_word(rows, codebook, positions):
     positions = sorted(range(n) if positions is None else positions)
     if not positions:
         raise ValueError("tier-2 rank decoding needs at least one surviving position")
+    if positions[0] < 0 or positions[-1] >= n or len(set(positions)) < len(positions):
+        raise ValueError(f"positions must be distinct positions in [0, {n}), got {positions}")
     received = [rows[i] for i in positions]
     _check_packets(received, codebook.p, width)
     return positions, received

@@ -1,15 +1,21 @@
 """Seeded simulator of random linear network coding over a DAG.
 
-Every random draw comes from a named stream derived from
-(base seed, trial, attempt, edge-or-node, purpose) via SHA-256, so a
-report is a pure function of (config, seed). Channel corruption and
-mixing use disjoint streams and never depend on the decoding strategy,
-which makes per-trial comparisons between strategies paired.
+Every random draw is a pure function of (base seed, edge-or-node, purpose,
+trial, attempt, index), counter-based as in Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC11): SHA-256 gives a 64-bit key per (base
+seed, edge-or-node, purpose), and a draw is the SplitMix64 finaliser of
+``key + GAMMA * counter`` (mod 2^64), where the counter packs (trial,
+attempt, retry, index) into the bit fields of one uint64. A report is then
+a pure function of (config, seed), and :func:`stream` draws a whole block
+of trials as one array. Channel corruption and mixing use disjoint keys and
+never depend on the decoding strategy, which makes per-trial comparisons
+between strategies paired.
 
 An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
 (:class:`TrialBlock`), and the strategies share what they can:
 
-* per trial, each draw is made once, whichever strategies read it;
+* per block and (purpose, edge-or-node), one :func:`stream` call makes
+  every trial's first-attempt draws, whichever strategies read them;
 * per block, one numpy network pass carries every trial's packets for each
   filtering flag (at most two passes, since the strategies differ in the
   network only by whether intermediate nodes filter), and a filtering node
@@ -21,7 +27,6 @@ An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
 import functools
 import graphlib
 import hashlib
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +48,73 @@ SOURCE = "source"
 INTERMEDIATE = "intermediate"
 SINK = "sink"
 
-SEED_DERIVATION = "sha256(base|trial|attempt|edge-or-node|purpose) -> 64-bit stream seed"
 MAX_TRIALS = 1_000_000
 MAX_ATTEMPTS = 20       # network passes a trial makes at most when retry_full_rank reruns it
 BLOCK_TRIALS = 1024     # trials whose draws, network passes and decodes run together
 
+# The counter of a draw: bit fields of one uint64, high to low. MAX_TRIALS
+# and MAX_ATTEMPTS fit their fields, and `stream` refuses what does not.
+TRIAL_BITS, ATTEMPT_BITS, RETRY_BITS, INDEX_BITS = 20, 5, 7, 32
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's odd increment: counter -> key + GAMMA * counter is 1-1
+SEED_DERIVATION = ("key = sha256(base|edge-or-node|purpose)[:8]; draw = splitmix64(key + "
+                   "0x9e3779b97f4a7c15 * (trial<<44 | attempt<<39 | retry<<32 | index))")
 
-def stream(base_seed: int, *parts) -> random.Random:
-    tag = f"{base_seed}|" + "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(tag.encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+
+@functools.lru_cache(maxsize=256)
+def draw_key(base_seed: int, name: str, purpose: str) -> int:
+    """The 64-bit key of the draws of one (edge-or-node, purpose) under a
+    base seed of any size: a handful of hashes per experiment."""
+    digest = hashlib.sha256(f"{base_seed}|{name}|{purpose}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _splitmix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def stream(key: int, trials, attempt: int, count: int, below: int = 0):
+    """Draws 0..count-1 of one key at one attempt for each of `trials`, as a
+    (len(trials), count) uint64 array: entry (i, j) is the draw at index j
+    of trial trials[i], whatever `count` is.
+
+    With `below`, each draw is an exactly uniform integer in [0, below),
+    by a 32-bit multiply-shift of its top 32 bits; the rare rejected one is
+    drawn again at the next retry. BudgetError when a value does not fit
+    its counter field, so no two draws share a counter.
+    """
+    trials = np.asarray(trials, dtype=np.int64).astype(np.uint64)  # a negative one wraps high
+    if len(trials) and trials.max() >> TRIAL_BITS:
+        raise BudgetError(f"trial numbers must lie in [0, 2^{TRIAL_BITS})")
+    if not 0 <= attempt < 1 << ATTEMPT_BITS:
+        raise BudgetError(f"attempt {attempt} outside [0, 2^{ATTEMPT_BITS})")
+    if count > 1 << INDEX_BITS or below > 1 << 32:
+        raise BudgetError(f"{count} draws below {below} exceed the 32-bit draw fields")
+    counters = ((trials << (ATTEMPT_BITS + RETRY_BITS + INDEX_BITS) |
+                 attempt << (RETRY_BITS + INDEX_BITS))[:, None] |
+                np.arange(count, dtype=np.uint64))
+    words = _splitmix(counters * GAMMA + key)
+    if not below:
+        return words
+    words = (words >> 32) * below
+    threshold = (1 << 32) % below       # 0 when below divides 2^32
+    rejected = (words & 0xFFFFFFFF) < threshold
+    retry = 0
+    while rejected.any():
+        retry += 1
+        if retry >> RETRY_BITS:
+            raise BudgetError(f"draws below {below} rejected {retry} times")
+        redrawn = (_splitmix((counters[rejected] + (retry << INDEX_BITS)) * GAMMA + key) >> 32) \
+            * below
+        words[rejected] = redrawn
+        rejected[rejected] = (redrawn & 0xFFFFFFFF) < threshold
+    return words >> 32
+
+
+def _unit(words):
+    """Draws as floats in [0, 1): their top 53 bits, exactly."""
+    return (words >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -190,21 +252,6 @@ def _verdict_counts() -> dict:
     return dict.fromkeys((VALID, CORRECTED, ERASED, REJECTED), 0)
 
 
-def _corruption(model: ErrorModel, rng: random.Random, p: int, n: int):
-    """The (position, offset) pairs a channel adds to a length-n packet, or None.
-
-    The draws never read the packet, so one edge's pattern serves every
-    strategy's packet on that edge.
-    """
-    if model.corrupt_packet_prob == 0.0 or rng.random() >= model.corrupt_packet_prob:
-        return None
-    if model.fixed_flips is not None:
-        positions = rng.sample(range(n), model.fixed_flips)
-    else:
-        positions = [i for i in range(n) if rng.random() < model.bit_flip_prob]
-    return tuple((i, 1 if p == 2 else rng.randrange(1, p)) for i in positions)
-
-
 def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel):
     """The checks on the error model that come before any draw."""
     if error_model.injection_node is not None and \
@@ -284,7 +331,9 @@ class TrialBlock:
     k packets reads the first k of them, so a filtering node with a
     shorter buffer reads a prefix of the same draws; the corruption
     pattern of an edge does not read the packet; injected packets are made
-    per (attempt, node). Each trial's draws at each attempt are made once.
+    per (attempt, node). One :func:`stream` call per (purpose,
+    edge-or-node) makes the first attempt's draws of every trial, which
+    both passes read; a retry draws for the trials its pass reruns.
     The network depends on the strategy only through whether intermediate
     nodes filter, so ``networks`` holds at most two passes, each run for
     the whole block at once; a filtering node runs tier 1 once per
@@ -305,48 +354,48 @@ class TrialBlock:
         self.retry_full_rank = retry_full_rank
         self.layout = _layout(topology, setup.codebook.stack.shape[1], error_model)
         self.networks = {}              # intermediate nodes filter -> _Network
-        self._draws = {}                # (attempt, position) -> one trial's draws
+        self._first = None              # the first attempt's draws, which every pass reads
         self._kept = {}                 # packet -> what a filtering node forwards, or None
         self._decodes = {}              # (tier2-only, sink word) -> what decode returns
         self._radius = 0
 
-    def _draw(self, attempt: int, pos: int):
-        """The draws of the trial at `pos` at one attempt, flattened: each
-        edge's coefficients padded to the layout's width, each edge's
-        corruption pattern, and the injected packets' digits."""
-        key = (attempt, pos)
-        drawn = self._draws.get(key)
-        if drawn is None:
-            lay, p, n = self.layout, self.setup.p, self.setup.ambient_len
-            base, trial = self.base_seed, self.trials[pos]
-            coeffs, flips = [], []
-            for name, k in zip(lay.edges, lay.mix):
-                rng = stream(base, trial, attempt, name, "mix")
-                coeffs += [rng.randrange(p) for _ in range(k)]
-                coeffs += [0] * (lay.width - k)
-                flips.append(_corruption(self.error_model,
-                                         stream(base, trial, attempt, name, "chan"), p, n))
-            injected = []
-            if lay.injected:
-                rng = stream(base, trial, attempt, self.error_model.injection_node, "inject")
-                injected = [rng.randrange(p) for _ in range(lay.injected * n)]
-            drawn = self._draws[key] = (coeffs, flips, injected)
-        return drawn
+    def _stream(self, name: str, purpose: str, trials, attempt: int, count: int, below: int = 0):
+        return stream(draw_key(self.base_seed, name, purpose), trials, attempt, count, below)
+
+    def _offsets(self, name: str, trials, attempt: int):
+        """Each trial's corruption offsets on one edge, (trials, n): nonzero
+        at the flipped positions of the packets the channel corrupts."""
+        model, p, n = self.error_model, self.setup.p, self.setup.ambient_len
+        hit = _unit(self._stream(name, "corrupt", trials, attempt, 1)) < model.corrupt_packet_prob
+        if model.fixed_flips is None:
+            flip = _unit(self._stream(name, "flip", trials, attempt, n)) < model.bit_flip_prob
+        else:
+            # the first fixed_flips positions of a random order: distinct ones
+            order = np.argsort(self._stream(name, "order", trials, attempt, n), axis=1,
+                               kind="stable")
+            flip = np.zeros((len(trials), n), dtype=bool)
+            np.put_along_axis(flip, order[:, :model.fixed_flips], True, axis=1)
+        flip &= hit
+        if p == 2:
+            return flip
+        return np.where(flip, self._stream(name, "offset", trials, attempt, n, p - 1) + 1, 0)
 
     def _arrays(self, attempt: int, positions):
         """Coefficients (trials, edges, width), corruption offsets
-        (trials, edges, n) and injected packets (trials, injected, n)."""
-        lay, n = self.layout, self.setup.ambient_len
-        drawn = [self._draw(attempt, pos) for pos in positions]
-        count, edges = len(drawn), len(lay.edges)
-        coeffs = np.array([d[0] for d in drawn], dtype=np.int64).reshape(count, edges, lay.width)
-        offsets = np.zeros((count, edges, n), dtype=np.int64)
-        at = [(i, e, j, offset) for i, d in enumerate(drawn) for e, flips in enumerate(d[1])
-              if flips is not None for j, offset in flips]
-        if at:
-            i, e, j, offset = map(list, zip(*at))
-            offsets[i, e, j] = offset
-        injected = np.array([d[2] for d in drawn], dtype=np.int64).reshape(count, lay.injected, n)
+        (trials, edges, n) and injected packets (trials, injected, n) of the
+        trials at `positions`."""
+        lay, p, n = self.layout, self.setup.p, self.setup.ambient_len
+        trials = np.asarray(self.trials)[positions]
+        coeffs = np.zeros((len(trials), len(lay.edges), lay.width), dtype=np.int64)
+        offsets = np.zeros((len(trials), len(lay.edges), n), dtype=np.int64)
+        for e, (name, k) in enumerate(zip(lay.edges, lay.mix)):
+            coeffs[:, e, :k] = self._stream(name, "mix", trials, attempt, k, p)
+            if self.error_model.corrupt_packet_prob:
+                offsets[:, e] = self._offsets(name, trials, attempt)
+        injected = np.zeros((len(trials), 0, n), dtype=np.int64)
+        if lay.injected:
+            injected = self._stream(self.error_model.injection_node, "inject", trials, attempt,
+                                    lay.injected * n, p).reshape(len(trials), lay.injected, n)
         return coeffs, offsets, injected
 
     def _forwarded(self, packet):
@@ -369,11 +418,11 @@ class TrialBlock:
         out[trial, (np.cumsum(keep, axis=1) - 1)[trial, slot]] = kept
         return out, keep.sum(axis=1)
 
-    def _pass(self, attempt: int, positions, filtering: bool):
-        """One network pass of the trials at `positions`: every slot's packet
-        and each trial's filtered drops."""
+    def _pass(self, drawn, positions, filtering: bool):
+        """One network pass of the trials at `positions` on their draws
+        (`_arrays`): every slot's packet and each trial's filtered drops."""
         lay, p, stack = self.layout, self.setup.p, self.setup.codebook.stack
-        coeffs, offsets, injected = self._arrays(attempt, positions)
+        coeffs, offsets, injected = drawn
         packets = np.zeros((len(positions), lay.slots, self.setup.ambient_len), dtype=np.int64)
         packets[:, lay.source:lay.source + stack.shape[1]] = \
             stack[[self.indices[pos] for pos in positions]]
@@ -408,7 +457,9 @@ class TrialBlock:
             if self._radius is None:
                 self._radius = default_radius(setup.union.min_distance())
         todo = np.arange(len(self.trials))
-        packets, drops = self._pass(0, todo, filtering)
+        if self._first is None:
+            self._first = self._arrays(0, todo)
+        packets, drops = self._pass(self._first, todo, filtering)
         attempts = np.ones(len(todo), dtype=np.int64)
         deficient = np.zeros(len(todo), dtype=bool)
         if self.retry_full_rank and self.error_model.error_free:
@@ -424,7 +475,7 @@ class TrialBlock:
                 attempt += 1
                 if attempt >= MAX_ATTEMPTS:
                     break
-                current, drops[todo] = self._pass(attempt, todo, filtering)
+                current, drops[todo] = self._pass(self._arrays(attempt, todo), todo, filtering)
                 packets[todo] = current
                 attempts[todo] = attempt + 1
         words = {sink: [tuple(map(tuple, word)) for word in packets[:, lo:hi].tolist()]
@@ -526,10 +577,10 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
                     for s in strategies}
     metric_values = {s: [] for s in strategies}
     passes = dict.fromkeys(s == TWO_TIER_FILTER for s in strategies)
+    message_key = draw_key(base_seed, "", "message")
     for start in range(0, trials, BLOCK_TRIALS):
         block_trials = range(start, min(start + BLOCK_TRIALS, trials))
-        indices = [stream(base_seed, trial, "message").randrange(len(setup.codebook))
-                   for trial in block_trials]
+        indices = stream(message_key, block_trials, 0, 1, len(setup.codebook))[:, 0].tolist()
         block = TrialBlock(topology, setup, error_model, base_seed, block_trials, indices,
                            node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
         for filtering in passes:

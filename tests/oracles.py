@@ -10,10 +10,10 @@ with its batched kernels and ``reference_two_tier`` chains its public
 tier-1 and tier-2 decoders (see there).
 """
 
+import functools
 import hashlib
 import itertools
 import math
-import random
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -369,30 +369,71 @@ def reference_lemmas(spec, codebook):
 # ---------------------------------------------------------------- simulator
 #
 # The strategy-major simulator that the trial-major one replaced: each
-# strategy runs every trial with freshly derived streams and its own
-# network pass. Streams and ranks are rebuilt here; the objects it takes
-# (topology, code set-up, error model) and the decoders it calls are the
-# package's, since what it checks is which draws each strategy sees.
+# strategy runs every trial with its own network pass, and draws each
+# value on its own, one scalar at a time. The draw function is rebuilt
+# here from its definition; the objects the simulator takes (topology,
+# code set-up, error model) and the decoders it calls are the package's,
+# since what it checks is which draws each strategy sees.
 
-def sim_stream(base_seed, *parts):
-    """sha256(base|part|...) -> 64-bit seed of a random.Random."""
-    tag = f"{base_seed}|" + "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(tag.encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+MASK64 = (1 << 64) - 1
 
 
-def _reference_corrupt(pkt, model, rng, p):
-    if model.corrupt_packet_prob == 0.0 or rng.random() >= model.corrupt_packet_prob:
+@functools.lru_cache(maxsize=None)
+def sim_key(base_seed, name, purpose):
+    """The first 8 bytes, big-endian, of sha256("base|name|purpose")."""
+    digest = hashlib.sha256(f"{base_seed}|{name}|{purpose}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def splitmix64(z):
+    """The SplitMix64 output function on a 64-bit integer."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def sim_draw(base_seed, name, purpose, trial, attempt, index, below=None):
+    """One draw of the simulator: the 64-bit word at counter (trial, attempt,
+    retry 0, index) under the key of (base seed, name, purpose) or, with
+    `below`, the first retry's 32-bit multiply-shift into [0, below) that
+    is not rejected."""
+    assert 0 <= trial < 1 << 20 and 0 <= attempt < 1 << 5 and 0 <= index < 1 << 32
+    key = sim_key(base_seed, name, purpose)
+    for retry in range(1 << 7):
+        counter = trial << 44 | attempt << 39 | retry << 32 | index
+        word = splitmix64((key + 0x9E3779B97F4A7C15 * counter) & MASK64)
+        if below is None:
+            return word
+        product = (word >> 32) * below
+        if product % (1 << 32) >= (1 << 32) % below:
+            return product >> 32
+    raise AssertionError("every retry rejected")
+
+
+def sim_unit(word):
+    """A 64-bit draw as a float in [0, 1) from its top 53 bits."""
+    return (word >> 11) / 2 ** 53
+
+
+def sim_message(base_seed, trial, codewords):
+    """The message index of a trial."""
+    return sim_draw(base_seed, "", "message", trial, 0, 0, codewords)
+
+
+def _reference_corrupt(pkt, model, draw, p):
+    """`draw(purpose, index, below=None)` draws on the packet's edge."""
+    if model.corrupt_packet_prob == 0.0 or sim_unit(draw("corrupt", 0)) >= model.corrupt_packet_prob:
         return pkt
     pkt = list(pkt)
     if model.fixed_flips is not None:
         if model.fixed_flips > len(pkt):
             raise ValueError("fixed_flips exceeds the packet length")
-        positions = rng.sample(range(len(pkt)), model.fixed_flips)
+        order = sorted(range(len(pkt)), key=lambda i: (draw("order", i), i))
+        positions = order[:model.fixed_flips]
     else:
-        positions = [i for i in range(len(pkt)) if rng.random() < model.bit_flip_prob]
+        positions = [i for i in range(len(pkt)) if sim_unit(draw("flip", i)) < model.bit_flip_prob]
     for i in positions:
-        offset = 1 if p == 2 else rng.randrange(1, p)
+        offset = 1 if p == 2 else 1 + draw("offset", i, p - 1)
         pkt[i] = (pkt[i] + offset) % p
     return tuple(pkt)
 
@@ -425,9 +466,10 @@ def reference_run_trial(topology, setup, message, error_model, strategy, base_se
         for node in topology.topo_order():
             buf = buffers.get(node, [])
             if error_model.injected_packets and error_model.injection_node == node:
-                rng = sim_stream(base_seed, trial, attempt, node, "inject")
-                for _ in range(error_model.injected_packets):
-                    buf.append(tuple(rng.randrange(p) for _ in range(setup.ambient_len)))
+                n = setup.ambient_len
+                for j in range(error_model.injected_packets):
+                    buf.append(tuple(sim_draw(base_seed, node, "inject", trial, attempt,
+                                              j * n + i, p) for i in range(n)))
             if strategy == "two-tier+node-filter" and roles[node] == "intermediate":
                 if node_filter_mode == "detect-only":
                     radius = 0
@@ -446,15 +488,17 @@ def reference_run_trial(topology, setup, message, error_model, strategy, base_se
             for u, v in topology.edges:
                 if u != node:
                     continue
-                rng_mix = sim_stream(base_seed, trial, attempt, f"{u}->{v}", "mix")
+                edge = f"{u}->{v}"
                 if buf:
-                    coeffs = [rng_mix.randrange(p) for _ in buf]
+                    coeffs = [sim_draw(base_seed, edge, "mix", trial, attempt, j, p)
+                              for j in range(len(buf))]
                     pkt = tuple(sum(c * row[i] for c, row in zip(coeffs, buf)) % p
                                 for i in range(setup.ambient_len))
                 else:
                     pkt = zero_packet
-                rng_chan = sim_stream(base_seed, trial, attempt, f"{u}->{v}", "chan")
-                pkt = _reference_corrupt(pkt, error_model, rng_chan, p)
+                pkt = _reference_corrupt(
+                    pkt, error_model, lambda purpose, i, below=None, edge=edge: sim_draw(
+                        base_seed, edge, purpose, trial, attempt, i, below), p)
                 buffers.setdefault(v, []).append(pkt)
             if node in sinks:
                 deliveries[node] = len(buffers.get(node, []))
@@ -494,10 +538,8 @@ def reference_run_experiment(topology, setup, error_model, trials, base_seed, st
                              *, node_filter_mode="detect-only", retry_full_rank=False,
                              config_echo=None):
     """The report of a paired experiment, one strategy after another."""
-    messages = []
-    for trial in range(trials):
-        rng = sim_stream(base_seed, trial, "message")
-        messages.append(setup.codebook[rng.randrange(len(setup.codebook))].message)
+    messages = [setup.codebook[sim_message(base_seed, trial, len(setup.codebook))].message
+                for trial in range(trials)]
 
     per_strategy = {}
     for strategy in strategies:
@@ -530,7 +572,9 @@ def reference_run_experiment(topology, setup, error_model, trials, base_seed, st
 
     return {
         "seeds": {"base": base_seed,
-                  "derivation": "sha256(base|trial|attempt|edge-or-node|purpose) -> 64-bit stream seed"},
+                  "derivation": "key = sha256(base|edge-or-node|purpose)[:8]; draw = splitmix64("
+                                "key + 0x9e3779b97f4a7c15 * (trial<<44 | attempt<<39 | retry<<32 "
+                                "| index))"},
         "trials": trials,
         "strategies": per_strategy,
         "config": config_echo,

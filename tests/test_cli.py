@@ -307,6 +307,15 @@ def test_simulate_rejects_an_empty_or_string_strategy_list(tmp_path, capsys):
     assert "strategies must be a list" in err and "'two-tier'" in err
 
 
+def test_unhashable_or_mixed_strategy_names_are_config_errors(tmp_path, capsys):
+    """A list or a number among the strategy names once raised a TypeError
+    from forming or sorting the set of unknown names."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["sim"]["strategies"] = ["two-tier", ["two-tier"], 5, "x"]
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "unknown strategies [['two-tier'], 5, 'x']" in capsys.readouterr().err
+
+
 def test_simulate_requires_topology(tmp_path, capsys):
     cfg = kk_config()
     cfg["sim"] = {"trials": 5}
@@ -325,6 +334,51 @@ def test_fixed_flips_beyond_the_packet_length_is_rejected_before_any_draw(tmp_pa
     cfg["sim"]["trials"] = 20
     assert main(["simulate", "--config", write_config(tmp_path, cfg, "fit.json"),
                  "--out", str(tmp_path / "fit.report.json")]) == 0
+
+
+@pytest.mark.parametrize("section, key, value, what", [
+    ("sim", "trials", 10.5, "an integer"), ("sim", "trials", True, "an integer"),
+    ("sim", "trials", "10", "an integer"),
+    (None, "seed", 1.5, "an integer"), (None, "seed", True, "an integer"),
+    (None, "seed", "7", "an integer"), (None, "seed", None, "an integer"),
+    ("sim", "retry_full_rank", "false", "true or false"),
+    ("sim", "retry_full_rank", 0, "true or false"),
+    ("errors", "fixed_flips", 1.5, "an integer or null"),
+    ("errors", "fixed_flips", "1", "an integer or null"),
+    ("errors", "fixed_flips", True, "an integer or null"),
+    ("errors", "injected_packets", 1.5, "an integer"),
+    ("errors", "injected_packets", "1", "an integer"),
+    ("errors", "injected_packets", False, "an integer"),
+    ("errors", "bit_flip_prob", "0.1", "a number"), ("errors", "bit_flip_prob", True, "a number"),
+    ("errors", "corrupt_packet_prob", "0.5", "a number"),
+    ("errors", "corrupt_packet_prob", None, "a number"),
+    ("errors", "injection_node", ["a"], "a node name or null"),
+    ("errors", "injection_node", 5, "a node name or null")])
+def test_simulate_values_must_have_their_json_types(tmp_path, capsys, section, key, value, what):
+    """``"trials": 10.5`` once ran 10 trials, ``"seed": 1.5`` seed 1,
+    ``"retry_full_rank": "false"`` turned retries on, ``"fixed_flips":
+    "1"`` or ``"corrupt_packet_prob": "0.5"`` were cast, and a list as the
+    injection node raised a TypeError; each is now a configuration error
+    naming the key."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"{name} must be {what}, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64 + 3])
+def test_simulate_takes_json_numbers_booleans_and_any_integer_seed(tmp_path, seed):
+    """Integer probabilities, a null fixed_flips, a JSON true, and seeds
+    negative or past 64 bits all run."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["errors"] = {"corrupt_packet_prob": 1, "bit_flip_prob": 0, "fixed_flips": None,
+                     "injected_packets": 1, "injection_node": "a"}
+    cfg["sim"].update(trials=5, retry_full_rank=True)
+    cfg["seed"] = seed
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seeds"]["base"] == seed
 
 
 # ---------------------------------------------------------------- analyze

@@ -292,6 +292,19 @@ def test_rank_decode_punctured_positions():
         tier2_rank_decode(word, cb, positions=[])
 
 
+@pytest.mark.parametrize("positions", ([-1], "n", [0, 0]), ids=["negative", "n", "repeated"])
+def test_rank_decode_rejects_positions_outside_the_word_or_repeated(positions):
+    """A negative position once read the last row through Python's index,
+    and a repeated one counted its row twice; both decoded codeword 5 of
+    gabidulin_gf8 at distance 0 from its own rows."""
+    _, _, cb, _ = load_config(CONFIGS / "gabidulin_gf8.json").build_all()
+    n = cb.stack.shape[1]
+    positions = [n] if positions == "n" else positions
+    with pytest.raises(ValueError, match=rf"positions must be distinct positions in \[0, {n}\)"):
+        tier2_rank_decode(cb[5].rows, cb, positions=positions)
+    assert tier2_rank_decode(cb[5].rows, cb, positions=[0, n - 1]).chosen == 5
+
+
 def test_rank_decode_rejects_a_word_of_the_wrong_length():
     _, cb, _ = gab(n=3, k=1)
     with pytest.raises(ValueError, match="word length 2 != code length 3"):

@@ -6,10 +6,13 @@ They hold the byte-identical report contract: the lemma checks, the
 distance table, the codebook export and the union dump, whose provenance
 lists every vector with its owning components.
 
-The ``simulate`` snapshots were written by the strategy-major simulator
-(fresh streams per strategy, one network pass per strategy) that the
-trial-major one replaced, which the blocked one replaced in turn, and the
-``decode`` snapshots by the decoder whose
+The ``simulate`` snapshots were written by the blocked simulator with
+its counter-based draws (see ``sim.SEED_DERIVATION``), and the
+strategy-major reference in ``tests/oracles.py`` is checked against it on
+those draws. Beside mv1 (GF(2)) at its config seed and at seed 7,
+``simulate/mv2_gf729.json`` is a GF(3) experiment with offsets in
+[1, p), per-digit flips, injected packets and intermediate nodes that
+correct. The ``decode`` snapshots were written by the decoder whose
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report
@@ -67,6 +70,13 @@ def test_simulate(seed, fmt, tmp_path):
     report = run(args, tmp_path / f"report.{fmt}")
     suffix = "" if seed is None else f"-seed{seed}"
     assert report == (GOLDEN / f"mv1.simulate{suffix}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_over_gf3(fmt, tmp_path):
+    config = GOLDEN / "simulate" / "mv2_gf729.json"
+    report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
+    assert report == (GOLDEN / "simulate" / f"mv2_gf729.simulate.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("packets", PACKETS, ids=lambda path: path.stem)

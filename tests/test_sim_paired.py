@@ -16,13 +16,14 @@ import contextlib
 import functools
 import json
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twotier import sim
+from twotier import config, sim
 from twotier.codes import KKSpec, MVSpec, build_codebook
 from twotier.decoders import CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, DecodeOptions
 from twotier.fields import FieldContext
@@ -112,8 +113,7 @@ def test_standalone_run_trial_matches_reference(exp):
     topology, setup, model, trials, seed = exp["args"]
     report = run_experiment(*exp["args"], exp["strategies"], **exp["kwargs"])
     for trial in range(trials):
-        message = setup.codebook[oracles.sim_stream(seed, trial, "message")
-                                 .randrange(len(setup.codebook))].message
+        message = setup.codebook[oracles.sim_message(seed, trial, len(setup.codebook))].message
         for strategy in exp["strategies"]:
             got = run_trial(topology, setup, message, model, strategy, seed, trial,
                             **exp["kwargs"])
@@ -220,3 +220,26 @@ def test_a_block_decodes_each_distinct_input_once(block_trials):
     # a word met in two blocks is decoded in each
     repeated = Counter(c for calls in blocks for c in calls)
     assert len(blocks) == 1 or max(repeated.values()) > 1
+
+
+ROOT = Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path, seed, golden", [
+    ("configs/mv1.json", None, "mv1.simulate.json"),
+    ("configs/mv1.json", 7, "mv1.simulate-seed7.json"),
+    ("tests/golden/simulate/mv2_gf729.json", None, "simulate/mv2_gf729.simulate.json"),
+], ids=["mv1", "mv1-seed-7", "mv2-gf729"])
+def test_simulate_goldens_are_the_references_reports(path, seed, golden):
+    """The checked-in simulate reports hold what the strategy-major
+    reference draws, scalar by scalar, for their configs."""
+    cfg = config.load_config(ROOT.parent / path)
+    _, _, cb, union = cfg.build_all()
+    setup = CodeSetup(codebook=cb, union=union, options=cfg.decode_options())
+    params = cfg.sim_params()
+    want = oracles.reference_run_experiment(
+        cfg.topology(), setup, cfg.error_model(), params["trials"],
+        cfg.seed if seed is None else seed, params["strategies"],
+        node_filter_mode=params["node_filter_mode"], retry_full_rank=params["retry_full_rank"])
+    got = json.loads((ROOT / "golden" / golden).read_text())
+    assert (got["seeds"], got["strategies"]) == (want["seeds"], want["strategies"])
