@@ -12,7 +12,8 @@ strategy-major reference in ``tests/oracles.py`` is checked against it on
 those draws. Beside mv1 (GF(2)) at its config seed and at seed 7,
 ``simulate/mv2_gf729.json`` is a GF(3) experiment with offsets in
 [1, p), per-digit flips, injected packets and intermediate nodes that
-correct. The ``decode`` snapshots were written by the decoder whose
+correct, and ``simulate/mv1_blocks.json`` is mv1 over 2500 trials, three
+blocks the last of which is partial. The ``decode`` snapshots were written by the decoder whose
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report
@@ -77,6 +78,15 @@ def test_simulate_over_gf3(fmt, tmp_path):
     config = GOLDEN / "simulate" / "mv2_gf729.json"
     report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
     assert report == (GOLDEN / "simulate" / f"mv2_gf729.simulate.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_over_several_blocks(fmt, tmp_path):
+    """mv1 over 2500 trials: two full blocks of ``sim.BLOCK_TRIALS`` and a
+    partial one, through the entry point."""
+    config = GOLDEN / "simulate" / "mv1_blocks.json"
+    report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
+    assert report == (GOLDEN / "simulate" / f"mv1_blocks.simulate.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("packets", PACKETS, ids=lambda path: path.stem)
