@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
                     build_codebook)
-from .decoders import DecodeOptions
+from .decoders import TIER1_MODES, DecodeOptions
 from .errors import BudgetError, ConfigError
 from .fields import FieldContext, parse_element
 from .sim import DETECT_ONLY, STRATEGIES, ErrorModel, Topology
@@ -78,11 +78,17 @@ class RunConfig:
 
     @property
     def union_budget(self) -> int:
-        return int(self._section("budgets").get("union", DEFAULT_UNION_BUDGET))
+        return self._budget("union", DEFAULT_UNION_BUDGET)
 
     @property
     def codebook_budget(self) -> int:
-        return int(self._section("budgets").get("codebook", DEFAULT_CODEBOOK_BUDGET))
+        return self._budget("codebook", DEFAULT_CODEBOOK_BUDGET)
+
+    def _budget(self, key: str, default: int) -> int:
+        value = _int(self._section("budgets"), key, f"budgets.{key}", default)
+        if value < 1:
+            raise ConfigError(f"budgets.{key} must be at least 1, got {value}")
+        return value
 
     def echo(self) -> dict:
         return self.raw
@@ -184,10 +190,15 @@ class RunConfig:
         trials = _int(section, "trials", "sim.trials", 100)
         if trials < 1:
             raise ConfigError("sim: trials must be at least 1")
+        mode = _typed(section, "node_filter_mode", "sim.node_filter_mode", DETECT_ONLY, (str,),
+                      "a string")
+        if mode not in TIER1_MODES:
+            raise ConfigError(f"sim.node_filter_mode: unknown tier-1 mode {mode!r}, "
+                              f"not one of {', '.join(TIER1_MODES)}")
         return {
             "trials": trials,
             "strategies": strategies,
-            "node_filter_mode": section.get("node_filter_mode", DETECT_ONLY),
+            "node_filter_mode": mode,
             "retry_full_rank": _flag(section, "retry_full_rank", "sim.retry_full_rank", False),
         }
 

@@ -41,6 +41,7 @@ DETECT_ONLY = "detect-only"
 CORRECT = "correct"
 CORRECT_OR_ERASE = "correct-or-erase"
 TIER1_MODES = (DETECT_ONLY, CORRECT, CORRECT_OR_ERASE)
+TIER1_OUTCOMES = (VALID, CORRECTED, ERASED, REJECTED)   # the columns of a block's counts
 
 METRICS = ("injection", "subspace")
 
@@ -97,6 +98,12 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
     _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
+    return _tier1(packet, union, radius, mode, allow_radius_override)
+
+
+def _tier1(packet: tuple, union: UnionCode, radius: int, mode: str,
+           allow_radius_override: bool = False) -> PacketVerdict:
+    """:func:`tier1_decode` on a packet tuple and a mode already checked."""
     if packet in union:
         return PacketVerdict(VALID, vector=packet, flips=0, candidates=1)
     if mode == DETECT_ONLY:
@@ -163,14 +170,19 @@ def _subspace_decode(packets, codebook, metric: str, list_radius) -> DecodeResul
     _check_kind(codebook, SUBSPACE)
     if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
-    p, (b, width) = codebook.p, codebook.stack.shape[1:]
-    _check_packets(packets, p, width)
-    spans = spans_of(codebook)
-    basis, a = linalg.span_basis(packets, p)
+    _check_packets(packets, codebook.p, codebook.stack.shape[2])
+    return _subspace_body(linalg.span_basis(packets, codebook.p), codebook, metric, list_radius)
+
+
+def _subspace_body(span, codebook, metric: str, list_radius) -> DecodeResult:
+    """:func:`_subspace_decode` on the ``linalg.span_basis`` (basis, a) of
+    packets already checked, for a subspace codebook and a known metric."""
+    basis, a = span
+    b = codebook.stack.shape[1]
     # With U a codeword's span, of dimension b (its row count), and V the
     # packets' span, of dimension a, U's rows reduced against V have rank
     # r = dim(U+V) - a = b - dim(U∩V): b for a codeword that meets V in 0.
-    at, r = spans.meeting(basis)
+    at, r = spans_of(codebook).meeting(basis)
     if metric == "injection":
         scale, shift = 1, max(a, b) - b     # max(a, b) - dim(U∩V)
     else:
@@ -467,32 +479,40 @@ def two_tier_decode(packets, union: UnionCode, codebook, options: DecodeOptions 
     final = first
     audit["feedback"] = None
     if options.feedback and first.list:
-        restricted = union.restrict(set(first.list))
-        feedback = {"list": list(first.list),
-                    "restricted_cardinality": restricted.cardinality}
-        if restricted.cardinality < 2:
-            # a one-vector union has no minimum distance to set a tier-1
-            # radius from, so the first pass stands
-            feedback["skipped"] = "restricted union has fewer than two vectors"
-        else:
-            verdicts, radius = _run_tier1(packets, restricted, options)
-            again = _tier2_word(packets, verdicts, codebook.kind)
-            if again == word:
-                # tier 2 would rank as it did: the list holds every codeword
-                # at the least distance, in (distance, index) order, so its
-                # head and tie are the nearest codeword's
-                second = DecodeResult(chosen=first.chosen, metric_value=first.metric_value,
-                                      tie=first.tie)
-            else:
-                second = _tier2_pass(again, codebook, options, list_radius=None)
-            feedback["restricted_min_distance"] = restricted.min_distance()
-            feedback["tier1_radius"] = radius
-            feedback["second_pass"] = _audit(second)
-            final = second if second is not None else FAILURE
-        audit["feedback"] = feedback
+        final, verdicts, audit["feedback"] = _feedback(packets, verdicts, word, first, union,
+                                                       codebook, options)
 
     audit["final"] = _audit(final)
     return TwoTierResult(result=final, verdicts=verdicts, audit=audit)
+
+
+def _feedback(packets, verdicts, word, first: DecodeResult, union: UnionCode, codebook,
+              options: DecodeOptions):
+    """The feedback pass after the first pass's tier-1 `verdicts` on the
+    packets and tier 2 on their :func:`_tier2_word` `word` gave `first`,
+    whose list is not empty: (final result, the verdicts of the last tier-1
+    pass, the feedback audit)."""
+    restricted = union.restrict(set(first.list))
+    feedback = {"list": list(first.list), "restricted_cardinality": restricted.cardinality}
+    if restricted.cardinality < 2:
+        # a one-vector union has no minimum distance to set a tier-1
+        # radius from, so the first pass stands
+        feedback["skipped"] = "restricted union has fewer than two vectors"
+        return first, verdicts, feedback
+    verdicts, radius = _run_tier1(packets, restricted, options)
+    again = _tier2_word(packets, verdicts, codebook.kind)
+    if again == word:
+        # tier 2 would rank as it did: the list holds every codeword at the
+        # least distance, in (distance, index) order, so its head and tie
+        # are the nearest codeword's
+        second = DecodeResult(chosen=first.chosen, metric_value=first.metric_value,
+                              tie=first.tie)
+    else:
+        second = _tier2_pass(again, codebook, options, list_radius=None)
+    feedback["restricted_min_distance"] = restricted.min_distance()
+    feedback["tier1_radius"] = radius
+    feedback["second_pass"] = _audit(second)
+    return (second if second is not None else FAILURE), verdicts, feedback
 
 
 def _tier2_word(packets, verdicts, kind: str):
@@ -524,3 +544,91 @@ def _tier2_pass(word, codebook, options: DecodeOptions, list_radius):
             return tier2_list_decode(rows, codebook, list_radius, options.metric)
         return tier2_subspace_decode(rows, codebook, options.metric)
     return tier2_rank_decode(rows, codebook, positions, list_radius=list_radius)
+
+
+# ---------------------------------------------------------------- blocks of words
+#
+# The simulator decodes its sink words a block at a time, unchecked, with
+# `memos` it keeps per block: ("tier1", mode, radius) maps a packet's
+# linalg.pack_digits key to its verdict, ("tier2", metric, list radius) a
+# tier-2 input's key to its result.
+
+def _distinct(flat, p: int):
+    """(keys, rows, inverse) of an (m, n) digit array: each distinct row's
+    ``linalg.pack_digits`` key and digit tuple, and which one each row is."""
+    keys, first, inverse = np.unique(linalg.pack_digits(flat, p), return_index=True,
+                                     return_inverse=True)
+    return keys.tolist(), list(map(tuple, flat[first].tolist())), inverse.reshape(-1)
+
+
+def _tier1_block(flat, union: UnionCode, radius: int, mode: str, memos: dict,
+                 allow_radius_override: bool = False):
+    """(rows, inverse, verdicts): :func:`_distinct`'s rows and inverse, and
+    each distinct row's tier-1 verdict."""
+    keys, rows, inverse = _distinct(flat, union.p)
+    memo = memos.setdefault(("tier1", mode, radius), {})
+    for key, row in zip(keys, rows):
+        if key not in memo:
+            memo[key] = _tier1(row, union, radius, mode, allow_radius_override)
+    return rows, inverse, [memo[key] for key in keys]
+
+
+def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, memos: dict):
+    """:func:`two_tier_decode` on each word of a (B, k, n) array of a
+    subspace code's words: the chosen codeword and the metric value as (B,)
+    ints, -1 for none, and the outcome counts of the tier-1 verdicts it
+    returns, (B, 4) in TIER1_OUTCOMES order.
+
+    A word's tier-2 input is a row of ids of the vectors tier 1 keeps, in
+    packet order, dropped slots last as -1 (with tier 1 off, of its
+    packets). Tier 2 runs once per distinct row (over GF(2), per
+    ``linalg.packed_basis`` of one), feedback once per distinct word.
+    """
+    count, k, n = words.shape
+    p, flat = codebook.p, words.reshape(-1, n)
+    counts = np.zeros((count, len(TIER1_OUTCOMES)), dtype=np.int64)
+    if options.tier1_enabled:
+        radius = options.radius
+        if radius is None:
+            radius = default_radius(union.min_distance())
+        rows, inverse, verdicts = _tier1_block(flat, union, radius, options.mode, memos,
+                                               options.allow_radius_override)
+        kept = {}                                       # kept vector -> its id
+        ids = np.array([kept.setdefault(v.vector, len(kept)) if v.outcome in (VALID, CORRECTED)
+                        else -1 for v in verdicts])[inverse].reshape(count, k)
+        outcomes = np.array([TIER1_OUTCOMES.index(v.outcome) for v in verdicts])[inverse]
+        counts = (outcomes.reshape(count, k, 1) == np.arange(len(TIER1_OUTCOMES))).sum(axis=1)
+        ids = np.take_along_axis(ids, np.argsort(ids < 0, axis=1, kind="stable"), axis=1)
+        vectors = list(kept)
+        keys = linalg.pack_digits(np.array(vectors).reshape(-1, n), p).tolist()
+    else:
+        keys, vectors, inverse = _distinct(flat, p)
+        ids = inverse.reshape(count, k)
+    inputs, which = np.unique(ids, axis=0, return_inverse=True)
+    memo, results = memos.setdefault(("tier2", options.metric, options.list_radius), {}), []
+    for row in inputs.tolist():
+        row = [i for i in row if i >= 0]
+        if not row:
+            results.append(FAILURE)
+            continue
+        key = linalg.packed_basis([keys[i] for i in row]) if p == 2 else \
+            tuple(keys[i] for i in row)
+        if key not in memo:
+            span = (key, len(key)) if p == 2 else linalg.span_basis([vectors[i] for i in row], p)
+            memo[key] = _subspace_body(span, codebook, options.metric, options.list_radius)
+        results.append(memo[key])
+    which = which.reshape(-1)
+    if options.feedback:
+        distinct, at, raw = np.unique(inverse.reshape(count, k), axis=0, return_index=True,
+                                      return_inverse=True)
+        results, which = [results[i] for i in which[at]], raw.reshape(-1)
+        for r, (word, b) in enumerate(zip(distinct.tolist(), at.tolist())):
+            if results[r].list:
+                results[r], again, _ = _feedback(
+                    [rows[i] for i in word], [verdicts[i] for i in word],
+                    ([vectors[i] for i in ids[b] if i >= 0], None), results[r], union, codebook,
+                    options)
+                counts[which == r] = [sum(v.outcome == o for v in again) for o in TIER1_OUTCOMES]
+    chosen = np.array([-1 if r.chosen is None else r.chosen for r in results])[which]
+    metric = np.array([-1 if r.metric_value is None else r.metric_value for r in results])
+    return chosen, metric[which], counts

@@ -18,12 +18,15 @@ An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
   every trial's first-attempt draws, whichever strategies read them;
 * per block, one numpy network pass carries every trial's packets for each
   filtering flag (at most two passes, since the strategies differ in the
-  network only by whether intermediate nodes filter), and a filtering node
-  runs tier 1 once per distinct packet;
-* per trial and strategy, :func:`run_trial` reads the trial's sink words,
-  and the block decodes each distinct (decoder, sink word) once.
+  network only by whether intermediate nodes filter);
+* per strategy and sink, one batched decode takes the block's sink words
+  as an array, and per block, tier 1 runs once per distinct packet, at a
+  filtering node or a sink, and tier 2 once per distinct input.
+
+Each strategy's outcomes are kept as arrays until the report is built.
 """
 
+import dataclasses
 import functools
 import graphlib
 import hashlib
@@ -31,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import decoders, linalg
 from .codes import SUBSPACE, Codebook
-from .decoders import (CORRECTED, DETECT_ONLY, ERASED, REJECTED, TIER1_MODES, VALID,
-                       DecodeOptions, default_radius, tier1_decode, tier2_subspace_decode,
-                       two_tier_decode)
+from .decoders import (CORRECTED, DETECT_ONLY, TIER1_MODES, TIER1_OUTCOMES, VALID,
+                       DecodeOptions, default_radius)
 from .errors import BudgetError
 from .union import UnionCode
 
@@ -128,6 +130,10 @@ class Topology:
         roles = dict(self.nodes)
         if len(roles) != len(self.nodes):
             raise ValueError("duplicate node names")
+        joined = sorted(n for n in roles if "->" in n)
+        if joined:
+            # an edge's draws are keyed by its name "u->v", which must name one edge
+            raise ValueError(f"node names must not contain '->', got {joined}")
         bad = {r for r in roles.values()} - {SOURCE, INTERMEDIATE, SINK}
         if bad:
             raise ValueError(f"unknown node roles {sorted(bad)}")
@@ -247,11 +253,6 @@ class TrialOutcome:
     deliveries: dict
 
 
-def _verdict_counts() -> dict:
-    """A zero count for each tier-1 outcome."""
-    return dict.fromkeys((VALID, CORRECTED, ERASED, REJECTED), 0)
-
-
 def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel):
     """The checks on the error model that come before any draw."""
     if error_model.injection_node is not None and \
@@ -278,7 +279,7 @@ class _Layout:
     source: int         # the slot of the source's first row
     injected: int       # packets injected per trial and attempt
     steps: tuple        # per node in order: (lo, hi, injects, filters, edges, heads)
-    sinks: dict         # sink -> (lo, hi), in node order
+    sinks: dict         # sink -> (lo, hi), in declared order
 
 
 def _layout(topology: Topology, rows: int, error_model: ErrorModel) -> _Layout:
@@ -307,7 +308,7 @@ def _layout(topology: Topology, rows: int, error_model: ErrorModel) -> _Layout:
                       slice(first, first + len(out)), [head[e] for e in out]))
         first += len(out)
     mix = tuple(bounds[u][1] - bounds[u][0] for u, _ in sent)
-    sinks = {v: bounds[v] for v in order if topology.role(v) == SINK}
+    sinks = {v: bounds[v] for v in topology.sinks}
     return _Layout(edges=tuple(f"{u}->{v}" for u, v in sent), mix=mix,
                    width=max(mix, default=0), slots=slots,
                    source=bounds[topology.source][0], injected=injected, steps=tuple(steps),
@@ -316,10 +317,10 @@ def _layout(topology: Topology, rows: int, error_model: ErrorModel) -> _Layout:
 
 @dataclass
 class _Network:
-    words: dict             # sink -> each trial's packets there, a tuple of tuples
-    filtered_drops: list
-    attempts: list
-    rank_deficient: list
+    packets: np.ndarray         # (trials, slots, n): every slot's packet
+    filtered_drops: np.ndarray  # per trial, as are the others
+    attempts: np.ndarray
+    rank_deficient: np.ndarray
 
 
 class TrialBlock:
@@ -336,9 +337,12 @@ class TrialBlock:
     both passes read; a retry draws for the trials its pass reruns.
     The network depends on the strategy only through whether intermediate
     nodes filter, so ``networks`` holds at most two passes, each run for
-    the whole block at once; a filtering node runs tier 1 once per
-    distinct packet. Each distinct (decoder, sink word) is decoded once.
-    One instance serves one block of one experiment and is dropped with it.
+    the whole block at once. :meth:`decode_sinks` hands a strategy's words
+    at each sink to ``decoders._decode_block`` as one array; the block's
+    memos make tier 1 run once per distinct packet at each (mode, radius),
+    at the filtering nodes and the sinks alike, and tier 2 once per
+    distinct input at each (metric, list radius). One instance serves one
+    block of one experiment and is dropped with it.
     """
 
     def __init__(self, topology: Topology, setup: CodeSetup, error_model: ErrorModel,
@@ -349,14 +353,13 @@ class TrialBlock:
         self.error_model = error_model
         self.base_seed = base_seed
         self.trials = trials            # trial numbers: a range or a tuple
-        self.indices = indices          # each trial's message index
+        self.indices = np.asarray(indices, dtype=np.int64)  # each trial's message index
         self.node_filter_mode = node_filter_mode
         self.retry_full_rank = retry_full_rank
         self.layout = _layout(topology, setup.codebook.stack.shape[1], error_model)
         self.networks = {}              # intermediate nodes filter -> _Network
         self._first = None              # the first attempt's draws, which every pass reads
-        self._kept = {}                 # packet -> what a filtering node forwards, or None
-        self._decodes = {}              # (tier2-only, sink word) -> what decode returns
+        self._memos = {}                # the block's tier-1 and tier-2 results
         self._radius = 0
 
     def _stream(self, name: str, purpose: str, trials, attempt: int, count: int, below: int = 0):
@@ -398,24 +401,21 @@ class TrialBlock:
                                     lay.injected * n, p).reshape(len(trials), lay.injected, n)
         return coeffs, offsets, injected
 
-    def _forwarded(self, packet):
-        """The vector a filtering node forwards for a packet, or None when it
-        drops it; tier 1 runs once per distinct packet of the block."""
-        if packet not in self._kept:
-            verdict = tier1_decode(packet, self.setup.union, self._radius, self.node_filter_mode)
-            self._kept[packet] = verdict.vector if verdict.outcome in (VALID, CORRECTED) else None
-        return self._kept[packet]
-
     def _filter(self, buf):
-        """Tier 1 on each packet of a (trials, width, n) buffer: each trial's
-        kept vectors moved to the front in order, and how many each keeps."""
+        """Tier 1 on each packet of a (trials, width, n) buffer, once per
+        distinct packet of the block: each trial's kept vectors moved to
+        the front in order, and how many each keeps."""
         count, width, n = buf.shape
-        vectors = [self._forwarded(pkt) for pkt in map(tuple, buf.reshape(-1, n).tolist())]
-        keep = np.array([v is not None for v in vectors], dtype=bool).reshape(count, width)
-        kept = np.array([v for v in vectors if v is not None], dtype=np.int64).reshape(-1, n)
+        rows, inverse, verdicts = decoders._tier1_block(
+            buf.reshape(-1, n), self.setup.union, self._radius, self.node_filter_mode,
+            self._memos)
+        keep = np.array([v.outcome in (VALID, CORRECTED) for v in verdicts], dtype=bool)
+        vectors = np.array([v.vector or row for v, row in zip(verdicts, rows)],
+                           dtype=np.int64).reshape(-1, n)
+        keep, vectors = keep[inverse].reshape(count, width), vectors[inverse].reshape(buf.shape)
         out = np.zeros_like(buf)
         trial, slot = np.nonzero(keep)
-        out[trial, (np.cumsum(keep, axis=1) - 1)[trial, slot]] = kept
+        out[trial, (np.cumsum(keep, axis=1) - 1)[trial, slot]] = vectors[trial, slot]
         return out, keep.sum(axis=1)
 
     def _pass(self, drawn, positions, filtering: bool):
@@ -425,7 +425,7 @@ class TrialBlock:
         coeffs, offsets, injected = drawn
         packets = np.zeros((len(positions), lay.slots, self.setup.ambient_len), dtype=np.int64)
         packets[:, lay.source:lay.source + stack.shape[1]] = \
-            stack[[self.indices[pos] for pos in positions]]
+            stack[self.indices[positions]]
         drops = np.zeros(len(positions), dtype=np.int64)
         for lo, hi, injects, filters, edges, heads in lay.steps:
             if injects:
@@ -478,69 +478,49 @@ class TrialBlock:
                 current, drops[todo] = self._pass(self._arrays(attempt, todo), todo, filtering)
                 packets[todo] = current
                 attempts[todo] = attempt + 1
-        words = {sink: [tuple(map(tuple, word)) for word in packets[:, lo:hi].tolist()]
-                 for sink, (lo, hi) in lay.sinks.items()}
-        return _Network(words, drops.tolist(), attempts.tolist(), deficient.tolist())
+        return _Network(packets, drops, attempts, deficient)
 
-    def decode(self, strategy: str, word):
-        """(chosen, metric value, tier-1 outcome of each packet) of the
-        strategy's decoder on a sink word, decoded once per block. A tier-2
-        list is not kept: a block holds one entry per distinct word."""
-        key = (strategy == TIER2_ONLY, word)
-        done = self._decodes.get(key)
-        if done is None:
-            setup = self.setup
-            if key[0]:
-                result = tier2_subspace_decode(list(word), setup.codebook, setup.options.metric)
-                outcomes = ()
-            else:
-                outcome = two_tier_decode(list(word), setup.union, setup.codebook, setup.options)
-                result, outcomes = outcome.result, tuple(v.outcome for v in outcome.verdicts)
-            done = self._decodes[key] = (result.chosen, result.metric_value, outcomes)
-        return done
+    def decode_sinks(self, strategy: str):
+        """(chosen, metric, counts) of the strategy over the block: each
+        trial's codeword and tier-2 metric value at each sink, (trials,
+        sinks) in declared order, -1 for none, and its tier-1
+        outcome counts over the sinks, (trials, 4) in TIER1_OUTCOMES order.
+        Tier 2 alone decodes the packets, nearest codeword only."""
+        options = self.setup.options
+        if strategy == TIER2_ONLY:
+            options = dataclasses.replace(options, tier1_enabled=False, list_radius=None,
+                                          feedback=False)
+        packets = self.network(strategy == TWO_TIER_FILTER).packets
+        chosen, metric, counts = zip(*(
+            decoders._decode_block(packets[:, lo:hi], self.setup.union, self.setup.codebook,
+                                   options, self._memos)
+            for lo, hi in self.layout.sinks.values()))
+        return np.stack(chosen, axis=1), np.stack(metric, axis=1), sum(counts)
 
 
 def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
               strategy: str, base_seed: int, trial: int, *,
               node_filter_mode: str = DETECT_ONLY,
-              retry_full_rank: bool = False,
-              block: TrialBlock | None = None) -> TrialOutcome:
-    """One multicast: inject the codeword basis, mix, corrupt, decode at sinks.
-
-    `block` is the :class:`TrialBlock` of a paired experiment that holds
-    this trial, with its draws, network passes and decodes; the trial's
-    message is then the block's. Without it, the trial runs as a block of
-    one.
-    """
+              retry_full_rank: bool = False) -> TrialOutcome:
+    """One multicast: inject the codeword basis, mix, corrupt, decode at
+    sinks; a :class:`TrialBlock` of one trial."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_inputs(topology, setup, error_model)
-    if block is None:
-        block = TrialBlock(topology, setup, error_model, base_seed, (trial,),
-                           (setup.codebook.index(message),), node_filter_mode=node_filter_mode,
-                           retry_full_rank=retry_full_rank)
-    pos = block.trials.index(trial)
-    index = block.indices[pos]
+    index = setup.codebook.index(message)
+    block = TrialBlock(topology, setup, error_model, base_seed, (trial,), (index,),
+                       node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
+    chosen, metric, counts = (a[0].tolist() for a in block.decode_sinks(strategy))
     net = block.network(strategy == TWO_TIER_FILTER)
-
-    sink_success = {}
-    verdict_counts = _verdict_counts()
-    metric_values = []
-    for sink in topology.sinks:
-        chosen, metric_value, outcomes = block.decode(strategy, net.words[sink][pos])
-        for outcome in outcomes:
-            verdict_counts[outcome] += 1
-        if metric_value is not None:
-            metric_values.append(metric_value)
-        sink_success[sink] = chosen == index
+    sink_success = {sink: c == index for sink, c in zip(block.layout.sinks, chosen)}
     return TrialOutcome(
-        success=all(sink_success.values()) and bool(sink_success),
+        success=all(sink_success.values()),
         sink_success=sink_success,
-        verdict_counts=verdict_counts,
-        metric_values=metric_values,
-        filtered_drops=net.filtered_drops[pos],
-        rank_deficient=net.rank_deficient[pos],
-        attempts=net.attempts[pos],
+        verdict_counts=dict(zip(TIER1_OUTCOMES, counts)),
+        metric_values=[m for m in metric if m >= 0],
+        filtered_drops=int(net.filtered_drops[0]),
+        rank_deficient=bool(net.rank_deficient[0]),
+        attempts=int(net.attempts[0]),
         deliveries={sink: hi - lo for sink, (lo, hi) in block.layout.sinks.items()},
     )
 
@@ -551,9 +531,9 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
                    retry_full_rank: bool = False, config_echo=None) -> dict:
     """Paired experiment: every strategy sees identical per-trial randomness.
 
-    Trials run in blocks of up to ``BLOCK_TRIALS``; each block makes its
-    draws and network passes before ``run_trial`` decodes its trials one
-    strategy after another.
+    Trials run in blocks of up to ``BLOCK_TRIALS`` (:class:`TrialBlock`),
+    and each block's outcomes are kept as arrays, per strategy, until the
+    report is built.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -570,40 +550,33 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
     _check_inputs(topology, setup, error_model)
 
     strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
-    per_strategy = {s: {"trials": trials, "successes": 0, "success_by_trial": [],
-                        "tier1_verdicts": _verdict_counts(),
-                        "mean_tier2_metric": None, "filtered_drops": 0,
-                        "rank_deficient_trials": 0}
-                    for s in strategies}
-    metric_values = {s: [] for s in strategies}
-    passes = dict.fromkeys(s == TWO_TIER_FILTER for s in strategies)
+    kept = {s: [] for s in strategies}      # per block: (success, counts, metric, drops, deficient)
     message_key = draw_key(base_seed, "", "message")
     for start in range(0, trials, BLOCK_TRIALS):
         block_trials = range(start, min(start + BLOCK_TRIALS, trials))
-        indices = stream(message_key, block_trials, 0, 1, len(setup.codebook))[:, 0].tolist()
+        indices = stream(message_key, block_trials, 0, 1, len(setup.codebook))[:, 0]
         block = TrialBlock(topology, setup, error_model, base_seed, block_trials, indices,
                            node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
-        for filtering in passes:
-            block.network(filtering)
-        for trial, index in zip(block_trials, indices):
-            message = setup.codebook.message(index)
-            for strategy in strategies:
-                outcome = run_trial(topology, setup, message, error_model,
-                                    strategy, base_seed, trial,
-                                    node_filter_mode=node_filter_mode,
-                                    retry_full_rank=retry_full_rank, block=block)
-                stats = per_strategy[strategy]
-                stats["success_by_trial"].append(1 if outcome.success else 0)
-                for k, v in outcome.verdict_counts.items():
-                    stats["tier1_verdicts"][k] += v
-                metric_values[strategy] += outcome.metric_values
-                stats["filtered_drops"] += outcome.filtered_drops
-                stats["rank_deficient_trials"] += 1 if outcome.rank_deficient else 0
+        for strategy in strategies:
+            chosen, metric, counts = block.decode_sinks(strategy)
+            net = block.network(strategy == TWO_TIER_FILTER)
+            kept[strategy].append(((chosen == block.indices[:, None]).all(axis=1), counts, metric,
+                                   net.filtered_drops, net.rank_deficient))
 
-    for strategy, stats in per_strategy.items():
-        stats["successes"] = sum(stats["success_by_trial"])
-        if metric_values[strategy]:
-            stats["mean_tier2_metric"] = sum(metric_values[strategy]) / len(metric_values[strategy])
+    per_strategy = {}
+    for strategy, blocks in kept.items():
+        success, counts, metric, drops, deficient = map(np.concatenate, zip(*blocks))
+        metric = metric[metric >= 0]
+        per_strategy[strategy] = {
+            "trials": trials,
+            "successes": int(success.sum()),
+            "success_by_trial": success.astype(np.int64).tolist(),
+            "tier1_verdicts": dict(zip(TIER1_OUTCOMES, counts.sum(axis=0).tolist())),
+            # an exact int sum over the count: a float sum could differ in the last digit
+            "mean_tier2_metric": int(metric.sum()) / len(metric) if len(metric) else None,
+            "filtered_drops": int(drops.sum()),
+            "rank_deficient_trials": int(deficient.sum()),
+        }
 
     return {
         "seeds": {"base": base_seed, "derivation": SEED_DERIVATION},

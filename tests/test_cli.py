@@ -78,6 +78,22 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 3
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("union", 1000.7, "budgets.union must be an integer, got 1000.7"),
+    ("union", 0, "budgets.union must be at least 1, got 0"),
+    ("codebook", "12", "budgets.codebook must be an integer, got '12'"),
+    ("codebook", True, "budgets.codebook must be an integer, got True"),
+    ("codebook", -3, "budgets.codebook must be at least 1, got -3")])
+def test_budgets_must_be_positive_json_integers(tmp_path, capsys, key, value, message):
+    """``"union": 1000.7`` and ``"codebook": "12"`` were cast and ran, and
+    ``"codebook": true`` read as 1 and failed as a budget overrun (exit 3);
+    each is now a configuration error naming the key."""
+    cfg = kk_config()
+    cfg["budgets"] = {key: value}
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["verify-lemmas", "--config", "/nonexistent.json"]) == 2
 
@@ -295,6 +311,27 @@ def test_unknown_node_filter_mode_is_rejected_before_any_trial(tmp_path, capsys)
     assert "unknown tier-1 mode 'bogus'" in capsys.readouterr().err
 
 
+def test_node_filter_mode_outside_the_tier1_modes_names_its_key(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["sim"]["node_filter_mode"] = "correct-and-erase"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "sim.node_filter_mode: unknown tier-1 mode 'correct-and-erase'" in err
+    assert "detect-only, correct, correct-or-erase" in err
+
+
+def test_node_names_with_an_arrow_are_config_errors(tmp_path, capsys):
+    """Edge (a->b, t) and edge (a, b->t) would both be named "a->b->t" and
+    share every draw."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["topology"] = {"nodes": {"s": "source", "a": "intermediate", "a->b": "intermediate",
+                                 "b->t": "intermediate", "t": "sink"},
+                       "edges": [["s", "a"], ["s", "a->b"], ["a", "b->t"], ["a->b", "t"],
+                                 ["b->t", "t"]]}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "node names must not contain '->', got ['a->b', 'b->t']" in capsys.readouterr().err
+
+
 def test_simulate_rejects_an_empty_or_string_strategy_list(tmp_path, capsys):
     cfg = json.loads((CONFIGS / "mv1.json").read_text())
     cfg["sim"]["strategies"] = []
@@ -353,7 +390,9 @@ def test_fixed_flips_beyond_the_packet_length_is_rejected_before_any_draw(tmp_pa
     ("errors", "corrupt_packet_prob", "0.5", "a number"),
     ("errors", "corrupt_packet_prob", None, "a number"),
     ("errors", "injection_node", ["a"], "a node name or null"),
-    ("errors", "injection_node", 5, "a node name or null")])
+    ("errors", "injection_node", 5, "a node name or null"),
+    ("sim", "node_filter_mode", ["x"], "a string"),
+    ("sim", "node_filter_mode", None, "a string")])
 def test_simulate_values_must_have_their_json_types(tmp_path, capsys, section, key, value, what):
     """``"trials": 10.5`` once ran 10 trials, ``"seed": 1.5`` seed 1,
     ``"retry_full_rank": "false"`` turned retries on, ``"fixed_flips":

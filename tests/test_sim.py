@@ -76,6 +76,18 @@ def test_topology_rejects_unknown_node_and_source_inputs():
         Topology(nodes=(("s", "source"), ("t", "relay")), edges=(("s", "t"),))
 
 
+def test_topology_rejects_arrows_in_node_names():
+    """An edge's draws are keyed by "u->v": with nodes a->b and b->t, the
+    edges (a->b, t) and (a, b->t) would share that name and every draw."""
+    with pytest.raises(ValueError, match=r"must not contain '->', got \['a->b', 'b->t'\]"):
+        Topology(nodes=(("s", "source"), ("a", "intermediate"), ("a->b", "intermediate"),
+                        ("b->t", "intermediate"), ("t", "sink")),
+                 edges=(("s", "a"), ("s", "a->b"), ("a", "b->t"), ("a->b", "t"),
+                        ("b->t", "t")))
+    with pytest.raises(ValueError, match="must not contain '->'"):
+        Topology(nodes=(("s->", "source"), ("t", "sink")), edges=(("s->", "t"),))
+
+
 # ---------------------------------------------------------------- error model
 
 def test_error_model_validation():

@@ -2,14 +2,16 @@
 
 ``run_experiment`` runs its trials in blocks (``sim.TrialBlock``): each
 block makes every trial's draws once, runs one network pass per filtering
-flag for all its trials, and decodes each distinct (decoder, sink word)
-once, before ``run_trial`` reads each trial's outcome strategy by strategy.
-``oracles.reference_run_experiment`` runs one strategy after another with
-fresh streams and its own network pass each. The reports must be equal,
-key order included, and a ``run_trial`` called on its own must give the
-reference's outcome, over four topologies, channel errors of every kind,
-the node-filter modes, strategy lists in any order, with repeats, and
-blocks of any size.
+flag for all its trials, and decodes its sink words as arrays
+(``decoders._decode_block``): tier 1 once per distinct packet and tier 2
+once per distinct input. ``oracles.reference_run_experiment`` runs one
+strategy after another with fresh streams, its own network pass and
+``two_tier_decode`` or ``tier2_subspace_decode`` on each sink word. The
+reports must be equal, key order included, and a ``run_trial`` called on
+its own must give the reference's outcome, over four topologies, channel
+errors of every kind, the node-filter modes, decoders with tier 1 off, in
+the subspace metric and with list feedback, strategy lists in any order,
+with repeats, and blocks of any size.
 """
 
 import contextlib
@@ -19,11 +21,12 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twotier import config, sim
+from twotier import config, decoders, sim
 from twotier.codes import KKSpec, MVSpec, build_codebook
 from twotier.decoders import CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, DecodeOptions
 from twotier.fields import FieldContext
@@ -55,7 +58,8 @@ TOPOLOGIES = {
 }
 
 OPTIONS = (DecodeOptions(), DecodeOptions(mode=CORRECT),
-           DecodeOptions(list_radius=1, feedback=True))
+           DecodeOptions(list_radius=1, feedback=True), DecodeOptions(tier1_enabled=False),
+           DecodeOptions(metric="subspace"))
 
 
 @functools.cache
@@ -167,10 +171,42 @@ def test_retry_reruns_part_of_a_block(block_trials):
         assert 0 < stats["rank_deficient_trials"] < 40
 
 
+@pytest.mark.parametrize("name", ("mv1", "kk-gf8", "kk-gf9"))
+@settings(SETTINGS, max_examples=20)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_decode_block_matches_two_tier_decode_word_by_word(name, k, seed):
+    """The batched step gives each word what ``two_tier_decode`` gives it:
+    the chosen codeword, the metric value and the outcomes of the verdicts
+    it returns, on words of k mixes of a codeword's rows with digits
+    changed, repeated across the block. Every decoder of OPTIONS, tier 2
+    alone in either metric, and tier 1 at radius 0 decode the words in
+    turn, twice, sharing one block's memos."""
+    cb, union = codebook(name)
+    p, rng = cb.p, np.random.default_rng(seed)
+    rows = cb.stack[rng.integers(len(cb), size=6)].astype(np.int64)
+    pool = rng.integers(p, size=(6, k, rows.shape[1])) @ rows % p
+    pool = np.where(rng.random(pool.shape) < 0.15, (pool + rng.integers(1, p, pool.shape)) % p,
+                    pool)
+    words, memos = pool[rng.integers(6, size=24)], {}
+    decoders_ = OPTIONS + (DecodeOptions(tier1_enabled=False, metric="subspace"),
+                           DecodeOptions(mode=CORRECT, radius=0))
+    for options in decoders_ * 2:
+        chosen, metric, counts = decoders._decode_block(words, union, cb, options, memos)
+        for word, got in zip(words.tolist(), zip(chosen.tolist(), metric.tolist(),
+                                                 counts.tolist())):
+            out = decoders.two_tier_decode(word, union, cb, options)
+            result = out.result
+            assert got == (-1 if result.chosen is None else result.chosen,
+                           -1 if result.metric_value is None else result.metric_value,
+                           [sum(v.outcome == o for v in out.verdicts)
+                            for o in decoders.TIER1_OUTCOMES]), options
+
+
 @contextlib.contextmanager
 def decoder_inputs():
-    """Yields the calls of each block: every input ``sim`` passes to a
-    decoder, as (decoder name, packet or word)."""
+    """Yields the calls of each block: each tier-1 run as (mode, radius,
+    packet), each tier-2 run as (span basis, metric, list radius), and each
+    ``two_tier_decode`` call."""
     blocks = []
 
     class MarkedBlock(sim.TrialBlock):
@@ -178,27 +214,36 @@ def decoder_inputs():
             blocks.append([])
             super().__init__(*args, **kwargs)
 
-    def logged(name, fn):
-        def wrapper(packets, *args, **kwargs):
-            # tier 1 takes one packet, the sink decoders a word
-            key = tuple(packets) if name == "tier1_decode" else tuple(map(tuple, packets))
-            blocks[-1].append((name, key))
-            return fn(packets, *args, **kwargs)
-        return wrapper
+    tier1, tier2, two_tier = decoders._tier1, decoders._subspace_body, decoders.two_tier_decode
+
+    def logged_tier1(packet, union, radius, mode, *args):
+        blocks[-1].append(("tier1", mode, radius, packet))
+        return tier1(packet, union, radius, mode, *args)
+
+    def logged_tier2(span, codebook, metric, list_radius):
+        blocks[-1].append(("tier2", span[0], metric, list_radius))
+        return tier2(span, codebook, metric, list_radius)
+
+    def logged_two_tier(*args, **kwargs):
+        blocks[-1].append(("two_tier_decode",))
+        return two_tier(*args, **kwargs)
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(sim, "TrialBlock", MarkedBlock))
-        for name in ("tier1_decode", "two_tier_decode", "tier2_subspace_decode"):
-            stack.enter_context(mock.patch.object(sim, name, logged(name, getattr(sim, name))))
+        for name, fn in (("_tier1", logged_tier1), ("_subspace_body", logged_tier2),
+                         ("two_tier_decode", logged_two_tier)):
+            stack.enter_context(mock.patch.object(decoders, name, fn))
         yield blocks
 
 
 @pytest.mark.parametrize("block_trials", (16, sim.BLOCK_TRIALS))
 def test_a_block_decodes_each_distinct_input_once(block_trials):
-    """Sink decodes are keyed on (decoder, word) and node tier 1 on the
-    packet, per block: no input is decoded twice in a block, a block
-    decodes fewer words than it has (trial, strategy, sink) decodes, and
-    nothing is kept from one block or experiment to the next."""
+    """Per block, tier 1 runs once per distinct packet at each (mode,
+    radius), at the filtering nodes and at the sink, and tier 2 once per
+    distinct input, whichever strategies share it; with feedback off no
+    ``two_tier_decode`` runs. A block runs tier 2 fewer times than it has
+    (trial, strategy, sink) decodes, and nothing is kept from one block or
+    experiment to the next."""
     cb, union = codebook("mv1")
     setup = CodeSetup(codebook=cb, union=union)
     args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
@@ -214,10 +259,13 @@ def test_a_block_decodes_each_distinct_input_once(block_trials):
     assert len(blocks) == -(-64 // block_trials)
     for calls in blocks:
         assert max(Counter(calls).values()) == 1
-        sink_decodes = [c for c in calls if c[0] != "tier1_decode"]
-        assert {c[0] for c in sink_decodes} == {"two_tier_decode", "tier2_subspace_decode"}
-        assert len(sink_decodes) < min(block_trials, 64) * len(STRATEGIES)
-    # a word met in two blocks is decoded in each
+        assert {c[0] for c in calls} == {"tier1", "tier2"}
+        # the filtering nodes detect only; the sink corrects within radius 1
+        assert {c[1:3] for c in calls if c[0] == "tier1"} == {(DETECT_ONLY, 0),
+                                                             (CORRECT_OR_ERASE, 1)}
+        assert len([c for c in calls if c[0] == "tier2"]) < \
+            min(block_trials, 64) * len(STRATEGIES)
+    # an input met in two blocks is decoded in each
     repeated = Counter(c for calls in blocks for c in calls)
     assert len(blocks) == 1 or max(repeated.values()) > 1
 
