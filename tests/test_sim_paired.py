@@ -188,9 +188,9 @@ def test_decode_block_matches_two_tier_decode_word_by_word(name, k, seed):
     pool = np.where(rng.random(pool.shape) < 0.15, (pool + rng.integers(1, p, pool.shape)) % p,
                     pool)
     words, memos = pool[rng.integers(6, size=24)], {}
-    decoders_ = OPTIONS + (DecodeOptions(tier1_enabled=False, metric="subspace"),
-                           DecodeOptions(mode=CORRECT, radius=0))
-    for options in decoders_ * 2:
+    each_decoder = OPTIONS + (DecodeOptions(tier1_enabled=False, metric="subspace"),
+                              DecodeOptions(mode=CORRECT, radius=0))
+    for options in each_decoder * 2:
         chosen, metric, counts = decoders._decode_block(words, union, cb, options, memos)
         for word, got in zip(words.tolist(), zip(chosen.tolist(), metric.tolist(),
                                                  counts.tolist())):
@@ -233,6 +233,9 @@ def decoder_inputs():
         for name, fn in (("_tier1", logged_tier1), ("_subspace_body", logged_tier2),
                          ("two_tier_decode", logged_two_tier)):
             stack.enter_context(mock.patch.object(decoders, name, fn))
+        # and under the name sim would import it by
+        stack.enter_context(mock.patch.object(sim, "two_tier_decode", logged_two_tier,
+                                              create=True))
         yield blocks
 
 
