@@ -12,8 +12,10 @@ strategy-major reference in ``tests/oracles.py`` is checked against it on
 those draws. Beside mv1 (GF(2)) at its config seed and at seed 7,
 ``simulate/mv2_gf729.json`` is a GF(3) experiment with offsets in
 [1, p), per-digit flips, injected packets and intermediate nodes that
-correct, and ``simulate/mv1_blocks.json`` is mv1 over 2500 trials, three
-blocks the last of which is partial. The ``decode`` snapshots were written by the decoder whose
+correct, ``simulate/mv2_gf729_wide.json`` is the same experiment with
+42-digit packets, whose packed keys pass 64 bits, and
+``simulate/mv1_blocks.json`` is mv1 over 2500 trials, three blocks the
+last of which is partial. The ``decode`` snapshots were written by the decoder whose
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report
@@ -78,6 +80,15 @@ def test_simulate_over_gf3(fmt, tmp_path):
     config = GOLDEN / "simulate" / "mv2_gf729.json"
     report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
     assert report == (GOLDEN / "simulate" / f"mv2_gf729.simulate.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_with_keys_past_64_bits(fmt, tmp_path):
+    """GF(3) packets of 42 digits: ``linalg.pack_digits`` gives Python
+    ints, so the block step keys its packets as objects."""
+    config = GOLDEN / "simulate" / "mv2_gf729_wide.json"
+    report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
+    assert report == (GOLDEN / "simulate" / f"mv2_gf729_wide.simulate.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -280,7 +280,8 @@ ROOT = Path(__file__).resolve().parent
     ("configs/mv1.json", None, "mv1.simulate.json"),
     ("configs/mv1.json", 7, "mv1.simulate-seed7.json"),
     ("tests/golden/simulate/mv2_gf729.json", None, "simulate/mv2_gf729.simulate.json"),
-], ids=["mv1", "mv1-seed-7", "mv2-gf729"])
+    ("tests/golden/simulate/mv2_gf729_wide.json", None, "simulate/mv2_gf729_wide.simulate.json"),
+], ids=["mv1", "mv1-seed-7", "mv2-gf729", "mv2-gf729-wide"])
 def test_simulate_goldens_are_the_references_reports(path, seed, golden):
     """The checked-in simulate reports hold what the strategy-major
     reference draws, scalar by scalar, for their configs."""
