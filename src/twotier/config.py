@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
                     build_codebook)
 from .decoders import TIER1_MODES, DecodeOptions
-from .errors import BudgetError, ConfigError
+from .errors import ConfigError
 from .fields import FieldContext, parse_element
 from .sim import DETECT_ONLY, STRATEGIES, ErrorModel, Topology
 from .union import DEFAULT_UNION_BUDGET, build_union
@@ -210,8 +210,10 @@ class RunConfig:
 
 
 def parse_digits(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(d) for d in text)
+    if isinstance(text, list):
+        if not all(type(d) is int for d in text):     # JSON integers, so no bool
+            raise ConfigError(f"message must list integers, got {text!r}")
+        return tuple(text)
     s = str(text).strip()
     if not s or not all(ch.isdigit() for ch in s):
         raise ConfigError(f"cannot parse digit string {text!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .codes import GABIDULIN, SUBSPACE, Codebook
-from .union import UnionCode, spans_of
+from .union import UnionCode, _span_coefficients, spans_of
 
 VALID = "valid"
 CORRECTED = "corrected"
@@ -89,6 +89,11 @@ class DecodeOptions:
 
 def default_radius(min_distance: int) -> int:
     return (min_distance - 1) // 2
+
+
+def tier1_radius(options: DecodeOptions, union: UnionCode) -> int:
+    """The options' tier-1 radius, by default the union's unique-decoding one."""
+    return default_radius(union.min_distance()) if options.radius is None else options.radius
 
 
 def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_ERASE,
@@ -395,7 +400,7 @@ def _build_syndromes(codebook, positions, budget: int) -> _Syndromes | None:
     reads = reduced[:, length:].T.astype(np.int64)
     rank_one = np.zeros((0, width), dtype=np.int64)
     if radius:
-        u, v = _nonzero_vectors(size, p), _nonzero_vectors(m, p)
+        u, v = _span_coefficients(p, size)[1:], _span_coefficients(p, m)[1:]
         u = u[u[np.arange(len(u)), (u != 0).argmax(axis=1)] == 1]
         rank_one = (u[:, None, :, None] * v[None, :, None, :]).reshape(-1, width)
     images = np.vstack([np.zeros((1, width), dtype=np.int64), rank_one @ reads % p])
@@ -407,11 +412,6 @@ def _build_syndromes(codebook, positions, budget: int) -> _Syndromes | None:
     if p == 2:
         reads = linalg.pack_digits(reads, 2).tolist()
     return _Syndromes(p, radius, p ** length, reads, errors)
-
-
-def _nonzero_vectors(size: int, p: int) -> np.ndarray:
-    """Every nonzero vector of GF(p)^size, as digit rows."""
-    return np.array(list(itertools.product(range(p), repeat=size))[1:], dtype=np.int64)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -435,9 +435,7 @@ def _audit(result: DecodeResult | None):
 
 
 def _run_tier1(packets, union, options: DecodeOptions):
-    radius = options.radius
-    if radius is None:
-        radius = default_radius(union.min_distance())
+    radius = tier1_radius(options, union)
     verdicts = [tier1_decode(p, union, radius, options.mode,
                              allow_radius_override=options.allow_radius_override)
                 for p in packets]
@@ -553,24 +551,33 @@ def _tier2_pass(word, codebook, options: DecodeOptions, list_radius):
 # linalg.pack_digits key to its verdict, ("tier2", metric, list radius) a
 # tier-2 input's key to its result.
 
-def _distinct(flat, p: int):
-    """(keys, rows, inverse) of an (m, n) digit array: each distinct row's
-    ``linalg.pack_digits`` key and digit tuple, and which one each row is."""
-    keys, first, inverse = np.unique(linalg.pack_digits(flat, p), return_index=True,
-                                     return_inverse=True)
-    return keys.tolist(), list(map(tuple, flat[first].tolist())), inverse.reshape(-1)
-
-
-def _tier1_block(flat, union: UnionCode, radius: int, mode: str, memos: dict,
+def _tier1_block(words, union: UnionCode, radius: int, mode: str, memos: dict,
                  allow_radius_override: bool = False):
-    """(rows, inverse, verdicts): :func:`_distinct`'s rows and inverse, and
-    each distinct row's tier-1 verdict."""
-    keys, rows, inverse = _distinct(flat, union.p)
-    memo = memos.setdefault(("tier1", mode, radius), {})
-    for key, row in zip(keys, rows):
+    """Tier 1 on a (B, k, n) array of words, once per distinct packet:
+    (scrubbed, kept, outcomes, verdicts). Word b's vectors that are valid
+    or corrected are ``scrubbed[b]``'s first ``kept[b]`` rows, in packet
+    order, and zeros follow: what a filtering node forwards and a sink's
+    tier 2 reads. ``outcomes`` (B, k) indexes TIER1_OUTCOMES, and
+    ``verdicts`` is the distinct packets' verdicts and each packet's index."""
+    count, k, n = words.shape
+    flat = words.reshape(-1, n)
+    keys, first, inverse = np.unique(linalg.pack_digits(flat, union.p), return_index=True,
+                                     return_inverse=True)
+    memo, verdicts = memos.setdefault(("tier1", mode, radius), {}), []
+    for key, row in zip(keys.tolist(), flat[first].tolist()):
         if key not in memo:
-            memo[key] = _tier1(row, union, radius, mode, allow_radius_override)
-    return rows, inverse, [memo[key] for key in keys]
+            memo[key] = _tier1(tuple(row), union, radius, mode, allow_radius_override)
+        verdicts.append(memo[key])
+    inverse = inverse.reshape(count, k)
+    outcomes = np.array([TIER1_OUTCOMES.index(v.outcome) for v in verdicts],
+                        dtype=np.int64)[inverse]
+    # a dropped packet's vector is zero, so moving the kept ones to the
+    # front leaves zeros after them
+    vectors = np.array([v.vector or (0,) * n for v in verdicts], dtype=words.dtype)
+    keep = outcomes <= TIER1_OUTCOMES.index(CORRECTED)     # valid or corrected
+    order = np.argsort(~keep, axis=1, kind="stable")
+    scrubbed = vectors.reshape(-1, n)[np.take_along_axis(inverse, order, axis=1)]
+    return scrubbed, keep.sum(axis=1), outcomes, (verdicts, inverse)
 
 
 def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, memos: dict):
@@ -579,38 +586,34 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     ints, -1 for none, and the outcome counts of the tier-1 verdicts it
     returns, (B, 4) in TIER1_OUTCOMES order.
 
-    A word's tier-2 input is a row of ids of the vectors tier 1 keeps, in
-    packet order, dropped slots last as -1 (with tier 1 off, of its
-    packets). Tier 2 runs once per distinct row (over GF(2), per
-    ``linalg.packed_basis`` of one), feedback once per distinct word.
+    A word's tier-2 input is the first ``kept`` rows of its
+    :func:`_tier1_block` scrub (with tier 1 off, its packets). Tier 2 runs
+    once per distinct input (over GF(2), per ``linalg.packed_basis`` of
+    one), feedback once per distinct word.
     """
     count, k, n = words.shape
-    p, flat = codebook.p, words.reshape(-1, n)
+    p = codebook.p
     counts = np.zeros((count, len(TIER1_OUTCOMES)), dtype=np.int64)
+    scrubbed, kept = words, np.full(count, k)
     if options.tier1_enabled:
-        radius = options.radius
-        if radius is None:
-            radius = default_radius(union.min_distance())
-        rows, inverse, verdicts = _tier1_block(flat, union, radius, options.mode, memos,
-                                               options.allow_radius_override)
-        kept = {}                                       # kept vector -> its id
-        ids = np.array([kept.setdefault(v.vector, len(kept)) if v.outcome in (VALID, CORRECTED)
-                        else -1 for v in verdicts])[inverse].reshape(count, k)
-        outcomes = np.array([TIER1_OUTCOMES.index(v.outcome) for v in verdicts])[inverse]
-        counts = (outcomes.reshape(count, k, 1) == np.arange(len(TIER1_OUTCOMES))).sum(axis=1)
-        ids = np.take_along_axis(ids, np.argsort(ids < 0, axis=1, kind="stable"), axis=1)
-        vectors = list(kept)
-        keys = linalg.pack_digits(np.array(vectors).reshape(-1, n), p).tolist()
-    else:
-        keys, vectors, inverse = _distinct(flat, p)
-        ids = inverse.reshape(count, k)
-    inputs, which = np.unique(ids, axis=0, return_inverse=True)
+        scrubbed, kept, outcomes, (verdicts, inverse) = _tier1_block(
+            words, union, tier1_radius(options, union), options.mode, memos,
+            options.allow_radius_override)
+        counts = (outcomes[..., None] == np.arange(len(TIER1_OUTCOMES))).sum(axis=1)
+    flat = scrubbed.reshape(-1, n)
+    keys, first, ids = np.unique(linalg.pack_digits(flat, p), return_index=True,
+                                 return_inverse=True)
+    keys, vectors = keys.tolist(), flat[first].tolist()
+    # an input is its kept rows: with zeros after them, a word that keeps
+    # only the zero vector scrubs to the same rows as one that keeps none
+    inputs, which = np.unique(np.column_stack([kept, ids.reshape(count, k)]), axis=0,
+                              return_inverse=True)
     memo, results = memos.setdefault(("tier2", options.metric, options.list_radius), {}), []
-    for row in inputs.tolist():
-        row = [i for i in row if i >= 0]
-        if not row:
+    for size, *row in inputs.tolist():
+        if not size:
             results.append(FAILURE)
             continue
+        row = row[:size]
         key = linalg.packed_basis([keys[i] for i in row]) if p == 2 else \
             tuple(keys[i] for i in row)
         if key not in memo:
@@ -619,15 +622,14 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
         results.append(memo[key])
     which = which.reshape(-1)
     if options.feedback:
-        distinct, at, raw = np.unique(inverse.reshape(count, k), axis=0, return_index=True,
-                                      return_inverse=True)
+        distinct, at, raw = np.unique(inverse, axis=0, return_index=True, return_inverse=True)
         results, which = [results[i] for i in which[at]], raw.reshape(-1)
         for r, (word, b) in enumerate(zip(distinct.tolist(), at.tolist())):
             if results[r].list:
                 results[r], again, _ = _feedback(
-                    [rows[i] for i in word], [verdicts[i] for i in word],
-                    ([vectors[i] for i in ids[b] if i >= 0], None), results[r], union, codebook,
-                    options)
+                    list(map(tuple, words[b].tolist())), [verdicts[i] for i in word],
+                    (list(map(tuple, scrubbed[b, :kept[b]].tolist())), None), results[r],
+                    union, codebook, options)
                 counts[which == r] = [sum(v.outcome == o for v in again) for o in TIER1_OUTCOMES]
     chosen = np.array([-1 if r.chosen is None else r.chosen for r in results])[which]
     metric = np.array([-1 if r.metric_value is None else r.metric_value for r in results])

@@ -19,9 +19,9 @@ An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
 * per block, one numpy network pass carries every trial's packets for each
   filtering flag (at most two passes, since the strategies differ in the
   network only by whether intermediate nodes filter);
-* per strategy and sink, one batched decode takes the block's sink words
-  as an array, and per block, tier 1 runs once per distinct packet, at a
-  filtering node or a sink, and tier 2 once per distinct input.
+* one tier-1 step scrubs the words at a filtering node and at a sink, once
+  per distinct packet of the block; per strategy and sink, one batched
+  decode takes the block's sink words, and tier 2 runs once per distinct input.
 
 Each strategy's outcomes are kept as arrays until the report is built.
 """
@@ -36,8 +36,7 @@ import numpy as np
 
 from . import decoders, linalg
 from .codes import SUBSPACE, Codebook
-from .decoders import (CORRECTED, DETECT_ONLY, TIER1_MODES, TIER1_OUTCOMES, VALID,
-                       DecodeOptions, default_radius)
+from .decoders import DETECT_ONLY, TIER1_MODES, TIER1_OUTCOMES, DecodeOptions
 from .errors import BudgetError
 from .union import UnionCode
 
@@ -140,55 +139,39 @@ class Topology:
         sources = [n for n, r in self.nodes if r == SOURCE]
         if len(sources) != 1:
             raise ValueError(f"need exactly one source, got {len(sources)}")
-        if not any(r == SINK for _, r in self.nodes):
+        sinks = tuple(n for n, r in self.nodes if r == SINK)
+        if not sinks:
             raise ValueError("need at least one sink")
+        graph, out = {n: [] for n in roles}, {n: [] for n in roles}
         for u, v in self.edges:
             if u not in roles or v not in roles:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
-        if any(v == sources[0] for _, v in self.edges):
-            raise ValueError("source must have in-degree zero")
-        graph = {n: [] for n, _ in self.nodes}
-        for u, v in self.edges:
             graph[v].append(u)  # predecessors, as graphlib expects
+            out[u].append((u, v))
+        if graph[sources[0]]:
+            raise ValueError("source must have in-degree zero")
         try:
             order = tuple(graphlib.TopologicalSorter(graph).static_order())
         except graphlib.CycleError as exc:
             raise ValueError("topology contains a cycle") from exc
-        object.__setattr__(self, "_topo_order", order)
         reachable = {sources[0]}
         for u, v in sorted(self.edges, key=lambda e: order.index(e[0])):
             if u in reachable:
                 reachable.add(v)
-        for n, r in self.nodes:
-            if r == SINK and n not in reachable:
+        for n in sinks:
+            if n not in reachable:
                 raise ValueError(f"sink {n} is not reachable from the source")
-
-    @property
-    def source(self) -> str:
-        return next(n for n, r in self.nodes if r == SOURCE)
-
-    # The simulator reads these on every node visit; they are built on
-    # first use, so loading a topology costs no more.
-    @functools.cached_property
-    def sinks(self):
-        return tuple(n for n, r in self.nodes if r == SINK)
-
-    @functools.cached_property
-    def _roles(self) -> dict:
-        return dict(self.nodes)
+        object.__setattr__(self, "roles", roles)       # node -> role
+        object.__setattr__(self, "source", sources[0])
+        object.__setattr__(self, "sinks", sinks)
+        object.__setattr__(self, "_topo_order", order)
+        object.__setattr__(self, "_out_edges", {n: tuple(e) for n, e in out.items()})
 
     def role(self, node: str) -> str:
-        return self._roles[node]
+        return self.roles[node]
 
     def topo_order(self):
         return self._topo_order
-
-    @functools.cached_property
-    def _out_edges(self) -> dict:
-        out = {n: [] for n, _ in self.nodes}
-        for u, v in self.edges:
-            out[u].append((u, v))
-        return {n: tuple(edges) for n, edges in out.items()}
 
     def out_edges(self, node: str):
         return self._out_edges.get(node, ())
@@ -253,10 +236,16 @@ class TrialOutcome:
     deliveries: dict
 
 
-def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel):
-    """The checks on the error model that come before any draw."""
+def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel, strategies,
+                  node_filter_mode: str):
+    """The checks that come before any draw."""
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}")
+    if node_filter_mode not in TIER1_MODES:
+        raise ValueError(f"unknown tier-1 mode {node_filter_mode!r}")
     if error_model.injection_node is not None and \
-            error_model.injection_node not in topology._roles:
+            error_model.injection_node not in topology.roles:
         raise ValueError(f"injection node {error_model.injection_node!r} is not in the topology")
     if error_model.fixed_flips is not None and error_model.fixed_flips > setup.ambient_len:
         raise ValueError("fixed_flips exceeds the packet length")
@@ -337,18 +326,17 @@ class TrialBlock:
     both passes read; a retry draws for the trials its pass reruns.
     The network depends on the strategy only through whether intermediate
     nodes filter, so ``networks`` holds at most two passes, each run for
-    the whole block at once. :meth:`decode_sinks` hands a strategy's words
-    at each sink to ``decoders._decode_block`` as one array; the block's
-    memos make tier 1 run once per distinct packet at each (mode, radius),
-    at the filtering nodes and the sinks alike, and tier 2 once per
-    distinct input at each (metric, list radius). One instance serves one
-    block of one experiment and is dropped with it.
+    the whole block at once. ``decoders._tier1_block`` scrubs a filtering
+    node's buffer and, in ``decoders._decode_block``, a sink's words; the
+    block's memos make it run tier 1 once per distinct packet at each
+    (mode, radius), and tier 2 once per distinct input at each (metric,
+    list radius). One instance serves one block of one experiment and is
+    dropped with it.
     """
 
     def __init__(self, topology: Topology, setup: CodeSetup, error_model: ErrorModel,
                  base_seed: int, trials, indices, *, node_filter_mode: str = DETECT_ONLY,
                  retry_full_rank: bool = False):
-        self.topology = topology
         self.setup = setup
         self.error_model = error_model
         self.base_seed = base_seed
@@ -360,7 +348,6 @@ class TrialBlock:
         self.networks = {}              # intermediate nodes filter -> _Network
         self._first = None              # the first attempt's draws, which every pass reads
         self._memos = {}                # the block's tier-1 and tier-2 results
-        self._radius = 0
 
     def _stream(self, name: str, purpose: str, trials, attempt: int, count: int, below: int = 0):
         return stream(draw_key(self.base_seed, name, purpose), trials, attempt, count, below)
@@ -401,26 +388,10 @@ class TrialBlock:
                                     lay.injected * n, p).reshape(len(trials), lay.injected, n)
         return coeffs, offsets, injected
 
-    def _filter(self, buf):
-        """Tier 1 on each packet of a (trials, width, n) buffer, once per
-        distinct packet of the block: each trial's kept vectors moved to
-        the front in order, and how many each keeps."""
-        count, width, n = buf.shape
-        rows, inverse, verdicts = decoders._tier1_block(
-            buf.reshape(-1, n), self.setup.union, self._radius, self.node_filter_mode,
-            self._memos)
-        keep = np.array([v.outcome in (VALID, CORRECTED) for v in verdicts], dtype=bool)
-        vectors = np.array([v.vector or row for v, row in zip(verdicts, rows)],
-                           dtype=np.int64).reshape(-1, n)
-        keep, vectors = keep[inverse].reshape(count, width), vectors[inverse].reshape(buf.shape)
-        out = np.zeros_like(buf)
-        trial, slot = np.nonzero(keep)
-        out[trial, (np.cumsum(keep, axis=1) - 1)[trial, slot]] = vectors[trial, slot]
-        return out, keep.sum(axis=1)
-
-    def _pass(self, drawn, positions, filtering: bool):
+    def _pass(self, drawn, positions, radius):
         """One network pass of the trials at `positions` on their draws
-        (`_arrays`): every slot's packet and each trial's filtered drops."""
+        (`_arrays`), intermediate nodes filtering at tier-1 `radius` if it
+        is set: every slot's packet and each trial's filtered drops."""
         lay, p, stack = self.layout, self.setup.p, self.setup.codebook.stack
         coeffs, offsets, injected = drawn
         packets = np.zeros((len(positions), lay.slots, self.setup.ambient_len), dtype=np.int64)
@@ -431,35 +402,30 @@ class TrialBlock:
             if injects:
                 packets[:, hi - lay.injected:hi] = injected
             buf = packets[:, lo:hi]
-            if filtering and filters:
+            if radius is not None and filters:
                 # the slots past a trial's kept packets hold zeros, so they
                 # add nothing, whatever coefficients they meet
-                buf, kept = self._filter(buf)
+                buf, kept, _, _ = decoders._tier1_block(buf, self.setup.union, radius,
+                                                        self.node_filter_mode, self._memos)
                 drops += hi - lo - kept
             if heads:
                 packets[:, heads] = (coeffs[:, edges, :hi - lo] @ buf + offsets[:, edges]) % p
         return packets, drops
 
     def network(self, filtering: bool) -> _Network:
-        """The block's network pass with or without node filtering, run once."""
-        net = self.networks.get(filtering)
-        if net is None:
-            net = self.networks[filtering] = self._network(filtering)
-        return net
-
-    def _network(self, filtering: bool) -> _Network:
-        """Inject the codeword basis, mix, corrupt; rerun the trials whose
-        clean run leaves a sink rank-deficient, at the next attempt."""
-        setup, lay = self.setup, self.layout
-        if filtering and self.node_filter_mode != DETECT_ONLY and \
-                INTERMEDIATE in self.topology._roles.values():
-            self._radius = setup.options.radius
-            if self._radius is None:
-                self._radius = default_radius(setup.union.min_distance())
+        """The block's network pass with or without node filtering, run
+        once: inject the codeword basis, mix, corrupt; rerun the trials
+        whose clean run leaves a sink rank-deficient, at the next attempt."""
+        if filtering in self.networks:
+            return self.networks[filtering]
+        setup, lay, radius = self.setup, self.layout, None
+        if filtering:       # a node that only detects corrects nothing: radius 0
+            radius = 0 if self.node_filter_mode == DETECT_ONLY else \
+                decoders.tier1_radius(setup.options, setup.union)
         todo = np.arange(len(self.trials))
         if self._first is None:
             self._first = self._arrays(0, todo)
-        packets, drops = self._pass(self._first, todo, filtering)
+        packets, drops = self._pass(self._first, todo, radius)
         attempts = np.ones(len(todo), dtype=np.int64)
         deficient = np.zeros(len(todo), dtype=bool)
         if self.retry_full_rank and self.error_model.error_free:
@@ -475,10 +441,11 @@ class TrialBlock:
                 attempt += 1
                 if attempt >= MAX_ATTEMPTS:
                     break
-                current, drops[todo] = self._pass(self._arrays(attempt, todo), todo, filtering)
+                current, drops[todo] = self._pass(self._arrays(attempt, todo), todo, radius)
                 packets[todo] = current
                 attempts[todo] = attempt + 1
-        return _Network(packets, drops, attempts, deficient)
+        net = self.networks[filtering] = _Network(packets, drops, attempts, deficient)
+        return net
 
     def decode_sinks(self, strategy: str):
         """(chosen, metric, counts) of the strategy over the block: each
@@ -504,9 +471,7 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
               retry_full_rank: bool = False) -> TrialOutcome:
     """One multicast: inject the codeword basis, mix, corrupt, decode at
     sinks; a :class:`TrialBlock` of one trial."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    _check_inputs(topology, setup, error_model)
+    _check_inputs(topology, setup, error_model, (strategy,), node_filter_mode)
     index = setup.codebook.index(message)
     block = TrialBlock(topology, setup, error_model, base_seed, (trial,), (index,),
                        node_filter_mode=node_filter_mode, retry_full_rank=retry_full_rank)
@@ -542,12 +507,7 @@ def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("no strategies to run")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
-    if node_filter_mode not in TIER1_MODES:
-        raise ValueError(f"unknown tier-1 mode {node_filter_mode!r}")
-    _check_inputs(topology, setup, error_model)
+    _check_inputs(topology, setup, error_model, strategies, node_filter_mode)
 
     strategies = tuple(dict.fromkeys(strategies))  # a repeat would report the same numbers
     kept = {s: [] for s in strategies}      # per block: (success, counts, metric, drops, deficient)

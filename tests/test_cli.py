@@ -138,6 +138,24 @@ def test_encode_without_message_uses_config_default(capsys):
     assert out["message"] == "100"
 
 
+@pytest.mark.parametrize("message", [[1.5, 0, 0], [True, 0, 0], ["1", 0, 0], [0, 0, None]])
+def test_encode_config_message_list_holds_json_integers(tmp_path, capsys, message):
+    """``"message": [1.5, 0, 0]`` and ``[true, 0, 0]`` were cast and
+    encoded message "100"; a list of anything but JSON integers is now a
+    configuration error naming the message."""
+    cfg = kk_config()
+    cfg["message"] = message
+    assert main(["encode", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"message must list integers, got {message!r}" in capsys.readouterr().err
+
+
+def test_encode_config_message_list_of_integers(tmp_path, capsys):
+    cfg = kk_config()
+    cfg["message"] = [0, 1, 0]
+    assert main(["encode", "--config", write_config(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["message"] == "010"
+
+
 def test_encode_wrong_length_message(capsys):
     assert main(["encode", "--config", str(CONFIGS / "kk_example.json"),
                  "--message", "10"]) == 2

@@ -191,6 +191,12 @@ def test_codebook_index_is_message_arithmetic():
                           (Codebook(spec, cb.stack[:1]), (1, 0, 0))):
         with pytest.raises(ValueError, match="not in the codebook"):
             book.index(message)
+    # a digit that is not an integer is refused, not truncated or read as
+    # a fraction of a message index
+    mv1 = build_codebook(mv1_spec())
+    for book, message in ((cb, (1.5, 0, 0)), (cb, (0, 0, 0.0)), (mv1, (0.5,))):
+        with pytest.raises(ValueError, match="must be integers"):
+            book.index(message)
 
 
 def test_codebook_keeps_no_per_codeword_objects():
@@ -344,6 +350,11 @@ def test_encode_message_digits_roundtrip():
         digits = tuple([1] + [0] * (length - 1))
         cw = encode(spec, digits)
         assert cw.message == digits
+        assert encode(spec, np.array(digits)).message == digits
+        # encode(spec, (1.5, 0, ...)) once encoded message (1, 0, ...)
+        for bad in ((1.5,) + digits[1:], (0.5,) + digits[1:]):
+            with pytest.raises(ValueError, match="must be integers"):
+                encode(spec, bad)
 
 
 def test_mv_subfield_membership_row_invariant():

@@ -276,6 +276,10 @@ def test_unknown_strategy_and_message():
     setup = mv1_setup()
     with pytest.raises(ValueError, match="strategy"):
         run_trial(diamond(), setup, (1,), ErrorModel(), "magic", 1, 0)
+    # run_experiment refused an unknown node-filter mode, and run_trial ran it
+    with pytest.raises(ValueError, match="unknown tier-1 mode 'bogus'"):
+        run_trial(diamond(), setup, (1,), ErrorModel(), TWO_TIER_FILTER, 1, 0,
+                  node_filter_mode="bogus")
     # a digit outside [0, q), a negative one included, or a wrong length
     for message in ((7,), (1, 0), (-1,)):
         with pytest.raises(ValueError, match="message"):

@@ -178,16 +178,23 @@ def test_decode_block_matches_two_tier_decode_word_by_word(name, k, seed):
     """The batched step gives each word what ``two_tier_decode`` gives it:
     the chosen codeword, the metric value and the outcomes of the verdicts
     it returns, on words of k mixes of a codeword's rows with digits
-    changed, repeated across the block. Every decoder of OPTIONS, tier 2
-    alone in either metric, and tier 1 at radius 0 decode the words in
-    turn, twice, sharing one block's memos."""
+    changed, some packets zero, repeated across the block, and on a word
+    of zero packets and one of packets outside the union. Every decoder of
+    OPTIONS, tier 2 alone in either metric, and tier 1 at radius 0 decode
+    the words in turn, twice, sharing one block's memos. At radius 0 the
+    zero word keeps only the zero vector, which is in every union, and the
+    other keeps nothing: both scrub to zero rows."""
     cb, union = codebook(name)
     p, rng = cb.p, np.random.default_rng(seed)
     rows = cb.stack[rng.integers(len(cb), size=6)].astype(np.int64)
+    n = rows.shape[2]
     pool = rng.integers(p, size=(6, k, rows.shape[1])) @ rows % p
     pool = np.where(rng.random(pool.shape) < 0.15, (pool + rng.integers(1, p, pool.shape)) % p,
                     pool)
-    words, memos = pool[rng.integers(6, size=24)], {}
+    pool[rng.random((6, k)) < 0.2] = 0
+    junk = [x for x in rng.integers(p, size=(64, n)).tolist() if tuple(x) not in union][:k]
+    pool = np.concatenate([pool, np.zeros((1, k, n), dtype=np.int64), np.array([junk])])
+    words, memos = pool[np.concatenate([rng.integers(6, size=24), [6, 7, 6, 7]])], {}
     each_decoder = OPTIONS + (DecodeOptions(tier1_enabled=False, metric="subspace"),
                               DecodeOptions(mode=CORRECT, radius=0))
     for options in each_decoder * 2:
