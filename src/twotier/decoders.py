@@ -604,16 +604,16 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     keys, first, ids = np.unique(linalg.pack_digits(flat, p), return_index=True,
                                  return_inverse=True)
     keys, vectors = keys.tolist(), flat[first].tolist()
-    # an input is its kept rows: with zeros after them, a word that keeps
-    # only the zero vector scrubs to the same rows as one that keeps none
-    inputs, which = np.unique(np.column_stack([kept, ids.reshape(count, k)]), axis=0,
-                              return_inverse=True)
+    # an input is its kept rows, the others -1: with zeros after them, a
+    # word that keeps only the zero vector scrubs as one that keeps none
+    ids = np.where(np.arange(k) < kept[:, None], ids.reshape(count, k), -1)
+    inputs, which = np.unique(ids, axis=0, return_inverse=True)
     memo, results = memos.setdefault(("tier2", options.metric, options.list_radius), {}), []
-    for size, *row in inputs.tolist():
-        if not size:
+    for row in inputs.tolist():
+        row = [i for i in row if i >= 0]
+        if not row:
             results.append(FAILURE)
             continue
-        row = row[:size]
         key = linalg.packed_basis([keys[i] for i in row]) if p == 2 else \
             tuple(keys[i] for i in row)
         if key not in memo:
