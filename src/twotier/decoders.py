@@ -571,13 +571,14 @@ def _tier1_block(words, union: UnionCode, radius: int, mode: str, memos: dict,
     inverse = inverse.reshape(count, k)
     outcomes = np.array([TIER1_OUTCOMES.index(v.outcome) for v in verdicts],
                         dtype=np.int64)[inverse]
-    # a dropped packet's vector is zero, so moving the kept ones to the
-    # front leaves zeros after them
-    vectors = np.array([v.vector or (0,) * n for v in verdicts], dtype=words.dtype)
-    keep = outcomes <= TIER1_OUTCOMES.index(CORRECTED)     # valid or corrected
-    order = np.argsort(~keep, axis=1, kind="stable")
-    scrubbed = vectors.reshape(-1, n)[np.take_along_axis(inverse, order, axis=1)]
-    return scrubbed, keep.sum(axis=1), outcomes, (verdicts, inverse)
+    # `table` holds the few distinct kept vectors, all union vectors, then
+    # a zero row; `at` is each packet's row in it, -1 when it is dropped
+    rows = {}
+    at = np.array([-1 if v.vector is None else rows.setdefault(v.vector, len(rows))
+                   for v in verdicts], dtype=np.int64)[inverse]
+    table = np.array([*rows, (0,) * n], dtype=words.dtype)
+    scrubbed = table[np.take_along_axis(at, np.argsort(at < 0, axis=1, kind="stable"), axis=1)]
+    return scrubbed, (at >= 0).sum(axis=1), outcomes, (verdicts, inverse)
 
 
 def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, memos: dict):
@@ -591,7 +592,7 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     once per distinct input (over GF(2), per ``linalg.packed_basis`` of
     one), feedback once per distinct word.
     """
-    count, k, n = words.shape
+    count, k = words.shape[:2]
     p = codebook.p
     counts = np.zeros((count, len(TIER1_OUTCOMES)), dtype=np.int64)
     scrubbed, kept = words, np.full(count, k)
@@ -600,27 +601,24 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
             words, union, tier1_radius(options, union), options.mode, memos,
             options.allow_radius_override)
         counts = (outcomes[..., None] == np.arange(len(TIER1_OUTCOMES))).sum(axis=1)
-    flat = scrubbed.reshape(-1, n)
-    keys, first, ids = np.unique(linalg.pack_digits(flat, p), return_index=True,
-                                 return_inverse=True)
-    keys, vectors = keys.tolist(), flat[first].tolist()
-    # an input is its kept rows, the others -1: with zeros after them, a
+    # an input is the keys of a word's kept rows: with zeros after them, a
     # word that keeps only the zero vector scrubs as one that keeps none
-    ids = np.where(np.arange(k) < kept[:, None], ids.reshape(count, k), -1)
-    inputs, which = np.unique(ids, axis=0, return_inverse=True)
+    inputs, which = {}, []                  # input -> (its number, a word with it)
+    for b, (row, size) in enumerate(zip(linalg.pack_digits(scrubbed, p).tolist(),
+                                        kept.tolist())):
+        which.append(inputs.setdefault(tuple(row[:size]), (len(inputs), b))[0])
     memo, results = memos.setdefault(("tier2", options.metric, options.list_radius), {}), []
-    for row in inputs.tolist():
-        row = [i for i in row if i >= 0]
+    for row, (_, b) in inputs.items():
         if not row:
             results.append(FAILURE)
             continue
-        key = linalg.packed_basis([keys[i] for i in row]) if p == 2 else \
-            tuple(keys[i] for i in row)
+        key = linalg.packed_basis(row) if p == 2 else row
         if key not in memo:
-            span = (key, len(key)) if p == 2 else linalg.span_basis([vectors[i] for i in row], p)
+            span = (key, len(key)) if p == 2 else \
+                linalg.span_basis(scrubbed[b, :len(row)].tolist(), p)
             memo[key] = _subspace_body(span, codebook, options.metric, options.list_radius)
         results.append(memo[key])
-    which = which.reshape(-1)
+    which = np.array(which)
     if options.feedback:
         distinct, at, raw = np.unique(inverse, axis=0, return_index=True, return_inverse=True)
         results, which = [results[i] for i in which[at]], raw.reshape(-1)
