@@ -152,9 +152,10 @@ def cmd_encode(args) -> int:
         codebook = build_codebook(spec, cfg.codebook_budget)
         _write(args, _csv(codebook_csv_rows(codebook), ("message", "row", "packet")))
         return EXIT_OK
-    digits = parse_digits(args.message) if args.message is not None else cfg.message_digits()
-    if digits is None:
+    text = cfg.raw.get("message") if args.message is None else args.message
+    if text is None:
         raise ConfigError("no message given (use --message or a 'message' config entry)")
+    digits = parse_digits(text)
     try:
         cw = encode(spec, digits)
     except ValueError as exc:

@@ -6,14 +6,13 @@ into base-field coordinate vectors according to an explicit block layout.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import BudgetError
-from .fields import FieldContext, FieldElement
+from .fields import FieldContext, FieldElement, integers
 
 DEFAULT_CODEBOOK_BUDGET = 1 << 20
 
@@ -109,7 +108,7 @@ class Codebook:
 
     def index(self, message) -> int:
         """The index of the message's codeword: its digits read in base p, lowest first."""
-        digits = _integers(message)
+        digits = integers(message, "message digits")
         if len(digits) == self._length and all(0 <= d < self.p for d in digits):
             index = sum(d * self.p ** i for i, d in enumerate(digits))
             if index < len(self):
@@ -393,21 +392,13 @@ def _pack(blocks, layout: PacketLayout, ctx: FieldContext):
 def encode(spec, digits) -> Codeword:
     """The codeword of one message, given as its ``spec.message_length``
     base-q digits, lowest first: a block of one through the batched encoder."""
-    digits = _integers(digits)
+    digits = integers(digits, "message digits")
     if len(digits) != spec.message_length:
         raise ValueError(f"message length must be {spec.message_length}, got {len(digits)}")
     if any(not 0 <= d < spec.q for d in digits):
         raise ValueError(f"message digits must lie in [0, {spec.q})")
     stack = _pack(spec._blocks(np.array([digits], dtype=np.int64)), spec.layout, spec.field)
     return Codeword(spec.kind, digits, tuple(map(tuple, stack[0].tolist())))
-
-
-def _integers(digits) -> tuple:
-    """The message digits as ints; ValueError on one that is not an integer."""
-    try:
-        return tuple(map(operator.index, digits))
-    except TypeError:
-        raise ValueError(f"message digits must be integers, got {tuple(digits)}") from None
 
 
 # ---------------------------------------------------------------- codebooks

@@ -1,13 +1,15 @@
 """Single-file JSON configuration: field, code, decoding, topology, errors.
 
-Sections materialize into the domain objects of the other modules; any
-invalid value surfaces as :class:`ConfigError` so the command layer can
-map it to a stable exit code. Elements in configuration are base-p digit
-strings (low-order digit first) or powers of gamma like ``"g^3"``.
+A config is checked whole against :data:`SCHEMA` when it is made, then
+materializes into the domain objects of the other modules, which check
+the ranges; any invalid value surfaces as :class:`ConfigError` so the
+command layer can map it to a stable exit code. Elements in configuration
+are base-p digit strings (low-order digit first) or powers of gamma like
+``"g^3"``.
 """
 
-import functools
 import json
+import string
 from dataclasses import dataclass
 
 from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
@@ -17,6 +19,51 @@ from .errors import ConfigError
 from .fields import FieldContext, parse_element
 from .sim import DETECT_ONLY, STRATEGIES, ErrorModel, Topology
 from .union import DEFAULT_UNION_BUDGET, build_union
+
+
+NULL = type(None)
+BOOLEAN, INTEGER, STRING, LIST = "true or false", "an integer", "a string", "a list"
+# a JSON type, as an error names it -> the Python types json.load reads it as
+TYPES = {BOOLEAN: (bool,), INTEGER: (int,), "an integer or null": (int, NULL),
+         "a number": (int, float), STRING: (str,), "a node name or null": (str, NULL),
+         "a digit string or a list of integers": (str, list), LIST: (list,),
+         "a list or null": (list, NULL), "an object": (dict,)}
+REQUIRED = object()     # no default: a section that is present must hold the key
+KEYWORD = object()      # passed on only when present, so its constructor's default holds
+
+# section -> key -> (JSON type, default); "" is the top level, whose other
+# keys are the sections, each a JSON object, of which every command needs
+# field and code. A code section holds the keys of its kind.
+SCHEMA = {
+    "": {"name": (STRING, "unnamed"), "notes": (STRING, None), "seed": (INTEGER, 0),
+         "feedback": (BOOLEAN, KEYWORD), "message": ("a digit string or a list of integers", None)},
+    "field": {"p": (INTEGER, REQUIRED), "n": (INTEGER, REQUIRED),
+              "modulus": ("a list or null", KEYWORD), "basis": ("a list or null", KEYWORD)},
+    "code": {
+        "gabidulin": {"kind": (STRING, REQUIRED), "n": (INTEGER, REQUIRED),
+                      "k": (INTEGER, REQUIRED), "generators": (LIST, REQUIRED)},
+        "kk": {"kind": (STRING, REQUIRED), "l": (INTEGER, REQUIRED), "k": (INTEGER, REQUIRED),
+               "alphas": (LIST, REQUIRED)},
+        "mv": {"kind": (STRING, REQUIRED), "m": (INTEGER, REQUIRED), "l": (INTEGER, REQUIRED),
+               "L": (INTEGER, REQUIRED), "k": (INTEGER, REQUIRED), "alphas": (LIST, REQUIRED),
+               "layout": (STRING, KEYWORD)},
+    },
+    "tier1": {"enabled": (BOOLEAN, KEYWORD), "mode": (STRING, KEYWORD),
+              "radius": ("an integer or null", KEYWORD),
+              "allow_radius_override": (BOOLEAN, KEYWORD)},
+    "tier2": {"metric": (STRING, KEYWORD), "list_radius": ("an integer or null", KEYWORD)},
+    "budgets": {"codebook": (INTEGER, DEFAULT_CODEBOOK_BUDGET),
+                "union": (INTEGER, DEFAULT_UNION_BUDGET)},
+    "topology": {"nodes": ("an object", REQUIRED), "edges": (LIST, REQUIRED)},
+    "errors": {"bit_flip_prob": ("a number", KEYWORD), "corrupt_packet_prob": ("a number", KEYWORD),
+               "fixed_flips": ("an integer or null", KEYWORD),
+               "injected_packets": (INTEGER, KEYWORD),
+               "injection_node": ("a node name or null", KEYWORD)},
+    "sim": {"trials": (INTEGER, 100), "strategies": (LIST, STRATEGIES),
+            "node_filter_mode": (STRING, DETECT_ONLY), "retry_full_rank": (BOOLEAN, False)},
+}
+_TOP = SCHEMA[""] | {section: ("an object", REQUIRED if section in ("field", "code") else None)
+                     for section in SCHEMA if section}
 
 
 def load_config(path) -> "RunConfig":
@@ -32,60 +79,64 @@ def load_config(path) -> "RunConfig":
     return RunConfig(raw=raw)
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing {key!r} in {where}")
-    return section[key]
-
-
-def _typed(section: dict, key: str, name: str, default, types: tuple, what: str):
-    """The value at `key`, or `default`, when its JSON type is one of
-    `types`; ConfigError naming `name` otherwise. A bool is not a number
-    here unless `types` holds bool."""
-    value = section.get(key, default)
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-# JSON true or false; integer; integer or null; number, integer or not
-_flag = functools.partial(_typed, types=(bool,), what="true or false")
-_int = functools.partial(_typed, types=(int,), what="an integer")
-_optional_int = functools.partial(_typed, default=None, types=(int, type(None)),
-                                  what="an integer or null")
-_number = functools.partial(_typed, types=(int, float), what="a number")
+def _check(values: dict, table: dict, where: str):
+    """ConfigError naming the first key of `values` that `table` lacks or
+    whose value is not of its JSON type, or a key it requires and lacks."""
+    for key, value in values.items():
+        if key not in table:
+            raise ConfigError(f"unknown config key {where}{key}")
+        what = table[key][0]
+        types = TYPES[what]
+        # a bool is a Python int, but not a JSON integer or number
+        if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in values:
+            raise ConfigError(f"missing {where}{key}")
 
 
 @dataclass
 class RunConfig:
     raw: dict
 
-    def _section(self, key: str, required: bool = False) -> dict:
-        value = self.raw.get(key, {})
-        if required and key not in self.raw:
-            raise ConfigError(f"missing config section {key!r}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        return value
+    def __post_init__(self):
+        """One verdict per config: every section present is checked against
+        SCHEMA, whichever of them a command reads."""
+        _check(self.raw, _TOP, "")
+        for section, values in self.raw.items():
+            if section in SCHEMA:       # a section: "" is not a key of _TOP
+                table = SCHEMA[section]
+                if section == "code":   # the keys of its kind
+                    kind = values.get("kind")
+                    if not (isinstance(kind, str) and kind in table):
+                        raise ConfigError(f"code.kind must be one of {', '.join(table)}, "
+                                          f"got {kind!r}")
+                    table = table[kind]
+                _check(values, table, f"{section}.")
+
+    def _value(self, section: str, key: str):
+        """The value at section.key, or its default in SCHEMA."""
+        values = self.raw.get(section, {}) if section else self.raw
+        return values.get(key, SCHEMA[section][key][1])
 
     @property
     def name(self) -> str:
-        return str(self.raw.get("name", "unnamed"))
+        return self._value("", "name")
 
     @property
     def seed(self) -> int:
-        return _int(self.raw, "seed", "seed", 0)
+        return self._value("", "seed")
 
     @property
     def union_budget(self) -> int:
-        return self._budget("union", DEFAULT_UNION_BUDGET)
+        return self._budget("union")
 
     @property
     def codebook_budget(self) -> int:
-        return self._budget("codebook", DEFAULT_CODEBOOK_BUDGET)
+        return self._budget("codebook")
 
-    def _budget(self, key: str, default: int) -> int:
-        value = _int(self._section("budgets"), key, f"budgets.{key}", default)
+    def _budget(self, key: str) -> int:
+        value = self._value("budgets", key)
         if value < 1:
             raise ConfigError(f"budgets.{key} must be at least 1, got {value}")
         return value
@@ -96,37 +147,25 @@ class RunConfig:
     # -- materialization -------------------------------------------------
 
     def build_field(self) -> FieldContext:
-        section = self._section("field", required=True)
         try:
-            return FieldContext(int(_require(section, "p", "field")),
-                                int(_require(section, "n", "field")),
-                                section.get("modulus"),
-                                basis=section.get("basis"))
+            return FieldContext(**self.raw["field"])
         except ValueError as exc:
             raise ConfigError(f"field: {exc}") from exc
 
     def build_spec(self, ctx: FieldContext):
-        section = self._section("code", required=True)
-        kind = _require(section, "kind", "code")
+        code = self.raw["code"]
         try:
-            if kind == "gabidulin":
-                gens = [parse_element(ctx, s) for s in _require(section, "generators", "code")]
-                return GabidulinSpec(field=ctx, n=int(_require(section, "n", "code")),
-                                     k=int(_require(section, "k", "code")), generators=gens)
-            if kind == "kk":
-                alphas = [parse_element(ctx, s) for s in _require(section, "alphas", "code")]
-                return KKSpec(field=ctx, l=int(_require(section, "l", "code")),
-                              k=int(_require(section, "k", "code")), alphas=alphas)
-            if kind == "mv":
-                alphas = [parse_element(ctx, s) for s in _require(section, "alphas", "code")]
-                return MVSpec(field=ctx, m=int(_require(section, "m", "code")),
-                              l=int(_require(section, "l", "code")),
-                              big_l=int(_require(section, "L", "code")),
-                              k=int(_require(section, "k", "code")), alphas=alphas,
-                              layout_name=section.get("layout", "uncompressed"))
+            if code["kind"] == "gabidulin":
+                return GabidulinSpec(field=ctx, n=code["n"], k=code["k"],
+                                     generators=[parse_element(ctx, s) for s in code["generators"]])
+            alphas = [parse_element(ctx, s) for s in code["alphas"]]
+            if code["kind"] == "kk":
+                return KKSpec(field=ctx, l=code["l"], k=code["k"], alphas=alphas)
+            layout = {"layout_name": code["layout"]} if "layout" in code else {}
+            return MVSpec(field=ctx, m=code["m"], l=code["l"], big_l=code["L"], k=code["k"],
+                          alphas=alphas, **layout)
         except ValueError as exc:
             raise ConfigError(f"code: {exc}") from exc
-        raise ConfigError(f"unknown code kind {kind!r}")
 
     def build_all(self):
         """(field, spec, codebook, union) with budgets applied."""
@@ -136,85 +175,53 @@ class RunConfig:
         return ctx, spec, codebook, build_union(codebook, self.union_budget)
 
     def decode_options(self) -> DecodeOptions:
-        tier1 = self._section("tier1")
-        tier2 = self._section("tier2")
+        options = {"tier1_enabled" if key == "enabled" else key: value
+                   for key, value in self.raw.get("tier1", {}).items()}
+        options.update(self.raw.get("tier2", {}))
+        if "feedback" in self.raw:
+            options["feedback"] = self.raw["feedback"]
         try:
-            return DecodeOptions(
-                tier1_enabled=_flag(tier1, "enabled", "tier1.enabled", True),
-                mode=tier1.get("mode", "correct-or-erase"),
-                radius=_optional_int(tier1, "radius", "tier1.radius"),
-                metric=tier2.get("metric", "injection"),
-                list_radius=_optional_int(tier2, "list_radius", "tier2.list_radius"),
-                feedback=_flag(self.raw, "feedback", "feedback", False),
-                allow_radius_override=_flag(tier1, "allow_radius_override",
-                                            "tier1.allow_radius_override", False))
+            return DecodeOptions(**options)
         except ValueError as exc:
             raise ConfigError(f"decoding options: {exc}") from exc
 
     def topology(self) -> Topology:
-        section = self._section("topology", required=True)
-        nodes = _require(section, "nodes", "topology")
-        edges = _require(section, "edges", "topology")
-        if not isinstance(nodes, dict):
-            raise ConfigError("topology.nodes must map node names to roles")
+        if "topology" not in self.raw:
+            raise ConfigError("missing config section 'topology'")
+        section = self.raw["topology"]
+        for edge in section["edges"]:
+            if not (isinstance(edge, list) and len(edge) == 2 and
+                    all(isinstance(node, str) for node in edge)):
+                raise ConfigError(f"topology.edges must list [from, to] pairs of node names, "
+                                  f"got {edge!r}")
         try:
-            return Topology(nodes=tuple(nodes.items()),
-                            edges=tuple((e[0], e[1]) for e in edges))
-        except (ValueError, IndexError, TypeError) as exc:
+            return Topology(nodes=tuple(section["nodes"].items()),
+                            edges=tuple(map(tuple, section["edges"])))
+        except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from exc
 
     def error_model(self) -> ErrorModel:
-        section = self._section("errors")
         try:
-            return ErrorModel(
-                bit_flip_prob=_number(section, "bit_flip_prob", "errors.bit_flip_prob", 0.0),
-                fixed_flips=_optional_int(section, "fixed_flips", "errors.fixed_flips"),
-                corrupt_packet_prob=_number(section, "corrupt_packet_prob",
-                                            "errors.corrupt_packet_prob", 0.0),
-                injected_packets=_int(section, "injected_packets", "errors.injected_packets", 0),
-                injection_node=_typed(section, "injection_node", "errors.injection_node", None,
-                                      (str, type(None)), "a node name or null"))
+            return ErrorModel(**self.raw.get("errors", {}))
         except ValueError as exc:
             raise ConfigError(f"errors: {exc}") from exc
 
     def sim_params(self) -> dict:
-        section = self._section("sim")
-        strategies = section.get("strategies", STRATEGIES)
-        if not isinstance(strategies, (list, tuple)):
-            raise ConfigError(f"sim: strategies must be a list of strategy names, "
-                              f"got {strategies!r}")
-        strategies = tuple(strategies)
-        unknown = [s for s in strategies if s not in STRATEGIES]
-        if unknown:
-            raise ConfigError(f"sim: unknown strategies {unknown}")
-        trials = _int(section, "trials", "sim.trials", 100)
-        if trials < 1:
-            raise ConfigError("sim: trials must be at least 1")
-        mode = _typed(section, "node_filter_mode", "sim.node_filter_mode", DETECT_ONLY, (str,),
-                      "a string")
+        params = {key: self._value("sim", key) for key in SCHEMA["sim"]}
+        mode = params["node_filter_mode"]
         if mode not in TIER1_MODES:
             raise ConfigError(f"sim.node_filter_mode: unknown tier-1 mode {mode!r}, "
                               f"not one of {', '.join(TIER1_MODES)}")
-        return {
-            "trials": trials,
-            "strategies": strategies,
-            "node_filter_mode": mode,
-            "retry_full_rank": _flag(section, "retry_full_rank", "sim.retry_full_rank", False),
-        }
-
-    def message_digits(self):
-        text = self.raw.get("message")
-        if text is None:
-            return None
-        return parse_digits(text)
+        return params
 
 
 def parse_digits(text) -> tuple:
+    """Digits from a list of JSON integers or a string of decimal digits."""
     if isinstance(text, list):
         if not all(type(d) is int for d in text):     # JSON integers, so no bool
             raise ConfigError(f"message must list integers, got {text!r}")
         return tuple(text)
-    s = str(text).strip()
-    if not s or not all(ch.isdigit() for ch in s):
+    s = text.strip()
+    if not s or not set(s) <= set(string.digits):
         raise ConfigError(f"cannot parse digit string {text!r}")
-    return tuple(int(ch) for ch in s)
+    return tuple(map(string.digits.index, s))

@@ -560,6 +560,7 @@ def _tier1_block(words, union: UnionCode, radius: int, mode: str, memos: dict,
     tier 2 reads. ``outcomes`` (B, k) indexes TIER1_OUTCOMES, and
     ``verdicts`` is the distinct packets' verdicts and each packet's index."""
     count, k, n = words.shape
+    radius = 0 if mode == DETECT_ONLY else radius   # a detect-only verdict reads no radius
     flat = words.reshape(-1, n)
     keys, first, inverse = np.unique(linalg.pack_digits(flat, union.p), return_index=True,
                                      return_inverse=True)

@@ -22,6 +22,7 @@ powers of gamma (``"g^3"``).
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -38,6 +39,14 @@ BUILTIN_MODULI = {
     (2, 3): (1, 1, 0, 1),
     (3, 6): (2, 1, 0, 0, 0, 0, 1),
 }
+
+
+def integers(values, what: str) -> tuple:
+    """`values` as a tuple of ints; ValueError naming `what` on one that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _factorize(m: int):
@@ -73,7 +82,7 @@ class FieldContext:
             modulus = BUILTIN_MODULI.get((p, n))
             if modulus is None:
                 raise ValueError(f"no built-in modulus for GF({p}^{n}); supply one")
-        modulus = tuple(int(c) for c in modulus)
+        modulus = integers(modulus, "modulus coefficients")
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n, coefficients low-to-high")
         if any(not 0 <= c < p for c in modulus):
@@ -104,7 +113,7 @@ class FieldContext:
             self._install_basis(basis)
 
     def _install_basis(self, basis):
-        rows = tuple(tuple(int(c) for c in row) for row in basis)
+        rows = tuple(integers(row, "basis entries") for row in basis)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"basis must be a {self.n}x{self.n} matrix")
         if any(not 0 <= c < self.p for row in rows for c in row):

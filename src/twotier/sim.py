@@ -239,9 +239,10 @@ class TrialOutcome:
 def _check_inputs(topology: Topology, setup: CodeSetup, error_model: ErrorModel, strategies,
                   node_filter_mode: str):
     """The checks that come before any draw."""
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}, a strategy being one of "
+                         f"{', '.join(STRATEGIES)}")
     if node_filter_mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {node_filter_mode!r}")
     if error_model.injection_node is not None and \

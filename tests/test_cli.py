@@ -94,6 +94,50 @@ def test_budgets_must_be_positive_json_integers(tmp_path, capsys, key, value, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("field", "p", "2", "field.p must be an integer, got '2'"),
+    ("field", "n", 3.0, "field.n must be an integer, got 3.0"),
+    ("code", "k", True, "code.k must be an integer, got True"),
+    ("code", "L", "2", "code.L must be an integer, got '2'"),
+    ("sim", "trails", 5, "unknown config key sim.trails"),
+    (None, "name", 5, "name must be a string, got 5"),
+    (None, "field", [2, 3], "field must be an object, got [2, 3]"),
+    ("tier1", "mode", ["correct"], "tier1.mode must be a string, got ['correct']"),
+    # a key of another kind's code
+    ("code", "generators", ["g^1"], "unknown config key code.generators"),
+    ("code", "kind", "rs", "code.kind must be one of gabidulin, kk, mv, got 'rs'"),
+    # the topology is checked by every command, though only simulate reads it
+    ("topology", "edges", None, "topology.edges must be a list, got None"),
+    ("errors", "fixed_flips", "1", "errors.fixed_flips must be an integer or null, got '1'")])
+def test_every_key_of_a_config_has_one_json_type(tmp_path, capsys, section, key, value, message):
+    """Each of these was cast, or ignored, and exited 0."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    (cfg if section is None else cfg[section])[key] = value
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+def test_a_section_is_checked_for_semantics_only_where_it_is_read(tmp_path, capsys):
+    """One verdict per config covers keys and JSON types; a topology with a
+    cycle is refused by the command that runs it, not by verify-lemmas."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["topology"]["edges"] += [["a", "b"], ["b", "a"]]
+    path = write_config(tmp_path, cfg)
+    assert main(["verify-lemmas", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
+    assert main(["simulate", "--config", path]) == 2
+    assert "topology: topology contains a cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modulus", [[1, 1.5, 0, 1], ["1", "1", "0", "1"]])
+def test_modulus_coefficients_are_json_integers(tmp_path, capsys, modulus):
+    """Both once built x^3+x+1."""
+    cfg = kk_config()
+    cfg["field"]["modulus"] = modulus
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"config error: field: modulus coefficients must be integers, got {modulus!r}" in \
+        capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["verify-lemmas", "--config", "/nonexistent.json"]) == 2
 
@@ -138,6 +182,15 @@ def test_encode_without_message_uses_config_default(capsys):
     assert out["message"] == "100"
 
 
+def test_encode_config_message_is_not_a_json_number(tmp_path, capsys):
+    """``"message": 100`` was read as the digit string "100"."""
+    cfg = kk_config()
+    cfg["message"] = 100
+    assert main(["encode", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "message must be a digit string or a list of integers, got 100" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message", [[1.5, 0, 0], [True, 0, 0], ["1", 0, 0], [0, 0, None]])
 def test_encode_config_message_list_holds_json_integers(tmp_path, capsys, message):
     """``"message": [1.5, 0, 0]`` and ``[true, 0, 0]`` were cast and
@@ -167,6 +220,14 @@ def test_encode_empty_message_is_config_error(capsys):
     assert main(["encode", "--config", str(CONFIGS / "kk_example.json"),
                  "--message", ""]) == 2
     assert "cannot parse digit string ''" in capsys.readouterr().err
+
+
+def test_encode_message_digits_are_ascii_decimal_digits(capsys):
+    """Arabic-Indic digits pass str.isdigit and int() and once encoded
+    message "100"."""
+    assert main(["encode", "--config", str(CONFIGS / "kk_example.json"),
+                 "--message", "\u0661\u0660\u0660"]) == 2
+    assert "cannot parse digit string" in capsys.readouterr().err
 
 
 def test_decode_corrupted_packet(tmp_path):
@@ -369,6 +430,17 @@ def test_unhashable_or_mixed_strategy_names_are_config_errors(tmp_path, capsys):
     cfg["sim"]["strategies"] = ["two-tier", ["two-tier"], 5, "x"]
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
     assert "unknown strategies [['two-tier'], 5, 'x']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [["s", "a", "zzz"], "sa", ["s"], ["s", 5], {"s": "a"}])
+def test_an_edge_is_a_pair_of_node_names(tmp_path, capsys, edge):
+    """``["s", "a", "zzz"]`` once lost its third name and ``"sa"`` became
+    the edge (s, a)."""
+    cfg = json.loads((CONFIGS / "mv1.json").read_text())
+    cfg["topology"]["edges"][0] = edge
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"topology.edges must list [from, to] pairs of node names, got {edge!r}" in \
+        capsys.readouterr().err
 
 
 def test_simulate_requires_topology(tmp_path, capsys):

@@ -62,6 +62,14 @@ def test_non_desk_scale_rejected():
         FieldContext(4, 2, (1, 0, 1))  # not prime
 
 
+@pytest.mark.parametrize("modulus", [(1, 1.5, 0, 1), ("1", "1", "0", "1"), (1, None, 0, 1)])
+def test_modulus_coefficients_must_be_integers(modulus):
+    """``[1, 1.5, 0, 1]`` and ``["1", "1", "0", "1"]`` were cast by int()
+    and built x^3+x+1."""
+    with pytest.raises(ValueError, match="modulus coefficients must be integers"):
+        FieldContext(2, 3, modulus)
+
+
 def test_missing_builtin_modulus():
     with pytest.raises(ValueError, match="no built-in modulus"):
         FieldContext(5, 4)
@@ -266,6 +274,14 @@ def test_change_of_basis_representation():
 def test_singular_basis_rejected():
     with pytest.raises(ValueError, match="singular"):
         FieldContext(2, 3, basis=[(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
+@pytest.mark.parametrize("basis", [[(1, 0, 0), (0, 1.0, 0), (0, 0, 1)],
+                                   [(1, 0, 0), ("0", "1", "0"), (0, 0, 1)],
+                                   [1, 0, 0]])
+def test_basis_entries_must_be_integers(basis):
+    with pytest.raises(ValueError, match="basis entries must be integers"):
+        FieldContext(2, 3, basis=basis)
 
 
 def test_parse_gamma_powers():

@@ -248,36 +248,41 @@ def decoder_inputs():
 
 @pytest.mark.parametrize("block_trials", (16, sim.BLOCK_TRIALS))
 def test_a_block_decodes_each_distinct_input_once(block_trials):
-    """Per block, tier 1 runs once per distinct packet at each (mode,
-    radius), at the filtering nodes and at the sink, and tier 2 once per
-    distinct input, whichever strategies share it; with feedback off no
+    """Per block, tier 1 runs once per distinct packet in each mode, at the
+    filtering nodes and at the sink, and tier 2 once per distinct input,
+    whichever strategies share it; with feedback off no
     ``two_tier_decode`` runs. A block runs tier 2 fewer times than it has
     (trial, strategy, sink) decodes, and nothing is kept from one block or
     experiment to the next."""
     cb, union = codebook("mv1")
-    setup = CodeSetup(codebook=cb, union=union)
-    args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
-            64, 3)
-    runs = []
-    for _ in range(2):
-        with mock.patch.object(sim, "BLOCK_TRIALS", block_trials), decoder_inputs() as blocks:
-            report = run_experiment(*args)
-        runs.append(blocks)
-        assert report == oracles.reference_run_experiment(*args, STRATEGIES)
-    assert runs[0] == runs[1]       # the second experiment decodes everything again
-    blocks = runs[0]
-    assert len(blocks) == -(-64 // block_trials)
-    for calls in blocks:
-        assert max(Counter(calls).values()) == 1
-        assert {c[0] for c in calls} == {"tier1", "tier2"}
-        # the filtering nodes detect only; the sink corrects within radius 1
-        assert {c[1:3] for c in calls if c[0] == "tier1"} == {(DETECT_ONLY, 0),
-                                                             (CORRECT_OR_ERASE, 1)}
-        assert len([c for c in calls if c[0] == "tier2"]) < \
-            min(block_trials, 64) * len(STRATEGIES)
-    # an input met in two blocks is decoded in each
-    repeated = Counter(c for calls in blocks for c in calls)
-    assert len(blocks) == 1 or max(repeated.values()) > 1
+    for options, tier1_keys in [
+            # the filtering nodes detect only; the sink corrects within radius 1
+            (DecodeOptions(), {(DETECT_ONLY, 0), (CORRECT_OR_ERASE, 1)}),
+            # a detect-only verdict reads no radius: nodes and sink share one memo
+            (DecodeOptions(mode=DETECT_ONLY), {(DETECT_ONLY, 0)})]:
+        setup = CodeSetup(codebook=cb, union=union, options=options)
+        args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
+                64, 3)
+        runs = []
+        for _ in range(2):
+            with mock.patch.object(sim, "BLOCK_TRIALS", block_trials), \
+                    decoder_inputs() as blocks:
+                report = run_experiment(*args)
+            runs.append(blocks)
+            assert report == oracles.reference_run_experiment(*args, STRATEGIES)
+        assert runs[0] == runs[1]       # the second experiment decodes everything again
+        blocks = runs[0]
+        assert len(blocks) == -(-64 // block_trials)
+        for calls in blocks:
+            assert max(Counter(calls).values()) == 1
+            assert {c[0] for c in calls} == {"tier1", "tier2"}
+            assert {c[1:3] for c in calls if c[0] == "tier1"} == tier1_keys
+            assert max(Counter((c[1], c[3]) for c in calls if c[0] == "tier1").values()) == 1
+            assert len([c for c in calls if c[0] == "tier2"]) < \
+                min(block_trials, 64) * len(STRATEGIES)
+        # an input met in two blocks is decoded in each
+        repeated = Counter(c for calls in blocks for c in calls)
+        assert len(blocks) == 1 or max(repeated.values()) > 1
 
 
 ROOT = Path(__file__).resolve().parent
