@@ -52,6 +52,14 @@ class PacketLayout:
 
 # ---------------------------------------------------------------- codewords
 
+class Memos(dict):
+    """Tables of results that ``decoders`` keeps for the object owning
+    them, one per decoder setting, each mapping an input's key to its
+    result. ``held`` counts the entries they hold, which
+    ``decoders.MEMO_ENTRIES`` bounds."""
+    held = 0
+
+
 @dataclass(frozen=True)
 class Codeword:
     """One codeword: its message digits and its packed rows over GF(q)."""
@@ -77,7 +85,11 @@ class Codebook:
     :attr:`syndromes` maps a sorted tuple of positions to the rank
     decoder's syndrome table there (None where it scans), each formed by
     ``decoders`` on the first decode at those positions and freed with
-    the codebook.
+    the codebook. :attr:`results` (:class:`Memos`) maps (metric, list
+    radius) to the simulator's subspace tier-2 results on this codebook,
+    each under its input's key (a ``linalg.packed_basis`` over GF(2),
+    otherwise the kept rows' ``linalg.pack_digits`` keys), filled by
+    ``decoders._decode_block`` under ``decoders.MEMO_ENTRIES``.
     """
 
     def __init__(self, spec, stack):
@@ -88,6 +100,7 @@ class Codebook:
         self.stack.flags.writeable = False
         self.spans = None
         self.syndromes = {}
+        self.results = Memos()
         if self.kind == SUBSPACE:
             _check_subspaces(self)
 

@@ -4,8 +4,8 @@ A config is checked whole against :data:`SCHEMA` when it is made, then
 materializes into the domain objects of the other modules, which check
 the ranges; any invalid value surfaces as :class:`ConfigError` so the
 command layer can map it to a stable exit code. Elements in configuration
-are base-p digit strings (low-order digit first) or powers of gamma like
-``"g^3"``.
+are strings of n ASCII digits (low-order digit first), powers of gamma
+like ``"g^3"``, or lists of n JSON integers (``fields.parse_element``).
 """
 
 import json
@@ -157,8 +157,8 @@ class RunConfig:
         try:
             if code["kind"] == "gabidulin":
                 return GabidulinSpec(field=ctx, n=code["n"], k=code["k"],
-                                     generators=[parse_element(ctx, s) for s in code["generators"]])
-            alphas = [parse_element(ctx, s) for s in code["alphas"]]
+                                     generators=_elements(ctx, code, "generators"))
+            alphas = _elements(ctx, code, "alphas")
             if code["kind"] == "kk":
                 return KKSpec(field=ctx, l=code["l"], k=code["k"], alphas=alphas)
             layout = {"layout_name": code["layout"]} if "layout" in code else {}
@@ -213,6 +213,18 @@ class RunConfig:
             raise ConfigError(f"sim.node_filter_mode: unknown tier-1 mode {mode!r}, "
                               f"not one of {', '.join(TIER1_MODES)}")
         return params
+
+
+def _elements(ctx: FieldContext, code: dict, key: str) -> list:
+    """The field elements listed at code.`key`; ConfigError naming the key
+    and the entry on one that ``parse_element`` refuses."""
+    elements = []
+    for i, entry in enumerate(code[key]):
+        try:
+            elements.append(parse_element(ctx, entry))
+        except ValueError as exc:
+            raise ConfigError(f"code.{key}[{i}]: {exc}") from exc
+    return elements
 
 
 def parse_digits(text) -> tuple:

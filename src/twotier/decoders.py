@@ -304,6 +304,17 @@ def tier2_rank_decode(rows, codebook, positions=None, list_radius: int | None = 
 # matrix over GF(2), number 145,112.
 SYNDROME_ERRORS = 1 << 14
 
+# Most entries that one owner keeps of the simulator's block-step results,
+# over all its tables: a union's tier-1 verdicts (UnionCode.verdicts) and a
+# codebook's tier-2 results (Codebook.results). A verdict is one entry, and
+# a result one plus one per codeword its list holds, so a list as long as
+# the codebook does not multiply the bound. A full owner keeps nothing
+# more, and what it does not hold is computed again, so no result depends
+# on what is kept. An entry is a packed key and a verdict or a result, a
+# few hundred bytes, or one listed index: the two full owners of the 42-digit
+# GF(3) simulate golden, after 20,000 trials, retain 15 MiB (tracemalloc).
+MEMO_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class _Syndromes:
@@ -546,29 +557,47 @@ def _tier2_pass(word, codebook, options: DecodeOptions, list_radius):
 
 # ---------------------------------------------------------------- blocks of words
 #
-# The simulator decodes its sink words a block at a time, unchecked, with
-# `memos` it keeps per block: ("tier1", mode, radius) maps a packet's
-# linalg.pack_digits key to its verdict, ("tier2", metric, list radius) a
-# tier-2 input's key to its result.
+# The simulator decodes its sink words a block at a time, unchecked. A
+# verdict is a pure function of the packet, the union, the mode, the radius
+# and (in correct mode) allow_radius_override, and a tier-2 result of the
+# span and the codebook, so the owners keep them across blocks and
+# experiments, under MEMO_ENTRIES each: ``union.verdicts[(mode, radius,
+# allow_radius_override)]`` maps a packet's linalg.pack_digits key to its
+# verdict, and ``codebook.results[(metric, list radius)]`` a tier-2 input's
+# key to its result.
 
-def _tier1_block(words, union: UnionCode, radius: int, mode: str, memos: dict,
+def _keep(owner, table: dict, key, value, size: int = 1):
+    """Keep `value` under `key` in one of the owner's tables when the owner
+    has room for its `size` entries under MEMO_ENTRIES."""
+    if owner.held + size <= MEMO_ENTRIES:
+        table[key] = value
+        owner.held += size
+
+
+def _tier1_block(words, union: UnionCode, radius: int, mode: str,
                  allow_radius_override: bool = False):
-    """Tier 1 on a (B, k, n) array of words, once per distinct packet:
-    (scrubbed, kept, outcomes, verdicts). Word b's vectors that are valid
-    or corrected are ``scrubbed[b]``'s first ``kept[b]`` rows, in packet
-    order, and zeros follow: what a filtering node forwards and a sink's
-    tier 2 reads. ``outcomes`` (B, k) indexes TIER1_OUTCOMES, and
-    ``verdicts`` is the distinct packets' verdicts and each packet's index."""
+    """Tier 1 on a (B, k, n) array of words, once per distinct packet that
+    ``union.verdicts`` does not hold: (scrubbed, kept, outcomes, verdicts).
+    Word b's vectors that are valid or corrected are ``scrubbed[b]``'s first
+    ``kept[b]`` rows, in packet order, and zeros follow: what a filtering
+    node forwards and a sink's tier 2 reads. ``outcomes`` (B, k) indexes
+    TIER1_OUTCOMES, and ``verdicts`` is the distinct packets' verdicts and
+    each packet's index."""
     count, k, n = words.shape
     radius = 0 if mode == DETECT_ONLY else radius   # a detect-only verdict reads no radius
+    # only correct mode reads the override, so other modes share one table
+    allow_radius_override = allow_radius_override and mode == CORRECT
     flat = words.reshape(-1, n)
     keys, first, inverse = np.unique(linalg.pack_digits(flat, union.p), return_index=True,
                                      return_inverse=True)
-    memo, verdicts = memos.setdefault(("tier1", mode, radius), {}), []
-    for key, row in zip(keys.tolist(), flat[first].tolist()):
-        if key not in memo:
-            memo[key] = _tier1(tuple(row), union, radius, mode, allow_radius_override)
-        verdicts.append(memo[key])
+    memo, verdicts = union.verdicts.setdefault((mode, radius, allow_radius_override), {}), []
+    for key, at in zip(keys.tolist(), first.tolist()):
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = _tier1(tuple(flat[at].tolist()), union, radius, mode,
+                             allow_radius_override)
+            _keep(union.verdicts, memo, key, verdict)
+        verdicts.append(verdict)
     inverse = inverse.reshape(count, k)
     outcomes = np.array([TIER1_OUTCOMES.index(v.outcome) for v in verdicts],
                         dtype=np.int64)[inverse]
@@ -582,7 +611,7 @@ def _tier1_block(words, union: UnionCode, radius: int, mode: str, memos: dict,
     return scrubbed, (at >= 0).sum(axis=1), outcomes, (verdicts, inverse)
 
 
-def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, memos: dict):
+def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions):
     """:func:`two_tier_decode` on each word of a (B, k, n) array of a
     subspace code's words: the chosen codeword and the metric value as (B,)
     ints, -1 for none, and the outcome counts of the tier-1 verdicts it
@@ -591,7 +620,8 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     A word's tier-2 input is the first ``kept`` rows of its
     :func:`_tier1_block` scrub (with tier 1 off, its packets). Tier 2 runs
     once per distinct input (over GF(2), per ``linalg.packed_basis`` of
-    one), feedback once per distinct word.
+    one) that ``codebook.results`` does not hold, feedback once per
+    distinct word.
     """
     count, k = words.shape[:2]
     p = codebook.p
@@ -599,7 +629,7 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     scrubbed, kept = words, np.full(count, k)
     if options.tier1_enabled:
         scrubbed, kept, outcomes, (verdicts, inverse) = _tier1_block(
-            words, union, tier1_radius(options, union), options.mode, memos,
+            words, union, tier1_radius(options, union), options.mode,
             options.allow_radius_override)
         counts = (outcomes[..., None] == np.arange(len(TIER1_OUTCOMES))).sum(axis=1)
     # an input is the keys of a word's kept rows: with zeros after them, a
@@ -608,17 +638,19 @@ def _decode_block(words, union: UnionCode, codebook, options: DecodeOptions, mem
     for b, (row, size) in enumerate(zip(linalg.pack_digits(scrubbed, p).tolist(),
                                         kept.tolist())):
         which.append(inputs.setdefault(tuple(row[:size]), (len(inputs), b))[0])
-    memo, results = memos.setdefault(("tier2", options.metric, options.list_radius), {}), []
+    memo, results = codebook.results.setdefault((options.metric, options.list_radius), {}), []
     for row, (_, b) in inputs.items():
         if not row:
             results.append(FAILURE)
             continue
         key = linalg.packed_basis(row) if p == 2 else row
-        if key not in memo:
+        result = memo.get(key)
+        if result is None:
             span = (key, len(key)) if p == 2 else \
                 linalg.span_basis(scrubbed[b, :len(row)].tolist(), p)
-            memo[key] = _subspace_body(span, codebook, options.metric, options.list_radius)
-        results.append(memo[key])
+            result = _subspace_body(span, codebook, options.metric, options.list_radius)
+            _keep(codebook.results, memo, key, result, 1 + len(result.list or ()))
+        results.append(result)
     which = np.array(which)
     if options.feedback:
         distinct, at, raw = np.unique(inverse, axis=0, return_index=True, return_inverse=True)

@@ -23,6 +23,7 @@ powers of gamma (``"g^3"``).
 import functools
 import itertools
 import operator
+import re
 
 import numpy as np
 
@@ -42,9 +43,13 @@ BUILTIN_MODULI = {
 
 
 def integers(values, what: str) -> tuple:
-    """`values` as a tuple of ints; ValueError naming `what` on one that is not an integer."""
+    """`values` as a tuple of ints; ValueError naming `what` on one that is
+    not an integer, a bool included (a Python int, but not a JSON integer)."""
     try:
-        return tuple(map(operator.index, values))
+        items = tuple(values)       # read once, should `values` be an iterator
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError
+        return tuple(map(operator.index, items))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
@@ -202,7 +207,7 @@ class FieldContext:
     # -- element constructors ------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = integers(coeffs, "field element coefficients")
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         if any(not 0 <= c < self.p for c in coeffs):
@@ -388,14 +393,15 @@ def format_element(a: FieldElement) -> str:
 
 
 def parse_element(ctx: FieldContext, text) -> FieldElement:
-    """Parse a digit string, a gamma power like "g^3", or a digit sequence."""
+    """Parse a string of n ASCII digits, low-order first, a gamma power
+    like "g", "g^3" or "g^-1" with an ASCII decimal exponent, or a
+    sequence of n integer coefficients."""
     if isinstance(text, (list, tuple)):
         return ctx.element(text)
-    s = str(text).strip()
-    if s == "g":
-        return ctx.gamma
-    if s.startswith("g^"):
-        return ctx.gamma_pow(int(s[2:]))
-    if len(s) != ctx.n or not all(ch.isdigit() for ch in s):
+    s = text.strip() if isinstance(text, str) else ""
+    power = re.fullmatch(r"g(?:\^(-?[0-9]+))?", s)
+    if power:
+        return ctx.gamma if power[1] is None else ctx.gamma_pow(int(power[1]))
+    if len(s) != ctx.n or not re.fullmatch(r"[0-9]*", s):
         raise ValueError(f"cannot parse field element {text!r} for GF({ctx.p}^{ctx.n})")
     return ctx.element([int(ch) for ch in s])

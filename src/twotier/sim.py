@@ -19,11 +19,15 @@ An experiment runs in blocks of up to ``BLOCK_TRIALS`` trials
 * per block, one numpy network pass carries every trial's packets for each
   filtering flag (at most two passes, since the strategies differ in the
   network only by whether intermediate nodes filter);
-* one tier-1 step scrubs the words at a filtering node and at a sink, once
-  per distinct packet of the block; per strategy and sink, one batched
-  decode takes the block's sink words, and tier 2 runs once per distinct input.
+* one tier-1 step scrubs the words at a filtering node and at a sink; per
+  strategy and sink, one batched decode takes the block's sink words.
 
-Each strategy's outcomes are kept as arrays until the report is built.
+Tier 1 runs once per distinct packet and tier-1 setting, and tier 2 once
+per distinct input and tier-2 setting, while their owners have room: the
+union keeps its verdicts (``UnionCode.verdicts``) and the codebook its
+results (``Codebook.results``) across blocks and experiments, up to
+``decoders.MEMO_ENTRIES`` entries each. Each strategy's outcomes are kept
+as arrays until the report is built.
 """
 
 import dataclasses
@@ -328,11 +332,11 @@ class TrialBlock:
     The network depends on the strategy only through whether intermediate
     nodes filter, so ``networks`` holds at most two passes, each run for
     the whole block at once. ``decoders._tier1_block`` scrubs a filtering
-    node's buffer and, in ``decoders._decode_block``, a sink's words; the
-    block's memos make it run tier 1 once per distinct packet at each
-    (mode, radius), and tier 2 once per distinct input at each (metric,
-    list radius). One instance serves one block of one experiment and is
-    dropped with it.
+    node's buffer and, in ``decoders._decode_block``, a sink's words,
+    reading and filling the verdicts that the union keeps and the tier-2
+    results that the codebook keeps, so a packet or an input met in an
+    earlier block or experiment is not decoded again while they have room.
+    One instance serves one block of one experiment and is dropped with it.
     """
 
     def __init__(self, topology: Topology, setup: CodeSetup, error_model: ErrorModel,
@@ -348,7 +352,6 @@ class TrialBlock:
         self.layout = _layout(topology, setup.codebook.stack.shape[1], error_model)
         self.networks = {}              # intermediate nodes filter -> _Network
         self._first = None              # the first attempt's draws, which every pass reads
-        self._memos = {}                # the block's tier-1 and tier-2 results
 
     def _stream(self, name: str, purpose: str, trials, attempt: int, count: int, below: int = 0):
         return stream(draw_key(self.base_seed, name, purpose), trials, attempt, count, below)
@@ -407,7 +410,7 @@ class TrialBlock:
                 # the slots past a trial's kept packets hold zeros, so they
                 # add nothing, whatever coefficients they meet
                 buf, kept, _, _ = decoders._tier1_block(buf, self.setup.union, radius,
-                                                        self.node_filter_mode, self._memos)
+                                                        self.node_filter_mode)
                 drops += hi - lo - kept
             if heads:
                 packets[:, heads] = (coeffs[:, edges, :hi - lo] @ buf + offsets[:, edges]) % p
@@ -461,7 +464,7 @@ class TrialBlock:
         packets = self.network(strategy == TWO_TIER_FILTER).packets
         chosen, metric, counts = zip(*(
             decoders._decode_block(packets[:, lo:hi], self.setup.union, self.setup.codebook,
-                                   options, self._memos)
+                                   options)
             for lo, hi in self.layout.sinks.values()))
         return np.stack(chosen, axis=1), np.stack(metric, axis=1), sum(counts)
 

@@ -142,7 +142,11 @@ class UnionCode:
     :meth:`restrict` reads each listed index's position in ``components``
     from an int32 array over the codebook's indices, 4 B per index, formed
     on the union's first restriction, so a restriction costs the length
-    of its list, not N.
+    of its list, not N. :attr:`verdicts` (``codes.Memos``) maps (mode,
+    radius, allow_radius_override) to the simulator's tier-1 verdicts on
+    this union, each under its packet's ``linalg.pack_digits`` key, filled by
+    ``decoders._tier1_block`` under ``decoders.MEMO_ENTRIES`` and freed
+    with the union; a restriction starts with none.
     """
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
@@ -152,6 +156,7 @@ class UnionCode:
         self.ambient_len = ambient_len
         self.p = p
         self._min_distance = None
+        self.verdicts = codes.Memos()
         if len(self.components) == len(provenance.ids):
             self.matrix = provenance.matrix
         elif len(self.components) == 1:

@@ -128,6 +128,27 @@ def test_a_section_is_checked_for_semantics_only_where_it_is_read(tmp_path, caps
     assert "topology: topology contains a cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key, entry, message", [
+    ("kk_example", "alphas", "٠١١", "cannot parse field element '٠١١' for GF(2^3)"),
+    ("kk_example", "alphas", "g^+4", "cannot parse field element 'g^+4' for GF(2^3)"),
+    ("kk_example", "alphas", [0, 1, 1.0],
+     "field element coefficients must be integers, got [0, 1, 1.0]"),
+    ("gabidulin_gf8", "generators", [False, True, True],
+     "field element coefficients must be integers, got [False, True, True]"),
+    ("gabidulin_gf8", "generators", "g^0_4", "cannot parse field element 'g^0_4' for GF(2^3)"),
+    ("gabidulin_gf8", "generators", 111, "cannot parse field element 111 for GF(2^3)")])
+def test_field_element_entries_are_ascii_digits_or_json_integers(tmp_path, capsys, config, key,
+                                                                  entry, message):
+    """Each entry once stood for the element it resembles (the first five
+    for g^4, in place of the config's "g^4", and the number 111 for "111"),
+    and verify-lemmas exited 0 with every check passed; it is now a
+    configuration error naming the key and the entry's place."""
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    cfg["code"][key][1] = entry
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"config error: code.{key}[1]: {message}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("modulus", [[1, 1.5, 0, 1], ["1", "1", "0", "1"]])
 def test_modulus_coefficients_are_json_integers(tmp_path, capsys, modulus):
     """Both once built x^3+x+1."""

@@ -62,10 +62,11 @@ def test_non_desk_scale_rejected():
         FieldContext(4, 2, (1, 0, 1))  # not prime
 
 
-@pytest.mark.parametrize("modulus", [(1, 1.5, 0, 1), ("1", "1", "0", "1"), (1, None, 0, 1)])
+@pytest.mark.parametrize("modulus", [(1, 1.5, 0, 1), ("1", "1", "0", "1"), (1, None, 0, 1),
+                                     (True, True, False, True)])
 def test_modulus_coefficients_must_be_integers(modulus):
-    """``[1, 1.5, 0, 1]`` and ``["1", "1", "0", "1"]`` were cast by int()
-    and built x^3+x+1."""
+    """``[1, 1.5, 0, 1]``, ``["1", "1", "0", "1"]`` and ``[true, true,
+    false, true]`` were cast and built x^3+x+1."""
     with pytest.raises(ValueError, match="modulus coefficients must be integers"):
         FieldContext(2, 3, modulus)
 
@@ -294,3 +295,22 @@ def test_parse_gamma_powers():
         parse_element(ctx, "21")  # wrong length
     with pytest.raises(ValueError):
         parse_element(ctx, "201")  # digit out of range
+
+
+@pytest.mark.parametrize("entry", ["١١٠", "１１０", [1, 0.5, 0], [True, 0, 1], ["1", 1, 0], 110,
+                                   "g^٣", "g^1_0", "g^ 3", "g^+3",
+                                   " 1 1", "g^3.0", "g^", "g^-", "g3"])
+def test_parse_element_reads_ascii_digits_and_integer_coefficients_only(entry):
+    """Each but the last five was read as an element: "١١٠" (Arabic-Indic
+    digits) and "１１０" (fullwidth) as 110, [1, 0.5, 0] as 100, [True, 0,
+    1] as 101, ["1", 1, 0] as 110, the number 110 as "110", and "g^٣", "g^1_0"
+    (int() skips underscores, so gamma^10), "g^ 3" and "g^+3" as gamma^3."""
+    with pytest.raises(ValueError, match="cannot parse field element|must be integers"):
+        parse_element(gf8(), entry)
+
+
+def test_parse_element_keeps_negative_powers_and_padding():
+    ctx = gf8()
+    assert parse_element(ctx, "g^-1") == ctx.gamma.inverse() == parse_element(ctx, "g^6")
+    assert parse_element(ctx, "g^10") == ctx.gamma_pow(3)
+    assert parse_element(ctx, " 110 ") == parse_element(ctx, (1, 1, 0)) == ctx.gamma_pow(3)

@@ -26,11 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twotier import config, decoders, sim
+from twotier import cli, config, decoders, sim
 from twotier.codes import KKSpec, MVSpec, build_codebook
 from twotier.decoders import CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, DecodeOptions
 from twotier.fields import FieldContext
-from twotier.sim import STRATEGIES, CodeSetup, ErrorModel, Topology, run_experiment, run_trial
+from twotier.sim import (STRATEGIES, TWO_TIER, TWO_TIER_FILTER, CodeSetup, ErrorModel, Topology,
+                         run_experiment, run_trial)
 from twotier.union import build_union
 
 import oracles
@@ -62,9 +63,9 @@ OPTIONS = (DecodeOptions(), DecodeOptions(mode=CORRECT),
            DecodeOptions(metric="subspace"))
 
 
-@functools.cache
-def codebook(name):
-    """mv1 (GF(2), one row), KK over GF(8) (two rows) and KK over GF(9) (p = 3)."""
+def fresh_codebook(name):
+    """mv1 (GF(2), one row), KK over GF(8) (two rows) and KK over GF(9) (p = 3),
+    built anew: a union and a codebook that hold no verdict or result yet."""
     if name == "mv1":
         ctx = FieldContext(2, 3)
         spec = MVSpec(field=ctx, m=3, l=1, big_l=2, k=1, alphas=(ctx.gamma_pow(5),))
@@ -76,6 +77,10 @@ def codebook(name):
         spec = KKSpec(field=ctx, l=1, k=1, alphas=(ctx.one,))
     cb = build_codebook(spec)
     return cb, build_union(cb)
+
+
+# shared by the tests that read only reports, which no verdict or result kept changes
+codebook = functools.cache(fresh_codebook)
 
 
 @st.composite
@@ -181,7 +186,8 @@ def test_decode_block_matches_two_tier_decode_word_by_word(name, k, seed):
     changed, some packets zero, repeated across the block, and on a word
     of zero packets and one of packets outside the union. Every decoder of
     OPTIONS, tier 2 alone in either metric, and tier 1 at radius 0 decode
-    the words in turn, twice, sharing one block's memos. At radius 0 the
+    the words in turn, twice, sharing the verdicts the union keeps and the
+    results the codebook keeps. At radius 0 the
     zero word keeps only the zero vector, which is in every union, and the
     other keeps nothing: both scrub to zero rows."""
     cb, union = codebook(name)
@@ -194,11 +200,11 @@ def test_decode_block_matches_two_tier_decode_word_by_word(name, k, seed):
     pool[rng.random((6, k)) < 0.2] = 0
     junk = [x for x in rng.integers(p, size=(64, n)).tolist() if tuple(x) not in union][:k]
     pool = np.concatenate([pool, np.zeros((1, k, n), dtype=np.int64), np.array([junk])])
-    words, memos = pool[np.concatenate([rng.integers(6, size=24), [6, 7, 6, 7]])], {}
+    words = pool[np.concatenate([rng.integers(6, size=24), [6, 7, 6, 7]])]
     each_decoder = OPTIONS + (DecodeOptions(tier1_enabled=False, metric="subspace"),
                               DecodeOptions(mode=CORRECT, radius=0))
     for options in each_decoder * 2:
-        chosen, metric, counts = decoders._decode_block(words, union, cb, options, memos)
+        chosen, metric, counts = decoders._decode_block(words, union, cb, options)
         for word, got in zip(words.tolist(), zip(chosen.tolist(), metric.tolist(),
                                                  counts.tolist())):
             out = decoders.two_tier_decode(word, union, cb, options)
@@ -247,19 +253,20 @@ def decoder_inputs():
 
 
 @pytest.mark.parametrize("block_trials", (16, sim.BLOCK_TRIALS))
-def test_a_block_decodes_each_distinct_input_once(block_trials):
-    """Per block, tier 1 runs once per distinct packet in each mode, at the
-    filtering nodes and at the sink, and tier 2 once per distinct input,
-    whichever strategies share it; with feedback off no
-    ``two_tier_decode`` runs. A block runs tier 2 fewer times than it has
-    (trial, strategy, sink) decodes, and nothing is kept from one block or
-    experiment to the next."""
-    cb, union = codebook("mv1")
+def test_each_distinct_input_is_decoded_once_per_union_and_codebook(block_trials):
+    """Tier 1 runs once per distinct packet in each mode, at the filtering
+    nodes and at the sink, and tier 2 once per distinct input, whichever
+    block, strategy or experiment meets it: the union keeps its verdicts
+    and the codebook its results. With feedback off no ``two_tier_decode``
+    runs, a block runs tier 2 fewer times than it has (trial, strategy,
+    sink) decodes, and a second experiment on the same union and codebook
+    decodes nothing, with the same report."""
     for options, tier1_keys in [
             # the filtering nodes detect only; the sink corrects within radius 1
             (DecodeOptions(), {(DETECT_ONLY, 0), (CORRECT_OR_ERASE, 1)}),
-            # a detect-only verdict reads no radius: nodes and sink share one memo
+            # a detect-only verdict reads no radius: nodes and sink share one table
             (DecodeOptions(mode=DETECT_ONLY), {(DETECT_ONLY, 0)})]:
+        cb, union = fresh_codebook("mv1")
         setup = CodeSetup(codebook=cb, union=union, options=options)
         args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
                 64, 3)
@@ -270,19 +277,91 @@ def test_a_block_decodes_each_distinct_input_once(block_trials):
                 report = run_experiment(*args)
             runs.append(blocks)
             assert report == oracles.reference_run_experiment(*args, STRATEGIES)
-        assert runs[0] == runs[1]       # the second experiment decodes everything again
         blocks = runs[0]
-        assert len(blocks) == -(-64 // block_trials)
-        for calls in blocks:
-            assert max(Counter(calls).values()) == 1
-            assert {c[0] for c in calls} == {"tier1", "tier2"}
-            assert {c[1:3] for c in calls if c[0] == "tier1"} == tier1_keys
-            assert max(Counter((c[1], c[3]) for c in calls if c[0] == "tier1").values()) == 1
-            assert len([c for c in calls if c[0] == "tier2"]) < \
+        assert len(blocks) == len(runs[1]) == -(-64 // block_trials)
+        calls = [c for block in blocks for c in block]
+        assert max(Counter(calls).values()) == 1
+        assert {c[0] for c in calls} == {"tier1", "tier2"}
+        assert {c[1:3] for c in calls if c[0] == "tier1"} == tier1_keys
+        assert max(Counter((c[1], c[3]) for c in calls if c[0] == "tier1").values()) == 1
+        for block in blocks:
+            assert len([c for c in block if c[0] == "tier2"]) < \
                 min(block_trials, 64) * len(STRATEGIES)
-        # an input met in two blocks is decoded in each
-        repeated = Counter(c for calls in blocks for c in calls)
-        assert len(blocks) == 1 or max(repeated.values()) > 1
+        assert runs[1] == [[]] * len(blocks)    # the second experiment decodes nothing again
+        assert len(union.verdicts) == len(tier1_keys) and len(cb.results) == 1
+
+
+def _held(owner) -> int:
+    """The entries an owner's tables hold as ``decoders.MEMO_ENTRIES``
+    counts them: one per verdict, and one per result plus one per codeword
+    its list holds."""
+    return sum(1 + len(getattr(value, "list", None) or ())
+               for table in owner.values() for value in table.values())
+
+
+@pytest.mark.parametrize("entries", (0, 1, 7, 60))
+def test_the_union_and_the_codebook_keep_at_most_memo_entries(entries, tmp_path):
+    """With room for a few entries, each owner fills up to its budget and
+    keeps nothing more, over every decoder of OPTIONS (list feedback
+    included) and several experiments; the reports still equal the
+    reference's, and the mv1 simulate golden, decoded under the same
+    budget, is byte-identical."""
+    cb, union = fresh_codebook("mv1")
+    with mock.patch.object(decoders, "MEMO_ENTRIES", entries):
+        for options in OPTIONS:
+            setup = CodeSetup(codebook=cb, union=union, options=options)
+            args = (TOPOLOGIES["six-node"], setup,
+                    ErrorModel(corrupt_packet_prob=0.7, fixed_flips=1), 40, 5)
+            kwargs = {"node_filter_mode": CORRECT_OR_ERASE}
+            with mock.patch.object(sim, "BLOCK_TRIALS", 16):
+                got = run_experiment(*args, STRATEGIES, **kwargs)
+            assert json.dumps(got) == json.dumps(
+                oracles.reference_run_experiment(*args, STRATEGIES, **kwargs))
+            for owner in (union.verdicts, cb.results):
+                assert owner.held == _held(owner) <= entries
+        # the first decoder alone meets more distinct inputs than 60
+        assert union.verdicts.held == cb.results.held == entries
+        out = tmp_path / "report.json"
+        assert cli.main(["simulate", "--config", str(ROOT.parent / "configs" / "mv1.json"),
+                         "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "golden" / "mv1.simulate.json").read_bytes()
+
+
+def test_a_tier2_list_counts_each_codeword_it_holds():
+    """Under list feedback, the codebook counts a kept result as one entry
+    plus one per listed codeword, so long lists fill the budget sooner."""
+    cb, union = fresh_codebook("kk-gf8")
+    setup = CodeSetup(codebook=cb, union=union, options=OPTIONS[2])
+    run_experiment(TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.7, fixed_flips=1),
+                   30, 2)
+    # tier 2 alone decodes in nearest mode, a table of its own
+    nearest = len(cb.results[("injection", None)])
+    lists = [r.list for r in cb.results[("injection", 1)].values()]
+    assert max(map(len, lists)) > 1
+    assert cb.results.held == _held(cb.results) == nearest + len(lists) + sum(map(len, lists))
+
+
+@pytest.mark.parametrize("strategies", [(TWO_TIER, TWO_TIER_FILTER), (TWO_TIER_FILTER, TWO_TIER)],
+                         ids=["sink-first", "nodes-first"])
+@pytest.mark.parametrize("earlier", (False, True), ids=["fresh", "after-an-override-run"])
+def test_filtering_nodes_never_read_verdicts_made_under_the_radius_override(strategies, earlier):
+    """A sink decoding with allow_radius_override past the unique-decoding
+    radius keeps its verdicts apart from the filtering nodes', which run
+    without it, so the nodes raise as the reference's do, in either
+    strategy order, also when an earlier experiment on the same union
+    decoded every packet under the override. Once, the order in which
+    the sink came first exited 0."""
+    cb, union = fresh_codebook("mv1")
+    options = DecodeOptions(mode=CORRECT, radius=2, allow_radius_override=True)
+    setup = CodeSetup(codebook=cb, union=union, options=options)
+    args = (TOPOLOGIES["diamond"], setup, ErrorModel(corrupt_packet_prob=0.5, fixed_flips=1),
+            20, 1)
+    if earlier:
+        run_experiment(*args, (TWO_TIER,), node_filter_mode=CORRECT)
+        assert union.verdicts[(CORRECT, 2, True)]
+    for run in (oracles.reference_run_experiment, run_experiment):
+        with pytest.raises(ValueError, match="exceeds the unique-decoding limit 1"):
+            run(*args, strategies, node_filter_mode=CORRECT)
 
 
 ROOT = Path(__file__).resolve().parent
