@@ -85,11 +85,8 @@ class Codebook:
     :attr:`syndromes` maps a sorted tuple of positions to the rank
     decoder's syndrome table there (None where it scans), each formed by
     ``decoders`` on the first decode at those positions and freed with
-    the codebook. :attr:`results` (:class:`Memos`) maps (metric, list
-    radius) to the simulator's subspace tier-2 results on this codebook,
-    each under its input's key (a ``linalg.packed_basis`` over GF(2),
-    otherwise the kept rows' ``linalg.pack_digits`` keys), filled by
-    ``decoders._decode_block`` under ``decoders.MEMO_ENTRIES``.
+    the codebook. :attr:`results` holds the simulator's subspace tier-2
+    results on this codebook.
     """
 
     def __init__(self, spec, stack):
@@ -100,7 +97,6 @@ class Codebook:
         self.stack.flags.writeable = False
         self.spans = None
         self.syndromes = {}
-        self.results = Memos()
         if self.kind == SUBSPACE:
             _check_subspaces(self)
 
@@ -127,6 +123,14 @@ class Codebook:
             if index < len(self):
                 return index
         raise ValueError(f"message {digits} is not in the codebook")
+
+    @functools.cached_property
+    def results(self) -> Memos:
+        """(metric, list radius) -> {input's key: its tier-2 result}, the key
+        a ``linalg.packed_basis`` over GF(2), otherwise the kept rows'
+        ``linalg.pack_digits`` keys; formed on first use and filled by
+        ``decoders._decode_block`` under ``decoders.MEMO_ENTRIES``."""
+        return Memos()
 
     @functools.cached_property
     def table(self) -> np.ndarray:

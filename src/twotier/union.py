@@ -142,11 +142,8 @@ class UnionCode:
     :meth:`restrict` reads each listed index's position in ``components``
     from an int32 array over the codebook's indices, 4 B per index, formed
     on the union's first restriction, so a restriction costs the length
-    of its list, not N. :attr:`verdicts` (``codes.Memos``) maps (mode,
-    radius, allow_radius_override) to the simulator's tier-1 verdicts on
-    this union, each under its packet's ``linalg.pack_digits`` key, filled by
-    ``decoders._tier1_block`` under ``decoders.MEMO_ENTRIES`` and freed
-    with the union; a restriction starts with none.
+    of its list, not N. :attr:`verdicts` holds the simulator's tier-1
+    verdicts on this union.
     """
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
@@ -156,7 +153,6 @@ class UnionCode:
         self.ambient_len = ambient_len
         self.p = p
         self._min_distance = None
-        self.verdicts = codes.Memos()
         if len(self.components) == len(provenance.ids):
             self.matrix = provenance.matrix
         elif len(self.components) == 1:
@@ -170,6 +166,14 @@ class UnionCode:
     @property
     def cardinality(self) -> int:
         return len(self.matrix)
+
+    @functools.cached_property
+    def verdicts(self) -> codes.Memos:
+        """(mode, radius, allow_radius_override) -> {packet's
+        ``linalg.pack_digits`` key: its verdict}, formed on first use and
+        filled by ``decoders._tier1_block`` under ``decoders.MEMO_ENTRIES``;
+        freed with the union, and a restriction starts with none."""
+        return codes.Memos()
 
     @functools.cached_property
     def _members(self) -> frozenset:
