@@ -192,6 +192,14 @@ class _Spec:
     def message_count(self) -> int:
         return self.q ** self.message_length
 
+    def _stacks(self, count: int):
+        """The (N, rows, width) packed stacks of messages 0 … count - 1, in
+        blocks of ``SETUP_CHUNK`` messages: each block's digits through
+        :meth:`_blocks` and ``_pack``."""
+        for start in range(0, count, SETUP_CHUNK):
+            digits = message_digits(self, np.arange(start, min(start + SETUP_CHUNK, count)))
+            yield _pack(self._blocks(digits), self.layout, self.field)
+
 
 class _EvaluationSpec(_Spec):
     """What Gabidulin and KK codes share. A message is the k coefficients in
@@ -228,6 +236,28 @@ class _EvaluationSpec(_Spec):
         return (messages @ self._values_map % self.q).reshape(
             len(messages), len(self._points), self.m)
 
+    def _blocks(self, messages):
+        return self._lift(self._values(messages))
+
+    def _stacks(self, count: int):
+        """As for every spec, but by translating one block. u is GF(q)-linear
+        in the message digits, and for a block of q^t messages the digits of
+        message base + r, with base a multiple of q^t and r < q^t, are those
+        of base beside those of r; so its values are those of base plus
+        those of r. The first block's values are formed once, and every
+        other block costs its base's values and one broadcast add in int8,
+        an XOR over GF(2)."""
+        block = 1
+        while block * self.q <= min(SETUP_CHUNK, count):
+            block *= self.q
+        first = self._values(message_digits(self, np.arange(block))).astype(np.int8)
+        for base in range(0, count, block):
+            values = first
+            if base:
+                shift = self._values(message_digits(self, [base])).astype(np.int8)
+                values = first ^ shift if self.q == 2 else (first + shift) % self.q
+            yield _pack(self._lift(values), self.layout, self.field)
+
 
 @dataclass(frozen=True)
 class GabidulinSpec(_EvaluationSpec):
@@ -252,9 +282,9 @@ class GabidulinSpec(_EvaluationSpec):
     def _points(self) -> tuple:
         return self.generators
 
-    def _blocks(self, messages):
+    def _lift(self, values):
         """The symbols, one row each: [(N, n, m) coefficients]."""
-        return [self._values(messages)]
+        return [values]
 
 
 @dataclass(frozen=True)
@@ -281,10 +311,10 @@ class KKSpec(_EvaluationSpec):
     def _points(self) -> tuple:
         return self.alphas
 
-    def _blocks(self, messages):
+    def _lift(self, values):
         """Row j is (alpha_j, u(alpha_j)): two (N, l, m) coefficient arrays."""
-        alphas = np.array([[a.coeffs for a in self.alphas]])
-        return [np.repeat(alphas, len(messages), axis=0), self._values(messages)]
+        alphas = np.array([[a.coeffs for a in self.alphas]], dtype=values.dtype)
+        return [np.repeat(alphas, len(values), axis=0), values]
 
 
 @dataclass(frozen=True)
@@ -373,11 +403,16 @@ class MVSpec(_Spec):
 # a matrix product. The blocks are packed into the (N, rows, width) digit
 # stack of the rows, which is all a Codebook keeps; a subspace codebook's
 # rows are checked through one batched GF(p) reduction per block. Encoding
-# a single message is a block of one.
+# a single message is a block of one. A codebook of a KK or Gabidulin
+# code, whose values are linear in the message, forms one block's values
+# and translates them for every other block (_EvaluationSpec._stacks).
 
-# Messages per encoder block, and codewords per span block in
-# union.build_union: bounds the set-up's array temporaries whatever the
-# message count.
+# Bounds the set-up's array temporaries whatever the message count. It is
+# the most messages per encoder block: an MV block holds this many, and a
+# KK or Gabidulin block the largest power of q that is at most this, so
+# that every block is whole. It is also the codewords per block wherever
+# the set-up forms per-codeword temporaries: in Codebook.table, the
+# subspace check and union._distinct_spans.
 SETUP_CHUNK = 1024
 
 
@@ -432,11 +467,7 @@ def build_codebook(spec, budget: int = DEFAULT_CODEBOOK_BUDGET) -> Codebook:
     count = spec.message_count()
     if count > budget:
         raise BudgetError(f"message space of size {count} exceeds the budget {budget}")
-    stack = np.concatenate([
-        _pack(spec._blocks(message_digits(spec, np.arange(start, min(start + SETUP_CHUNK, count)))),
-              spec.layout, spec.field)
-        for start in range(0, count, SETUP_CHUNK)])
-    return Codebook(spec, stack)
+    return Codebook(spec, np.concatenate(list(spec._stacks(count))))
 
 
 def _check_subspaces(codebook: Codebook):

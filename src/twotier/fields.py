@@ -141,9 +141,11 @@ class FieldContext:
 
     def from_vector(self, coords) -> "FieldElement":
         """Element whose representation coordinates are the given vector."""
-        coords = tuple(int(c) for c in coords)
+        coords = integers(coords, "field element coordinates")
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
+        if any(not 0 <= c < self.p for c in coords):
+            raise ValueError(f"coordinates must lie in [0, {self.p})")
         if self.basis is None:
             return self.element(coords)
         poly = (np.array(coords, dtype=np.int64) @ self._from_basis) % self.p

@@ -267,17 +267,75 @@ def _distinct_spans(codebook: Codebook) -> Spans:
     they are XORs of the packed rows of ``Codebook.table`` (which this
     builds, if the subspace check has not); otherwise they are formed and
     packed per block of ``codes.SETUP_CHUNK`` codewords. Only the integers
-    are kept, and one sort of them numbers the distinct vectors.
+    are kept, and the distinct ones are numbered in order of first
+    occurrence in one of two ways, by one rule: where p^width <= N·p^rows,
+    that is, where a table of every possible key is no longer than the
+    keys the build already holds, through a dense table of each key's
+    first position; otherwise, as for the GF(3) codes whose keys run to
+    3^21 and beyond, by one stable sort of the keys.
     """
     stack, p = codebook.stack, codebook.p
     coeffs = _span_coefficients(p, stack.shape[1])
-    if p == 2:
-        keys = _xor_spans(codebook.table)
+    # the keys are passed on unnamed, so the sort frees them before the ids form
+    if p ** stack.shape[2] <= len(stack) * len(coeffs):
+        first, ids = _numbered_by_table(_span_keys(codebook, coeffs), p ** stack.shape[2],
+                                        len(coeffs))
     else:
-        keys = np.concatenate([
-            linalg.pack_digits(coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64)
-                               % p, p).ravel()
-            for start in range(0, len(stack), codes.SETUP_CHUNK)])
+        first, ids = _numbered_by_sort(_span_keys(codebook, coeffs))
+    ids = ids.reshape(len(stack), -1)
+    # each distinct vector formed again at its first occurrence, entry
+    # (codeword, coefficients) of the spans
+    codeword, at = np.divmod(first, len(coeffs))
+    matrix = (coeffs[at, None, :] @ stack[codeword] % p)[:, 0].astype(np.int16)
+    weights = np.count_nonzero(matrix, axis=1).astype(np.int16)
+    weights[weights == 0] = stack.shape[2] + 1      # the zero vector sets no minimum
+    # per block of codewords, so that no (N, p^rows) weight array forms: the
+    # weights of its ids, then a minimum over their p^rows columns, one at
+    # a time, as .min(axis=1) is slow over so few columns
+    min_weights = np.empty(len(stack), dtype=np.int16)
+    for start in range(0, len(stack), codes.SETUP_CHUNK):
+        block = weights[ids[start:start + codes.SETUP_CHUNK]]
+        least = min_weights[start:start + codes.SETUP_CHUNK]
+        least[:] = block[:, 0]
+        for column in range(1, block.shape[1]):
+            np.minimum(least, block[:, column], out=least)
+    for array in (matrix, ids, min_weights):
+        array.flags.writeable = False
+    return Spans(matrix, ids, min_weights, p)
+
+
+def _span_keys(codebook: Codebook, coeffs) -> np.ndarray:
+    """The ``linalg.pack_digits`` key of every span vector, codewords in
+    order and each span in the order of `coeffs`, as one 1-D array."""
+    stack, p = codebook.stack, codebook.p
+    if p == 2:
+        return _xor_spans(codebook.table)
+    return np.concatenate([
+        linalg.pack_digits(coeffs @ stack[start:start + codes.SETUP_CHUNK].astype(np.int64) % p,
+                           p).ravel()
+        for start in range(0, len(stack), codes.SETUP_CHUNK)])
+
+
+def _numbered_by_table(keys, size: int, per: int) -> tuple:
+    """(first, ids) of keys below `size`: the position of each distinct
+    key's first occurrence, ascending, and each key's number in that
+    order, as int32. ``np.minimum.at`` writes each key's first position
+    into a table of `size` entries, per block of ``codes.SETUP_CHUNK``
+    codewords of `per` keys each, which bounds the positions' temporary."""
+    table = np.full(size, len(keys), dtype=np.int64)
+    step = codes.SETUP_CHUNK * per
+    for start in range(0, len(keys), step):
+        chunk = keys[start:start + step]
+        np.minimum.at(table, chunk, np.arange(start, start + len(chunk)))
+    present = np.flatnonzero(table < len(keys))
+    present = present[np.argsort(table[present])]      # in order of first occurrence
+    number = np.empty(size, dtype=np.int32)
+    number[present] = np.arange(len(present), dtype=np.int32)
+    return table[present], number[keys]
+
+
+def _numbered_by_sort(keys) -> tuple:
+    """``_numbered_by_table`` of keys of any size, from one stable sort."""
     order, starts = linalg.sorted_runs(keys)
     del keys                                        # freed before the ids are formed
     # the stable sort puts each vector's first occurrence at the start of
@@ -287,17 +345,7 @@ def _distinct_spans(codebook: Codebook) -> Spans:
     number = np.argsort(by_first).astype(np.int32)
     ids = np.empty(len(order), dtype=np.int32)
     ids[order] = np.repeat(number, np.diff(starts, append=len(order)))
-    ids = ids.reshape(len(stack), -1)
-    # each distinct vector formed again at its first occurrence, entry
-    # (codeword, coefficients) of the spans
-    codeword, at = np.divmod(first[by_first], len(coeffs))
-    matrix = (coeffs[at, None, :] @ stack[codeword] % p)[:, 0].astype(np.int16)
-    weights = np.count_nonzero(matrix, axis=1).astype(np.int16)
-    weights[weights == 0] = stack.shape[2] + 1      # the zero vector sets no minimum
-    min_weights = weights[ids].min(axis=1)
-    for array in (matrix, ids, min_weights):
-        array.flags.writeable = False
-    return Spans(matrix, ids, min_weights, p)
+    return first[by_first], ids
 
 
 def _xor_spans(table) -> np.ndarray:

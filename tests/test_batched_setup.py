@@ -1,20 +1,25 @@
 """The batched set-up against brute-force references, message by message.
 
-``build_codebook`` encodes every message at once with GF(p)-linear maps,
-reduces all bases in one batched RREF, and ``build_union`` keys every span
-vector and groups owners from one sort. These properties rebuild each
-codeword from ``oracles.lin_eval`` on coefficient tuples, each basis with
-``oracles.naive_rref``, and the union by walking every span in order,
-and require identical results: on every shipped config, the two scaled
-benchmark configs, a GF(3^6) Gabidulin code, a non-polynomial basis, MV
-compressed (subfield coordinates) and an MV code over GF(2^17).
+``build_codebook`` encodes every message at once with GF(p)-linear maps
+(a KK or Gabidulin codebook by translating one block's values), reduces
+all bases in one batched RREF, and ``build_union`` keys every span vector
+and numbers the distinct ones through a dense table or one sort. These
+properties rebuild each codeword from ``oracles.lin_eval`` on coefficient
+tuples, each basis with ``oracles.naive_rref``, and the union by walking
+every span in order, and require identical results: on every shipped
+config, the two scaled benchmark configs, a GF(3^6) Gabidulin code, a
+non-polynomial basis, MV compressed (subfield coordinates) and an MV code
+over GF(2^17).
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import json
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +27,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twotier import codes, linalg
+from twotier import cli, codes, linalg
 from twotier.cli import main
 from twotier.codes import GabidulinSpec, KKSpec, MVSpec, build_codebook, encode
-from twotier.config import load_config
+from twotier.config import RunConfig, load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.metrics import Subspace
@@ -193,6 +198,117 @@ def test_codebook_in_message_order(name):
         oracles.iter_message_digits(spec.q, spec.message_length), 50))
     assert codebook.stack.dtype == np.int8
     assert codebook.stack.shape == (len(codebook),) + np.shape(codebook[0].rows)
+
+
+# ---------------------------------------------------------------- translated encoder
+
+# primitive moduli, low coefficient first
+MODULI = {(2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+          (3, 2): (2, 1, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1)}
+# (p, m, k) with q^(mk) messages below one encoder block (2^10 messages over
+# GF(2), 3^6 over GF(3)), of exactly one block, and of several blocks
+BLOCKS = {"below": ((2, 3, 2), (3, 2, 2)), "one": ((2, 5, 2), (3, 3, 2)),
+          "several": ((2, 4, 3), (3, 4, 2))}
+REFUSALS = (None, "budget", "dependent rows", "repeated subspace")
+
+
+def independent_elements(ctx, count, rng):
+    while True:
+        points = tuple(ctx.from_int(rng.randrange(1, ctx.size)) for _ in range(count))
+        if oracles.naive_rank([x.coeffs for x in points], ctx.p) == count:
+            return points
+
+
+@st.composite
+def evaluation_specs(draw, p, m, k):
+    """(spec, budget, refusal): a KK or Gabidulin spec over GF(p^m), in a
+    polynomial or a random basis, with messages of mk digits, and how the
+    set-up refuses it, if it does: a codebook budget one below the message
+    count, KK alphas made dependent past the spec's own check, or a KK code
+    with l = 1 given k > 1, so that messages repeat a subspace."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    basis = None
+    if draw(st.booleans()):     # unitriangular, so invertible
+        basis = [[int(i == j) if j >= i else rng.randrange(p) for j in range(m)] for i in range(m)]
+    ctx = FieldContext(p, m, MODULI[p, m], basis=basis)
+    kind = draw(st.sampled_from((GabidulinSpec, KKSpec)))
+    refusal = draw(st.sampled_from(REFUSALS if kind is KKSpec else REFUSALS[:2]))
+    if refusal == "repeated subspace":
+        spec = KKSpec(field=ctx, l=1, k=1, alphas=independent_elements(ctx, 1, rng))
+        object.__setattr__(spec, "k", k)
+    else:
+        count = draw(st.integers(max(k, 2 if refusal == "dependent rows" else 1), m))
+        points = independent_elements(ctx, count, rng)
+        spec = (GabidulinSpec(field=ctx, n=count, k=k, generators=points) if kind is GabidulinSpec
+                else KKSpec(field=ctx, l=count, k=k, alphas=points))
+        if refusal == "dependent rows":
+            object.__setattr__(spec, "alphas", (points[0],) + points[:-1])
+    budget = spec.message_count() - (refusal == "budget")
+    return spec, budget, refusal
+
+
+def spec_config(spec, budget):
+    """A config of a spec, its points as coefficient lists."""
+    ctx = spec.field
+    field = {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus), "basis": ctx.basis}
+    points = [list(x.coeffs) for x in spec._points]
+    if isinstance(spec, GabidulinSpec):
+        code = {"kind": "gabidulin", "n": spec.n, "generators": points}
+    else:
+        code = {"kind": "kk", "l": spec.l, "alphas": points}
+    return {"field": field, "code": code | {"k": spec.k}, "budgets": {"codebook": budget}}
+
+
+def run_encode_all(spec, budget):
+    """(exit code, stdout, stderr) of ``twotier encode --all`` on the
+    spec's config, which reads `spec` itself, should a test have altered
+    it past the spec's own checks."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec_config(spec, budget)))
+        mp.setattr(RunConfig, "build_spec", lambda self, ctx: spec)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["encode", "--config", str(path), "--all"])
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("p, m, k", [size for sizes in BLOCKS.values() for size in sizes])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_translated_codebook_matches_encode_message_by_message(p, m, k, data):
+    """A KK or Gabidulin codebook, encoded by translating one block, holds
+    each message's ``encode`` rows, in message order, and a spec refused
+    by the codebook budget or by the subspace check raises the error the
+    message-by-message stack raises, with the same exit code through the
+    CLI."""
+    spec, budget, refusal = data.draw(evaluation_specs(p, m, k))
+    assert spec.message_count() == p ** (m * k)
+    expected = np.array([encode(spec, digits).rows for digits in
+                         oracles.iter_message_digits(spec.q, spec.message_length)], dtype=np.int8)
+    if refusal == "budget":
+        message = f"message space of size {spec.message_count()} exceeds the budget {budget}"
+        error, status, prefix = BudgetError, 3, "budget exceeded"
+    else:
+        try:
+            codes.Codebook(spec, expected)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        error, status, prefix = ValueError, 2, "invalid input"
+    assert (message is None) == (refusal is None)
+    if message is None:
+        codebook = build_codebook(spec, budget)
+        assert codebook.stack.dtype == np.int8
+        assert codebook.stack.tobytes() == expected.tobytes()
+        assert codebook.stack.shape == expected.shape
+        assert run_encode_all(spec, budget) == (0, cli._csv(
+            codes.codebook_csv_rows(codebook), ("message", "row", "packet")), "")
+        return
+    with pytest.raises(error) as raised:
+        build_codebook(spec, budget)
+    assert str(raised.value) == message
+    assert run_encode_all(spec, budget) == (status, "", f"{prefix}: {message}\n")
 
 
 # ---------------------------------------------------------------- union

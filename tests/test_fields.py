@@ -272,6 +272,16 @@ def test_change_of_basis_representation():
         assert (a + c).to_vector() == s
 
 
+@pytest.mark.parametrize("basis", [None, [(1, 1, 0), (0, 1, 1), (0, 0, 1)]])
+@pytest.mark.parametrize("coords", [[1, 0.5, True], ["1", "0", "1"], [1, 0, 2], [1, 0, -1]])
+def test_from_vector_reads_integer_coordinates_in_range_only(coords, basis):
+    """The first two were read with int() as (1, 0, 1); with a basis, the
+    last two were reduced mod 2."""
+    ctx = FieldContext(2, 3, basis=basis)
+    with pytest.raises(ValueError, match="coordinates must be integers|must lie in"):
+        ctx.from_vector(coords)
+
+
 def test_singular_basis_rejected():
     with pytest.raises(ValueError, match="singular"):
         FieldContext(2, 3, basis=[(1, 1, 0), (0, 1, 1), (1, 0, 1)])

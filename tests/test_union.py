@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotier import linalg
+from twotier import union as tt_union
 from twotier.cli import main
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
@@ -163,9 +164,15 @@ def span_stacks(draw):
     p = draw(st.sampled_from((2, 3)))
     rows = draw(st.integers(1, 6 if p == 2 else 3))
     width = draw(st.sampled_from(EDGE_WIDTHS[p]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(CODEWORD_KINDS), min_size=1, max_size=5))
+    return random_stack(p, rows, width, kinds, draw(st.integers(0, 2 ** 32 - 1))), p
+
+
+def random_stack(p, rows, width, kinds, seed):
+    """A stack of one codeword of each kind of ``CODEWORD_KINDS`` listed."""
+    rng = np.random.default_rng(seed)
     stack = []
-    for kind in draw(st.lists(st.sampled_from(CODEWORD_KINDS), min_size=1, max_size=5)):
+    for kind in kinds:
         matrix = rng.integers(0, p, size=(rows, width), dtype=np.int8)
         if kind == "repeat" and stack:
             matrix = stack[rng.integers(len(stack))].copy()
@@ -176,7 +183,7 @@ def span_stacks(draw):
         elif kind == "zero":
             matrix[:] = 0
         stack.append(matrix)
-    return np.stack(stack), p
+    return np.stack(stack)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -199,6 +206,76 @@ def test_union_of_random_stacks_matches_enumeration(case):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
+
+@st.composite
+def rule_stacks(draw):
+    """(stack, p, side): N codewords of `rows` rows and `width` digits over
+    GF(p), of the kinds of ``span_stacks``, with N·p^rows one
+    codeword below, at, or one codeword above p^width, the edge of
+    ``_distinct_spans``' dense-table rule."""
+    p = draw(st.sampled_from((2, 3)))
+    rows = draw(st.integers(1, 3 if p == 2 else 2))
+    width = rows + draw(st.integers(1, 4 if p == 2 else 2))
+    side = draw(st.sampled_from((-1, 0, 1)))
+    count = p ** (width - rows) + side
+    kinds = draw(st.lists(st.sampled_from(CODEWORD_KINDS), min_size=count, max_size=count))
+    return random_stack(p, rows, width, kinds, draw(st.integers(0, 2 ** 32 - 1))), p, side
+
+
+def numbering_calls(mp):
+    """The names of the numbering paths ``_distinct_spans`` takes, logged
+    through `mp`, a pytest MonkeyPatch."""
+    calls = []
+    for name in ("_numbered_by_table", "_numbered_by_sort"):
+        def logged(*args, _name=name, _real=getattr(tt_union, name)):
+            calls.append(_name)
+            return _real(*args)
+        mp.setattr(tt_union, name, logged)
+    return calls
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=rule_stacks())
+def test_both_numbering_paths_match_enumeration(case):
+    """On each side of p^width <= N·p^rows and at the edge, ``Spans``
+    equals the Python enumeration, dtypes included; the dense table
+    numbers the keys when the rule holds and the sort otherwise, and both
+    give the same first positions and ids on the same keys."""
+    stack, p, side = case
+    codebook = lent_codebook(stack, p)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = numbering_calls(mp)
+        spans = tt_union._distinct_spans(codebook)
+    assert calls == ["_numbered_by_table" if side >= 0 else "_numbered_by_sort"]
+    check_reference_spans(spans, stack, p)
+    assert (spans.matrix.dtype, spans.ids.dtype, spans.min_weights.dtype) == \
+        (np.int16, np.int32, np.int16)
+    assert spans.ids.shape == (len(stack), p ** stack.shape[1])
+    coeffs = tt_union._span_coefficients(p, stack.shape[1])
+    keys = tt_union._span_keys(codebook, coeffs)
+    table = tt_union._numbered_by_table(keys, p ** stack.shape[2], len(coeffs))
+    sort = tt_union._numbered_by_sort(keys)
+    for got, expected in zip(table, sort):
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("name, path", [
+    ("kk-gf128", "_numbered_by_table"), ("kk-gf256", "_numbered_by_table"),
+    ("gab-gf64", "_numbered_by_table"), ("mv1", "_numbered_by_sort"),
+    ("mv2_uncompressed", "_numbered_by_sort"), ("mv2_compressed", "_numbered_by_sort")])
+def test_each_benchmark_config_takes_its_numbering_path(name, path):
+    """The scaled KK and Gabidulin codes have at most N·p^rows possible
+    keys (2^14, 2^16 and 2^6 of them), and mv1 and mv2, whose keys run to
+    2^9, 3^21 and 3^36, more."""
+    config = ROOT / "perfbench" / "configs" / f"{name}.json"
+    if not config.exists():
+        config = ROOT / "configs" / f"{name}.json"
+    cfg = load_config(config)
+    codebook = build_codebook(cfg.build_spec(cfg.build_field()))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = numbering_calls(mp)
+        tt_union._distinct_spans(codebook)
+    assert calls == [path]
 
 
 PACKET_KINDS = ("member", "near", "midpoint", "random")
