@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes are a stable contract: 0 success, 1 a normative lemma check
-failed, 2 configuration error, 3 enumeration budget exceeded.
+failed, 2 configuration error, 3 enumeration budget exceeded or memory
+exhausted.
 """
 
 import argparse
@@ -83,6 +84,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        # a size the budgets admit but this machine cannot hold
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET_EXCEEDED
 
 
 def _load(args) -> RunConfig:
@@ -98,6 +103,11 @@ def _write(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _head(cfg: RunConfig, spec) -> dict:
+    """The keys every JSON report starts from."""
+    return {"version": __version__, "config": cfg.echo(), "layout": spec.layout.name}
 
 
 def _json(payload) -> str:
@@ -124,10 +134,7 @@ def cmd_verify_lemmas(args) -> int:
         with open(args.dump_union, "w", encoding="utf-8", newline="") as fh:
             fh.write(_csv(rows, ("vector", "components")))
     all_passed = all(c.passed for c in checks if c.normative)
-    report = {
-        "version": __version__,
-        "config": cfg.echo(),
-        "layout": spec.layout.name,
+    report = _head(cfg, spec) | {
         "union": {
             "cardinality": uni.cardinality,
             "ambient_len": uni.ambient_len,
@@ -164,11 +171,8 @@ def cmd_encode(args) -> int:
     if args.format == "csv":
         _write(args, _csv(codebook_csv_rows([cw]), ("message", "row", "packet")))
     else:
-        _write(args, _json({
-            "version": __version__,
-            "config": cfg.echo(),
+        _write(args, _json(_head(cfg, spec) | {
             "kind": cw.kind,
-            "layout": spec.layout.name,
             "message": "".join(str(d) for d in digits),
             "rows": rows,
         }))
@@ -198,10 +202,7 @@ def cmd_decode(args) -> int:
     packets = _read_packets(args.packets, uni.ambient_len, uni.p)
     outcome = two_tier_decode(packets, uni, codebook, cfg.decode_options())
     chosen = outcome.result.chosen
-    report = {
-        "version": __version__,
-        "config": cfg.echo(),
-        "layout": spec.layout.name,
+    report = _head(cfg, spec) | {
         "verdicts": [asdict(v) for v in outcome.verdicts],
         "chosen": chosen,
         "chosen_message": (None if chosen is None
@@ -223,9 +224,7 @@ def cmd_simulate(args) -> int:
     report = run_experiment(
         cfg.topology(), setup, cfg.error_model(), params["trials"], cfg.seed,
         params["strategies"], node_filter_mode=params["node_filter_mode"],
-        retry_full_rank=params["retry_full_rank"], config_echo=cfg.echo())
-    report["version"] = __version__
-    report["layout"] = spec.layout.name
+        retry_full_rank=params["retry_full_rank"]) | _head(cfg, spec)
     if args.format == "csv":
         rows = []
         for name, stats in report["strategies"].items():
@@ -251,10 +250,7 @@ def cmd_analyze_distances(args) -> int:
     if args.format == "csv":
         _write(args, _csv(rows, ("code-id", "component-id", "distance", "cardinality")))
     else:
-        _write(args, _json({
-            "version": __version__,
-            "config": cfg.echo(),
-            "layout": spec.layout.name,
+        _write(args, _json(_head(cfg, spec) | {
             "table": [{"code_id": r[0], "component_id": r[1],
                        "distance": r[2],
                        "cardinality": r[3]} for r in rows],

@@ -17,7 +17,7 @@ from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
 from .decoders import TIER1_MODES, DecodeOptions
 from .errors import ConfigError
 from .fields import FieldContext, parse_element
-from .sim import DETECT_ONLY, STRATEGIES, ErrorModel, Topology
+from .sim import DEFAULTS, ErrorModel, Topology
 from .union import DEFAULT_UNION_BUDGET, build_union
 
 
@@ -59,8 +59,9 @@ SCHEMA = {
                "fixed_flips": ("an integer or null", KEYWORD),
                "injected_packets": (INTEGER, KEYWORD),
                "injection_node": ("a node name or null", KEYWORD)},
-    "sim": {"trials": (INTEGER, 100), "strategies": (LIST, STRATEGIES),
-            "node_filter_mode": (STRING, DETECT_ONLY), "retry_full_rank": (BOOLEAN, False)},
+    "sim": {"trials": (INTEGER, 100), "strategies": (LIST, DEFAULTS["strategies"]),
+            "node_filter_mode": (STRING, DEFAULTS["node_filter_mode"]),
+            "retry_full_rank": (BOOLEAN, DEFAULTS["retry_full_rank"])},
 }
 _TOP = SCHEMA[""] | {section: ("an object", REQUIRED if section in ("field", "code") else None)
                      for section in SCHEMA if section}

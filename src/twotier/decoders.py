@@ -103,12 +103,6 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
     _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
-    return _tier1(packet, union, radius, mode, allow_radius_override)
-
-
-def _tier1(packet: tuple, union: UnionCode, radius: int, mode: str,
-           allow_radius_override: bool = False) -> PacketVerdict:
-    """:func:`tier1_decode` on a packet tuple and a mode already checked."""
     if packet in union:
         return PacketVerdict(VALID, vector=packet, flips=0, candidates=1)
     if mode == DETECT_ONLY:
@@ -557,14 +551,16 @@ def _tier2_pass(word, codebook, options: DecodeOptions, list_radius):
 
 # ---------------------------------------------------------------- blocks of words
 #
-# The simulator decodes its sink words a block at a time, unchecked. A
-# verdict is a pure function of the packet, the union, the mode, the radius
-# and (in correct mode) allow_radius_override, and a tier-2 result of the
-# span and the codebook, so the owners keep them across blocks and
-# experiments, under MEMO_ENTRIES each: ``union.verdicts[(mode, radius,
-# allow_radius_override)]`` maps a packet's linalg.pack_digits key to its
-# verdict, and ``codebook.results[(metric, list radius)]`` a tier-2 input's
-# key to its result.
+# The simulator decodes its sink words a block at a time. Tier 1 runs
+# tier1_decode on each packet the union holds no verdict for, and tier 2
+# the unchecked _subspace_body on each input the codebook holds no result
+# for. A verdict is a pure function of the packet, the union, the mode,
+# the radius and (in correct mode) allow_radius_override, and a tier-2
+# result of the span and the codebook, so the owners keep them across
+# blocks and experiments, under MEMO_ENTRIES each:
+# ``union.verdicts[(mode, radius, allow_radius_override)]`` maps a packet's
+# linalg.pack_digits key to its verdict, and ``codebook.results[(metric,
+# list radius)]`` a tier-2 input's key to its result.
 
 def _keep(owner, table: dict, key, value, size: int = 1):
     """Keep `value` under `key` in one of the owner's tables when the owner
@@ -576,13 +572,14 @@ def _keep(owner, table: dict, key, value, size: int = 1):
 
 def _tier1_block(words, union: UnionCode, radius: int, mode: str,
                  allow_radius_override: bool = False):
-    """Tier 1 on a (B, k, n) array of words, once per distinct packet that
-    ``union.verdicts`` does not hold: (scrubbed, kept, outcomes, verdicts).
-    Word b's vectors that are valid or corrected are ``scrubbed[b]``'s first
-    ``kept[b]`` rows, in packet order, and zeros follow: what a filtering
-    node forwards and a sink's tier 2 reads. ``outcomes`` (B, k) indexes
-    TIER1_OUTCOMES, and ``verdicts`` is the distinct packets' verdicts and
-    each packet's index."""
+    """:func:`tier1_decode` on a (B, k, n) array of words, once per
+    distinct packet that ``union.verdicts`` does not hold: (scrubbed,
+    kept, outcomes, verdicts). Word b's vectors that are valid or
+    corrected are ``scrubbed[b]``'s first ``kept[b]`` rows, in packet
+    order, and zeros follow: what a filtering node forwards and a sink's
+    tier 2 reads. ``outcomes`` (B, k) indexes TIER1_OUTCOMES, and
+    ``verdicts`` is the distinct packets' verdicts and each packet's
+    index."""
     count, k, n = words.shape
     radius = 0 if mode == DETECT_ONLY else radius   # a detect-only verdict reads no radius
     # only correct mode reads the override, so other modes share one table
@@ -594,8 +591,8 @@ def _tier1_block(words, union: UnionCode, radius: int, mode: str,
     for key, at in zip(keys.tolist(), first.tolist()):
         verdict = memo.get(key)
         if verdict is None:
-            verdict = _tier1(tuple(flat[at].tolist()), union, radius, mode,
-                             allow_radius_override)
+            verdict = tier1_decode(flat[at].tolist(), union, radius, mode,
+                                   allow_radius_override=allow_radius_override)
             _keep(union.verdicts, memo, key, verdict)
         verdicts.append(verdict)
     inverse = inverse.reshape(count, k)

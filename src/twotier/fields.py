@@ -123,17 +123,16 @@ class FieldContext:
             raise ValueError(f"basis must be a {self.n}x{self.n} matrix")
         if any(not 0 <= c < self.p for row in rows for c in row):
             raise ValueError(f"basis entries must lie in [0, {self.p})")
-        mat, pivots = linalg.rref(rows, self.p)
-        if len(pivots) != self.n:
-            raise ValueError("basis matrix is singular")
         # coords c with sum c_i b_i = a solve c @ B = a, so c = a @ B^-1;
-        # invert by reducing [B | I]
-        aug = np.hstack([linalg.as_array(rows, self.p), np.eye(self.n, dtype=np.int64)])
-        red, _ = linalg.rref(aug, self.p)
-        inv = red[:, self.n:]
+        # reducing [B | I] gives [I | B^-1], its pivots the columns 0..n-1,
+        # exactly when B is invertible
+        mat = linalg.as_array(rows, self.p)
+        red, pivots = linalg.rref(np.hstack([mat, np.eye(self.n, dtype=np.int64)]), self.p)
+        if pivots != tuple(range(self.n)):
+            raise ValueError("basis matrix is singular")
         self.basis = rows
-        self._from_basis = linalg.as_array(rows, self.p)
-        self._to_basis = inv
+        self._from_basis = mat
+        self._to_basis = red[:, self.n:]
 
     @property
     def polynomial_basis(self) -> bool:

@@ -48,6 +48,9 @@ TIER2_ONLY = "tier2-only"
 TWO_TIER = "two-tier"
 TWO_TIER_FILTER = "two-tier+node-filter"
 STRATEGIES = (TIER2_ONLY, TWO_TIER, TWO_TIER_FILTER)
+# The defaults of the sim section's settings beside its trials, which
+# config.SCHEMA, run_experiment and run_trial read
+DEFAULTS = {"strategies": STRATEGIES, "node_filter_mode": DETECT_ONLY, "retry_full_rank": False}
 
 SOURCE = "source"
 INTERMEDIATE = "intermediate"
@@ -340,8 +343,7 @@ class TrialBlock:
     """
 
     def __init__(self, topology: Topology, setup: CodeSetup, error_model: ErrorModel,
-                 base_seed: int, trials, indices, *, node_filter_mode: str = DETECT_ONLY,
-                 retry_full_rank: bool = False):
+                 base_seed: int, trials, indices, *, node_filter_mode: str, retry_full_rank: bool):
         self.setup = setup
         self.error_model = error_model
         self.base_seed = base_seed
@@ -471,8 +473,8 @@ class TrialBlock:
 
 def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorModel,
               strategy: str, base_seed: int, trial: int, *,
-              node_filter_mode: str = DETECT_ONLY,
-              retry_full_rank: bool = False) -> TrialOutcome:
+              node_filter_mode: str = DEFAULTS["node_filter_mode"],
+              retry_full_rank: bool = DEFAULTS["retry_full_rank"]) -> TrialOutcome:
     """One multicast: inject the codeword basis, mix, corrupt, decode at
     sinks; a :class:`TrialBlock` of one trial."""
     _check_inputs(topology, setup, error_model, (strategy,), node_filter_mode)
@@ -495,9 +497,9 @@ def run_trial(topology: Topology, setup: CodeSetup, message, error_model: ErrorM
 
 
 def run_experiment(topology: Topology, setup: CodeSetup, error_model: ErrorModel,
-                   trials: int, base_seed: int, strategies=STRATEGIES, *,
-                   node_filter_mode: str = DETECT_ONLY,
-                   retry_full_rank: bool = False, config_echo=None) -> dict:
+                   trials: int, base_seed: int, strategies=DEFAULTS["strategies"], *,
+                   node_filter_mode: str = DEFAULTS["node_filter_mode"],
+                   retry_full_rank: bool = DEFAULTS["retry_full_rank"], config_echo=None) -> dict:
     """Paired experiment: every strategy sees identical per-trial randomness.
 
     Trials run in blocks of up to ``BLOCK_TRIALS`` (:class:`TrialBlock`),

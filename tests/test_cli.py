@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from twotier.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DECODE = Path(__file__).resolve().parent / "golden" / "decode"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -549,3 +553,86 @@ def test_analyze_distances_json(capsys):
     assert union_row["distance"] == 3
     assert union_row["cardinality"] == 25
     assert report["layout"] == "mv-uncompressed"
+
+
+# ---------------------------------------------------------------- refusals
+
+def mv1_config():
+    return json.loads((CONFIGS / "mv1.json").read_text())
+
+
+# one command on one mutated shipped config: (command, config, mutation,
+# extra arguments, what the message names)
+@pytest.mark.parametrize("command, config, edit, extra, message", [
+    ("verify-lemmas", kk_config, lambda c: c["field"].update(n=0), [],
+     "field: extension degree must be a positive integer, got 0"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 1, 0, 0]), [],
+     "field: modulus must be monic of degree n"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 1, 1]), [],
+     "field: modulus must be monic of degree n"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 3, 0, 1]), [],
+     "field: modulus coefficients must lie in [0, p)"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0]]), [],
+     "field: basis must be a 3x3 matrix"),
+    ("verify-lemmas", mv1_config,
+     lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [],
+     "field: basis entries must lie in [0, 2)"),
+    ("verify-lemmas", mv1_config,
+     lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0], [1, 1, 0]]), [],
+     "field: basis matrix is singular"),
+    ("simulate", mv1_config, lambda c: c["topology"]["nodes"].update(t="intermediate"), [],
+     "topology: need at least one sink"),
+    ("simulate", mv1_config, lambda c: c["errors"].update(injected_packets=-1), [],
+     "errors: injected_packets must be nonnegative"),
+    ("verify-lemmas", mv1_config, lambda c: c["code"].update(L=0), [],
+     "code: list size L must be at least 1"),
+    ("simulate", mv1_config, lambda c: c["tier1"].update(mode="fix"), [],
+     "decoding options: unknown tier-1 mode 'fix'"),
+    ("decode", mv1_config, lambda c: c["tier2"].update(metric="hamming"),
+     ["--packets", str(GOLDEN_DECODE / "mv1.clean.txt")],
+     "decoding options: unknown tier-2 metric 'hamming'"),
+    ("encode", kk_config, lambda c: c.pop("message"), [],
+     "no message given (use --message or a 'message' config entry)"),
+    ("encode", kk_config, lambda c: None, ["--message", "012"],
+     "message digits must lie in [0, 2)"),
+    ("decode", mv1_config, lambda c: None, ["--packets", "/nonexistent/packets.txt"],
+     "cannot read packets file /nonexistent/packets.txt"),
+], ids=["field-n-0", "modulus-not-monic", "modulus-length", "modulus-coefficient",
+        "basis-shape", "basis-entry", "basis-singular", "no-sink", "injected-negative",
+        "mv-L-0", "tier1-mode", "tier2-metric", "encode-no-message", "encode-digit",
+        "packets-unreadable"])
+def test_config_reachable_refusals_exit_2(tmp_path, capsys, command, config, edit, extra,
+                                          message):
+    cfg = config()
+    edit(cfg)
+    assert main([command, "--config", write_config(tmp_path, cfg), *extra]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_a_config_holding_a_json_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["verify-lemmas", "--config", str(path)]) == 2
+    assert f"config {path} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_a_size_memory_cannot_hold_exits_3(tmp_path):
+    """10^8 injected packets per trial pass every budget, but their arrays
+    need terabytes: under a 1 GiB address space the simulator's first
+    allocation fails, and the command exits 3 with one line on stderr."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = mv1_config()
+    cfg["errors"] = {"injected_packets": 100_000_000, "injection_node": "a"}
+    env = os.environ | {"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "twotier", "simulate", "--config",
+                           write_config(tmp_path, cfg)], capture_output=True, text=True,
+                          env=env, preexec_fn=cap, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("out of memory: ")

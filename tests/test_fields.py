@@ -287,6 +287,21 @@ def test_singular_basis_rejected():
         FieldContext(2, 3, basis=[(1, 1, 0), (0, 1, 1), (1, 0, 1)])
 
 
+@pytest.mark.parametrize("p, n, modulus", [(2, 3, None), (3, 2, oracles.MOD_GF9)])
+def test_every_basis_matrix_is_refused_or_inverted(p, n, modulus):
+    """Over every n x n matrix B, the field takes B as a basis exactly when
+    B has full rank, and then maps a vector to its coordinates and back."""
+    for entries in itertools.product(range(p), repeat=n * n):
+        basis = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if oracles.naive_rank(basis, p) < n:
+            with pytest.raises(ValueError, match="singular"):
+                FieldContext(p, n, modulus, basis)
+            continue
+        ctx = FieldContext(p, n, modulus, basis)
+        for coords in itertools.product(range(p), repeat=n):
+            assert ctx.from_vector(coords).to_vector() == coords
+
+
 @pytest.mark.parametrize("basis", [[(1, 0, 0), (0, 1.0, 0), (0, 0, 1)],
                                    [(1, 0, 0), ("0", "1", "0"), (0, 0, 1)],
                                    [1, 0, 0]])

@@ -15,7 +15,9 @@ those draws. Beside mv1 (GF(2)) at its config seed and at seed 7,
 correct, ``simulate/mv2_gf729_wide.json`` is the same experiment with
 42-digit packets, whose packed keys pass 64 bits, and
 ``simulate/mv1_blocks.json`` is mv1 over 2500 trials, three blocks the
-last of which is partial. The ``decode`` snapshots were written by the decoder whose
+last of which is partial, and ``simulate/mv1_feedback.json`` is mv1 with
+tier 2 in list mode and list feedback, which runs the block step's
+feedback pass. The ``decode`` snapshots were written by the decoder whose
 audit deep-copied each pass. A packet file ``decode/<config>.<case>.txt``
 is decoded under ``configs/<config>.json``, or under
 ``decode/<config>.json`` for the list-feedback variants, and its report
@@ -98,6 +100,15 @@ def test_simulate_over_several_blocks(fmt, tmp_path):
     config = GOLDEN / "simulate" / "mv1_blocks.json"
     report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
     assert report == (GOLDEN / "simulate" / f"mv1_blocks.simulate.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_with_list_feedback(fmt, tmp_path):
+    """mv1 with list radius 1 and feedback: of its 300 trials, 290 sink
+    words list a codeword and take the feedback pass."""
+    config = GOLDEN / "simulate" / "mv1_feedback.json"
+    report = run(["simulate", "--config", str(config), "--format", fmt], tmp_path / f"report.{fmt}")
+    assert report == (GOLDEN / "simulate" / f"mv1_feedback.simulate.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("packets", PACKETS, ids=lambda path: path.stem)

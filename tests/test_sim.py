@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twotier import sim
 from twotier.codes import KKSpec, MVSpec, build_codebook
-from twotier.decoders import DecodeOptions
+from twotier.decoders import DETECT_ONLY, DecodeOptions
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.sim import (STRATEGIES, TIER2_ONLY, TWO_TIER, TWO_TIER_FILTER,
@@ -204,7 +204,8 @@ def test_fixed_flips_hit_distinct_positions(flips):
     [1, p), at positions the first `flips` of a random order."""
     setup = gf9_setup()
     model = ErrorModel(corrupt_packet_prob=0.6, fixed_flips=flips)
-    block = TrialBlock(diamond(), setup, model, 8, range(300), [0] * 300)
+    block = TrialBlock(diamond(), setup, model, 8, range(300), [0] * 300,
+                       node_filter_mode=DETECT_ONLY, retry_full_rank=False)
     _, offsets, _ = block._arrays(0, np.arange(300))
     hits = (offsets != 0).sum(axis=2)
     assert set(np.unique(hits).tolist()) == {0, flips}
@@ -259,7 +260,8 @@ def test_identical_seed_identical_outcome():
     b = run_trial(topo, setup, (1,), model, TWO_TIER, base_seed=5, trial=7)
     assert a == b
     # a different trial index draws a different channel
-    draws = [TrialBlock(topo, setup, model, 5, (trial,), (1,))._arrays(0, np.arange(1))
+    draws = [TrialBlock(topo, setup, model, 5, (trial,), (1,), node_filter_mode=DETECT_ONLY,
+                        retry_full_rank=False)._arrays(0, np.arange(1))
              for trial in (7, 8)]
     assert any((x != y).any() for x, y in zip(*draws))
 

@@ -227,11 +227,12 @@ def decoder_inputs():
             blocks.append([])
             super().__init__(*args, **kwargs)
 
-    tier1, tier2, two_tier = decoders._tier1, decoders._subspace_body, decoders.two_tier_decode
+    tier1, tier2 = decoders.tier1_decode, decoders._subspace_body
+    two_tier = decoders.two_tier_decode
 
-    def logged_tier1(packet, union, radius, mode, *args):
-        blocks[-1].append(("tier1", mode, radius, packet))
-        return tier1(packet, union, radius, mode, *args)
+    def logged_tier1(packet, union, radius, mode, **kwargs):
+        blocks[-1].append(("tier1", mode, radius, tuple(packet)))
+        return tier1(packet, union, radius, mode, **kwargs)
 
     def logged_tier2(span, codebook, metric, list_radius):
         blocks[-1].append(("tier2", span[0], metric, list_radius))
@@ -243,7 +244,7 @@ def decoder_inputs():
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(sim, "TrialBlock", MarkedBlock))
-        for name, fn in (("_tier1", logged_tier1), ("_subspace_body", logged_tier2),
+        for name, fn in (("tier1_decode", logged_tier1), ("_subspace_body", logged_tier2),
                          ("two_tier_decode", logged_two_tier)):
             stack.enter_context(mock.patch.object(decoders, name, fn))
         # and under the name sim would import it by
