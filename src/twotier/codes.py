@@ -492,20 +492,19 @@ def _check_subspaces(codebook: Codebook):
             ranks.append(block_ranks)
         keys = np.concatenate(keys)
         dependent = np.concatenate(ranks) != stack.shape[1]
-    # the stable sort puts the first message with each subspace at the
-    # start of its run; every other message repeats an earlier subspace
-    order, starts = linalg.sorted_runs(keys)
-    repeated = np.ones(len(order), dtype=bool)
-    repeated[order[starts]] = False
-    offenders = np.flatnonzero(dependent | repeated)
-    if not len(offenders):
+    ranked = np.sort(keys)
+    if not (dependent.any() or (ranked[1:] == ranked[:-1]).any()):
         return
-    index = offenders[0]
+    # only a refusal locates its offender: message i repeats an earlier
+    # subspace unless it is the first message with its key
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse]
+    index = np.flatnonzero(dependent | (first != np.arange(len(keys))))[0]
     message = codebook[index].message
     if dependent[index]:
         raise ValueError(f"codeword for message {message} has dependent basis rows")
-    first = np.flatnonzero(keys == keys[index])[0]
-    raise ValueError(f"messages {codebook[first].message} and {message} map to the same subspace")
+    earlier = codebook[first[index]].message
+    raise ValueError(f"messages {earlier} and {message} map to the same subspace")
 
 
 def codebook_csv_rows(codebook):

@@ -278,14 +278,10 @@ class FieldContext:
         cached = self._subfield_bases.get(order)
         if cached is not None:
             return cached
-        # kernel of the GF(p)-linear map x -> x^order - x
-        cols = []
-        for i in range(self.n):
-            e = tuple(1 if j == i else 0 for j in range(self.n))
-            img = self._pow_coeffs(e, order)
-            cols.append(tuple((img[j] - e[j]) % self.p for j in range(self.n)))
-        mat = [[cols[c][r] for c in range(self.n)] for r in range(self.n)]
-        basis = linalg.basis_rows(linalg.kernel_basis(mat, self.p), self.p)
+        # kernel of the GF(p)-linear map x -> x^order - x, whose matrix is
+        # F - I for F that of x -> x^order: the x with (F - I)^T x = 0
+        shifted = self.frobenius_matrix(t) - np.eye(self.n, dtype=np.int64)
+        basis = linalg.basis_rows(linalg.kernel_basis(shifted.T, self.p), self.p)
         if len(basis) != t:
             raise AssertionError("subfield dimension mismatch")
         self._subfield_bases[order] = basis

@@ -321,20 +321,6 @@ def _itemsize(count: int):
     return next((n for n in (1, 2, 4, 8) if 256 ** n >= count), None)
 
 
-def sorted_runs(keys):
-    """(order, starts) of a 1-D key array.
-
-    ``order`` sorts the keys stably, so equal keys keep their original
-    order; ``starts`` are the positions in it where a run of equal keys
-    begins.
-    """
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    new = np.ones(len(ranked), dtype=bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    return order, new.nonzero()[0]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array

@@ -336,8 +336,13 @@ def _numbered_by_table(keys, size: int, per: int) -> tuple:
 
 def _numbered_by_sort(keys) -> tuple:
     """``_numbered_by_table`` of keys of any size, from one stable sort."""
-    order, starts = linalg.sorted_runs(keys)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     del keys                                        # freed before the ids are formed
+    new = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    del ranked
+    starts = new.nonzero()[0]
     # the stable sort puts each vector's first occurrence at the start of
     # its run, so run r holds vector number[r], its rank by first occurrence
     first = order[starts]

@@ -34,7 +34,7 @@ from twotier.config import RunConfig, load_config
 from twotier.errors import BudgetError
 from twotier.fields import FieldContext
 from twotier.metrics import Subspace
-from twotier.union import build_union, component_min_distances, owners
+from twotier.union import _numbered_by_sort, build_union, component_min_distances, owners
 
 import oracles
 
@@ -480,7 +480,8 @@ def test_batched_rref_matches_reference(drawn):
 def test_packed_keys_group_equal_vectors(p, width, seed):
     """``pack_digits`` is sum_c d_c p^c in the narrowest unsigned dtype that
     holds p^width - 1 (Python ints above 64 bits), equal integers mean equal
-    vectors, and ``sorted_runs`` groups equal integers stably.
+    vectors, and ``union._numbered_by_sort`` numbers equal integers alike,
+    by first occurrence.
 
     The vectors differ from one base vector in a single digit, at every
     position, so a digit the packing drops or a word that overflows shows.
@@ -495,13 +496,17 @@ def test_packed_keys_group_equal_vectors(p, width, seed):
     expected = next((np.dtype(f"u{n}") for n in (1, 2, 4, 8) if 8 * n >= bits), np.dtype(object))
     assert keys.shape == (len(vectors),) and keys.dtype == expected
     assert keys.tolist() == [sum(d * p ** c for c, d in enumerate(v)) for v in vectors.tolist()]
-    order, starts = linalg.sorted_runs(keys)
-    runs = np.split(order, starts[1:])
-    assert sorted(order.tolist()) == list(range(len(vectors)))
-    for run in runs:
-        assert run.tolist() == sorted(run.tolist())     # stable: ascending within a run
-        assert (vectors[run] == vectors[run[0]]).all()
-    firsts = [vectors[run[0]].tolist() for run in runs]
+    first, ids = _numbered_by_sort(keys)
+    assert ids.shape == (len(vectors),) and ids.dtype == np.int32
+    # equal keys share an id, and distinct keys have distinct ids
+    pairs = set(zip(keys.tolist(), ids.tolist()))
+    assert len(pairs) == len(set(keys.tolist())) == len(first)
+    assert ids[first].tolist() == list(range(len(first)))
+    # first positions ascend, each its key's earliest
+    assert first.tolist() == sorted(first.tolist())
+    assert (first[ids] <= np.arange(len(vectors))).all()
+    assert (vectors == vectors[first[ids]]).all()
+    firsts = [vectors[f].tolist() for f in first]
     assert len({tuple(v) for v in firsts}) == len(firsts)
 
 

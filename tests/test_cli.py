@@ -561,6 +561,10 @@ def mv1_config():
     return json.loads((CONFIGS / "mv1.json").read_text())
 
 
+def gabidulin_config():
+    return json.loads((CONFIGS / "gabidulin_gf8.json").read_text())
+
+
 # one command on one mutated shipped config: (command, config, mutation,
 # extra arguments, what the message names)
 @pytest.mark.parametrize("command, config, edit, extra, message", [
@@ -586,6 +590,12 @@ def mv1_config():
      "errors: injected_packets must be nonnegative"),
     ("verify-lemmas", mv1_config, lambda c: c["code"].update(L=0), [],
      "code: list size L must be at least 1"),
+    ("verify-lemmas", gabidulin_config, lambda c: c["code"].update(generators=["g^3"]), [],
+     "code: need 2 generators, got 1"),
+    ("verify-lemmas", kk_config, lambda c: c["code"].update(alphas=["g^3"]), [],
+     "code: need 2 alphas, got 1"),
+    ("verify-lemmas", kk_config, lambda c: c["code"]["alphas"].__setitem__(0, [1, 0]), [],
+     "code.alphas[0]: expected 3 coefficients, got 2"),
     ("simulate", mv1_config, lambda c: c["tier1"].update(mode="fix"), [],
      "decoding options: unknown tier-1 mode 'fix'"),
     ("decode", mv1_config, lambda c: c["tier2"].update(metric="hamming"),
@@ -599,8 +609,8 @@ def mv1_config():
      "cannot read packets file /nonexistent/packets.txt"),
 ], ids=["field-n-0", "modulus-not-monic", "modulus-length", "modulus-coefficient",
         "basis-shape", "basis-entry", "basis-singular", "no-sink", "injected-negative",
-        "mv-L-0", "tier1-mode", "tier2-metric", "encode-no-message", "encode-digit",
-        "packets-unreadable"])
+        "mv-L-0", "short-generators", "short-alphas", "alpha-coefficients", "tier1-mode",
+        "tier2-metric", "encode-no-message", "encode-digit", "packets-unreadable"])
 def test_config_reachable_refusals_exit_2(tmp_path, capsys, command, config, edit, extra,
                                           message):
     cfg = config()

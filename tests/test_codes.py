@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from twotier.codes import (BlockSpec, Codebook, GabidulinSpec, KKSpec, MVSpec, PacketLayout,
                            build_codebook, encode)
@@ -16,6 +17,7 @@ from twotier.linpoly import LinearizedPoly
 from twotier.metrics import Subspace
 
 import oracles
+from test_union import random_stack, span_stacks
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
@@ -138,6 +140,14 @@ def test_kk_zero_component_span():
     assert span == expected
 
 
+def test_spec_points_from_another_field_are_refused():
+    ctx, other = gf8(), FieldContext(2, 3, (1, 0, 1, 1))
+    with pytest.raises(ValueError, match="^alpha from a different field context$"):
+        KKSpec(field=ctx, l=2, k=1, alphas=(ctx.gamma_pow(3), other.gamma))
+    with pytest.raises(ValueError, match="^generator from a different field context$"):
+        GabidulinSpec(field=ctx, n=2, k=1, generators=(other.one, ctx.gamma))
+
+
 def test_kk_subspace_dimension_and_distinctness():
     spec = kk_spec()
     cb = build_codebook(spec)
@@ -169,11 +179,52 @@ def test_subspace_codebook_names_the_first_offender(stack, error):
     """On a hand-made stack: the first message, in message order, whose rows
     are dependent or whose subspace an earlier message has."""
     stack = np.array(stack, dtype=np.int8)
+    assert first_offender(stack, 2, kk_spec().message_length) == error
+    check_subspace_refusal(kk_spec(), stack, error)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=span_stacks())
+@example(case=(random_stack(2, 2, 65, ("random", "repeat", "repeat"), 1), 2))
+@example(case=(random_stack(3, 2, 41, ("random", "random", "repeat"), 2), 3))
+def test_subspace_codebook_names_the_first_offender_on_random_stacks(case):
+    """The hand-made cases' rule on random stacks of repeated, dependent,
+    zero-row, zero and random codewords, over GF(2) and GF(3), packed on
+    both sides of 64 bits, against the refusal the oracles owe. The
+    examples repeat a subspace in keys past 64 bits, once over each field."""
+    stack, p = case
+    if p == 2:
+        spec = kk_spec()
+    else:
+        ctx = FieldContext(3, 6)
+        spec = KKSpec(field=ctx, l=2, k=1, alphas=(ctx.one, ctx.gamma))
+    check_subspace_refusal(spec, stack, first_offender(stack, p, spec.message_length))
+
+
+def first_offender(stack, p, length):
+    """The refusal a subspace check owes a stack, by ``oracles.naive_rank``
+    and ``oracles.naive_rref``: the first codeword, in message order, whose
+    rows are dependent or whose reduced basis an earlier one has, named by
+    messages of `length` base-p digits; None when no codeword offends."""
+    def message(i):
+        return tuple(i // p ** d % p for d in range(length))
+    seen = {}
+    for i, rows in enumerate(stack.tolist()):
+        if oracles.naive_rank(rows, p) < len(rows):
+            return DEPENDENT.format(message(i))
+        basis = oracles.naive_rref(rows, p)
+        if basis in seen:
+            return SAME.format(message(seen[basis]), message(i))
+        seen[basis] = i
+    return None
+
+
+def check_subspace_refusal(spec, stack, error):
     if error is None:
-        assert Codebook(kk_spec(), stack).ranks.tolist() == [2] * len(stack)
+        assert Codebook(spec, stack).ranks.tolist() == [stack.shape[1]] * len(stack)
         return
-    with pytest.raises(ValueError, match=re.escape(error)):
-        Codebook(kk_spec(), stack)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Codebook(spec, stack)
 
 
 def test_codebook_index_is_message_arithmetic():

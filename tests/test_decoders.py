@@ -190,6 +190,22 @@ def test_tier2_mv1_c1_generator():
     assert result.metric_value == 0
 
 
+def test_tier2_entries_refuse_the_other_codebook_and_a_negative_radius():
+    _, subspace, _ = kk()
+    _, rank, _ = gab()
+    for call, kind in ((lambda: tier2_rank_decode(list(rank[0].rows), subspace), "gabidulin"),
+                       (lambda: tier2_subspace_decode(list(subspace[0].rows), rank), "subspace"),
+                       (lambda: tier2_list_decode(list(subspace[0].rows), rank, 1), "subspace")):
+        with pytest.raises(ValueError, match=f"^codebook is not a {kind} codebook$"):
+            call()
+    with pytest.raises(ValueError, match="^list radius must be nonnegative$"):
+        tier2_list_decode(list(subspace[1].rows), subspace, -1)
+    # every position, which a syndrome table serves, and two, which the scan does
+    for positions in (None, [0, 1]):
+        with pytest.raises(ValueError, match="^list radius must be nonnegative$"):
+            tier2_rank_decode(list(rank[1].rows), rank, positions, list_radius=-1)
+
+
 def test_tier2_metric_flag():
     _, cb, _ = mv1()
     packets = [cb[1].rows[0]]

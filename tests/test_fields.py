@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -154,17 +155,30 @@ def test_frobenius_full_order():
         assert a.frobenius(6, 3) == a
 
 
-def test_subfield_membership_against_enumeration():
-    ctx = gf729()
-    fixed = oracles.subfield_fixed_set(oracles.MOD_GF729, 3, 27)
-    assert len(fixed) == 27
-    members = oracles.span(ctx.subfield_basis(27), 3)
+MOD_GF64 = (1, 1, 0, 0, 0, 0, 1)   # x^6 + x + 1 over GF(2)
+
+
+@pytest.mark.parametrize("modulus, p, order", [
+    (oracles.MOD_GF729, 3, 27),
+    (oracles.MOD_GF729, 3, 3),
+    (oracles.MOD_GF729, 3, 9),
+    (oracles.MOD_GF625, 5, 5),
+    (oracles.MOD_GF625, 5, 25),
+    (MOD_GF64, 2, 2),
+    (MOD_GF64, 2, 4),
+    (MOD_GF64, 2, 8),
+], ids=["gf729-27", "gf729-3", "gf729-9", "gf625-5", "gf625-25", "gf64-2", "gf64-4", "gf64-8"])
+def test_subfield_membership_against_enumeration(modulus, p, order):
+    ctx = FieldContext(p, len(modulus) - 1, modulus)
+    fixed = oracles.subfield_fixed_set(modulus, p, order)
+    assert len(fixed) == order
+    members = oracles.span(ctx.subfield_basis(order), p)
     assert members == fixed
-    # concrete members and non-members
-    assert ctx.gamma_pow(28).coeffs in members
-    assert ctx.gamma_pow(504).coeffs in members
-    assert ctx.gamma_pow(8).coeffs not in members
-    assert ctx.gamma_pow(294).coeffs not in members
+    # concrete members and non-members: gamma^k lies in GF(order) exactly
+    # when k is a multiple of (p^n - 1) / (order - 1)
+    step = (ctx.size - 1) // (order - 1)
+    for k in (step, 18 * step, 8, 294):
+        assert (ctx.gamma_pow(k).coeffs in members) == (k % step == 0)
 
 
 def test_subfield_trivial_members():
@@ -232,6 +246,22 @@ def test_context_mixing_rejected():
     b = gf729().gamma
     with pytest.raises(ValueError, match="context"):
         a + b  # noqa: B018
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ctx: ctx.from_vector((1, 0)), ValueError, "expected 3 coordinates, got 2"),
+    (lambda ctx: ctx.from_int(8), ValueError, "code 8 out of range for field of size 8"),
+    (lambda ctx: ctx.from_int(-1), ValueError, "code -1 out of range for field of size 8"),
+    (lambda ctx: ctx.validate_subfield(1), ValueError, "1 is not a power of 2"),
+    (lambda ctx: ctx.validate_subfield(6), ValueError, "6 is not a power of 2"),
+    (lambda ctx: ctx.gamma + 1, TypeError, "expected FieldElement, got int"),
+    (lambda ctx: ctx.zero ** -1, ZeroDivisionError, "inverse of zero field element"),
+    (lambda ctx: ctx.gamma.frobenius(-1, 2), ValueError, "frobenius exponent must be nonnegative"),
+], ids=["coordinates", "code-past-end", "code-negative", "subfield-below-p", "subfield-not-power",
+        "not-an-element", "zero-inverse-power", "frobenius-negative"])
+def test_element_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(gf8())
 
 
 def test_pow_handles_large_and_negative_exponents():

@@ -72,6 +72,14 @@ def test_subspace_canonical_form():
     assert oracles.naive_rank(u.basis + ((1, 1, 1),), 2) == u.dim + 1
 
 
+def test_subspace_from_rows_needs_rows_of_one_length():
+    with pytest.raises(ValueError, match="^cannot infer ambient length from no rows$"):
+        Subspace.from_rows([], 2)
+    assert Subspace.from_rows([], 2, ambient_len=3).basis == ()
+    with pytest.raises(ValueError, match="^rows of unequal length$"):
+        Subspace.from_rows([(1, 0), (1,)], 2)
+
+
 def test_subspace_distance_cases():
     u = Subspace.from_rows([(1, 0)], 2)
     v = Subspace.from_rows([(0, 1)], 2)

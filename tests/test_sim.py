@@ -60,6 +60,12 @@ def test_topology_rejects_two_sources():
                  edges=(("s", "t"), ("s2", "t")))
 
 
+def test_topology_rejects_duplicate_node_names():
+    with pytest.raises(ValueError, match="^duplicate node names$"):
+        Topology(nodes=(("s", "source"), ("t", "intermediate"), ("t", "sink")),
+                 edges=(("s", "t"),))
+
+
 def test_topology_rejects_unreachable_sink():
     with pytest.raises(ValueError, match="reachable"):
         Topology(nodes=(("s", "source"), ("t", "sink"), ("t2", "sink")),

@@ -702,6 +702,12 @@ def test_lemmas_without_the_zero_component_raise(name, kept, lemma):
         verify_lemmas(spec, uni.restrict(kept))
 
 
+def test_lemmas_of_an_unknown_spec_type_raise():
+    _, _, uni = kk_union()
+    with pytest.raises(TypeError, match="^unsupported spec type object$"):
+        verify_lemmas(object(), uni)
+
+
 def test_mv_compressed_layout_l8_informational():
     ctx = FieldContext(3, 6)
     spec = MVSpec(field=ctx, m=3, l=2, big_l=5, k=1,
