@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
                     build_codebook)
-from .decoders import TIER1_MODES, DecodeOptions
+from .decoders import METRICS, TIER1_MODES, DecodeOptions, OptionError
 from .errors import ConfigError
 from .fields import FieldContext, parse_element
 from .sim import DEFAULTS, ErrorModel, Topology
@@ -65,6 +65,10 @@ SCHEMA = {
 }
 _TOP = SCHEMA[""] | {section: ("an object", REQUIRED if section in ("field", "code") else None)
                      for section in SCHEMA if section}
+# a DecodeOptions field -> its config key, and the values it takes where they are few
+_OPTION_KEYS = {"mode": ("tier1.mode", TIER1_MODES), "radius": ("tier1.radius", ()),
+                "metric": ("tier2.metric", METRICS), "list_radius": ("tier2.list_radius", ()),
+                "feedback": ("feedback", ())}
 
 
 def load_config(path) -> "RunConfig":
@@ -183,8 +187,10 @@ class RunConfig:
             options["feedback"] = self.raw["feedback"]
         try:
             return DecodeOptions(**options)
-        except ValueError as exc:
-            raise ConfigError(f"decoding options: {exc}") from exc
+        except OptionError as exc:
+            key, choices = _OPTION_KEYS[exc.field]
+            raise ConfigError(f"{key}: {exc}" + (f", not one of {', '.join(choices)}"
+                                                 if choices else "")) from exc
 
     def topology(self) -> Topology:
         if "topology" not in self.raw:

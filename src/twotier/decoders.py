@@ -1,24 +1,25 @@
 """Two-tier decoding.
 
-Tier 1 scrubs individual packets against the union code: membership pass,
-nearest-vector correction within a radius, or erasure on ambiguity. Tier 2
-is exact nearest-codeword search over the full codebook, in the injection
-or subspace metric for subspace codes and in the rank metric for Gabidulin
-codes. For a subspace code it reads the union's owner index: a codeword's
-distance depends only on how many union vectors it owns in the received
-space, so only the owners of those vectors are counted, and every other
-codeword is at the largest distance. For a Gabidulin code it first asks
-the syndrome table of the kept positions P, formed on the codebook's first
-decode at P: a word within t = floor((|P| - k)/2) of a codeword, the
-unique-decoding radius of the MRD code at P, is decoded by one lookup; a
-nearest decode beyond t, a list radius above t, |P| < k and a table over
-its budget or refused for a shared syndrome rank every codeword instead.
-Erased packets are excluded from the tier-2 input (span rows for subspace
-codes, punctured positions for rank codes). When tier 2 runs in
-list mode, the list can feed back: tier 1 re-decodes against the union
-restricted to the listed components, whose minimum distance is never
-smaller; when that pass keeps the tier-2 input of the first, the head of
-the first pass's list is the answer and tier 2 is not run again.
+Tier 1 scrubs individual packets against the union code: membership pass
+(a lookup in the union's member dict), nearest-vector correction within a
+radius, or erasure on ambiguity. Tier 2 is exact nearest-codeword search
+over the full codebook, in the injection or subspace metric for subspace
+codes and in the rank metric for Gabidulin codes. For a subspace code it
+reads the union's owner index: a codeword's distance depends only on how
+many union vectors it owns in the received space, so only the owners of
+those vectors are counted, and every other codeword is at the largest
+distance. For a Gabidulin code it first asks the syndrome table of the
+kept positions P, formed on the codebook's first decode at P: a word
+within t = floor((|P| - k)/2) of a codeword, the unique-decoding radius of
+the MRD code at P, is decoded by one lookup; a nearest decode beyond t, a
+list radius above t, |P| < k and a table over its budget or refused for a
+shared syndrome rank every codeword instead. Erased packets are excluded
+from the tier-2 input (span rows for subspace codes, punctured positions
+for rank codes). When tier 2 runs in list mode, the list can feed back:
+tier 1 re-decodes against the union restricted to the listed components,
+whose minimum distance is never smaller; when that pass keeps the tier-2
+input of the first, the head of the first pass's list is the answer and
+tier 2 is not run again.
 """
 
 import functools
@@ -62,6 +63,13 @@ class DecodeResult:
     list: tuple | None = None
 
 
+class OptionError(ValueError):
+    """A :class:`DecodeOptions` refusal of the value of its `field`."""
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class DecodeOptions:
     tier1_enabled: bool = True
@@ -74,17 +82,17 @@ class DecodeOptions:
 
     def __post_init__(self):
         if self.mode not in TIER1_MODES:
-            raise ValueError(f"unknown tier-1 mode {self.mode!r}")
+            raise OptionError("mode", f"unknown tier-1 mode {self.mode!r}")
         if self.metric not in METRICS:
-            raise ValueError(f"unknown tier-2 metric {self.metric!r}")
+            raise OptionError("metric", f"unknown tier-2 metric {self.metric!r}")
         if self.feedback and self.list_radius is None:
-            raise ValueError("feedback requires a tier-2 list radius")
+            raise OptionError("feedback", "feedback requires a tier-2 list radius")
         if self.feedback and not self.tier1_enabled:
-            raise ValueError("feedback requires tier 1")
+            raise OptionError("feedback", "feedback requires tier 1")
         if self.radius is not None and self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+            raise OptionError("radius", "radius must be nonnegative")
         if self.list_radius is not None and self.list_radius < 0:
-            raise ValueError("list radius must be nonnegative")
+            raise OptionError("list_radius", "list radius must be nonnegative")
 
 
 def default_radius(min_distance: int) -> int:
@@ -96,17 +104,28 @@ def tier1_radius(options: DecodeOptions, union: UnionCode) -> int:
     return default_radius(union.min_distance()) if options.radius is None else options.radius
 
 
+_ERASED, _REJECTED = PacketVerdict(ERASED), PacketVerdict(REJECTED)
+
+
 def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_ERASE,
                  *, allow_radius_override: bool = False) -> PacketVerdict:
-    """Packet-level decode against the active union code."""
+    """Packet-level decode against the active union code: a member's VALID
+    verdict from ``union._members``, with no packet check to pass."""
     packet = tuple(packet)
-    _check_packets([packet], union.p, union.ambient_len)
+    try:
+        verdict = union._members.get(packet)
+    except TypeError:                   # an unhashable digit: the check names it
+        verdict = None
+    if verdict is None:
+        _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
-    if packet in union:
-        return PacketVerdict(VALID, vector=packet, flips=0, candidates=1)
+    if verdict is not None:
+        if type(verdict) is tuple:      # the member's first hit: its row of Python ints
+            union._members[verdict] = verdict = PacketVerdict(VALID, verdict, 0, 1)
+        return verdict
     if mode == DETECT_ONLY:
-        return PacketVerdict(REJECTED)
+        return _REJECTED
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if mode == CORRECT and not allow_radius_override:
@@ -116,7 +135,7 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
                 f"radius {radius} exceeds the unique-decoding limit {limit}; "
                 "pass allow_radius_override to experiment")
     if radius == 0:
-        return PacketVerdict(REJECTED) if mode == CORRECT else PacketVerdict(ERASED)
+        return _REJECTED if mode == CORRECT else _ERASED
     best, hits = union.nearest(packet)
     if best <= radius:
         if len(hits) == 1:
@@ -125,7 +144,7 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
             return PacketVerdict(ERASED, candidates=len(hits))
         # a wrong correction is worse than a dropped packet
         return PacketVerdict(REJECTED, candidates=len(hits))
-    return PacketVerdict(REJECTED) if mode == CORRECT else PacketVerdict(ERASED)
+    return _REJECTED if mode == CORRECT else _ERASED
 
 
 # ---------------------------------------------------------------- tier 2
@@ -135,30 +154,46 @@ def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_E
 # owns, so Spans.meeting finds the union vectors in V and counts their
 # owners from the owner index of the codebook's Spans record, formed on
 # the first subspace decode. Over GF(2), when V has no more vectors than
-# the union, it looks each vector of V up (the packets are packed and
-# echelonised as Python ints, linalg.span_basis); otherwise it ranks the
-# union's nonzero vectors, as one-row matrices, against a basis of V
-# (linalg.packed_rank, or linalg.batched_rank over GF(p)). A codeword
-# owning none has U ∩ V = {0}, the largest distance, and is never looked
-# at unless the list takes it. The rank lane's scan, where the syndrome
-# table cannot answer, ranks every codeword in one Codebook.batched_rank
-# call (packed_rank on Codebook.table over GF(2), batched_rank on the digit
-# rows otherwise), in blocks of about linalg.RANK_CHUNK rows. A distance
-# grows with the rank, so _select picks on the ranks and maps only its
-# picks.
+# the union, it looks each vector of V up (_check_packets packs the packets
+# as it checks them, and linalg.packed_basis echelonises the ints);
+# otherwise it ranks the union's nonzero vectors, as one-row matrices,
+# against a basis of V (linalg.packed_rank, or batched_rank over GF(p)).
+# A codeword owning none has U ∩ V = {0}, the largest distance, and is
+# never looked at unless the list takes it. The rank lane's scan, where
+# the syndrome table cannot answer, ranks every codeword in one
+# Codebook.batched_rank call (packed_rank on Codebook.table over GF(2),
+# batched_rank on the digit rows otherwise), in blocks of about
+# linalg.RANK_CHUNK rows. A distance grows with the rank, so _select picks
+# on the ranks and maps only its picks.
 
 def _check_kind(codebook: Codebook, kind: str):
     if codebook.kind != kind:
         raise ValueError(f"codebook is not a {kind} codebook")
 
 
+_BITS = b"01" + b"2" * 254     # digit byte -> "0" or "1", or "2" for no GF(2) digit
+
+
 def _check_packets(rows, p: int, width: int):
-    """ValueError on a packet of the wrong length or with a digit outside [0, p)."""
+    """ValueError on a packet of the wrong length or with a digit outside
+    [0, p); over GF(2), each packet's ``linalg.pack_digits`` integer, of a
+    tuple or list in one pass: its reversed bytes read in base 2 through
+    _BITS, which fails on any other digit."""
+    keys = []
     for row in rows:
+        if p == 2 and isinstance(row, (tuple, list)) and len(row) == width:
+            try:
+                keys.append(int(bytes(row)[::-1].translate(_BITS), 2))
+                continue
+            except (TypeError, ValueError):
+                pass
         if len(row) != width:
             raise ValueError(f"packet length {len(row)} != ambient {width}")
         if min(row) < 0 or max(row) >= p:
             raise ValueError(f"packet digits must lie in [0, {p}), got {tuple(row)}")
+        if p == 2:
+            keys.append(linalg.pack_digits([row], 2).tolist()[0])
+    return keys
 
 
 def _subspace_decode(packets, codebook, metric: str, list_radius) -> DecodeResult:
@@ -169,13 +204,14 @@ def _subspace_decode(packets, codebook, metric: str, list_radius) -> DecodeResul
     _check_kind(codebook, SUBSPACE)
     if metric not in METRICS:
         raise ValueError(f"unknown tier-2 metric {metric!r}")
-    _check_packets(packets, codebook.p, codebook.stack.shape[2])
-    return _subspace_body(linalg.span_basis(packets, codebook.p), codebook, metric, list_radius)
+    basis = linalg.packed_basis(_check_packets(packets, codebook.p, codebook.stack.shape[2]))
+    span = (basis, len(basis)) if codebook.p == 2 else linalg.span_basis(packets, codebook.p)
+    return _subspace_body(span, codebook, metric, list_radius)
 
 
 def _subspace_body(span, codebook, metric: str, list_radius) -> DecodeResult:
-    """:func:`_subspace_decode` on the ``linalg.span_basis`` (basis, a) of
-    packets already checked, for a subspace codebook and a known metric."""
+    """:func:`_subspace_decode` on the (basis, a) of checked packets, their
+    ``linalg.packed_basis`` and its length over GF(2), else their ``span_basis``."""
     basis, a = span
     b = codebook.stack.shape[1]
     # With U a codeword's span, of dimension b (its row count), and V the

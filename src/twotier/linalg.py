@@ -129,13 +129,9 @@ def packed_basis(rows) -> tuple:
 
 
 def span_basis(rows, p: int) -> tuple:
-    """(basis, a): a basis of the span of digit rows over GF(p), in the
-    form the rank kernels take, and its rank a: over GF(2) the
-    ``packed_basis`` of their ``pack_digits`` integers, so no RREF is
-    built, and otherwise their ``rref``."""
-    if p == 2:
-        basis = packed_basis(pack_digits(rows, 2).tolist())
-        return basis, len(basis)
+    """(basis, a): the ``rref`` of digit rows over GF(p), p odd, the basis
+    of their span that ``batched_rank`` takes, and its rank a. Over GF(2)
+    the ``packed_basis`` of their ``pack_digits`` integers serves."""
     basis = rref(rows, p)
     return basis, len(basis[1])
 

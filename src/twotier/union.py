@@ -137,8 +137,8 @@ class UnionCode:
     read-only int array of the member codebook indices, in union order.
     ``matrix`` holds the union's vectors as int16 rows, in the
     first-occurrence order of the whole codebook's union; a union with
-    every component shares the record's. Tier 1 asks ``in``, which tests
-    a set of the row tuples formed on first use, and :meth:`nearest`.
+    every component shares the record's. Tier 1 looks packets up in
+    ``_members``, formed on its first call, and asks :meth:`nearest`.
     :meth:`restrict` reads each listed index's position in ``components``
     from an int32 array over the codebook's indices, 4 B per index, formed
     on the union's first restriction, so a restriction costs the length
@@ -176,8 +176,10 @@ class UnionCode:
         return codes.Memos()
 
     @functools.cached_property
-    def _members(self) -> frozenset:
-        return frozenset(map(tuple, self.matrix.tolist()))
+    def _members(self) -> dict:
+        """Each member's row tuple of Python ints -> itself, until tier 1's
+        first hit on it puts its VALID verdict there, without a lock."""
+        return {row: row for row in map(tuple, self.matrix.tolist())}
 
     def __contains__(self, vector) -> bool:
         return tuple(vector) in self._members

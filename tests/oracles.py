@@ -279,6 +279,19 @@ def reference_tier1(packet, vectors, p, radius, mode):
                    candidates=len(nearest))
 
 
+def reference_check_packets(rows, p, width):
+    """The packet check by each row's least and greatest digit, which
+    ``decoders._check_packets`` keeps for the rows its GF(2) pass does not
+    take: ValueError on the first row of the wrong length or with a digit
+    outside [0, p), and whatever ``len``, ``min`` or ``max`` raise on a
+    row they cannot read."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"packet length {len(row)} != ambient {width}")
+        if min(row) < 0 or max(row) >= p:
+            raise ValueError(f"packet digits must lie in [0, {p}), got {tuple(row)}")
+
+
 # ---------------------------------------------------------------- lemma checks
 #
 # The scalar lemma checks, one Python value per component: a component's
@@ -613,9 +626,10 @@ def scan_ranks(codebook, packets):
     before it read the union's owner index."""
     from twotier import linalg
 
-    basis, _ = linalg.span_basis(packets, codebook.p)
     if codebook.p == 2:
+        basis = linalg.packed_basis(linalg.pack_digits(packets, 2).tolist())
         return linalg.packed_rank(codebook.table, basis=basis)
+    basis, _ = linalg.span_basis(packets, codebook.p)
     return linalg.batched_rank(codebook.stack, codebook.p, basis=basis)
 
 

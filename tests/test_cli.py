@@ -597,10 +597,18 @@ def gabidulin_config():
     ("verify-lemmas", kk_config, lambda c: c["code"]["alphas"].__setitem__(0, [1, 0]), [],
      "code.alphas[0]: expected 3 coefficients, got 2"),
     ("simulate", mv1_config, lambda c: c["tier1"].update(mode="fix"), [],
-     "decoding options: unknown tier-1 mode 'fix'"),
+     "tier1.mode: unknown tier-1 mode 'fix', not one of detect-only, correct, correct-or-erase"),
     ("decode", mv1_config, lambda c: c["tier2"].update(metric="hamming"),
      ["--packets", str(GOLDEN_DECODE / "mv1.clean.txt")],
-     "decoding options: unknown tier-2 metric 'hamming'"),
+     "tier2.metric: unknown tier-2 metric 'hamming', not one of injection, subspace"),
+    ("decode", mv1_config, lambda c: c["tier1"].update(radius=-1),
+     ["--packets", str(GOLDEN_DECODE / "mv1.clean.txt")],
+     "tier1.radius: radius must be nonnegative"),
+    ("decode", mv1_config, lambda c: c["tier2"].update(list_radius=-1),
+     ["--packets", str(GOLDEN_DECODE / "mv1.clean.txt")],
+     "tier2.list_radius: list radius must be nonnegative"),
+    ("simulate", mv1_config, lambda c: c.update(feedback=True), [],
+     "feedback: feedback requires a tier-2 list radius"),
     ("encode", kk_config, lambda c: c.pop("message"), [],
      "no message given (use --message or a 'message' config entry)"),
     ("encode", kk_config, lambda c: None, ["--message", "012"],
@@ -610,7 +618,8 @@ def gabidulin_config():
 ], ids=["field-n-0", "modulus-not-monic", "modulus-length", "modulus-coefficient",
         "basis-shape", "basis-entry", "basis-singular", "no-sink", "injected-negative",
         "mv-L-0", "short-generators", "short-alphas", "alpha-coefficients", "tier1-mode",
-        "tier2-metric", "encode-no-message", "encode-digit", "packets-unreadable"])
+        "tier2-metric", "tier1-radius", "tier2-list-radius", "feedback-no-list-radius",
+        "encode-no-message", "encode-digit", "packets-unreadable"])
 def test_config_reachable_refusals_exit_2(tmp_path, capsys, command, config, edit, extra,
                                           message):
     cfg = config()

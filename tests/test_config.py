@@ -32,8 +32,8 @@ def run(argv) -> tuple:
     return code, err.getvalue()
 
 
-def test_the_shipped_configs_are_the_sixteen_known():
-    assert len(SHIPPED) == 16
+def test_the_shipped_configs_are_the_seventeen_known():
+    assert len(SHIPPED) == 17
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)

@@ -4,6 +4,7 @@ import random
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,75 @@ def test_tier1_rejects_an_unknown_mode_and_a_negative_radius():
     for mode in (CORRECT, CORRECT_OR_ERASE):
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             tier1_decode(outside, uni, radius=-1, mode=mode)
+
+
+def test_a_members_verdict_is_made_once_of_python_ints():
+    """Tier 1 answers a member from the union's member dict: its verdict is
+    VALID with the member as its vector, 0 flips and 1 candidate, made on
+    the member's first hit and kept there, and its vector holds Python ints
+    also when that first packet held numpy ints. The dict keeps one entry
+    per union vector."""
+    _, _, uni = kk()
+    members = list(owners(uni))
+    first = tier1_decode(np.array(members[1]), uni, radius=0)
+    assert first == decoders.PacketVerdict(decoders.VALID, members[1], 0, 1)
+    assert [type(d) for d in first.vector] == [int] * len(members[1])
+    for mode in TIER1_MODES:
+        for packet in (members[1], list(members[1]), np.array(members[1], dtype=np.int8)):
+            assert tier1_decode(packet, uni, radius=0, mode=mode) is first
+    table = uni.__dict__["_members"]
+    assert len(table) == uni.cardinality and table[members[1]] is first
+    assert table[members[2]] == members[2]          # no hit yet, so no verdict
+    # a non-member's verdict is not kept there
+    outside = next(flip(m, [0]) for m in members if flip(m, [0]) not in uni)
+    assert tier1_decode(outside, uni, radius=0).outcome == decoders.ERASED
+    assert len(table) == uni.cardinality and outside not in table
+
+
+def test_tier1_refuses_as_the_check_then_the_mode_do():
+    """A member with an unknown mode raises the mode's error, before and
+    after its verdict is kept; a packet that is no member raises the packet
+    check's error first, whatever the mode, as does a packet whose digits
+    cannot be hashed."""
+    _, _, uni = kk()
+    member = next(iter(owners(uni)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^unknown tier-1 mode 'bogus'$"):
+            tier1_decode(member, uni, radius=0, mode="bogus")
+        tier1_decode(member, uni, radius=0)
+    for bad in ((2,) + member[1:], (-1,) + member[1:], member[1:], member + (0,),
+                (0.5,) + member[1:], ([0],) + member[1:]):
+        try:
+            oracles.reference_check_packets([bad], uni.p, uni.ambient_len)
+            # the check reads a digit 0.5 as within [0, 2): then the mode
+            expected = ValueError("unknown tier-1 mode 'bogus'")
+        except Exception as exc:
+            expected = exc
+        with pytest.raises(Exception) as got:
+            tier1_decode(bad, uni, radius=0, mode="bogus")
+        assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+def test_public_decode_checks_tier_2_input_once_and_each_non_member(monkeypatch):
+    """On the KK benchmark code a two-tier decode runs ``_check_packets``
+    once for tier 2 and once per packet that is not a union member, which
+    tier 1 checks before it erases it: a member needs no check."""
+    _, _, codebook, union = load_config(PERFBENCH_CONFIGS / "kk-gf128.json").build_all()
+    calls = count_calls(monkeypatch, decoders, "_check_packets")
+    rng = random.Random(30)
+    for index in rng.sample(range(len(codebook)), 20):
+        rows = [tuple(r) for r in codebook[index].rows]
+        packets = rows + [tuple((a + b) % 2 for a, b in zip(*rows))]
+        for flips in range(len(packets) + 1):
+            word = [flip(p, [rng.randrange(len(p))]) if i < flips else p
+                    for i, p in enumerate(packets)]
+            outside = sum(p not in union for p in word)
+            if outside == len(word):
+                continue            # nothing reaches tier 2
+            del calls[:]
+            result = two_tier_decode(word, union, codebook)
+            assert len(calls) == 1 + outside
+            assert flips or (outside, result.result.chosen) == (0, index)
 
 
 # ---------------------------------------------------------------- tier 2 subspace

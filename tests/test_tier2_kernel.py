@@ -23,9 +23,10 @@ a shared syndrome, and over their error budget, and must rank the
 codebook exactly where they cannot answer. The packed kernel is also
 checked against
 ``oracles.naive_rank`` and the int16 kernel at every dtype and word
-boundary, the GF(2) subspace lane against calls to ``linalg.rref``, and
-the subspace lane against reading ``Codebook.table`` or forming the owner
-index more than once per codebook.
+boundary, the GF(2) subspace lane against calls to ``linalg.rref``, the
+GF(2) packet check, which packs as it checks, against
+``oracles.reference_check_packets``, and the subspace lane against reading
+``Codebook.table`` or forming the owner index more than once per codebook.
 """
 
 import functools
@@ -479,6 +480,47 @@ def test_gf2_tier2_builds_no_received_rref():
                 else:
                     tier2_rank_decode(rows, codebook, [0])
     assert calls == []
+
+
+# the digits a GF(2) packet is drawn from: both digits, and a negative one,
+# one too large, a bool and a float, which the check must read as the
+# least-and-greatest check does
+CHECK_DIGITS = (-1, 0, 1, 2, True, 0.5)
+# how a drawn row reaches the check
+ROW_FORMS = {"tuple": tuple, "list": list,
+             "int8": lambda d: np.array(d, dtype=np.int8),
+             "int64": lambda d: np.array(d, dtype=np.int64),
+             "numpy ints": lambda d: tuple(np.int64(x) for x in d)}
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_gf2_check_packs_as_the_least_and_greatest_check_reads(data):
+    """``decoders._check_packets`` over GF(2), at widths on both sides of
+    64 bits: where ``oracles.reference_check_packets`` accepts the rows, it
+    returns their ``linalg.pack_digits`` integers, and otherwise it raises
+    the same exception with the same message."""
+    width = data.draw(st.integers(1, 130), label="width")
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4), label="rows")):
+        length = data.draw(st.sampled_from((width, width, width, width - 1, width + 1)))
+        digits = data.draw(st.lists(st.sampled_from((0, 1)), min_size=length, max_size=length))
+        for _ in range(data.draw(st.sampled_from((0, 0, 0, 1, 2))) if digits else 0):
+            digits[data.draw(st.integers(0, len(digits) - 1))] = \
+                data.draw(st.sampled_from(CHECK_DIGITS))
+        form = data.draw(st.sampled_from(sorted(ROW_FORMS)))
+        event(form)
+        rows.append(ROW_FORMS[form](digits))
+    try:
+        oracles.reference_check_packets(rows, 2, width)
+    except Exception as exc:        # the check must raise as the reference does
+        event(f"refused: {type(exc).__name__}")
+        with pytest.raises(Exception) as got:
+            decoders._check_packets(rows, 2, width)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    event("accepted")
+    assert decoders._check_packets(rows, 2, width) == linalg.pack_digits(rows, 2).tolist()
 
 
 def kk_gf128_requests(codebook, count, seed, spread=0):
