@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BudgetError
+from .errors import BudgetError, OptionError
 from .fields import FieldContext, FieldElement, integers
 
 DEFAULT_CODEBOOK_BUDGET = 1 << 20
@@ -170,14 +170,15 @@ class Codebook:
 
 def _checked_points(field: FieldContext, points, count: int, noun: str) -> tuple:
     """The generators or alphas of a spec as a tuple, checked: `count`
-    elements of `field`, linearly independent over its base field."""
-    points = tuple(points)
+    elements of `field`, linearly independent over its base field; an
+    ``OptionError`` of the spec field named by the plural of `noun`."""
+    points, key = tuple(points), f"{noun}s"
     if len(points) != count:
-        raise ValueError(f"need {count} {noun}s, got {len(points)}")
+        raise OptionError(key, f"need {count} {noun}s, got {len(points)}")
     if any(x.ctx != field for x in points):
-        raise ValueError(f"{noun} from a different field context")
+        raise OptionError(key, f"{noun} from a different field context")
     if linalg.rank([x.to_vector() for x in points], field.p) != count:
-        raise ValueError(f"{noun}s are linearly dependent over the base field")
+        raise OptionError(key, f"{noun}s are linearly dependent over the base field")
     return points
 
 
@@ -217,11 +218,11 @@ class _EvaluationSpec(_Spec):
 
     def _checked(self, size: str, count: int, noun: str, points) -> tuple:
         """The points, checked, after 1 <= k <= count <= m, where `size`
-        names count in the messages."""
+        is the spec field that holds count."""
         if not 1 <= count <= self.m:
-            raise ValueError(f"need 1 <= {size} <= m, got {size}={count}, m={self.m}")
+            raise OptionError(size, f"need 1 <= {size} <= m, got {size}={count}, m={self.m}")
         if not 1 <= self.k <= count:
-            raise ValueError(f"need 1 <= k <= {size}, got k={self.k}")
+            raise OptionError("k", f"need 1 <= k <= {size}, got k={self.k}")
         return _checked_points(self.field, points, count, noun)
 
     @functools.cached_property
@@ -329,15 +330,16 @@ class MVSpec(_Spec):
 
     def __post_init__(self):
         if self.m < 1 or self.l < 1 or self.m * self.l != self.field.n:
-            raise ValueError(f"need m*l == field degree, got m={self.m}, l={self.l}, degree={self.field.n}")
+            raise OptionError("m", f"need m*l == field degree, got m={self.m}, l={self.l}, "
+                                   f"degree={self.field.n}")
         if (self.q - 1) % self.l != 0:
-            raise ValueError(f"l={self.l} must divide q-1={self.q - 1}")
+            raise OptionError("l", f"l={self.l} must divide q-1={self.q - 1}")
         if self.big_l < 1:
-            raise ValueError("list size L must be at least 1")
+            raise OptionError("big_l", "list size L must be at least 1")
         if self.k < 1:
-            raise ValueError("message length k must be at least 1")
+            raise OptionError("k", "message length k must be at least 1")
         if self.layout_name not in ("uncompressed", "compressed"):
-            raise ValueError(f"unknown layout {self.layout_name!r}")
+            raise OptionError("layout_name", f"unknown layout {self.layout_name!r}")
         object.__setattr__(self, "alphas", _checked_points(self.field, self.alphas, self.l, "alpha"))
 
     @functools.cached_property

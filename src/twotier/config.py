@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .codes import (DEFAULT_CODEBOOK_BUDGET, GabidulinSpec, KKSpec, MVSpec,
                     build_codebook)
-from .decoders import METRICS, TIER1_MODES, DecodeOptions, OptionError
-from .errors import ConfigError
+from .decoders import METRICS, TIER1_MODES, DecodeOptions
+from .errors import ConfigError, OptionError
 from .fields import FieldContext, parse_element
 from .sim import DEFAULTS, ErrorModel, Topology
 from .union import DEFAULT_UNION_BUDGET, build_union
@@ -65,6 +65,8 @@ SCHEMA = {
 }
 _TOP = SCHEMA[""] | {section: ("an object", REQUIRED if section in ("field", "code") else None)
                      for section in SCHEMA if section}
+# a spec field -> its config key under code, where the two differ
+_SPEC_KEYS = {"big_l": "L", "layout_name": "layout"}
 # a DecodeOptions field -> its config key, and the values it takes where they are few
 _OPTION_KEYS = {"mode": ("tier1.mode", TIER1_MODES), "radius": ("tier1.radius", ()),
                 "metric": ("tier2.metric", METRICS), "list_radius": ("tier2.list_radius", ()),
@@ -154,8 +156,8 @@ class RunConfig:
     def build_field(self) -> FieldContext:
         try:
             return FieldContext(**self.raw["field"])
-        except ValueError as exc:
-            raise ConfigError(f"field: {exc}") from exc
+        except OptionError as exc:
+            raise ConfigError(f"field.{exc.field}: {exc}") from exc
 
     def build_spec(self, ctx: FieldContext):
         code = self.raw["code"]
@@ -169,8 +171,8 @@ class RunConfig:
             layout = {"layout_name": code["layout"]} if "layout" in code else {}
             return MVSpec(field=ctx, m=code["m"], l=code["l"], big_l=code["L"], k=code["k"],
                           alphas=alphas, **layout)
-        except ValueError as exc:
-            raise ConfigError(f"code: {exc}") from exc
+        except OptionError as exc:
+            raise ConfigError(f"code.{_SPEC_KEYS.get(exc.field, exc.field)}: {exc}") from exc
 
     def build_all(self):
         """(field, spec, codebook, union) with budgets applied."""

@@ -1,10 +1,10 @@
 """Two-tier decoding.
 
 Tier 1 scrubs individual packets against the union code: membership pass
-(a lookup in the union's member dict), nearest-vector correction within a
-radius, or erasure on ambiguity. Tier 2 is exact nearest-codeword search
-over the full codebook, in the injection or subspace metric for subspace
-codes and in the rank metric for Gabidulin codes. For a subspace code it
+(a lookup in the span record's member dict), nearest-vector correction
+within a radius, or erasure on ambiguity. Tier 2 is exact nearest-codeword
+search over the full codebook, in the injection or subspace metric for
+subspace codes and in the rank metric for Gabidulin codes. For a subspace code it
 reads the union's owner index: a codeword's distance depends only on how
 many union vectors it owns in the received space, so only the owners of
 those vectors are counted, and every other codeword is at the largest
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import linalg
 from .codes import GABIDULIN, SUBSPACE, Codebook
+from .errors import OptionError
 from .union import UnionCode, _span_coefficients, spans_of
 
 VALID = "valid"
@@ -61,13 +62,6 @@ class DecodeResult:
     metric_value: int | None
     tie: bool
     list: tuple | None = None
-
-
-class OptionError(ValueError):
-    """A :class:`DecodeOptions` refusal of the value of its `field`."""
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -110,19 +104,24 @@ _ERASED, _REJECTED = PacketVerdict(ERASED), PacketVerdict(REJECTED)
 def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_ERASE,
                  *, allow_radius_override: bool = False) -> PacketVerdict:
     """Packet-level decode against the active union code: a member's VALID
-    verdict from ``union._members``, with no packet check to pass."""
+    verdict from the span record's ``valid``, found through its
+    ``numbers``, with no packet check to pass."""
     packet = tuple(packet)
+    spans = union.provenance
     try:
-        verdict = union._members.get(packet)
+        u = spans.numbers.get(packet)
     except TypeError:                   # an unhashable digit: the check names it
-        verdict = None
-    if verdict is None:
+        u = None
+    if u is not None and union.held is not None and u not in union.held:
+        u = None                        # a vector of a component the union leaves out
+    if u is None:
         _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
-    if verdict is not None:
-        if type(verdict) is tuple:      # the member's first hit: its row of Python ints
-            union._members[verdict] = verdict = PacketVerdict(VALID, verdict, 0, 1)
+    if u is not None:
+        verdict = spans.valid[u]
+        if verdict is None:             # the member's first hit: its row of Python ints
+            verdict = spans.valid[u] = PacketVerdict(VALID, tuple(spans.matrix[u].tolist()), 0, 1)
         return verdict
     if mode == DETECT_ONLY:
         return _REJECTED

@@ -1,4 +1,7 @@
-"""Errors that the command layer maps to distinct exit codes."""
+"""Errors that the command layer maps to distinct exit codes, and the
+keyed refusal that the configuration layer names a key by."""
+
+import contextlib
 
 
 class ToolkitError(Exception):
@@ -11,3 +14,22 @@ class ConfigError(ToolkitError):
 
 class BudgetError(ToolkitError):
     """An enumeration would exceed the configured budget."""
+
+
+class OptionError(ValueError):
+    """A constructor's refusal of the value of its parameter `field`, which
+    ``config`` reports under that parameter's config key."""
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@contextlib.contextmanager
+def keyed(field: str):
+    """Re-raise a ValueError from inside as an :class:`OptionError` of `field`."""
+    try:
+        yield
+    except OptionError:
+        raise
+    except ValueError as exc:
+        raise OptionError(field, str(exc)) from exc

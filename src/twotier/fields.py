@@ -28,6 +28,7 @@ import re
 import numpy as np
 
 from . import linalg
+from .errors import OptionError, keyed
 
 # Desk scale: digit-string serialization and trial-division validation
 # both assume a single-digit prime base.
@@ -77,45 +78,48 @@ class FieldContext:
     """
 
     def __init__(self, p: int, n: int, modulus=None, basis=None):
+        """A refusal is an ``errors.OptionError`` naming the parameter it
+        refuses: p, n, modulus or basis."""
         if p not in DESK_PRIMES:
-            raise ValueError(f"base characteristic must be a prime in {DESK_PRIMES}, got {p}")
+            raise OptionError("p", f"base characteristic must be a prime in {DESK_PRIMES}, got {p}")
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {n}")
+            raise OptionError("n", f"extension degree must be a positive integer, got {n}")
         if p ** n > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {p}^{n} exceeds the desk-scale limit 2^30")
-        if modulus is None:
-            modulus = BUILTIN_MODULI.get((p, n))
-            if modulus is None:
-                raise ValueError(f"no built-in modulus for GF({p}^{n}); supply one")
-        modulus = integers(modulus, "modulus coefficients")
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n, coefficients low-to-high")
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-
+            raise OptionError("n", f"field size {p}^{n} exceeds the desk-scale limit 2^30")
         self.p = p
         self.n = n
         self.size = p ** n
-        self.modulus = modulus
 
-        if n > 1 and not self._is_irreducible():
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        with keyed("modulus"):
+            if modulus is None:
+                modulus = BUILTIN_MODULI.get((p, n))
+                if modulus is None:
+                    raise ValueError(f"no built-in modulus for GF({p}^{n}); supply one")
+            modulus = integers(modulus, "modulus coefficients")
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree n, coefficients low-to-high")
+            if any(not 0 <= c < p for c in modulus):
+                raise ValueError("modulus coefficients must lie in [0, p)")
+            self.modulus = modulus
+            if n > 1 and not self._is_irreducible():
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
-        self.zero = FieldElement(self, (0,) * n)
-        self.one = FieldElement(self, tuple([1] + [0] * (n - 1)))
-        if n == 1:
-            gamma = (-modulus[0]) % p
-            self.gamma = FieldElement(self, (gamma,))
-        else:
-            self.gamma = FieldElement(self, tuple([0, 1] + [0] * (n - 2)))
+            self.zero = FieldElement(self, (0,) * n)
+            self.one = FieldElement(self, tuple([1] + [0] * (n - 1)))
+            if n == 1:
+                gamma = (-modulus[0]) % p
+                self.gamma = FieldElement(self, (gamma,))
+            else:
+                self.gamma = FieldElement(self, tuple([0, 1] + [0] * (n - 2)))
+            self._check_primitive()
 
         self._subfield_bases = {}
         self.basis = None
         self._to_basis = None
         self._from_basis = None
-        self._check_primitive()
         if basis is not None:
-            self._install_basis(basis)
+            with keyed("basis"):
+                self._install_basis(basis)
 
     def _install_basis(self, basis):
         rows = tuple(integers(row, "basis entries") for row in basis)

@@ -8,6 +8,7 @@ linear codes is generally nonlinear, so distance work goes through the
 pairwise path in :mod:`twotier.metrics`.
 """
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -48,6 +49,27 @@ class Spans:
         all, as a codeword's span holds each of its vectors once.
         ``starts`` is a list of Python ints."""
         return _owner_index(self.ids, len(self.matrix))
+
+    @functools.cached_property
+    def every(self) -> np.ndarray:
+        """Every codebook index in order, read-only int32: the components of
+        :func:`build_union`'s union, which a union given this very array
+        holds with no check."""
+        every = np.arange(len(self.ids), dtype=np.int32)
+        every.flags.writeable = False
+        return every
+
+    @functools.cached_property
+    def numbers(self) -> dict:
+        """Each vector's row tuple of Python ints -> its number, formed on
+        tier 1's first call and shared by every union over the record."""
+        return {row: u for u, row in enumerate(map(tuple, self.matrix.tolist()))}
+
+    @functools.cached_property
+    def valid(self) -> list:
+        """Vector u's VALID verdict at entry u, made by tier 1 on its first
+        hit on u, else None: one object for every union that holds u."""
+        return [None] * len(self.matrix)
 
     @functools.cached_property
     def _keys(self) -> dict:
@@ -131,14 +153,12 @@ def _owner_index(ids: np.ndarray, count: int) -> tuple:
 
 
 class UnionCode:
-    """The valid packets of some components of a codebook, with hashed membership.
+    """The valid packets of some components of a codebook, a view of its
+    :class:`Spans` record, whose member dict and verdicts tier 1 shares.
 
-    ``provenance`` is the codebook's :class:`Spans` and ``components`` the
-    read-only int array of the member codebook indices, in union order.
-    ``matrix`` holds the union's vectors as int16 rows, in the
-    first-occurrence order of the whole codebook's union; a union with
-    every component shares the record's. Tier 1 looks packets up in
-    ``_members``, formed on its first call, and asks :meth:`nearest`.
+    ``components`` is the read-only int array of the member codebook
+    indices, in union order, none repeated or unknown. ``held`` is None
+    for a union with every component, else its vectors' numbers as a set.
     :meth:`restrict` reads each listed index's position in ``components``
     from an int32 array over the codebook's indices, 4 B per index, formed
     on the union's first restriction, so a restriction costs the length
@@ -148,24 +168,27 @@ class UnionCode:
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
         self.provenance = provenance
-        self.components = np.asarray(components).view()
-        self.components.flags.writeable = False
         self.ambient_len = ambient_len
         self.p = p
         self._min_distance = None
-        if len(self.components) == len(provenance.ids):
-            self.matrix = provenance.matrix
-        elif len(self.components) == 1:
-            # one span's ids, ascending: a set of a few Python ints is
-            # about twice as fast as np.unique
-            ids = provenance.ids[self.components[0]].tolist()
-            self.matrix = provenance.matrix[sorted(set(ids))]
+        components = np.asarray(components)
+        if components is provenance.every:
+            self.components, self.held = components, None
         else:
-            self.matrix = provenance.matrix[np.unique(provenance.ids[self.components])]
+            self.held = _held(provenance, components.tolist())
+            self.components = components.view()
+            self.components.flags.writeable = False
 
     @property
     def cardinality(self) -> int:
-        return len(self.matrix)
+        return len(self.provenance.matrix) if self.held is None else len(self.held)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The union's vectors as int16 rows in the record's order, gathered
+        when :meth:`nearest` or the pairwise :meth:`min_distance` asks."""
+        held = self.held
+        return self.provenance.matrix if held is None else self.provenance.matrix[sorted(held)]
 
     @functools.cached_property
     def verdicts(self) -> codes.Memos:
@@ -175,14 +198,9 @@ class UnionCode:
         freed with the union, and a restriction starts with none."""
         return codes.Memos()
 
-    @functools.cached_property
-    def _members(self) -> dict:
-        """Each member's row tuple of Python ints -> itself, until tier 1's
-        first hit on it puts its VALID verdict there, without a lock."""
-        return {row: row for row in map(tuple, self.matrix.tolist())}
-
     def __contains__(self, vector) -> bool:
-        return tuple(vector) in self._members
+        u = self.provenance.numbers.get(tuple(vector))
+        return u is not None and (self.held is None or u in self.held)
 
     def nearest(self, packet) -> tuple[int, list]:
         """The least Hamming distance from `packet` (digits in [0, p)) to a
@@ -225,8 +243,8 @@ class UnionCode:
         unknown = sorted(i for i, k in found.items() if k < 0)
         if unknown:
             raise ValueError(f"unknown component indices {unknown}")
-        kept = self.components[sorted(found.values())]
-        return UnionCode(self.provenance, kept, self.ambient_len, self.p)
+        return UnionCode(self.provenance, self.components[sorted(found.values())],
+                         self.ambient_len, self.p)
 
 
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
@@ -235,8 +253,28 @@ def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Union
     BudgetError when the N·p^rows span vectors exceed the budget, whether
     the codebook's record exists or not."""
     _check_budget(codebook, budget)
-    return UnionCode(spans_of(codebook, budget), np.arange(len(codebook), dtype=np.int32),
-                     codebook.stack.shape[2], codebook.p)
+    spans = spans_of(codebook, budget)
+    return UnionCode(spans, spans.every, codebook.stack.shape[2], codebook.p)
+
+
+def _held(spans: Spans, listed: list) -> set | None:
+    """The numbers of the span vectors of the listed components, or None
+    when they are every component; ValueError on a duplicate or unknown
+    index, negative or not."""
+    distinct = set(listed)
+    if len(distinct) < len(listed):
+        repeated = sorted(i for i, count in collections.Counter(listed).items() if count > 1)
+        raise ValueError(f"duplicate component indices {repeated}")
+    count = len(spans.ids)
+    if distinct and (min(distinct) < 0 or max(distinct) >= count):
+        unknown = sorted(i for i in distinct if not 0 <= i < count)
+        raise ValueError(f"unknown component indices {unknown}")
+    if len(distinct) == count:
+        return None
+    if len(listed) == 1:
+        # one span's ids: a set of a few Python ints beats np.unique
+        return set(spans.ids[listed[0]].tolist())
+    return set(np.unique(spans.ids[listed]).tolist())
 
 
 def spans_of(codebook: Codebook, budget: int | None = None) -> Spans:

@@ -159,7 +159,7 @@ def test_modulus_coefficients_are_json_integers(tmp_path, capsys, modulus):
     cfg = kk_config()
     cfg["field"]["modulus"] = modulus
     assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg)]) == 2
-    assert f"config error: field: modulus coefficients must be integers, got {modulus!r}" in \
+    assert f"config error: field.modulus: modulus coefficients must be integers, got {modulus!r}" in \
         capsys.readouterr().err
 
 
@@ -569,31 +569,44 @@ def gabidulin_config():
 # extra arguments, what the message names)
 @pytest.mark.parametrize("command, config, edit, extra, message", [
     ("verify-lemmas", kk_config, lambda c: c["field"].update(n=0), [],
-     "field: extension degree must be a positive integer, got 0"),
+     "field.n: extension degree must be a positive integer, got 0"),
     ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 1, 0, 0]), [],
-     "field: modulus must be monic of degree n"),
+     "field.modulus: modulus must be monic of degree n"),
     ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 1, 1]), [],
-     "field: modulus must be monic of degree n"),
+     "field.modulus: modulus must be monic of degree n"),
     ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 3, 0, 1]), [],
-     "field: modulus coefficients must lie in [0, p)"),
+     "field.modulus: modulus coefficients must lie in [0, p)"),
     ("verify-lemmas", mv1_config, lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0]]), [],
-     "field: basis must be a 3x3 matrix"),
+     "field.basis: basis must be a 3x3 matrix"),
     ("verify-lemmas", mv1_config,
      lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0], [0, 0, 2]]), [],
-     "field: basis entries must lie in [0, 2)"),
+     "field.basis: basis entries must lie in [0, 2)"),
     ("verify-lemmas", mv1_config,
      lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1, 0], [1, 1, 0]]), [],
-     "field: basis matrix is singular"),
+     "field.basis: basis matrix is singular"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(p=4), [],
+     "field.p: base characteristic must be a prime in (2, 3, 5, 7), got 4"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(modulus=[1, 1, 1, 1]), [],
+     "field.modulus: modulus (1, 1, 1, 1) is reducible over GF(2)"),
+    ("verify-lemmas", mv1_config, lambda c: c["field"].update(basis=[[1, 0, 0], [0, 1], 0]), [],
+     "field.basis: basis entries must be integers, got 0"),
     ("simulate", mv1_config, lambda c: c["topology"]["nodes"].update(t="intermediate"), [],
      "topology: need at least one sink"),
     ("simulate", mv1_config, lambda c: c["errors"].update(injected_packets=-1), [],
      "errors: injected_packets must be nonnegative"),
     ("verify-lemmas", mv1_config, lambda c: c["code"].update(L=0), [],
-     "code: list size L must be at least 1"),
+     "code.L: list size L must be at least 1"),
     ("verify-lemmas", gabidulin_config, lambda c: c["code"].update(generators=["g^3"]), [],
-     "code: need 2 generators, got 1"),
+     "code.generators: need 2 generators, got 1"),
     ("verify-lemmas", kk_config, lambda c: c["code"].update(alphas=["g^3"]), [],
-     "code: need 2 alphas, got 1"),
+     "code.alphas: need 2 alphas, got 1"),
+    ("verify-lemmas", gabidulin_config, lambda c: c["code"].update(k=0), [],
+     "code.k: need 1 <= k <= n, got k=0"),
+    ("verify-lemmas", gabidulin_config,
+     lambda c: c["code"].update(generators=["g^3", "g^3"]), [],
+     "code.generators: generators are linearly dependent over the base field"),
+    ("verify-lemmas", mv1_config, lambda c: c["code"].update(layout="diagonal"), [],
+     "code.layout: unknown layout 'diagonal'"),
     ("verify-lemmas", kk_config, lambda c: c["code"]["alphas"].__setitem__(0, [1, 0]), [],
      "code.alphas[0]: expected 3 coefficients, got 2"),
     ("simulate", mv1_config, lambda c: c["tier1"].update(mode="fix"), [],
@@ -616,8 +629,10 @@ def gabidulin_config():
     ("decode", mv1_config, lambda c: None, ["--packets", "/nonexistent/packets.txt"],
      "cannot read packets file /nonexistent/packets.txt"),
 ], ids=["field-n-0", "modulus-not-monic", "modulus-length", "modulus-coefficient",
-        "basis-shape", "basis-entry", "basis-singular", "no-sink", "injected-negative",
-        "mv-L-0", "short-generators", "short-alphas", "alpha-coefficients", "tier1-mode",
+        "basis-shape", "basis-entry", "basis-singular", "field-p-4", "modulus-reducible",
+        "basis-row", "no-sink", "injected-negative", "mv-L-0", "short-generators",
+        "short-alphas", "gabidulin-k-0", "dependent-generators", "mv-layout",
+        "alpha-coefficients", "tier1-mode",
         "tier2-metric", "tier1-radius", "tier2-list-radius", "feedback-no-list-radius",
         "encode-no-message", "encode-digit", "packets-unreadable"])
 def test_config_reachable_refusals_exit_2(tmp_path, capsys, command, config, edit, extra,

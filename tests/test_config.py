@@ -32,8 +32,8 @@ def run(argv) -> tuple:
     return code, err.getvalue()
 
 
-def test_the_shipped_configs_are_the_seventeen_known():
-    assert len(SHIPPED) == 17
+def test_the_shipped_configs_are_the_eighteen_known():
+    assert len(SHIPPED) == 18
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)

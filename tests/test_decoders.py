@@ -160,26 +160,45 @@ def test_tier1_rejects_an_unknown_mode_and_a_negative_radius():
 
 
 def test_a_members_verdict_is_made_once_of_python_ints():
-    """Tier 1 answers a member from the union's member dict: its verdict is
-    VALID with the member as its vector, 0 flips and 1 candidate, made on
-    the member's first hit and kept there, and its vector holds Python ints
-    also when that first packet held numpy ints. The dict keeps one entry
-    per union vector."""
+    """Tier 1 answers a member from the span record's member dict: its
+    verdict is VALID with the member as its vector, 0 flips and 1
+    candidate, made on the member's first hit and kept in the record, and
+    its vector holds Python ints also when that first packet held numpy
+    ints. The full union and every restriction that holds the member
+    return that one object; a restriction that leaves it out corrects or
+    erases it instead. The record keeps one entry per union vector."""
     _, _, uni = kk()
-    members = list(owners(uni))
+    record = uni.provenance
+    owned = owners(uni)
+    members = list(owned)
     first = tier1_decode(np.array(members[1]), uni, radius=0)
     assert first == decoders.PacketVerdict(decoders.VALID, members[1], 0, 1)
     assert [type(d) for d in first.vector] == [int] * len(members[1])
     for mode in TIER1_MODES:
         for packet in (members[1], list(members[1]), np.array(members[1], dtype=np.int8)):
             assert tier1_decode(packet, uni, radius=0, mode=mode) is first
-    table = uni.__dict__["_members"]
-    assert len(table) == uni.cardinality and table[members[1]] is first
-    assert table[members[2]] == members[2]          # no hit yet, so no verdict
+    numbers, valid = record.numbers, record.valid
+    assert len(numbers) == len(valid) == uni.cardinality
+    assert valid[numbers[members[1]]] is first
+    assert valid[numbers[members[2]]] is None           # no hit yet, so no verdict
+    holders = sorted(owned[members[1]])
+    others = sorted(set(uni.components.tolist()) - set(holders))
+    for kept in [holders[:1], holders, holders[-1:] + others[:2]]:
+        restricted = uni.restrict(kept)
+        for mode in TIER1_MODES:
+            assert tier1_decode(members[1], restricted, radius=1, mode=mode,
+                                allow_radius_override=True) is first
+    for kept in ([others[0]], others[:3]):
+        restricted = uni.restrict(kept)
+        assert members[1] not in restricted
+        verdict = tier1_decode(members[1], restricted, radius=0)
+        assert verdict.outcome == decoders.ERASED and verdict is not first
+    assert valid[numbers[members[1]]] is first
     # a non-member's verdict is not kept there
     outside = next(flip(m, [0]) for m in members if flip(m, [0]) not in uni)
     assert tier1_decode(outside, uni, radius=0).outcome == decoders.ERASED
-    assert len(table) == uni.cardinality and outside not in table
+    assert outside not in numbers and len(numbers) == len(valid) == uni.cardinality
+    assert sum(v is not None for v in valid) == 1
 
 
 def test_tier1_refuses_as_the_check_then_the_mode_do():
@@ -557,14 +576,15 @@ def test_feedback_pass_that_drops_every_packet_fails_the_decode():
 
 # ---------------------------------------------------------------- feedback shortcut
 
-FEEDBACK_CODES = ("gab-gf64", "gabidulin_gf8-feedback", "kk_example-feedback", "gf9-kk")
+FEEDBACK_CODES = ("gab-gf64", "gabidulin_gf8-feedback", "kk_example-feedback",
+                  "mv2_compressed-feedback", "gf9-kk")
 
 
 @functools.cache
 def feedback_code(name):
     """(codebook, union, options) of a code decoded with list feedback:
-    gab-gf64 (list radius 1), the two golden feedback configs, and a KK
-    code over GF(3) (9 codewords in GF(3)^4)."""
+    gab-gf64 (list radius 1), the three golden feedback configs (the MV
+    one over GF(3)), and a KK code over GF(3) (9 codewords in GF(3)^4)."""
     if name == "gf9-kk":
         ctx = FieldContext(3, 2, oracles.MOD_GF9)
         cb = build_codebook(KKSpec(field=ctx, l=2, k=1, alphas=(ctx.gamma, ctx.gamma_pow(2))))
@@ -641,7 +661,7 @@ def test_feedback_shortcut_matches_the_rescanning_reference():
     for request in examples:
         check = example(request=request)(check)
     check()
-    assert len(examples) == 13
+    assert len(examples) == 16
     assert {True, False} <= branches
 
 

@@ -25,7 +25,12 @@ is ``decode/<config>.<case>.decode.json``. The ``gab-gf64-feedback``
 reports (the GF(2^6) benchmark code: clean words, rank-1 and rank-2
 errors, erased positions, and fewer kept positions than k) were written by
 the rank decoder that ranked every codeword, before the syndrome tables
-answered most of those decodes.
+answered most of those decodes. The ``mv2_compressed-feedback`` reports,
+the one GF(3) decode golden, were written by the decoder that formed a
+member dict for each restricted union: a flipped packet corrected in both
+passes, a member of another component's span that the first pass keeps
+and the restricted union erases, and a word listing two codewords, whose
+restricted union of 17 vectors has distance 3.
 """
 
 from pathlib import Path

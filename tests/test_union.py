@@ -333,37 +333,153 @@ def test_tier1_matches_the_reference(case):
                                                               radius, mode)
 
 
+RESTRICTION_PACKETS = ("restricted member", "full member only", "neither")
+
+
+@st.composite
+def restriction_cases(draw):
+    """(union, kept, packets): the full union of two to six codewords of
+    ``random_stack``'s kinds over GF(2) or GF(3), a drawn nonempty set of
+    its components (all of them included), and packets that are members of
+    the restriction to them, members of the full union only, or members of
+    neither, where such vectors exist."""
+    p = draw(st.sampled_from((2, 3)))
+    rows = draw(st.integers(1, 3 if p == 2 else 2))
+    width = draw(st.integers(2, 6 if p == 2 else 4))
+    kinds = draw(st.lists(st.sampled_from(CODEWORD_KINDS), min_size=2, max_size=6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    stack = random_stack(p, rows, width, kinds, seed)
+    uni = build_union(lent_codebook(stack, p))
+    kept = draw(st.sets(st.integers(0, len(stack) - 1), min_size=1))
+    spans = [oracles.span(matrix.tolist(), p) for matrix in stack]
+    inside = set().union(*(spans[i] for i in kept))
+    everything = set().union(*spans)
+    rng = np.random.default_rng(seed)
+    neither = [v for v in map(tuple, rng.integers(0, p, size=(20, width)).tolist())
+               if v not in everything]
+    pools = {"restricted member": sorted(inside), "full member only": sorted(everything - inside),
+             "neither": neither}
+    packets = []
+    for kind in draw(st.lists(st.sampled_from(RESTRICTION_PACKETS), min_size=1, max_size=6)):
+        if pools[kind]:
+            packets.append(pools[kind][rng.integers(len(pools[kind]))])
+    return uni, kept, packets
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=restriction_cases())
+def test_restriction_matches_the_reference(case):
+    """A restriction against the parent's gather, the record's rows at the
+    sorted distinct ids of the kept components: its cardinality, matrix,
+    membership and minimum distance, the matrix gathered only when asked;
+    then tier 1 in every mode at every radius against the scalar reference
+    over the restricted vectors, whether a packet is a member of the
+    restriction, of the full union only, or of neither."""
+    uni, kept, packets = case
+    restricted = uni.restrict(kept)
+    spans = uni.provenance
+    gather = spans.matrix[np.unique(spans.ids[sorted(kept)])]
+    vectors = set(map(tuple, gather.tolist()))
+    assert restricted.cardinality == len(gather)
+    for vector in set(owners(uni)) | set(packets):
+        assert (vector in restricted) == (vector in vectors)
+    assert "matrix" not in restricted.__dict__
+    if len(gather) >= 2:
+        assert restricted.min_distance() == oracles.naive_min_pairwise(vectors, uni.p)
+    else:
+        with pytest.raises(ValueError, match="degenerate union"):
+            restricted.min_distance()
+    assert restricted.matrix.dtype == np.int16
+    assert restricted.matrix.tolist() == gather.tolist()
+    for packet in packets:
+        for mode in TIER1_MODES:
+            for radius in range(uni.ambient_len + 1):
+                got = tier1_decode(packet, restricted, radius, mode, allow_radius_override=True)
+                assert asdict(got) == oracles.reference_tier1(packet, vectors, uni.p, radius,
+                                                              mode)
+
+
+def test_the_constructor_refuses_duplicate_and_unknown_components():
+    """A component listed twice, or outside the codebook's indices, negative
+    or not, is refused with restrict's message; "every component" is read
+    from the distinct indices, so a permutation holds every vector and a
+    list as long as the codebook that repeats one does not pass."""
+    _, _, codebook, uni = load_config(ROOT / "configs" / "kk_example.json").build_all()
+    record, n = uni.provenance, len(codebook)
+
+    def union(components):
+        return UnionCode(record, components, uni.ambient_len, uni.p)
+
+    for components, message in (([1] * n, r"duplicate component indices \[1\]"),
+                                ([0, 2, 2, 5, 5, 5], r"duplicate component indices \[2, 5\]"),
+                                ([-1], r"unknown component indices \[-1\]"),
+                                ([n + 5], rf"unknown component indices \[{n + 5}\]"),
+                                ([3, -2, n], rf"unknown component indices \[-2, {n}\]")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            union(components)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            union(np.array(components, dtype=np.int32))
+    shuffled = union(np.random.default_rng(3).permutation(n))
+    assert shuffled.held is None and shuffled.matrix is record.matrix
+    assert shuffled.cardinality == uni.cardinality and shuffled.min_distance() == 1
+    one = union([1])
+    assert one.held == set(record.ids[1].tolist()) and one.cardinality == uni.p ** 2
+    outside = next(v for v in owners(uni) if v not in one)
+    assert tier1_decode(outside, one, radius=0).outcome != "valid"
+    # a restriction of one index reads its span's ids with no numpy call
+    # to check the index
+    with pytest.MonkeyPatch.context() as mp:
+        def refused(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        mp.setattr(np, "unique", refused)
+        assert uni.restrict({4}).held == set(record.ids[4].tolist())
+
+
 def test_membership_set_is_formed_once_by_tier_1():
     """Only tier 1 asks membership: building, a fresh union, the lemma
-    checks and a restriction form no set, and tier 1 forms it once. Only
-    restrict reads the position array: building, a fresh union, the lemma
-    checks and tier 1 form none, and a union's first restriction forms
-    it once, int32 with one entry per codebook index."""
+    checks and a restriction form no member dict on the span record, and
+    tier 1 forms it once, for the full union and every restriction alike.
+    A restriction gathers no matrix until nearest or min_distance asks.
+    Only restrict reads the position array: building, a fresh union, the
+    lemma checks and tier 1 form none, and a union's first restriction
+    forms it once, int32 with one entry per codebook index."""
     _, spec, codebook, _ = load_config(ROOT / "configs" / "kk_example.json").build_all()
     uni = build_union(codebook)
-    fresh = UnionCode(uni.provenance, uni.components[::-1], uni.ambient_len, uni.p)
+    record = uni.provenance
+    fresh = UnionCode(record, uni.components[::-1], uni.ambient_len, uni.p)
     verify_lemmas(spec, fresh)
     for union in (uni, fresh):
-        assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
+        assert "_positions" not in union.__dict__
     fresh_restricted = fresh.restrict({1, 2})
-    assert "_members" not in fresh.__dict__ and "_positions" in fresh.__dict__
-    assert "_members" not in fresh_restricted.__dict__
+    assert "_positions" in fresh.__dict__
+    assert "numbers" not in record.__dict__ and "valid" not in record.__dict__
+    assert "matrix" not in fresh_restricted.__dict__
     member, *others = owners(uni)
     assert tier1_decode(member, uni, radius=0).outcome == "valid"
-    members = uni.__dict__["_members"]
+    numbers, valid = record.__dict__["numbers"], record.__dict__["valid"]
+    assert len(numbers) == len(valid) == uni.cardinality
     for vector in others:
         assert tier1_decode(vector, uni, radius=0).outcome == "valid"
-    assert uni.__dict__["_members"] is members
     assert "_positions" not in uni.__dict__
     restricted = uni.restrict({1, 2})
     positions = uni.__dict__["_positions"]
     assert positions.dtype == np.int32 and positions.shape == (len(codebook),)
     assert uni.restrict({3, 2}).components.tolist() == [2, 3]
     assert uni.__dict__["_positions"] is positions
-    assert uni.__dict__["_members"] is members
-    assert "_members" not in fresh.__dict__
     for union in (fresh_restricted, restricted):
-        assert "_members" not in union.__dict__ and "_positions" not in union.__dict__
+        assert "_positions" not in union.__dict__
+        for vector in owners(union):
+            assert tier1_decode(vector, union, radius=0).outcome == "valid"
+        assert "matrix" not in union.__dict__
+        union.min_distance()
+        assert "matrix" in union.__dict__
+    assert record.__dict__["numbers"] is numbers and record.__dict__["valid"] is valid
+    one = uni.restrict({3})
+    assert one.cardinality == len(one.held) and "matrix" not in one.__dict__
+    one.min_distance()                  # one component: its minimum weight
+    assert "matrix" not in one.__dict__
+    one.nearest(member)
+    assert "matrix" in one.__dict__
 
 
 def test_provenance_soundness_spot_check():
