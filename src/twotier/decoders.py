@@ -1,10 +1,10 @@
 """Two-tier decoding.
 
 Tier 1 scrubs individual packets against the union code: membership pass
-(a lookup in the span record's member dict), nearest-vector correction
-within a radius, or erasure on ambiguity. Tier 2 is exact nearest-codeword
-search over the full codebook, in the injection or subspace metric for
-subspace codes and in the rank metric for Gabidulin codes. For a subspace code it
+(a lookup in its record's member dict), nearest-vector correction within a
+radius, or erasure on ambiguity. Tier 2 is exact nearest-codeword search
+over the full codebook, in the injection or subspace metric for subspace
+codes and in the rank metric for Gabidulin codes. For a subspace code it
 reads the union's owner index: a codeword's distance depends only on how
 many union vectors it owns in the received space, so only the owners of
 those vectors are counted, and every other codeword is at the largest

@@ -1,8 +1,6 @@
 """Errors that the command layer maps to distinct exit codes, and the
 keyed refusal that the configuration layer names a key by."""
 
-import contextlib
-
 
 class ToolkitError(Exception):
     pass
@@ -22,14 +20,3 @@ class OptionError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
-
-
-@contextlib.contextmanager
-def keyed(field: str):
-    """Re-raise a ValueError from inside as an :class:`OptionError` of `field`."""
-    try:
-        yield
-    except OptionError:
-        raise
-    except ValueError as exc:
-        raise OptionError(field, str(exc)) from exc

@@ -28,7 +28,7 @@ import re
 import numpy as np
 
 from . import linalg
-from .errors import OptionError, keyed
+from .errors import OptionError
 
 # Desk scale: digit-string serialization and trial-division validation
 # both assume a single-digit prime base.
@@ -86,40 +86,45 @@ class FieldContext:
             raise OptionError("n", f"extension degree must be a positive integer, got {n}")
         if p ** n > MAX_FIELD_SIZE:
             raise OptionError("n", f"field size {p}^{n} exceeds the desk-scale limit 2^30")
+        if modulus is None:
+            modulus = BUILTIN_MODULI.get((p, n))
+            if modulus is None:
+                raise OptionError("modulus", f"no built-in modulus for GF({p}^{n}); supply one")
+        try:
+            modulus = integers(modulus, "modulus coefficients")
+        except ValueError as exc:
+            raise OptionError("modulus", str(exc)) from exc
+        if len(modulus) != n + 1 or modulus[-1] != 1:
+            raise OptionError("modulus", "modulus must be monic of degree n, coefficients low-to-high")
+        if any(not 0 <= c < p for c in modulus):
+            raise OptionError("modulus", "modulus coefficients must lie in [0, p)")
+
         self.p = p
         self.n = n
         self.size = p ** n
+        self.modulus = modulus
 
-        with keyed("modulus"):
-            if modulus is None:
-                modulus = BUILTIN_MODULI.get((p, n))
-                if modulus is None:
-                    raise ValueError(f"no built-in modulus for GF({p}^{n}); supply one")
-            modulus = integers(modulus, "modulus coefficients")
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n, coefficients low-to-high")
-            if any(not 0 <= c < p for c in modulus):
-                raise ValueError("modulus coefficients must lie in [0, p)")
-            self.modulus = modulus
-            if n > 1 and not self._is_irreducible():
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        if n > 1 and not self._is_irreducible():
+            raise OptionError("modulus", f"modulus {modulus} is reducible over GF({p})")
 
-            self.zero = FieldElement(self, (0,) * n)
-            self.one = FieldElement(self, tuple([1] + [0] * (n - 1)))
-            if n == 1:
-                gamma = (-modulus[0]) % p
-                self.gamma = FieldElement(self, (gamma,))
-            else:
-                self.gamma = FieldElement(self, tuple([0, 1] + [0] * (n - 2)))
-            self._check_primitive()
+        self.zero = FieldElement(self, (0,) * n)
+        self.one = FieldElement(self, tuple([1] + [0] * (n - 1)))
+        if n == 1:
+            gamma = (-modulus[0]) % p
+            self.gamma = FieldElement(self, (gamma,))
+        else:
+            self.gamma = FieldElement(self, tuple([0, 1] + [0] * (n - 2)))
 
         self._subfield_bases = {}
         self.basis = None
         self._to_basis = None
         self._from_basis = None
+        self._check_primitive()
         if basis is not None:
-            with keyed("basis"):
+            try:
                 self._install_basis(basis)
+            except ValueError as exc:
+                raise OptionError("basis", str(exc)) from exc
 
     def _install_basis(self, basis):
         rows = tuple(integers(row, "basis entries") for row in basis)
@@ -179,7 +184,7 @@ class FieldContext:
         one, gamma = self.one.coeffs, self.gamma.coeffs
         if (self._pow_coeffs(gamma, order) != one or
                 any(self._pow_coeffs(gamma, order // f) == one for f in _factorize(order))):
-            raise ValueError(f"modulus {self.modulus} is not primitive")
+            raise OptionError("modulus", f"modulus {self.modulus} is not primitive")
 
     # -- coefficient arithmetic ----------------------------------------
 

@@ -178,6 +178,8 @@ class UnionCode:
             self.held = _held(provenance, components.tolist())
             self.components = components.view()
             self.components.flags.writeable = False
+        if self.held is None:
+            self.matrix = provenance.matrix
 
     @property
     def cardinality(self) -> int:
@@ -185,10 +187,11 @@ class UnionCode:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The union's vectors as int16 rows in the record's order, gathered
-        when :meth:`nearest` or the pairwise :meth:`min_distance` asks."""
-        held = self.held
-        return self.provenance.matrix if held is None else self.provenance.matrix[sorted(held)]
+        """The union's vectors as int16 rows in the record's order: the
+        record's own for a union with every component, set when it is made,
+        else gathered when :meth:`nearest` or the pairwise
+        :meth:`min_distance` asks."""
+        return self.provenance.matrix[sorted(self.held)]
 
     @functools.cached_property
     def verdicts(self) -> codes.Memos:
@@ -243,8 +246,8 @@ class UnionCode:
         unknown = sorted(i for i, k in found.items() if k < 0)
         if unknown:
             raise ValueError(f"unknown component indices {unknown}")
-        return UnionCode(self.provenance, self.components[sorted(found.values())],
-                         self.ambient_len, self.p)
+        kept = self.components[sorted(found.values())]
+        return UnionCode(self.provenance, kept, self.ambient_len, self.p)
 
 
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:

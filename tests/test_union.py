@@ -383,7 +383,9 @@ def test_restriction_matches_the_reference(case):
     assert restricted.cardinality == len(gather)
     for vector in set(owners(uni)) | set(packets):
         assert (vector in restricted) == (vector in vectors)
-    assert "matrix" not in restricted.__dict__
+    # a restriction to every component reads the record's own matrix
+    gathered = restricted.__dict__.get("matrix")
+    assert gathered is None or restricted.held is None and gathered is spans.matrix
     if len(gather) >= 2:
         assert restricted.min_distance() == oracles.naive_min_pairwise(vectors, uni.p)
     else:
