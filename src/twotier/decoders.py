@@ -103,22 +103,22 @@ _ERASED, _REJECTED = PacketVerdict(ERASED), PacketVerdict(REJECTED)
 
 def tier1_decode(packet, union: UnionCode, radius: int, mode: str = CORRECT_OR_ERASE,
                  *, allow_radius_override: bool = False) -> PacketVerdict:
-    """Packet-level decode against the active union code: a member's VALID
-    verdict from the span record's ``valid``, found through its
-    ``numbers``, with no packet check to pass."""
+    """Packet-level decode against the active union code. Only a packet
+    the span record's ``numbers`` lacks goes through the packet check, as
+    a record vector has the right length and digits; a member's VALID
+    verdict is the record's ``valid`` entry, and a record vector that the
+    union leaves out takes the nearest-vector path."""
     packet = tuple(packet)
     spans = union.provenance
     try:
         u = spans.numbers.get(packet)
     except TypeError:                   # an unhashable digit: the check names it
         u = None
-    if u is not None and union.held is not None and u not in union.held:
-        u = None                        # a vector of a component the union leaves out
     if u is None:
         _check_packets([packet], union.p, union.ambient_len)
     if mode not in TIER1_MODES:
         raise ValueError(f"unknown tier-1 mode {mode!r}")
-    if u is not None:
+    if u is not None and (union.held is None or u in union.held):
         verdict = spans.valid[u]
         if verdict is None:             # the member's first hit: its row of Python ints
             verdict = spans.valid[u] = PacketVerdict(VALID, tuple(spans.matrix[u].tolist()), 0, 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codes, linalg, metrics
+from . import codes, fields, linalg, metrics
 from .codes import Codebook, GabidulinSpec, KKSpec, MVSpec
 from .errors import BudgetError
 
@@ -54,7 +54,8 @@ class Spans:
     def every(self) -> np.ndarray:
         """Every codebook index in order, read-only int32: the components of
         :func:`build_union`'s union, which a union given this very array
-        holds with no check."""
+        holds with no check, and whose restrictions are checked once, by
+        the constructor."""
         every = np.arange(len(self.ids), dtype=np.int32)
         every.flags.writeable = False
         return every
@@ -157,13 +158,10 @@ class UnionCode:
     :class:`Spans` record, whose member dict and verdicts tier 1 shares.
 
     ``components`` is the read-only int array of the member codebook
-    indices, in union order, none repeated or unknown. ``held`` is None
-    for a union with every component, else its vectors' numbers as a set.
-    :meth:`restrict` reads each listed index's position in ``components``
-    from an int32 array over the codebook's indices, 4 B per index, formed
-    on the union's first restriction, so a restriction costs the length
-    of its list, not N. :attr:`verdicts` holds the simulator's tier-1
-    verdicts on this union.
+    indices, in union order: the constructor refuses a list with an index
+    that is not an integer, repeated or unknown. ``held`` is None for a
+    union with every component, else its vectors' numbers as a set.
+    :attr:`verdicts` holds the simulator's tier-1 verdicts on this union.
     """
 
     def __init__(self, provenance: Spans, components, ambient_len: int, p: int):
@@ -225,29 +223,27 @@ class UnionCode:
                 self._min_distance = metrics.pairwise_min_distance(self.matrix)
         return self._min_distance
 
-    @functools.cached_property
-    def _positions(self) -> np.ndarray:
-        """Each codebook index's position in ``components``, or -1 when
-        absent: int32, 4 B per codebook index, formed on the first
-        :meth:`restrict`."""
-        at = np.full(len(self.provenance.ids), -1, dtype=np.int32)
-        at[self.components] = np.arange(len(self.components), dtype=np.int32)
-        return at
-
     def restrict(self, indices) -> "UnionCode":
         """Union over the listed components only, in union order; distance
-        never decreases."""
+        never decreases. :func:`build_union`'s union, whose order is index
+        order, passes the sorted indices to the constructor, whose check
+        refuses a bad one; any other union keeps its own listed components
+        and refuses an integer it lacks."""
         wanted = set(indices)
         if not wanted:
             raise ValueError("cannot restrict to an empty component list")
-        # an index outside the codebook's, negative or not, is unknown
-        at = self._positions
-        found = {i: int(at[i]) if 0 <= i < len(at) else -1 for i in wanted}
-        unknown = sorted(i for i, k in found.items() if k < 0)
-        if unknown:
-            raise ValueError(f"unknown component indices {unknown}")
-        kept = self.components[sorted(found.values())]
-        return UnionCode(self.provenance, kept, self.ambient_len, self.p)
+        try:
+            listed = sorted(wanted)
+        except TypeError:               # kinds that do not compare: not all integers
+            fields.integers(wanted, "component indices")
+            raise
+        if self.components is not self.provenance.every:
+            fields.integers(listed, "component indices")
+            kept = [i for i in self.components.tolist() if i in wanted]
+            if len(kept) < len(listed):
+                raise ValueError(f"unknown component indices {sorted(wanted.difference(kept))}")
+            listed = kept
+        return UnionCode(self.provenance, listed, self.ambient_len, self.p)
 
 
 def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> UnionCode:
@@ -262,8 +258,9 @@ def build_union(codebook: Codebook, budget: int = DEFAULT_UNION_BUDGET) -> Union
 
 def _held(spans: Spans, listed: list) -> set | None:
     """The numbers of the span vectors of the listed components, or None
-    when they are every component; ValueError on a duplicate or unknown
-    index, negative or not."""
+    when they are every component; ValueError on an index that is not an
+    integer, or a duplicate or unknown one, negative or not."""
+    fields.integers(listed, "component indices")
     distinct = set(listed)
     if len(distinct) < len(listed):
         repeated = sorted(i for i, count in collections.Counter(listed).items() if count > 1)

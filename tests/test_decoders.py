@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twotier import decoders
+from twotier import union as tt_union
 from twotier.codes import Codebook, GabidulinSpec, KKSpec, MVSpec, build_codebook
 from twotier.config import load_config
 from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE, TIER1_MODES,
@@ -18,7 +20,7 @@ from twotier.decoders import (CORRECT, CORRECT_OR_ERASE, DETECT_ONLY, FAILURE, T
                               tier2_subspace_decode, two_tier_decode)
 from twotier.fields import FieldContext, FieldElement
 from twotier.metrics import hamming_distance, rank_distance
-from twotier.union import build_union, owners
+from twotier.union import UnionCode, build_union, owners
 
 import oracles
 
@@ -702,6 +704,44 @@ def test_feedback_pass_ranks_again_only_for_a_changed_word(monkeypatch):
     assert outcome.result == DecodeResult(chosen=316, metric_value=0, tie=False)
     assert len(passes) == 2
     assert ranked == []
+
+
+def test_feedback_checks_each_restriction_and_each_packet_once(monkeypatch):
+    """Decoding gab-gf64 words with feedback, each restriction runs the
+    constructor's component check once, and tier 1 runs the packet check
+    on no vector of the span record, though the feedback pass meets
+    record vectors its restriction leaves out. A packet outside the record
+    is still checked by tier 1 and refused."""
+    cb, uni, options = feedback_code("gab-gf64")
+    numbers = uni.provenance.numbers
+    tier1_code = decoders.tier1_decode.__code__
+    restricts = count_calls(monkeypatch, UnionCode, "restrict")
+    held = count_calls(monkeypatch, tt_union, "_held")
+    tier1 = count_calls(monkeypatch, decoders, "tier1_decode")
+    checked = []
+    check = decoders._check_packets
+
+    def counted(rows, p, width):
+        if sys._getframe(1).f_code is tier1_code:
+            checked.extend(rows)
+        return check(rows, p, width)
+
+    monkeypatch.setattr(decoders, "_check_packets", counted)
+    rng = random.Random(32)
+    for index in rng.sample(range(len(cb)), 40):
+        clean = [tuple(r) for r in cb[index].rows]
+        for word in (clean, [flip(clean[0], [rng.randrange(6)])] + clean[1:]):
+            two_tier_decode(word, uni, cb, options)
+    assert len(restricts) >= 40 and len(held) == len(restricts)
+    assert checked == []
+    left_out = [packet for packet, union, *_ in tier1 if union is not uni and packet not in union]
+    assert left_out and all(tuple(packet) in numbers for packet in left_out)
+    del held[:], restricts[:]
+    outside = (2, 0, 0, 0, 0, 0)
+    message = r"^packet digits must lie in \[0, 2\), got \(2, 0, 0, 0, 0, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        two_tier_decode([outside] + clean[1:], uni, cb, options)
+    assert checked == [outside] and restricts == held == []
 
 
 def test_rank_decodes_the_syndrome_tables_leave_to_the_scan(monkeypatch):

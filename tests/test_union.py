@@ -374,7 +374,8 @@ def test_restriction_matches_the_reference(case):
     membership and minimum distance, the matrix gathered only when asked;
     then tier 1 in every mode at every radius against the scalar reference
     over the restricted vectors, whether a packet is a member of the
-    restriction, of the full union only, or of neither."""
+    restriction, of the full union only, or of neither. A restriction of
+    the restriction keeps its union order and refuses an index it lacks."""
     uni, kept, packets = case
     restricted = uni.restrict(kept)
     spans = uni.provenance
@@ -383,6 +384,14 @@ def test_restriction_matches_the_reference(case):
     assert restricted.cardinality == len(gather)
     for vector in set(owners(uni)) | set(packets):
         assert (vector in restricted) == (vector in vectors)
+    inner = set(sorted(kept)[::2])
+    twice = restricted.restrict(inner)
+    assert twice.components.tolist() == [i for i in restricted.components.tolist() if i in inner]
+    assert twice.held == uni.restrict(inner).held
+    lacking = sorted(set(range(len(uni.components))) - kept)
+    if lacking:
+        with pytest.raises(ValueError, match=rf"^unknown component indices \[{lacking[0]}\]$"):
+            restricted.restrict(inner | {lacking[0]})
     # a restriction to every component reads the record's own matrix
     gathered = restricted.__dict__.get("matrix")
     assert gathered is None or restricted.held is None and gathered is spans.matrix
@@ -421,6 +430,18 @@ def test_the_constructor_refuses_duplicate_and_unknown_components():
             union(components)
         with pytest.raises(ValueError, match=f"^{message}$"):
             union(np.array(components, dtype=np.int32))
+    # an index that is not an integer is refused by the same check, also
+    # when a restriction passes it on, of build_union's union or another
+    for components, message in (([1.5], r"\[1\.5\]"), ([True], r"\[True\]"),
+                                (["1"], r"\['1'\]"), ([2, 1.0], r"\[2\.0, 1\.0\]")):
+        with pytest.raises(ValueError, match=f"^component indices must be integers, got {message}$"):
+            union(components)
+    for restricted in (uni, union([3, 1, 2])):
+        for indices, message in (({1.5}, r"\[1\.5\]"), ({True}, r"\[True\]"),
+                                 ({"1"}, r"\['1'\]"), ({2, 2.5j}, r"\{2, 2\.5j\}")):
+            with pytest.raises(ValueError,
+                               match=f"^component indices must be integers, got {message}$"):
+                restricted.restrict(indices)
     shuffled = union(np.random.default_rng(3).permutation(n))
     assert shuffled.held is None and shuffled.matrix is record.matrix
     assert shuffled.cardinality == uni.cardinality and shuffled.min_distance() == 1
@@ -442,18 +463,15 @@ def test_membership_set_is_formed_once_by_tier_1():
     checks and a restriction form no member dict on the span record, and
     tier 1 forms it once, for the full union and every restriction alike.
     A restriction gathers no matrix until nearest or min_distance asks.
-    Only restrict reads the position array: building, a fresh union, the
-    lemma checks and tier 1 form none, and a union's first restriction
-    forms it once, int32 with one entry per codebook index."""
+    Restricting build_union's union, or a fresh permuted one, adds nothing
+    to the union restricted."""
     _, spec, codebook, _ = load_config(ROOT / "configs" / "kk_example.json").build_all()
     uni = build_union(codebook)
     record = uni.provenance
     fresh = UnionCode(record, uni.components[::-1], uni.ambient_len, uni.p)
     verify_lemmas(spec, fresh)
-    for union in (uni, fresh):
-        assert "_positions" not in union.__dict__
+    before = {id(union): set(union.__dict__) for union in (uni, fresh)}
     fresh_restricted = fresh.restrict({1, 2})
-    assert "_positions" in fresh.__dict__
     assert "numbers" not in record.__dict__ and "valid" not in record.__dict__
     assert "matrix" not in fresh_restricted.__dict__
     member, *others = owners(uni)
@@ -462,14 +480,12 @@ def test_membership_set_is_formed_once_by_tier_1():
     assert len(numbers) == len(valid) == uni.cardinality
     for vector in others:
         assert tier1_decode(vector, uni, radius=0).outcome == "valid"
-    assert "_positions" not in uni.__dict__
     restricted = uni.restrict({1, 2})
-    positions = uni.__dict__["_positions"]
-    assert positions.dtype == np.int32 and positions.shape == (len(codebook),)
     assert uni.restrict({3, 2}).components.tolist() == [2, 3]
-    assert uni.__dict__["_positions"] is positions
+    assert fresh.restrict({3, 2}).components.tolist() == [3, 2]
+    for union in (uni, fresh):
+        assert set(union.__dict__) == before[id(union)]
     for union in (fresh_restricted, restricted):
-        assert "_positions" not in union.__dict__
         for vector in owners(union):
             assert tier1_decode(vector, union, radius=0).outcome == "valid"
         assert "matrix" not in union.__dict__
